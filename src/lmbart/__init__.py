@@ -8,7 +8,7 @@ from .data import (Dataset, DataError, ScalingInfo, SplitDictionary, load_csv,
 from .leaves import (bart_log_marginal, bart_sample_mu, build_leaf_design,
                      leaf_parameter_count, linear_log_marginal, linear_sample_beta)
 from .sampler import (Hyperparams, PosteriorDraws, PredictionSummary, predict,
-                      run_classification, run_regression)
+                      predict_stored, run_classification, run_regression)
 from .trees import (MoveProposal, Partition, Tree, ancestor_covariates,
                     log_tree_prior, partition, propose_move, split_covariates)
 
@@ -22,7 +22,7 @@ __all__ = [
     "bart_log_marginal", "bart_sample_mu", "build_leaf_design",
     "leaf_parameter_count", "linear_log_marginal", "linear_sample_beta",
     "Hyperparams", "PosteriorDraws", "PredictionSummary", "predict",
-    "run_classification", "run_regression", "MoveProposal", "Partition",
-    "Tree", "ancestor_covariates", "log_tree_prior", "partition",
+    "predict_stored", "run_classification", "run_regression", "MoveProposal",
+    "Partition", "Tree", "ancestor_covariates", "log_tree_prior", "partition",
     "propose_move", "split_covariates",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import REGRESSION, Dataset, standardize, train_test_split
-from .sampler import Hyperparams, PosteriorDraws, eval_tree_dict, run_regression
+from .sampler import Hyperparams, PosteriorDraws, predict, run_regression
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,8 @@ def _run_cell(spec: FriedmanSpec, config: EngineConfig, test_fraction: float,
     hp = Hyperparams(**{**config.hyperparams.to_dict(),
                         "seed": split_seed, "store_trees": True})
     draws = run_regression(train_std, hp, scaling)
-    fit = np.zeros(test.n)
-    test_std = scaling.transform_features(test.features)
-    preds = np.zeros((draws.retained, test.n))
-    for k, tree_dicts in enumerate(draws.trees):
-        fit[:] = 0.0
-        for d in tree_dicts:
-            fit += eval_tree_dict(d, test_std)
-        preds[k] = scaling.invert_response(fit)
-    return rmse(preds.mean(axis=0), test.response), parameter_accounting(draws)
+    preds = predict(draws, test.features).mean
+    return rmse(preds, test.response), parameter_accounting(draws)
 
 
 def _cell_job(args):

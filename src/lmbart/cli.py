@@ -15,7 +15,8 @@ import numpy as np
 
 from . import benchmark as bm
 from . import sampler as sp
-from .data import CLASSIFICATION, REGRESSION, DataError, load_csv, standardize
+from .data import (CLASSIFICATION, REGRESSION, DataError, ScalingInfo, load_csv,
+                   standardize)
 
 
 def _bool_flag(value: str) -> bool:
@@ -172,8 +173,8 @@ def cmd_predict(args) -> int:
               file=sys.stderr)
         return 1
     X = _load_features_like(meta, args.data)
-    draws = _draws_from_records(meta, records)
-    result = sp.predict(draws, X)
+    result = sp.predict_stored([r["trees"] for r in records], meta["task"],
+                               ScalingInfo.from_dict(meta["scaling"]), X)
     is_classification = meta["task"] == CLASSIFICATION
     label = "probability" if is_classification else "mean"
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -183,32 +184,6 @@ def cmd_predict(args) -> int:
             writer.writerow([repr(float(m)), repr(float(lo)), repr(float(hi))])
     print(f"wrote {len(result.mean)} predictions to {args.out}")
     return 0
-
-
-def _draws_from_records(meta: dict, records: list[dict]) -> sp.PosteriorDraws:
-    """Rebuild the prediction-relevant parts of a run from its files."""
-    from .data import ScalingInfo
-
-    k = len(records)
-    hp = sp.Hyperparams.from_dict(meta["config"])
-    empty = np.zeros(k)
-    return sp.PosteriorDraws(
-        task=meta["task"],
-        hyperparams=hp,
-        scaling=ScalingInfo.from_dict(meta["scaling"]),
-        feature_names=meta["feature_names"],
-        lam=meta["resolved_lambda"],
-        iterations=np.array([r["iteration"] for r in records]),
-        sigma2=np.array([r["sigma2"] for r in records]),
-        tau_beta0=None,
-        tau_beta=None,
-        yhat_train=np.zeros((k, 1)),
-        terminal_counts=np.array([r["terminal_counts"] for r in records]),
-        param_counts=np.array([r["param_counts"] for r in records]),
-        acceptance=meta["acceptance"],
-        sigma2_chain=empty,
-        trees=[r["trees"] for r in records],
-    )
 
 
 def cmd_benchmark(args) -> int:

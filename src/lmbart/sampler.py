@@ -276,57 +276,49 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
 
     Returns (move kind, outcome) with outcome one of accepted / rejected /
     invalid. Leaf parameters are redrawn from their full conditionals in
-    every case, acceptance or not.
+    every case, acceptance or not, from the leaf statistics of the kept tree.
     """
     ts = state.trees[tree_index]
     resid = partial_residual(state, tree_index)
+    stats, covs, v_diags = _stats_for(ts.tree, ts.rows_by_leaf, resid,
+                                      features, hp, state)
 
     proposal = tr.propose_move(ts.tree, features, split_dict, state.split_probs,
                                rng, hp.n_min)
     if not proposal.valid:
         outcome = "invalid"
     else:
-        cur_stats, cur_covs, _ = _stats_for(ts.tree, ts.rows_by_leaf, resid,
-                                            features, hp)
-        cur_v = _v_list(cur_stats, hp, state)
-        cand_rows = proposal.tree.leaf_rows(features)
-        cand_stats, cand_covs, _ = _stats_for(proposal.tree, cand_rows, resid,
-                                              features, hp)
-        cand_v = _v_list(cand_stats, hp, state)
+        cand_stats, cand_covs, cand_v = _stats_for(proposal.tree, proposal.rows_by_leaf,
+                                                   resid, features, hp, state)
         log_alpha = (
             _log_marginal(cand_stats, cand_v, state.sigma2, hp)
             + tr.log_tree_prior(proposal.tree, hp.alpha, hp.beta_depth)
-            - _log_marginal(cur_stats, cur_v, state.sigma2, hp)
+            - _log_marginal(stats, v_diags, state.sigma2, hp)
             - tr.log_tree_prior(ts.tree, hp.alpha, hp.beta_depth)
         )
         if hp.proposal_correction:
             log_alpha += proposal.log_transition_correction
         if mh_accept(log_alpha, rng):
             ts.tree = proposal.tree
-            ts.rows_by_leaf = cand_rows
+            ts.rows_by_leaf = proposal.rows_by_leaf
+            stats, covs, v_diags = cand_stats, cand_covs, cand_v
             outcome = "accepted"
         else:
             outcome = "rejected"
     state.acceptance[proposal.kind][outcome] += 1
 
-    stats, covs, _ = _stats_for(ts.tree, ts.rows_by_leaf, resid, features, hp)
-    v_diags = _v_list(stats, hp, state)
     _redraw_leaves(state, ts, stats, covs, v_diags, features, hp, rng)
     return proposal.kind, outcome
 
 
 def _stats_for(tree: tr.Tree, rows_by_leaf: dict, resid: np.ndarray,
-               features: np.ndarray, hp: Hyperparams):
+               features: np.ndarray, hp: Hyperparams, state: SamplerState):
+    """Leaf statistics, covariate sets and prior diagonals (None for constant leaves)."""
     if hp.leaf_model == lv.CONSTANT:
         return lv.constant_leaf_stats(rows_by_leaf, resid), None, None
     covs = lv.leaf_covariate_sets(tree, hp.covariate_rule)
-    return lv.linear_leaf_stats(rows_by_leaf, features, resid, covs), covs, None
-
-
-def _v_list(stats, hp: Hyperparams, state: SamplerState):
-    if hp.leaf_model == lv.CONSTANT:
-        return None
-    return [_v_diag(st.q, hp, state) for st in stats]
+    stats = lv.linear_leaf_stats(rows_by_leaf, features, resid, covs)
+    return stats, covs, [_v_diag(st.q, hp, state) for st in stats]
 
 
 # ---------------------------------------------------------------------------
@@ -576,32 +568,39 @@ class PredictionSummary:
     draws: np.ndarray      # (K, n_new) per-draw predictions
 
 
-def predict(draws: PosteriorDraws, X_new: np.ndarray,
-            scaling: ScalingInfo | None = None) -> PredictionSummary:
-    """Replay stored trees on new rows (original feature scale).
+def predict_stored(trees: list, task: str, scaling: ScalingInfo,
+                   X_new: np.ndarray) -> PredictionSummary:
+    """Replay stored trees (one list of tree dicts per draw) on new rows.
 
-    Requires a run with `store_trees`. Classification runs return
-    probabilities.
+    `X_new` is on the original feature scale and `scaling` is the training
+    run's. Classification runs return probabilities.
     """
-    if draws.trees is None:
-        raise ValueError("draws contain no stored trees; rerun with store_trees")
-    scaling = scaling if scaling is not None else draws.scaling
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2 or X_new.shape[1] != scaling.feature_centers.size:
         raise ValueError(f"expected {scaling.feature_centers.size} feature columns, "
                          f"got {X_new.shape}")
     Xs = scaling.transform_features(X_new)
-    out = np.zeros((len(draws.trees), Xs.shape[0]))
-    for k, tree_dicts in enumerate(draws.trees):
+    out = np.zeros((len(trees), Xs.shape[0]))
+    for k, tree_dicts in enumerate(trees):
         fit = np.zeros(Xs.shape[0])
         for d in tree_dicts:
             fit += eval_tree_dict(d, Xs)
-        if draws.task == CLASSIFICATION:
+        if task == CLASSIFICATION:
             out[k] = norm.cdf(fit)
         else:
             out[k] = scaling.invert_response(fit)
     lower, upper = np.quantile(out, (0.05, 0.95), axis=0)
     return PredictionSummary(out.mean(axis=0), lower, upper, out)
+
+
+def predict(draws: PosteriorDraws, X_new: np.ndarray) -> PredictionSummary:
+    """Replay a run's stored trees on new rows (original feature scale).
+
+    Requires a run with `store_trees`; see `predict_stored`.
+    """
+    if draws.trees is None:
+        raise ValueError("draws contain no stored trees; rerun with store_trees")
+    return predict_stored(draws.trees, draws.task, draws.scaling, X_new)
 
 
 # ---------------------------------------------------------------------------

@@ -119,27 +119,11 @@ class Tree:
         nd.feature = feature
         nd.threshold = float(threshold)
 
-    def leaf_assignment(self, X: np.ndarray) -> np.ndarray:
-        """Route every row of X to its terminal node id."""
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node_id, rows = stack.pop()
-            nd = self.nodes[node_id]
-            if nd.is_leaf:
-                out[rows] = node_id
-                continue
-            go_right = X[rows, nd.feature] < nd.threshold
-            stack.append((nd.right, rows[go_right]))
-            stack.append((nd.left, rows[~go_right]))
-        return out
-
     def leaf_rows(self, X: np.ndarray) -> dict[int, np.ndarray]:
         """Map each terminal node id to the row indices it receives."""
-        rows_by_leaf = {leaf: [] for leaf in self.leaves()}
-        stack = [(self.root, np.arange(np.asarray(X).shape[0]))]
         X = np.asarray(X, dtype=float)
+        rows_by_leaf = {leaf: [] for leaf in self.leaves()}
+        stack = [(self.root, np.arange(X.shape[0]))]
         while stack:
             node_id, rows = stack.pop()
             nd = self.nodes[node_id]
@@ -236,7 +220,7 @@ class Partition:
 
 
 def partition(tree: Tree, features: np.ndarray) -> Partition:
-    """Route all rows through the tree's split rules."""
+    """Route all rows through the tree's split rules, with a per-row leaf id view."""
     rows_by_leaf = tree.leaf_rows(features)
     assignment = np.empty(np.asarray(features).shape[0], dtype=np.int64)
     for leaf, rows in rows_by_leaf.items():
@@ -277,6 +261,8 @@ def log_tree_prior_grow_delta(depth: int, alpha: float, beta_depth: float) -> fl
 class MoveProposal:
     """One structural proposal, valid or not.
 
+    A valid proposal carries its candidate tree's routing of the training
+    rows in `rows_by_leaf`, so the sampler never routes the candidate again.
     `log_transition_correction` carries the asymmetric-proposal density
     ratio for grow/prune; the default acceptance rule ignores it (the ratio
     is prior x marginal-likelihood only) but it is always computed so runs
@@ -285,6 +271,7 @@ class MoveProposal:
 
     kind: str
     tree: Tree | None
+    rows_by_leaf: dict[int, np.ndarray] = field(default_factory=dict)
     affected_leaves: set[int] = field(default_factory=set)
     log_transition_correction: float = 0.0
     valid: bool = True
@@ -323,7 +310,8 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
     than two internal nodes) or that leaves any terminal with fewer than
     `n_min` rows is returned marked invalid; the sampler counts it as an
     automatic rejection rather than redrawing. Passing `kind` skips the
-    uniform move draw (useful for forcing a particular move).
+    uniform move draw (useful for forcing a particular move). Every
+    candidate is routed exactly once, and a valid proposal keeps that routing.
     """
     if kind is None:
         kind = MOVE_KINDS[rng.integers(4)]
@@ -340,8 +328,8 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         feature, threshold, prob = rule
         cand = tree.copy()
         left, right = cand.grow(leaf, feature, threshold)
-        part = partition(cand, features)
-        if min(part.rows_by_leaf[left].size, part.rows_by_leaf[right].size) < n_min:
+        rows = cand.leaf_rows(features)
+        if min(rows[left].size, rows[right].size) < n_min:
             return MoveProposal.invalid(kind, "child below minimum node size")
         # reverse move is a prune of the new parent among the candidate's
         # prunable nodes; forward picked a leaf, a feature, and a threshold
@@ -349,7 +337,7 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
             math.log(len(leaves)) - math.log(len(cand.prunable_nodes()))
             - math.log(prob) + math.log(split_dict.values[feature].size)
         )
-        return MoveProposal(kind, cand, {left, right}, correction)
+        return MoveProposal(kind, cand, rows, {left, right}, correction)
 
     if kind == PRUNE:
         prunable = sorted(tree.prunable_nodes())
@@ -370,7 +358,7 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
                 math.log(len(prunable)) - math.log(cand.n_leaves())
                 + math.log(probs[feature]) - math.log(split_dict.values[feature].size)
             )
-        return MoveProposal(kind, cand, {target}, correction)
+        return MoveProposal(kind, cand, cand.leaf_rows(features), {target}, correction)
 
     if kind == CHANGE:
         targets = sorted(tree.prunable_nodes())
@@ -383,11 +371,11 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         feature, threshold, _ = rule
         cand = tree.copy()
         cand.set_rule(target, feature, threshold)
-        part = partition(cand, features)
-        if part.min_count() < n_min:
+        rows = cand.leaf_rows(features)
+        if min(r.size for r in rows.values()) < n_min:
             return MoveProposal.invalid(kind, "terminal below minimum node size")
         nd = cand.nodes[target]
-        return MoveProposal(kind, cand, {nd.left, nd.right})
+        return MoveProposal(kind, cand, rows, {nd.left, nd.right})
 
     # swap: exchange the rules of two distinct internal nodes
     internal = sorted(tree.internal_nodes())
@@ -399,11 +387,11 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
     na, nb = cand.nodes[a], cand.nodes[b]
     na.feature, nb.feature = nb.feature, na.feature
     na.threshold, nb.threshold = nb.threshold, na.threshold
-    part = partition(cand, features)
-    if part.min_count() < n_min:
+    rows = cand.leaf_rows(features)
+    if min(r.size for r in rows.values()) < n_min:
         return MoveProposal.invalid(SWAP, "terminal below minimum node size")
     affected = set(cand.subtree_leaves(a)) | set(cand.subtree_leaves(b))
-    return MoveProposal(SWAP, cand, affected)
+    return MoveProposal(SWAP, cand, rows, affected)
 
 
 def split_covariates(tree: Tree) -> set[int]:

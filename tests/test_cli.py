@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lmbart.cli import main
-from lmbart.sampler import Hyperparams
+from lmbart.data import REGRESSION, load_csv, standardize
+from lmbart.sampler import Hyperparams, predict, run_regression
 
 
 def run_cli(*argv):
@@ -127,6 +129,26 @@ class TestPredict:
         recorded = np.asarray(meta["train_yhat_mean"])
         got = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
         assert_allclose(got, recorded, atol=1e-8)
+
+    def test_matches_in_memory_predict_exactly(self, tmp_path, friedman_csv,
+                                               trained_run):
+        # same fit in memory as the trained_run fixture; JSON and repr floats
+        # round-trip exactly, so the persisted replay must agree to the bit
+        data = load_csv(friedman_csv, "y", REGRESSION)
+        scaled, scaling = standardize(data)
+        hp = Hyperparams(m=4, burn_in=15, post_burn_in=25, leaf_model="linear",
+                         seed=7, store_trees=True)
+        expected = predict(run_regression(scaled, hp, scaling), data.features)
+        out = tmp_path / "preds.csv"
+        assert run_cli("predict", "--run", trained_run, "--data", friedman_csv,
+                       "--out", out) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["mean", "q05", "q95"]
+        got = np.array([[float(v) for v in row] for row in rows[1:]])
+        assert got[:, 0].tolist() == expected.mean.tolist()
+        assert got[:, 1].tolist() == expected.lower.tolist()
+        assert got[:, 2].tolist() == expected.upper.tolist()
 
     def test_missing_trees_advises_store_trees(self, tmp_path, friedman_csv,
                                                capsys):

@@ -244,8 +244,16 @@ class TestInvariantsUnderMoves:
         probs = np.full(3, 1 / 3)
         t = Tree()
         accepted = 0
+        carried = {kind: 0 for kind in (GROW, PRUNE, CHANGE, SWAP)}
         for _ in range(10_000):
             prop = propose_move(t, d.features, sd, probs, rng, n_min=5)
+            if prop.valid:
+                # the routing a proposal carries is the candidate's own routing
+                rerouted = prop.tree.leaf_rows(d.features)
+                assert prop.rows_by_leaf.keys() == rerouted.keys()
+                for leaf, rows in rerouted.items():
+                    assert_array_equal(prop.rows_by_leaf[leaf], rows)
+                carried[prop.kind] += 1
             if prop.valid and rng.uniform() < 0.5:
                 t = prop.tree
                 accepted += 1
@@ -256,6 +264,7 @@ class TestInvariantsUnderMoves:
                 for leaf in t.leaves():
                     assert ancestor_covariates(t, leaf) <= split_covariates(t)
         assert accepted > 100
+        assert min(carried.values()) > 0
 
     def test_grow_then_prune_restores_routing(self):
         d, sd = make_dataset(n=100, seed=13)
