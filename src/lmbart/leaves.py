@@ -1,9 +1,13 @@
-"""Leaf parameterizations: marginal likelihoods and conjugate draws.
+"""Leaf models: statistics, marginal likelihoods, conjugate draws and the stored leaf format.
 
-Two leaf models are supported. The constant model gives every terminal node
-a scalar mean with a N(0, sigma_mu^2) prior. The linear model gives every
-terminal node a coefficient vector beta (intercept first) with a
-N_q(0, sigma^2 V) prior, V diagonal.
+Two leaf models are supported, `ConstantLeaves` and `LinearLeaves`. The
+constant model gives every terminal node a scalar mean with a N(0, sigma_mu^2)
+prior and stores it as {"mu": m}. The linear model gives every terminal node
+a coefficient vector beta (intercept first) on the leaf's covariates with a
+N_q(0, sigma^2 V) prior, V diagonal, and stores {"beta": [...], "covariates":
+[...]}. `leaf_values` evaluates a stored leaf. The model classes reach this
+module's functions through its globals, so wrapping those functions at run
+time sees every call.
 
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
@@ -51,8 +55,9 @@ class LeafStats:
     """Sufficient statistics of one terminal node against the residuals.
 
     For linear leaves `xtx`/`xtr` are the Gram matrix and moment vector of
-    the leaf design (intercept column of ones plus the leaf's covariates in
-    ascending feature order).
+    the leaf design (intercept column of ones plus the leaf's `covariates` in
+    ascending feature order), and `v_diag` is the diagonal of the leaf's
+    coefficient prior covariance V.
     """
 
     leaf_id: int
@@ -61,6 +66,8 @@ class LeafStats:
     r_sq_sum: float
     xtx: np.ndarray | None = None
     xtr: np.ndarray | None = None
+    covariates: list[int] | None = None
+    v_diag: np.ndarray | None = None
 
     @property
     def q(self) -> int:
@@ -96,7 +103,8 @@ def linear_leaf_stats(rows_by_leaf: dict[int, np.ndarray], features: np.ndarray,
         r = resid[rows]
         X = build_leaf_design(rows, features, covariates_by_leaf[leaf])
         out.append(LeafStats(leaf, r.size, float(r.sum()), float(r @ r),
-                             xtx=X.T @ X, xtr=X.T @ r))
+                             xtx=X.T @ X, xtr=X.T @ r,
+                             covariates=covariates_by_leaf[leaf]))
     return out
 
 
@@ -198,14 +206,70 @@ def leaf_covariate_sets(tree: Tree, covariate_rule: str) -> dict[int, list[int]]
 def leaf_parameter_count(tree: Tree, leaf_model: str,
                          covariate_rule: str = TREE_SPLITS) -> int:
     """Number of leaf parameters the tree contributes to the ensemble fit."""
-    b = tree.n_leaves()
     if leaf_model == CONSTANT:
-        return b
+        return tree.n_leaves()
     if leaf_model == LINEAR:
-        if covariate_rule == TREE_SPLITS:
-            return b * (len(split_covariates(tree)) + 1)
-        if covariate_rule == ANCESTORS:
-            return sum(len(ancestor_covariates(tree, leaf)) + 1
-                       for leaf in tree.leaves())
-        raise ValueError(f"unknown covariate rule {covariate_rule!r}")
+        return sum(len(c) + 1 for c in leaf_covariate_sets(tree, covariate_rule).values())
     raise ValueError(f"unknown leaf model {leaf_model!r}")
+
+
+# ---------------------------------------------------------------------------
+# leaf models and the stored leaf format
+
+
+def leaf_values(payload: dict, rows: np.ndarray, features: np.ndarray):
+    """Fitted values of one stored leaf on its rows (a scalar for a constant leaf)."""
+    if "mu" in payload:
+        return payload["mu"]
+    return build_leaf_design(rows, features, payload["covariates"]) @ payload["beta"]
+
+
+def leaf_coefficients(payload: dict) -> list[float]:
+    """Coefficients of a stored linear leaf, intercept first."""
+    return payload["beta"]
+
+
+@dataclass(frozen=True)
+class ConstantLeaves:
+    """One mean per leaf with a N(0, sigma_mu^2) prior."""
+
+    sigma_mu2: float
+
+    def stats(self, tree, rows_by_leaf, features, resid, taus) -> list[LeafStats]:
+        return constant_leaf_stats(rows_by_leaf, resid)
+
+    def log_marginal(self, stats, sigma2) -> float:
+        return bart_log_marginal(stats, sigma2, self.sigma_mu2)
+
+    def draw(self, stats, sigma2, rng) -> dict[int, dict]:
+        mus = bart_sample_mu(stats, sigma2, self.sigma_mu2, rng)
+        return {leaf: {"mu": mu} for leaf, mu in mus.items()}
+
+    def parameter_count(self, tree) -> int:
+        return leaf_parameter_count(tree, CONSTANT)
+
+
+@dataclass(frozen=True)
+class LinearLeaves:
+    """Linear leaves: V holds 1/tau0 for the intercept, 1/tau1 per slope; taus = (tau0, tau1)."""
+
+    covariate_rule: str
+
+    def stats(self, tree, rows_by_leaf, features, resid, taus) -> list[LeafStats]:
+        covs = leaf_covariate_sets(tree, self.covariate_rule)
+        stats = linear_leaf_stats(rows_by_leaf, features, resid, covs)
+        for st in stats:
+            st.v_diag = np.full(st.q, 1.0 / taus[1])
+            st.v_diag[0] = 1.0 / taus[0]
+        return stats
+
+    def log_marginal(self, stats, sigma2) -> float:
+        return linear_log_marginal(stats, sigma2, [st.v_diag for st in stats])
+
+    def draw(self, stats, sigma2, rng) -> dict[int, dict]:
+        betas = linear_sample_beta(stats, sigma2, [st.v_diag for st in stats], rng)
+        return {st.leaf_id: {"beta": betas[st.leaf_id].tolist(),
+                             "covariates": st.covariates} for st in stats}
+
+    def parameter_count(self, tree) -> int:
+        return leaf_parameter_count(tree, LINEAR, self.covariate_rule)

@@ -105,6 +105,9 @@ class Hyperparams:
             raise ValueError("n_min must be >= 1")
         if self.dirichlet_mass <= 0:
             raise ValueError("dirichlet_mass must be > 0")
+        if self.vars_inter_slope and self.leaf_model != lv.LINEAR:
+            raise ValueError("vars_inter_slope needs leaf_model='linear', "
+                             f"got leaf_model={self.leaf_model!r}")
 
     @property
     def sigma_mu2(self) -> float:
@@ -147,22 +150,20 @@ def sample_sigma2(total_squared_resid: float, n: int, nu: float, lam: float,
     return 1.0 / rng.gamma(shape, 1.0 / rate)
 
 
-def sample_tau_intercept(intercepts: np.ndarray, sigma2: float, a0: float,
-                         b0: float, rng: np.random.Generator) -> float:
-    """Gamma draw of the intercept precision given every leaf intercept."""
-    intercepts = np.asarray(intercepts, dtype=float)
-    shape = intercepts.size / 2.0 + a0
-    rate = float(intercepts @ intercepts) / (2.0 * sigma2) + b0
+def _sample_precision(coefs: np.ndarray, sigma2: float, a: float, b: float,
+                      rng: np.random.Generator) -> float:
+    """Gamma draw of a coefficient precision given every coefficient it governs.
+
+    `sample_tau_intercept` takes every leaf intercept with (a0, b0) and
+    `sample_tau_slopes` every leaf slope with (a1, b1).
+    """
+    coefs = np.asarray(coefs, dtype=float)
+    shape = coefs.size / 2.0 + a
+    rate = float(coefs @ coefs) / (2.0 * sigma2) + b
     return rng.gamma(shape, 1.0 / rate)
 
 
-def sample_tau_slopes(slopes: np.ndarray, sigma2: float, a1: float,
-                      b1: float, rng: np.random.Generator) -> float:
-    """Gamma draw of the slope precision given every leaf slope."""
-    slopes = np.asarray(slopes, dtype=float)
-    shape = slopes.size / 2.0 + a1
-    rate = float(slopes @ slopes) / (2.0 * sigma2) + b1
-    return rng.gamma(shape, 1.0 / rate)
+sample_tau_intercept = sample_tau_slopes = _sample_precision
 
 
 def dirichlet_update_splitprobs(split_counts: np.ndarray, dirichlet_mass: float,
@@ -202,8 +203,7 @@ def sample_latent_z(y_binary: np.ndarray, fit: np.ndarray,
 @dataclass
 class TreeState:
     tree: tr.Tree
-    leaf_params: dict              # leaf id -> mu (float) or beta (array)
-    covariates: dict               # leaf id -> covariate index list (linear)
+    leaf_params: dict              # leaf id -> stored leaf payload (see leaves.py)
     rows_by_leaf: dict             # leaf id -> training row indices
     fit: np.ndarray                # (n,) current contribution
 
@@ -232,41 +232,18 @@ def partial_residual(state: SamplerState, tree_index: int) -> np.ndarray:
     return state.target - state.total_fit + ts.fit
 
 
-def _v_diag(q: int, hp: Hyperparams, state: SamplerState) -> np.ndarray:
-    """Diagonal of the coefficient prior covariance V for a q-vector leaf."""
-    if hp.vars_inter_slope:
-        v = np.full(q, 1.0 / state.tau_beta)
-        v[0] = 1.0 / state.tau_beta0
-        return v
-    return np.full(q, 1.0 / hp.tau_b)
-
-
-def _log_marginal(stats, v_diags, sigma2: float, hp: Hyperparams) -> float:
+def leaf_model(hp: Hyperparams) -> lv.ConstantLeaves | lv.LinearLeaves:
+    """The leaf model a configuration selects; the only place that picks one."""
     if hp.leaf_model == lv.CONSTANT:
-        return lv.bart_log_marginal(stats, sigma2, hp.sigma_mu2)
-    return lv.linear_log_marginal(stats, sigma2, v_diags)
+        return lv.ConstantLeaves(hp.sigma_mu2)
+    return lv.LinearLeaves(hp.covariate_rule)
 
 
-def _redraw_leaves(state: SamplerState, ts: TreeState, stats, covs, v_diags,
-                   features: np.ndarray, hp: Hyperparams,
-                   rng: np.random.Generator) -> None:
-    """Gibbs-redraw all leaf parameters of `ts` and refresh its fit."""
-    new_fit = np.zeros_like(ts.fit)
-    if hp.leaf_model == lv.CONSTANT:
-        mus = lv.bart_sample_mu(stats, state.sigma2, hp.sigma_mu2, rng)
-        for leaf, rows in ts.rows_by_leaf.items():
-            new_fit[rows] = mus[leaf]
-        ts.leaf_params = mus
-        ts.covariates = {}
-    else:
-        betas = lv.linear_sample_beta(stats, state.sigma2, v_diags, rng)
-        for leaf, rows in ts.rows_by_leaf.items():
-            X = lv.build_leaf_design(rows, features, covs[leaf])
-            new_fit[rows] = X @ betas[leaf]
-        ts.leaf_params = betas
-        ts.covariates = covs
-    state.total_fit += new_fit - ts.fit
-    ts.fit = new_fit
+def _tree_fit(leaf_params: dict, rows_by_leaf: dict, features: np.ndarray) -> np.ndarray:
+    fit = np.zeros(features.shape[0])
+    for leaf, rows in rows_by_leaf.items():
+        fit[rows] = lv.leaf_values(leaf_params[leaf], rows, features)
+    return fit
 
 
 def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
@@ -278,22 +255,23 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     invalid. Leaf parameters are redrawn from their full conditionals in
     every case, acceptance or not, from the leaf statistics of the kept tree.
     """
+    model = leaf_model(hp)
+    taus = (state.tau_beta0, state.tau_beta)
     ts = state.trees[tree_index]
     resid = partial_residual(state, tree_index)
-    stats, covs, v_diags = _stats_for(ts.tree, ts.rows_by_leaf, resid,
-                                      features, hp, state)
+    stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, taus)
 
     proposal = tr.propose_move(ts.tree, features, split_dict, state.split_probs,
                                rng, hp.n_min)
     if not proposal.valid:
         outcome = "invalid"
     else:
-        cand_stats, cand_covs, cand_v = _stats_for(proposal.tree, proposal.rows_by_leaf,
-                                                   resid, features, hp, state)
+        cand_stats = model.stats(proposal.tree, proposal.rows_by_leaf, features,
+                                 resid, taus)
         log_alpha = (
-            _log_marginal(cand_stats, cand_v, state.sigma2, hp)
+            model.log_marginal(cand_stats, state.sigma2)
             + tr.log_tree_prior(proposal.tree, hp.alpha, hp.beta_depth)
-            - _log_marginal(stats, v_diags, state.sigma2, hp)
+            - model.log_marginal(stats, state.sigma2)
             - tr.log_tree_prior(ts.tree, hp.alpha, hp.beta_depth)
         )
         if hp.proposal_correction:
@@ -301,24 +279,17 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
         if mh_accept(log_alpha, rng):
             ts.tree = proposal.tree
             ts.rows_by_leaf = proposal.rows_by_leaf
-            stats, covs, v_diags = cand_stats, cand_covs, cand_v
+            stats = cand_stats
             outcome = "accepted"
         else:
             outcome = "rejected"
     state.acceptance[proposal.kind][outcome] += 1
 
-    _redraw_leaves(state, ts, stats, covs, v_diags, features, hp, rng)
+    ts.leaf_params = model.draw(stats, state.sigma2, rng)
+    new_fit = _tree_fit(ts.leaf_params, ts.rows_by_leaf, features)
+    state.total_fit += new_fit - ts.fit
+    ts.fit = new_fit
     return proposal.kind, outcome
-
-
-def _stats_for(tree: tr.Tree, rows_by_leaf: dict, resid: np.ndarray,
-               features: np.ndarray, hp: Hyperparams, state: SamplerState):
-    """Leaf statistics, covariate sets and prior diagonals (None for constant leaves)."""
-    if hp.leaf_model == lv.CONSTANT:
-        return lv.constant_leaf_stats(rows_by_leaf, resid), None, None
-    covs = lv.leaf_covariate_sets(tree, hp.covariate_rule)
-    stats = lv.linear_leaf_stats(rows_by_leaf, features, resid, covs)
-    return stats, covs, [_v_diag(st.q, hp, state) for st in stats]
 
 
 # ---------------------------------------------------------------------------
@@ -355,31 +326,14 @@ class PosteriorDraws:
         return self.sigma2.shape[0]
 
 
-def _serialize_tree(ts: TreeState, leaf_model: str) -> dict:
-    payload = {}
-    for leaf in ts.tree.leaves():
-        if leaf_model == lv.CONSTANT:
-            payload[leaf] = {"mu": float(ts.leaf_params[leaf])}
-        else:
-            payload[leaf] = {
-                "beta": [float(b) for b in ts.leaf_params[leaf]],
-                "covariates": [int(j) for j in ts.covariates[leaf]],
-            }
-    return ts.tree.to_dict(payload)
+def _serialize_tree(ts: TreeState) -> dict:
+    return ts.tree.to_dict(ts.leaf_params)
 
 
 def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
     """Evaluate one serialized tree on standardized features."""
     tree, payload = tr.Tree.from_dict(tree_dict)
-    fit = np.zeros(features.shape[0])
-    for leaf, rows in tree.leaf_rows(features).items():
-        spec = payload[leaf]
-        if "mu" in spec:
-            fit[rows] = spec["mu"]
-        else:
-            X = lv.build_leaf_design(rows, features, list(spec["covariates"]))
-            fit[rows] = X @ np.asarray(spec["beta"], dtype=float)
-    return fit
+    return _tree_fit(payload, tree.leaf_rows(features), features)
 
 
 def _split_usage_counts(state: SamplerState, p: int) -> np.ndarray:
@@ -394,24 +348,14 @@ def _split_usage_counts(state: SamplerState, p: int) -> np.ndarray:
 def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
                 sigma2: float, latent_z: np.ndarray | None) -> SamplerState:
     n, p = train.n, train.p
-    all_rows = np.arange(n)
-    tree_states = []
-    for _ in range(hp.m):
-        tree = tr.Tree.stump()
-        leaf = tree.root
-        if hp.leaf_model == lv.CONSTANT:
-            params = {leaf: 0.0}
-            covs = {}
-        else:
-            params = {leaf: np.zeros(1)}
-            covs = {leaf: []}
-        tree_states.append(TreeState(tree, params, covs, {leaf: all_rows},
-                                     np.zeros(n)))
+    stumps = [tr.Tree.stump() for _ in range(hp.m)]
+    tau = 1.0 if hp.vars_inter_slope else hp.tau_b   # fixed precisions stay at tau_b
     return SamplerState(
-        trees=tree_states,
+        # leaf parameters are first drawn by the first tree step
+        trees=[TreeState(t, {}, {t.root: np.arange(n)}, np.zeros(n)) for t in stumps],
         sigma2=sigma2,
-        tau_beta0=1.0,
-        tau_beta=1.0,
+        tau_beta0=tau,
+        tau_beta=tau,
         split_probs=np.full(p, 1.0 / p),
         total_fit=np.zeros(n),
         target=target,
@@ -419,13 +363,16 @@ def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
     )
 
 
-def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo,
+def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
                on_sweep=None) -> PosteriorDraws:
     classification = train.task == CLASSIFICATION
+    if scaling is None:
+        scaling = ScalingInfo.identity(train.p)
     X = train.features
     n, p = train.n, train.p
     rng = np.random.default_rng(hp.seed)
     split_dict = split_dictionary(train)
+    model = leaf_model(hp)
 
     y = train.response
     if classification:
@@ -443,8 +390,8 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo,
 
     iterations = np.zeros(n_retained, dtype=int)
     sigma2_draws = np.zeros(n_retained)
-    tau0_draws = np.zeros(n_retained) if hp.leaf_model == lv.LINEAR else None
-    tau1_draws = np.zeros(n_retained) if hp.leaf_model == lv.LINEAR else None
+    tau0_draws, tau1_draws = ((np.zeros(n_retained), np.zeros(n_retained))
+                              if hp.leaf_model == lv.LINEAR else (None, None))
     yhat_draws = np.zeros((n_retained, n))
     terminal_counts = np.zeros((n_retained, hp.m), dtype=int)
     param_counts = np.zeros((n_retained, hp.m), dtype=int)
@@ -462,7 +409,7 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo,
         if not classification:
             resid = y - state.total_fit
             state.sigma2 = sample_sigma2(float(resid @ resid), n, hp.nu, lam, rng)
-        if hp.leaf_model == lv.LINEAR and hp.vars_inter_slope:
+        if hp.vars_inter_slope:
             intercepts, slopes = _gather_coefficients(state)
             state.tau_beta0 = sample_tau_intercept(intercepts, state.sigma2,
                                                    hp.a0, hp.b0, rng)
@@ -480,17 +427,13 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo,
             if tau0_draws is not None:
                 tau0_draws[keep] = state.tau_beta0
                 tau1_draws[keep] = state.tau_beta
-            if classification:
-                yhat_draws[keep] = norm.cdf(state.total_fit)
-            else:
-                yhat_draws[keep] = scaling.invert_response(state.total_fit)
+            yhat_draws[keep] = (norm.cdf(state.total_fit) if classification
+                                else scaling.invert_response(state.total_fit))
             for t, ts in enumerate(state.trees):
                 terminal_counts[keep, t] = ts.tree.n_leaves()
-                param_counts[keep, t] = lv.leaf_parameter_count(
-                    ts.tree, hp.leaf_model, hp.covariate_rule)
+                param_counts[keep, t] = model.parameter_count(ts.tree)
             if trees_out is not None:
-                trees_out.append([_serialize_tree(ts, hp.leaf_model)
-                                  for ts in state.trees])
+                trees_out.append([_serialize_tree(ts) for ts in state.trees])
             keep += 1
         if on_sweep is not None:
             on_sweep(state)
@@ -518,7 +461,7 @@ def _gather_coefficients(state: SamplerState) -> tuple[np.ndarray, np.ndarray]:
     intercepts, slopes = [], []
     for ts in state.trees:
         for leaf in ts.tree.leaves():
-            beta = ts.leaf_params[leaf]
+            beta = lv.leaf_coefficients(ts.leaf_params[leaf])
             intercepts.append(beta[0])
             slopes.extend(beta[1:])
     return np.asarray(intercepts), np.asarray(slopes)
@@ -534,8 +477,6 @@ def run_regression(train: Dataset, hp: Hyperparams,
     """
     if train.task != REGRESSION:
         raise ValueError("run_regression requires a regression dataset")
-    if scaling is None:
-        scaling = ScalingInfo.identity(train.p)
     return _run_chain(train, hp, scaling, on_sweep)
 
 
@@ -549,8 +490,6 @@ def run_classification(train: Dataset, hp: Hyperparams,
     """
     if train.task != CLASSIFICATION:
         raise ValueError("run_classification requires a classification dataset")
-    if scaling is None:
-        scaling = ScalingInfo.identity(train.p)
     return _run_chain(train, hp, scaling, on_sweep)
 
 
@@ -582,13 +521,8 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     Xs = scaling.transform_features(X_new)
     out = np.zeros((len(trees), Xs.shape[0]))
     for k, tree_dicts in enumerate(trees):
-        fit = np.zeros(Xs.shape[0])
-        for d in tree_dicts:
-            fit += eval_tree_dict(d, Xs)
-        if task == CLASSIFICATION:
-            out[k] = norm.cdf(fit)
-        else:
-            out[k] = scaling.invert_response(fit)
+        fit = sum(eval_tree_dict(d, Xs) for d in tree_dicts)
+        out[k] = norm.cdf(fit) if task == CLASSIFICATION else scaling.invert_response(fit)
     lower, upper = np.quantile(out, (0.05, 0.95), axis=0)
     return PredictionSummary(out.mean(axis=0), lower, upper, out)
 

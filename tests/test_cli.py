@@ -100,6 +100,15 @@ class TestTrain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_vars_inter_slope_with_constant_leaves_is_an_error(
+            self, friedman_csv, tmp_path, capsys):
+        code = run_cli("train", "--data", friedman_csv, "--target", "y",
+                       "--leaf", "constant", "--vars-inter-slope", "true",
+                       "--out", tmp_path / "r")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vars_inter_slope" in err
+
     def test_unknown_flag_is_an_error(self, friedman_csv, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("train", "--data", friedman_csv, "--target", "y",

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lmbart.leaves import (ANCESTORS, CONSTANT, LINEAR, TREE_SPLITS,
-                           LeafFactorizationError, LeafStats,
-                           bart_log_marginal, bart_sample_mu,
+                           ConstantLeaves, LeafFactorizationError, LeafStats,
+                           LinearLeaves, bart_log_marginal, bart_sample_mu,
                            build_leaf_design, constant_leaf_stats,
                            leaf_covariate_sets, leaf_parameter_count,
                            linear_leaf_stats, linear_log_marginal,
                            linear_sample_beta)
-from lmbart.trees import Tree
+from lmbart.trees import Tree, ancestor_covariates
 from oracles import (bart_marginal_restore_constants,
                      linear_marginal_restore_constants, quad_constant_leaf,
                      quad_linear_leaf)
@@ -286,3 +287,36 @@ class TestLeafParameterCount:
         # leaves: r0 with path {0} -> 2 params; two leaves under l0 with
         # path {0,1} -> 3 params each
         assert leaf_parameter_count(t, LINEAR, ANCESTORS) == 2 + 3 + 3
+
+
+class TestLeafModels:
+    @staticmethod
+    def grown_tree():
+        t = Tree()
+        l0, _ = t.grow(t.root, 0, 0.0)
+        t.grow(l0, 1, 0.5)
+        return t
+
+    def test_linear_prior_diagonal_uses_both_precisions(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 3))
+        t = self.grown_tree()
+        stats = LinearLeaves(ANCESTORS).stats(t, t.leaf_rows(X), X,
+                                              rng.normal(size=40), (2.0, 5.0))
+        for st in stats:
+            assert st.covariates == sorted(ancestor_covariates(t, st.leaf_id))
+            assert_allclose(st.v_diag, [0.5] + [0.2] * len(st.covariates),
+                            rtol=0, atol=0)
+
+    @pytest.mark.parametrize("model", [ConstantLeaves(0.1), LinearLeaves(TREE_SPLITS)],
+                             ids=["constant", "linear"])
+    def test_draw_stores_one_json_payload_per_leaf(self, model):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        t = self.grown_tree()
+        stats = model.stats(t, t.leaf_rows(X), X, rng.normal(size=40), (1.0, 1.0))
+        payload = model.draw(stats, 1.0, rng)
+        assert sorted(payload) == sorted(t.leaves())
+        assert json.loads(json.dumps(t.to_dict(payload))) == t.to_dict(payload)
+        assert model.parameter_count(t) == sum(
+            len(p.get("beta", [None])) for p in payload.values())

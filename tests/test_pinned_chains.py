@@ -28,6 +28,7 @@ CHAINS = {
     "linear-tree-splits": dict(leaf_model="linear", covariate_rule="tree-splits"),
     "linear-ancestors": dict(leaf_model="linear", covariate_rule="ancestors"),
     "probit": dict(leaf_model="constant"),
+    "linear-fixed-precision": dict(leaf_model="linear", vars_inter_slope=False),
 }
 
 

@@ -8,10 +8,11 @@ from scipy.stats import norm
 from lmbart.data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
                          standardize)
 from lmbart.sampler import (Hyperparams, PosteriorDraws, dirichlet_update_splitprobs,
-                            mh_accept, partial_residual, predict,
-                            run_classification, run_regression,
+                            eval_tree_dict, mh_accept, partial_residual, predict,
+                            read_draws_jsonl, run_classification, run_regression,
                             sample_latent_z, sample_sigma2,
-                            sample_tau_intercept, sample_tau_slopes)
+                            sample_tau_intercept, sample_tau_slopes,
+                            write_draws_jsonl)
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from oracles import explicit_partial_residual
 
@@ -163,7 +164,7 @@ def handmade_state(fits, target):
     trees = []
     for fit in fits:
         t = Tree()
-        trees.append(TreeState(t, {t.root: 0.0}, {}, {t.root: np.arange(len(fit))},
+        trees.append(TreeState(t, {t.root: 0.0}, {t.root: np.arange(len(fit))},
                                np.asarray(fit, dtype=float)))
     return SamplerState(trees=trees, sigma2=1.0, tau_beta0=1.0, tau_beta=1.0,
                         split_probs=np.array([1.0]),
@@ -311,7 +312,7 @@ class TestRunRegression:
         d = Dataset(X, rng.normal(size=6), ["a", "b"], REGRESSION)
         sd = split_dictionary(d)
         t = Tree()
-        ts = TreeState(t, {t.root: 0.0}, {}, {t.root: np.arange(6)}, np.zeros(6))
+        ts = TreeState(t, {t.root: 0.0}, {t.root: np.arange(6)}, np.zeros(6))
         state = SamplerState(trees=[ts], sigma2=1.0, tau_beta0=1.0,
                              tau_beta=1.0, split_probs=np.full(2, 0.5),
                              total_fit=np.zeros(6), target=d.response.copy(),
@@ -322,10 +323,49 @@ class TestRunRegression:
             kind, outcome = mh_tree_step(state, 0, d.features, sd, hp, rng)
             assert outcome == "invalid"
             assert state.trees[0].tree.n_leaves() == 1
-            mus.append(state.trees[0].leaf_params[t.root])
+            mus.append(state.trees[0].leaf_params[t.root]["mu"])
         assert len(set(mus)) == len(mus)   # leaf mean redrawn every step
         counts = state.acceptance
         assert sum(rec["invalid"] for rec in counts.values()) == 30
+
+    def test_fixed_precision_records_tau_b(self, tmp_path):
+        data = friedman_generate(FriedmanSpec(n=60, p=5, seed=6))
+        scaled, info = standardize(data)
+        hp = hp_small(m=4, leaf_model="linear", vars_inter_slope=False)
+        assert hp.tau_b == 4.0
+        draws = run_regression(scaled, hp, info)
+        assert np.all(draws.tau_beta0 == hp.tau_b)
+        assert np.all(draws.tau_beta == hp.tau_b)
+        write_draws_jsonl(draws, tmp_path / "draws.jsonl")
+        records = read_draws_jsonl(tmp_path / "draws.jsonl")
+        assert all(r["tau_beta0"] == r["tau_beta"] == hp.tau_b for r in records)
+
+
+REPLAY_CONFIGS = {
+    "constant": dict(leaf_model="constant"),
+    "linear-tree-splits": dict(leaf_model="linear", covariate_rule="tree-splits"),
+    "linear-ancestors": dict(leaf_model="linear", covariate_rule="ancestors"),
+    "linear-fixed-precision": dict(leaf_model="linear", vars_inter_slope=False),
+}
+
+
+@pytest.mark.parametrize("config", list(REPLAY_CONFIGS))
+def test_stored_trees_replay_the_chain_fit_exactly(config):
+    # the stored leaf payloads must evaluate to exactly the fit the chain used
+    data = friedman_generate(FriedmanSpec(n=80, p=5, seed=8))
+    scaled, info = standardize(data)
+    hp = hp_small(store_trees=True, **REPLAY_CONFIGS[config])
+    last_fits = []
+
+    def capture(state):
+        if state.iteration == hp.burn_in + hp.post_burn_in:
+            last_fits.extend(ts.fit.copy() for ts in state.trees)
+
+    draws = run_regression(scaled, hp, info, on_sweep=capture)
+    assert len(last_fits) == hp.m
+    assert draws.terminal_counts[-1].max() > 1
+    for tree_dict, fit in zip(draws.trees[-1], last_fits):
+        assert np.array_equal(eval_tree_dict(tree_dict, scaled.features), fit)
 
 
 @pytest.fixture(scope="module")
@@ -459,3 +499,7 @@ class TestHyperparams:
             Hyperparams(c=5.0)
         with pytest.raises(ValueError):
             Hyperparams(leaf_model="cubic")
+
+    def test_vars_inter_slope_needs_linear_leaves(self):
+        with pytest.raises(ValueError, match="vars_inter_slope.*leaf_model"):
+            Hyperparams(leaf_model="constant", vars_inter_slope=True)
