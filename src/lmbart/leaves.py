@@ -9,6 +9,12 @@ N_q(0, sigma^2 V) prior, V diagonal, and stores {"beta": [...], "covariates":
 module's functions through its globals, so wrapping those functions at run
 time sees every call.
 
+A linear leaf's posterior precision X'X + V^-1 is factored once per
+`LeafStats` (`LeafStats.posterior`); the marginal and the draw share that
+factor and the posterior mean. They call LAPACK `potrf`/`potrs`/`trtrs`
+directly, the routines behind `scipy.linalg`'s `cholesky`/`cho_solve`/
+`solve_triangular`, so results match those wrappers bit for bit.
+
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
 
@@ -25,9 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .trees import Tree, ancestor_covariates, split_covariates
 
@@ -36,6 +43,8 @@ LINEAR = "linear"
 
 TREE_SPLITS = "tree-splits"
 ANCESTORS = "ancestors"
+
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=float)
 
 
 class LeafFactorizationError(RuntimeError):
@@ -57,7 +66,8 @@ class LeafStats:
     For linear leaves `xtx`/`xtr` are the Gram matrix and moment vector of
     the leaf design (intercept column of ones plus the leaf's `covariates` in
     ascending feature order), and `v_diag` is the diagonal of the leaf's
-    coefficient prior covariance V.
+    coefficient prior covariance V. Set `v_diag` before the first use of
+    `posterior`, which is computed once and then kept.
     """
 
     leaf_id: int
@@ -73,6 +83,12 @@ class LeafStats:
     def q(self) -> int:
         return 0 if self.xtx is None else self.xtx.shape[0]
 
+    @cached_property
+    def posterior(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, A^-1 X'r) for the posterior precision A = X'X + V^-1 = L L'."""
+        L = _posterior_factor(self)
+        return L, _lapack(_potrs, L, _finite(self.xtr), lower=1)
+
 
 def build_leaf_design(rows: np.ndarray, features: np.ndarray,
                       covariates: list[int]) -> np.ndarray:
@@ -81,7 +97,7 @@ def build_leaf_design(rows: np.ndarray, features: np.ndarray,
     X = np.empty((n, len(covariates) + 1))
     X[:, 0] = 1.0
     if covariates:
-        X[:, 1:] = features[np.ix_(rows, covariates)]
+        X[:, 1:] = features.take(rows, 0).take(covariates, 1)
     return X
 
 
@@ -135,22 +151,42 @@ def bart_sample_mu(stats: list[LeafStats], sigma2: float, sigma_mu2: float,
     return out
 
 
-def _posterior_factor(st: LeafStats, v_diag: np.ndarray, leaf_id):
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _lapack(routine, *args, **kwargs) -> np.ndarray:
+    """Call a LAPACK routine and raise on its info code, as scipy.linalg does."""
+    out, info = routine(*args, **kwargs)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out
+
+
+def cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of A, equal to scipy.linalg.cholesky(A, lower=True)."""
+    return _lapack(_potrf, _finite(A), lower=1, clean=1)
+
+
+def _posterior_factor(st: LeafStats) -> np.ndarray:
     """Cholesky of X'X + V^-1, with one jitter retry before giving up."""
-    A = st.xtx + np.diag(1.0 / v_diag)
+    A = st.xtx + np.diag(1.0 / st.v_diag)
     try:
-        return cholesky(A, lower=True)
+        return cholesky(A)
     except np.linalg.LinAlgError:
         pass
     jitter = 1e-10 * np.trace(A) / A.shape[0]
     try:
-        return cholesky(A + jitter * np.eye(A.shape[0]), lower=True)
+        return cholesky(A + jitter * np.eye(A.shape[0]))
     except np.linalg.LinAlgError:
-        raise LeafFactorizationError(leaf_id, float(np.linalg.cond(A))) from None
+        raise LeafFactorizationError(st.leaf_id, float(np.linalg.cond(A))) from None
 
 
-def linear_log_marginal(stats: list[LeafStats], sigma2: float,
-                      v_diags: list[np.ndarray]) -> float:
+def linear_log_marginal(stats: list[LeafStats], sigma2: float) -> float:
     """Linear-leaf log marginal of the residuals given the tree.
 
     -(n/2) log sigma^2 plus, per leaf,
@@ -161,13 +197,12 @@ def linear_log_marginal(stats: list[LeafStats], sigma2: float,
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     n_total = 0
     total = 0.0
-    for st, v_diag in zip(stats, v_diags):
+    for st in stats:
         n_total += st.n
-        L = _posterior_factor(st, v_diag, st.leaf_id)
+        L, mu = st.posterior
         # log|Lambda| = -log|A|, log|A| = 2 sum log diag(L)
-        log_det_A = 2.0 * float(np.sum(np.log(np.diag(L))))
-        log_det_V = float(np.sum(np.log(v_diag)))
-        mu = cho_solve((L, True), st.xtr)
+        log_det_A = 2.0 * float(np.sum(np.log(L.diagonal())))
+        log_det_V = float(np.sum(np.log(st.v_diag)))
         quad = float(st.xtr @ mu)     # mu' Lambda^-1 mu
         total += -0.5 * log_det_V - 0.5 * log_det_A
         total += -(st.r_sq_sum - quad) / (2.0 * sigma2)
@@ -175,16 +210,14 @@ def linear_log_marginal(stats: list[LeafStats], sigma2: float,
 
 
 def linear_sample_beta(stats: list[LeafStats], sigma2: float,
-                     v_diags: list[np.ndarray],
-                     rng: np.random.Generator) -> dict[int, np.ndarray]:
+                       rng: np.random.Generator) -> dict[int, np.ndarray]:
     """Gibbs draw of every leaf coefficient vector from N_q(Lambda X'r, sigma^2 Lambda)."""
     out = {}
-    for st, v_diag in zip(stats, v_diags):
-        L = _posterior_factor(st, v_diag, st.leaf_id)
-        mu = cho_solve((L, True), st.xtr)
+    for st in stats:
+        L, mu = st.posterior
         z = rng.standard_normal(st.q)
         # cov(L^-T z) = A^-1 = Lambda
-        out[st.leaf_id] = mu + math.sqrt(sigma2) * solve_triangular(L.T, z, lower=False)
+        out[st.leaf_id] = mu + math.sqrt(sigma2) * _lapack(_trtrs, L, z, lower=1, trans=1)
     return out
 
 
@@ -264,10 +297,10 @@ class LinearLeaves:
         return stats
 
     def log_marginal(self, stats, sigma2) -> float:
-        return linear_log_marginal(stats, sigma2, [st.v_diag for st in stats])
+        return linear_log_marginal(stats, sigma2)
 
     def draw(self, stats, sigma2, rng) -> dict[int, dict]:
-        betas = linear_sample_beta(stats, sigma2, [st.v_diag for st in stats], rng)
+        betas = linear_sample_beta(stats, sigma2, rng)
         return {st.leaf_id: {"beta": betas[st.leaf_id].tolist(),
                              "covariates": st.covariates} for st in stats}
 

@@ -219,7 +219,6 @@ class SamplerState:
     split_probs: np.ndarray
     total_fit: np.ndarray
     target: np.ndarray             # y (internal scale) or latent z
-    latent_z: np.ndarray | None
     iteration: int = 0
     acceptance: dict = field(default_factory=lambda: {
         kind: {"accepted": 0, "rejected": 0, "invalid": 0} for kind in tr.MOVE_KINDS
@@ -346,7 +345,7 @@ def _split_usage_counts(state: SamplerState, p: int) -> np.ndarray:
 
 
 def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
-                sigma2: float, latent_z: np.ndarray | None) -> SamplerState:
+                sigma2: float) -> SamplerState:
     n, p = train.n, train.p
     stumps = [tr.Tree.stump() for _ in range(hp.m)]
     tau = 1.0 if hp.vars_inter_slope else hp.tau_b   # fixed precisions stay at tau_b
@@ -359,7 +358,6 @@ def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
         split_probs=np.full(p, 1.0 / p),
         total_fit=np.zeros(n),
         target=target,
-        latent_z=latent_z,
     )
 
 
@@ -378,11 +376,11 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
     if classification:
         lam = float(hp.lam) if hp.lam is not None else 1.0
         z0 = np.where(y == 1.0, 0.5, -0.5)
-        state = _init_state(train, hp, z0.copy(), 1.0, z0)
+        state = _init_state(train, hp, z0, 1.0)
     else:
         lam = float(hp.lam) if hp.lam is not None else calibrate_lambda(y, hp.nu)
         sigma2_init = float(np.var(y, ddof=1)) if n > 1 else 1.0
-        state = _init_state(train, hp, y, max(sigma2_init, 1e-12), None)
+        state = _init_state(train, hp, y, max(sigma2_init, 1e-12))
 
     total_iters = hp.burn_in + hp.post_burn_in
     n_retained = hp.post_burn_in // hp.thin
@@ -402,8 +400,7 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
     for k in range(1, total_iters + 1):
         state.iteration = k
         if classification:
-            state.latent_z = sample_latent_z(y, state.total_fit, rng)
-            state.target = state.latent_z
+            state.target = sample_latent_z(y, state.total_fit, rng)
         for t in range(hp.m):
             mh_tree_step(state, t, X, split_dict, hp, rng)
         if not classification:

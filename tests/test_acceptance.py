@@ -80,8 +80,8 @@ def test_criterion_1_marginal_likelihood_oracle_equivalence():
         sigma2 = rng.uniform(0.3, 2.0)
         v = rng.uniform(0.3, 2.0, q)
         st = LeafStats(0, n, float(r.sum()), float(r @ r), xtx=X.T @ X,
-                       xtr=X.T @ r)
-        impl = linear_log_marginal([st], sigma2, [v])
+                       xtr=X.T @ r, v_diag=v)
+        impl = linear_log_marginal([st], sigma2)
         restored = math.exp(linear_marginal_restore_constants(impl, n))
         oracle = quad_linear_leaf(X, r, sigma2, v)
         worst = max(worst, abs(restored - oracle) / oracle)
@@ -111,8 +111,8 @@ def test_criterion_2_conjugate_sampler_moments():
 
     X = np.array([[1.0, 1.0], [1.0, -1.0]])
     beta_stats = [LeafStats(0, 2, 2.0, 4.0, xtx=X.T @ X,
-                            xtr=X.T @ np.array([2.0, 0.0]))]
-    betas = np.array([linear_sample_beta(beta_stats, 1.0, [np.ones(2)], rng)[0]
+                            xtr=X.T @ np.array([2.0, 0.0]), v_diag=np.ones(2))]
+    betas = np.array([linear_sample_beta(beta_stats, 1.0, rng)[0]
                       for _ in range(n_draws)])
     moment_check("beta0", betas[:, 0], 2.0 / 3.0, 1.0 / 3.0)
     moment_check("beta1", betas[:, 1], 2.0 / 3.0, 1.0 / 3.0)

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+from lmbart import leaves
+from lmbart.benchmark import FriedmanSpec, friedman_generate
+from lmbart.data import standardize
 from lmbart.leaves import (ANCESTORS, CONSTANT, LINEAR, TREE_SPLITS,
                            ConstantLeaves, LeafFactorizationError, LeafStats,
                            LinearLeaves, bart_log_marginal, bart_sample_mu,
@@ -12,18 +16,19 @@ from lmbart.leaves import (ANCESTORS, CONSTANT, LINEAR, TREE_SPLITS,
                            leaf_covariate_sets, leaf_parameter_count,
                            linear_leaf_stats, linear_log_marginal,
                            linear_sample_beta)
+from lmbart.sampler import Hyperparams, run_regression
 from lmbart.trees import Tree, ancestor_covariates
 from oracles import (bart_marginal_restore_constants,
                      linear_marginal_restore_constants, quad_constant_leaf,
                      quad_linear_leaf)
 
 
-def stats_from_resid(r, X=None):
+def stats_from_resid(r, X=None, v_diag=None):
     r = np.asarray(r, dtype=float)
     if X is None:
         return LeafStats(0, r.size, float(r.sum()), float(r @ r))
     return LeafStats(0, r.size, float(r.sum()), float(r @ r),
-                     xtx=X.T @ X, xtr=X.T @ r)
+                     xtx=X.T @ X, xtr=X.T @ r, v_diag=v_diag)
 
 
 class TestBartLogMarginal:
@@ -124,17 +129,17 @@ class TestBuildLeafDesign:
 class TestLinearLogMarginal:
     def test_intercept_only_single_row(self):
         X = np.ones((1, 1))
-        st = stats_from_resid([2.0], X)
-        got = linear_log_marginal([st], 1.0, [np.array([1.0])])
+        st = stats_from_resid([2.0], X, np.array([1.0]))
+        got = linear_log_marginal([st], 1.0)
         assert_allclose(got, 0.5 * math.log(0.5) - 1.0, rtol=1e-12)
         assert_allclose(got, -1.346574, atol=1e-6)
 
     def test_tight_prior_limit_pins_beta_at_zero(self):
         r = np.array([1.0, -2.0, 0.5])
         X = np.ones((3, 1))
-        st = stats_from_resid(r, X)
+        st = stats_from_resid(r, X, np.array([1e-14]))
         sigma2 = 1.7
-        got = linear_log_marginal([st], sigma2, [np.array([1e-14])])
+        got = linear_log_marginal([st], sigma2)
         expected = -float(r @ r) / (2 * sigma2) - 1.5 * math.log(sigma2)
         assert_allclose(got, expected, rtol=1e-6)
 
@@ -148,7 +153,7 @@ class TestLinearLogMarginal:
             r = rng.normal(0, 2, n)
             sigma2 = rng.uniform(0.3, 2.0)
             v = rng.uniform(0.3, 2.0, q)
-            impl = linear_log_marginal([stats_from_resid(r, X)], sigma2, [v])
+            impl = linear_log_marginal([stats_from_resid(r, X, v)], sigma2)
             log_true = linear_marginal_restore_constants(impl, n)
             oracle = quad_linear_leaf(X, r, sigma2, v)
             assert_allclose(math.exp(log_true), oracle, rtol=1e-6)
@@ -163,18 +168,18 @@ class TestLinearLogMarginal:
             r = rng.normal(0, 2, n)
             sigma2 = rng.uniform(0.2, 3.0)
             v = rng.uniform(0.2, 3.0)
-            st_lin = stats_from_resid(r, np.ones((n, 1)))
+            st_lin = stats_from_resid(r, np.ones((n, 1)), np.array([v]))
             st_con = stats_from_resid(r)
-            lin = linear_log_marginal([st_lin], sigma2, [np.array([v])])
+            lin = linear_log_marginal([st_lin], sigma2)
             con = bart_log_marginal([st_con], sigma2, sigma2 * v)
             offset = -0.5 * n * math.log(sigma2) - float(r @ r) / (2 * sigma2)
             assert_allclose(lin, con + offset, rtol=0, atol=1e-10 * max(1, abs(lin)))
 
     def test_factorization_error_carries_leaf_id(self):
         st = LeafStats(17, 1, 1.0, 1.0, xtx=np.array([[-1e12]]),
-                       xtr=np.array([1.0]))
+                       xtr=np.array([1.0]), v_diag=np.array([1.0]))
         with pytest.raises(LeafFactorizationError) as err:
-            linear_log_marginal([st], 1.0, [np.array([1.0])])
+            linear_log_marginal([st], 1.0)
         assert err.value.leaf_id == 17
 
 
@@ -182,9 +187,9 @@ class TestLinearSampleBeta:
     def test_scalar_case(self):
         rng = np.random.default_rng(3)
         X = np.ones((1, 1))
-        stats = [stats_from_resid([2.0], X)]
+        stats = [stats_from_resid([2.0], X, np.array([1.0]))]
         stats[0].leaf_id = 0
-        draws = np.array([linear_sample_beta(stats, 1.0, [np.array([1.0])], rng)[0][0]
+        draws = np.array([linear_sample_beta(stats, 1.0, rng)[0][0]
                           for _ in range(20_000)])
         assert_allclose(draws.mean(), 1.0, atol=4 * math.sqrt(0.5 / draws.size))
         assert_allclose(draws.var(), 0.5, rtol=0.05)
@@ -193,9 +198,8 @@ class TestLinearSampleBeta:
         rng = np.random.default_rng(4)
         X = np.array([[1.0, 1.0], [1.0, -1.0]])
         r = np.array([2.0, 0.0])
-        stats = [stats_from_resid(r, X)]
-        v = [np.ones(2)]
-        draws = np.array([linear_sample_beta(stats, 1.0, v, rng)[0]
+        stats = [stats_from_resid(r, X, np.ones(2))]
+        draws = np.array([linear_sample_beta(stats, 1.0, rng)[0]
                           for _ in range(20_000)])
         se = 4 * math.sqrt((1 / 3) / draws.shape[0])
         assert_allclose(draws.mean(axis=0), [2 / 3, 2 / 3], atol=se)
@@ -209,10 +213,87 @@ class TestLinearSampleBeta:
         beta_true = np.array([1.5, -2.0])
         r = X @ beta_true + 0.01 * gen.standard_normal(40)
         ols = np.linalg.lstsq(X, r, rcond=None)[0]
-        stats = [stats_from_resid(r, X)]
-        draws = np.array([linear_sample_beta(stats, 1.0, [np.full(2, 1e10)], rng)[0]
+        stats = [stats_from_resid(r, X, np.full(2, 1e10))]
+        draws = np.array([linear_sample_beta(stats, 1.0, rng)[0]
                           for _ in range(2000)])
         assert_allclose(draws.mean(axis=0), ols, atol=0.02)
+
+
+class TestDirectLapack:
+    """The leaf algebra calls LAPACK directly and must match scipy.linalg bit for bit."""
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_matches_scipy_wrappers_exactly(self, q):
+        rng = np.random.default_rng(40 + q)
+        for _ in range(200):
+            n = int(rng.integers(1, 3 * q + 2))
+            X = np.column_stack([np.ones(n)] + [rng.normal(0, 1, n) for _ in range(q - 1)])
+            r = rng.normal(0, 2, n)
+            st = stats_from_resid(r, X, rng.uniform(0.05, 20.0, q))
+            sigma2 = rng.uniform(0.2, 3.0)
+            A = st.xtx + np.diag(1.0 / st.v_diag)
+            L_ref = scipy.linalg.cholesky(A, lower=True)
+            L, mean = st.posterior
+            assert np.array_equal(leaves.cholesky(A), L_ref)
+            assert np.array_equal(L, L_ref)
+            assert np.array_equal(mean, scipy.linalg.cho_solve((L_ref, True), st.xtr))
+            seed = int(rng.integers(2**32))
+            beta = linear_sample_beta([st], sigma2, np.random.default_rng(seed))[0]
+            z = np.random.default_rng(seed).standard_normal(q)
+            ref = mean + math.sqrt(sigma2) * scipy.linalg.solve_triangular(
+                L_ref.T, z, lower=False)
+            assert np.array_equal(beta, ref)
+
+    @pytest.mark.parametrize("field", ["xtx", "xtr"])
+    def test_non_finite_statistics_raise_value_error(self, field):
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
+        st = stats_from_resid([1.0, 0.5, -1.0, 2.0], X, np.ones(2))
+        bad = getattr(st, field).copy()
+        bad.flat[0] = np.nan if field == "xtx" else np.inf
+        setattr(st, field, bad)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linear_log_marginal([st], 1.0)
+
+
+class TestFactorOnce:
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = []
+        original = leaves.cholesky
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.shape[0])
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(leaves, "cholesky", counting)
+        return calls
+
+    def test_marginal_then_draw_factors_each_leaf_once(self, factor_calls):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(50, 3))
+        t = TestLeafModels.grown_tree()
+        stats = LinearLeaves(TREE_SPLITS).stats(t, t.leaf_rows(X), X,
+                                                rng.normal(size=50), (1.0, 2.0))
+        linear_log_marginal(stats, 0.8)
+        linear_sample_beta(stats, 0.8, rng)
+        assert len(factor_calls) == len(stats) == 3
+
+    @pytest.mark.parametrize("rule", [TREE_SPLITS, ANCESTORS])
+    def test_chain_factors_each_leaf_once(self, factor_calls, monkeypatch, rule):
+        built = []
+        original = leaves.linear_leaf_stats
+
+        def counting(*args):
+            stats = original(*args)
+            built.append(len(stats))
+            return stats
+
+        monkeypatch.setattr(leaves, "linear_leaf_stats", counting)
+        scaled, info = standardize(friedman_generate(FriedmanSpec(n=100, p=5, seed=3)))
+        hp = Hyperparams(m=3, burn_in=10, post_burn_in=10, seed=4,
+                         leaf_model=LINEAR, covariate_rule=rule)
+        run_regression(scaled, hp, info)
+        assert len(factor_calls) == sum(built) > 60
 
 
 class TestMhRatioSufficiency:
@@ -253,8 +334,9 @@ class TestMhRatioSufficiency:
 
             def marg(rows, covs):
                 stats = linear_leaf_stats(rows, X, resid, covs)
-                return linear_log_marginal(stats, sigma2,
-                                         [np.full(st.q, 1.0 / 10) for st in stats])
+                for st in stats:
+                    st.v_diag = np.full(st.q, 1.0 / 10)
+                return linear_log_marginal(stats, sigma2)
 
             full = marg(rows_grown, covs_grown) - marg(rows_base, covs_base)
             local = (marg({leaf: rows_grown[leaf]

@@ -169,7 +169,7 @@ def handmade_state(fits, target):
     return SamplerState(trees=trees, sigma2=1.0, tau_beta0=1.0, tau_beta=1.0,
                         split_probs=np.array([1.0]),
                         total_fit=np.sum(fits, axis=0).astype(float),
-                        target=np.asarray(target, dtype=float), latent_z=None)
+                        target=np.asarray(target, dtype=float))
 
 
 class TestPartialResiduals:
@@ -315,8 +315,7 @@ class TestRunRegression:
         ts = TreeState(t, {t.root: 0.0}, {t.root: np.arange(6)}, np.zeros(6))
         state = SamplerState(trees=[ts], sigma2=1.0, tau_beta0=1.0,
                              tau_beta=1.0, split_probs=np.full(2, 0.5),
-                             total_fit=np.zeros(6), target=d.response.copy(),
-                             latent_z=None)
+                             total_fit=np.zeros(6), target=d.response.copy())
         hp = Hyperparams(m=1, n_min=5, burn_in=1, post_burn_in=1)
         mus = []
         for _ in range(30):
