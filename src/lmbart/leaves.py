@@ -13,7 +13,9 @@ A linear leaf's posterior precision X'X + V^-1 is factored once per
 `LeafStats` (`LeafStats.posterior`); the marginal and the draw share that
 factor and the posterior mean. They call LAPACK `potrf`/`potrs`/`trtrs`
 directly, the routines behind `scipy.linalg`'s `cholesky`/`cho_solve`/
-`solve_triangular`, so results match those wrappers bit for bit.
+`solve_triangular`, so results match those wrappers bit for bit. A model's
+`stats` takes the `kept` stats of leaves whose rows a move left unchanged and
+builds only the others, so a kept leaf's design and factor serve both trees.
 
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
@@ -63,11 +65,11 @@ class LeafFactorizationError(RuntimeError):
 class LeafStats:
     """Sufficient statistics of one terminal node against the residuals.
 
-    For linear leaves `xtx`/`xtr` are the Gram matrix and moment vector of
-    the leaf design (intercept column of ones plus the leaf's `covariates` in
-    ascending feature order), and `v_diag` is the diagonal of the leaf's
-    coefficient prior covariance V. Set `v_diag` before the first use of
-    `posterior`, which is computed once and then kept.
+    For linear leaves `design` is the leaf design (intercept column of ones
+    plus the leaf's `covariates` in ascending feature order), `xtx`/`xtr` are
+    its Gram matrix and moment vector, and `v_diag` is the diagonal of the
+    leaf's coefficient prior covariance V. Set `v_diag` before the first use
+    of `posterior`, which is computed once and then kept.
     """
 
     leaf_id: int
@@ -78,6 +80,7 @@ class LeafStats:
     xtr: np.ndarray | None = None
     covariates: list[int] | None = None
     v_diag: np.ndarray | None = None
+    design: np.ndarray | None = None
 
     @property
     def q(self) -> int:
@@ -120,7 +123,7 @@ def linear_leaf_stats(rows_by_leaf: dict[int, np.ndarray], features: np.ndarray,
         X = build_leaf_design(rows, features, covariates_by_leaf[leaf])
         out.append(LeafStats(leaf, r.size, float(r.sum()), float(r @ r),
                              xtx=X.T @ X, xtr=X.T @ r,
-                             covariates=covariates_by_leaf[leaf]))
+                             covariates=covariates_by_leaf[leaf], design=X))
     return out
 
 
@@ -250,11 +253,27 @@ def leaf_parameter_count(tree: Tree, leaf_model: str,
 # leaf models and the stored leaf format
 
 
-def leaf_values(payload: dict, rows: np.ndarray, features: np.ndarray):
-    """Fitted values of one stored leaf on its rows (a scalar for a constant leaf)."""
+def leaf_values(payload: dict, rows: np.ndarray, features: np.ndarray,
+                design: np.ndarray | None = None):
+    """Fitted values of one stored leaf on its rows (a scalar for a constant leaf).
+
+    `design`, when given, is the linear leaf's design on these rows
+    (`LeafStats.design`) and is used instead of building it again.
+    """
     if "mu" in payload:
         return payload["mu"]
-    return build_leaf_design(rows, features, payload["covariates"]) @ payload["beta"]
+    if design is None:
+        design = build_leaf_design(rows, features, payload["covariates"])
+    return design @ payload["beta"]
+
+
+def _reuse(rows_by_leaf: dict, kept: dict, build) -> list[LeafStats]:
+    """Stats in ascending leaf order: `kept` ones as given, `build` for the others."""
+    if not kept:
+        return build(rows_by_leaf)
+    # build returns its leaves in ascending order, the order they are taken in
+    fresh = iter(build({leaf: rows for leaf, rows in rows_by_leaf.items() if leaf not in kept}))
+    return [kept[leaf] if leaf in kept else next(fresh) for leaf in sorted(rows_by_leaf)]
 
 
 def leaf_coefficients(payload: dict) -> list[float]:
@@ -268,8 +287,9 @@ class ConstantLeaves:
 
     sigma_mu2: float
 
-    def stats(self, tree, rows_by_leaf, features, resid, taus) -> list[LeafStats]:
-        return constant_leaf_stats(rows_by_leaf, resid)
+    def stats(self, tree, rows_by_leaf, features, resid, taus, kept=None) -> list[LeafStats]:
+        """Stats of every leaf; `kept` maps leaf id -> stats still valid for its rows."""
+        return _reuse(rows_by_leaf, kept or {}, lambda rows: constant_leaf_stats(rows, resid))
 
     def log_marginal(self, stats, sigma2) -> float:
         return bart_log_marginal(stats, sigma2, self.sigma_mu2)
@@ -288,13 +308,19 @@ class LinearLeaves:
 
     covariate_rule: str
 
-    def stats(self, tree, rows_by_leaf, features, resid, taus) -> list[LeafStats]:
+    def stats(self, tree, rows_by_leaf, features, resid, taus, kept=None) -> list[LeafStats]:
+        """Stats of every leaf; a `kept` stat is reused only if its covariates still hold."""
         covs = leaf_covariate_sets(tree, self.covariate_rule)
-        stats = linear_leaf_stats(rows_by_leaf, features, resid, covs)
-        for st in stats:
-            st.v_diag = np.full(st.q, 1.0 / taus[1])
-            st.v_diag[0] = 1.0 / taus[0]
-        return stats
+
+        def build(rows):
+            stats = linear_leaf_stats(rows, features, resid, covs)
+            for st in stats:
+                st.v_diag = np.full(st.q, 1.0 / taus[1])
+                st.v_diag[0] = 1.0 / taus[0]
+            return stats
+
+        kept = {leaf: st for leaf, st in (kept or {}).items() if st.covariates == covs[leaf]}
+        return _reuse(rows_by_leaf, kept, build)
 
     def log_marginal(self, stats, sigma2) -> float:
         return linear_log_marginal(stats, sigma2)

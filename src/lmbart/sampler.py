@@ -206,6 +206,7 @@ class TreeState:
     leaf_params: dict              # leaf id -> stored leaf payload (see leaves.py)
     rows_by_leaf: dict             # leaf id -> training row indices
     fit: np.ndarray                # (n,) current contribution
+    log_prior: float               # log_tree_prior(tree), updated on acceptance
 
 
 @dataclass
@@ -238,10 +239,12 @@ def leaf_model(hp: Hyperparams) -> lv.ConstantLeaves | lv.LinearLeaves:
     return lv.LinearLeaves(hp.covariate_rule)
 
 
-def _tree_fit(leaf_params: dict, rows_by_leaf: dict, features: np.ndarray) -> np.ndarray:
+def _tree_fit(leaf_params: dict, rows_by_leaf: dict, features: np.ndarray,
+              designs: dict | None = None) -> np.ndarray:
     fit = np.zeros(features.shape[0])
     for leaf, rows in rows_by_leaf.items():
-        fit[rows] = lv.leaf_values(leaf_params[leaf], rows, features)
+        design = None if designs is None else designs[leaf]
+        fit[rows] = lv.leaf_values(leaf_params[leaf], rows, features, design)
     return fit
 
 
@@ -253,6 +256,10 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     Returns (move kind, outcome) with outcome one of accepted / rejected /
     invalid. Leaf parameters are redrawn from their full conditionals in
     every case, acceptance or not, from the leaf statistics of the kept tree.
+
+    The candidate reuses the current tree's routing and the statistics of
+    every leaf outside `proposal.affected_leaves`; the log ratio still sums
+    every leaf of both trees, so it is the full-recompute value bit for bit.
     """
     model = leaf_model(hp)
     taus = (state.tau_beta0, state.tau_beta)
@@ -261,23 +268,27 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, taus)
 
     proposal = tr.propose_move(ts.tree, features, split_dict, state.split_probs,
-                               rng, hp.n_min)
+                               rng, hp.n_min, rows_by_leaf=ts.rows_by_leaf)
     if not proposal.valid:
         outcome = "invalid"
     else:
+        kept = {st.leaf_id: st for st in stats if st.leaf_id in proposal.rows_by_leaf
+                and st.leaf_id not in proposal.affected_leaves}
         cand_stats = model.stats(proposal.tree, proposal.rows_by_leaf, features,
-                                 resid, taus)
+                                 resid, taus, kept)
+        cand_prior = tr.log_tree_prior(proposal.tree, hp.alpha, hp.beta_depth)
         log_alpha = (
             model.log_marginal(cand_stats, state.sigma2)
-            + tr.log_tree_prior(proposal.tree, hp.alpha, hp.beta_depth)
+            + cand_prior
             - model.log_marginal(stats, state.sigma2)
-            - tr.log_tree_prior(ts.tree, hp.alpha, hp.beta_depth)
+            - ts.log_prior
         )
         if hp.proposal_correction:
             log_alpha += proposal.log_transition_correction
         if mh_accept(log_alpha, rng):
             ts.tree = proposal.tree
             ts.rows_by_leaf = proposal.rows_by_leaf
+            ts.log_prior = cand_prior
             stats = cand_stats
             outcome = "accepted"
         else:
@@ -285,7 +296,8 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     state.acceptance[proposal.kind][outcome] += 1
 
     ts.leaf_params = model.draw(stats, state.sigma2, rng)
-    new_fit = _tree_fit(ts.leaf_params, ts.rows_by_leaf, features)
+    new_fit = _tree_fit(ts.leaf_params, ts.rows_by_leaf, features,
+                        {st.leaf_id: st.design for st in stats})
     state.total_fit += new_fit - ts.fit
     ts.fit = new_fit
     return proposal.kind, outcome
@@ -348,10 +360,12 @@ def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
                 sigma2: float) -> SamplerState:
     n, p = train.n, train.p
     stumps = [tr.Tree.stump() for _ in range(hp.m)]
+    stump_prior = tr.log_tree_prior(stumps[0], hp.alpha, hp.beta_depth)
     tau = 1.0 if hp.vars_inter_slope else hp.tau_b   # fixed precisions stay at tau_b
     return SamplerState(
         # leaf parameters are first drawn by the first tree step
-        trees=[TreeState(t, {}, {t.root: np.arange(n)}, np.zeros(n)) for t in stumps],
+        trees=[TreeState(t, {}, {t.root: np.arange(n)}, np.zeros(n), stump_prior)
+               for t in stumps],
         sigma2=sigma2,
         tau_beta0=tau,
         tau_beta=tau,

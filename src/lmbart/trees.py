@@ -122,18 +122,25 @@ class Tree:
     def leaf_rows(self, X: np.ndarray) -> dict[int, np.ndarray]:
         """Map each terminal node id to the row indices it receives."""
         X = np.asarray(X, dtype=float)
-        rows_by_leaf = {leaf: [] for leaf in self.leaves()}
-        stack = [(self.root, np.arange(X.shape[0]))]
+        return self.route(X, self.root, np.arange(X.shape[0]))
+
+    def route(self, X: np.ndarray, node_id: int, rows: np.ndarray) -> dict[int, np.ndarray]:
+        """Route `rows` from `node_id` down to each terminal of its subtree.
+
+        Ascending `rows` give ascending row indices at every terminal.
+        """
+        out = {}
+        stack = [(node_id, rows)]
         while stack:
             node_id, rows = stack.pop()
             nd = self.nodes[node_id]
             if nd.is_leaf:
-                rows_by_leaf[node_id] = rows
+                out[node_id] = rows
                 continue
             go_right = X[rows, nd.feature] < nd.threshold
             stack.append((nd.right, rows[go_right]))
             stack.append((nd.left, rows[~go_right]))
-        return rows_by_leaf
+        return out
 
     def subtree_leaves(self, node_id: int) -> list[int]:
         out = []
@@ -262,7 +269,11 @@ class MoveProposal:
     """One structural proposal, valid or not.
 
     A valid proposal carries its candidate tree's routing of the training
-    rows in `rows_by_leaf`, so the sampler never routes the candidate again.
+    rows in `rows_by_leaf` (leaf id -> ascending int64 row indices), so the
+    sampler never routes the candidate again. `affected_leaves` holds the
+    candidate's leaves whose rows differ from the current tree's: new leaves,
+    and re-routed leaves whose rows changed. Every other leaf's entry is the
+    current routing's own array object, so its statistics can be reused.
     `log_transition_correction` carries the asymmetric-proposal density
     ratio for grow/prune; the default acceptance rule ignores it (the ratio
     is prior x marginal-likelihood only) but it is always computed so runs
@@ -301,23 +312,65 @@ def _draw_rule(split_dict, split_probs, splittable, rng) -> tuple[int, float, fl
     return feature, threshold, float(probs[feature])
 
 
+def _reroute(tree: Tree, cand: Tree, features: np.ndarray, rows_by_leaf: dict,
+             nodes: list[int]) -> tuple[dict[int, np.ndarray], set[int]]:
+    """The candidate's routing, re-routing only the rows under `nodes`.
+
+    Each node exists in both trees and no node lies under another. The rows
+    under a node, gathered from the current tree's leaves below it, are
+    routed through the candidate's subtree. Every other leaf keeps its array
+    object, and so does a re-routed leaf whose rows come out unchanged.
+    Returns the routing and the leaves whose rows differ from `rows_by_leaf`.
+    """
+    rows = dict(rows_by_leaf)
+    changed = set()
+    for node in nodes:
+        under = [rows.pop(leaf) for leaf in tree.subtree_leaves(node)]
+        merged = under[0] if len(under) == 1 else np.sort(np.concatenate(under))
+        for leaf, r in cand.route(features, node, merged).items():
+            old = rows_by_leaf.get(leaf)
+            if old is not None and old.size == r.size and (old == r).all():
+                r = old
+            else:
+                changed.add(leaf)
+            rows[leaf] = r
+    return rows, changed
+
+
+def _top_nodes(tree: Tree, a: int, b: int) -> list[int]:
+    """[a, b], or only the higher one when it is an ancestor of the other."""
+    hi, lo = sorted((a, b), key=tree.depth_of)
+    while tree.depth_of(lo) > tree.depth_of(hi):
+        lo = tree.nodes[lo].parent
+    return [hi] if lo == hi else [a, b]
+
+
 def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.ndarray,
-                 rng: np.random.Generator, n_min: int = 5,
-                 kind: str | None = None) -> MoveProposal:
+                 rng: np.random.Generator, n_min: int = 5, kind: str | None = None,
+                 rows_by_leaf: dict[int, np.ndarray] | None = None) -> MoveProposal:
     """Draw one of grow/prune/change/swap uniformly and apply it to a copy.
 
     A proposal that has no valid target (prune on a stump, swap with fewer
     than two internal nodes) or that leaves any terminal with fewer than
     `n_min` rows is returned marked invalid; the sampler counts it as an
     automatic rejection rather than redrawing. Passing `kind` skips the
-    uniform move draw (useful for forcing a particular move). Every
-    candidate is routed exactly once, and a valid proposal keeps that routing.
+    uniform move draw (useful for forcing a particular move).
+
+    `rows_by_leaf` is the current tree's routing of `features` (None routes
+    it once here); it is not modified. The candidate's routing is built from
+    it by routing only the rows a move touches: a grow splits its leaf's
+    rows, a prune merges its two leaves' rows, a change re-routes the rows
+    under its node and a swap those under the higher of its two nodes (under
+    both when neither is an ancestor of the other).
     """
     if kind is None:
         kind = MOVE_KINDS[rng.integers(4)]
     elif kind not in MOVE_KINDS:
         raise ValueError(f"unknown move kind {kind!r}")
     splittable = split_dict.splittable()
+    features = np.asarray(features, dtype=float)
+    if rows_by_leaf is None:
+        rows_by_leaf = tree.leaf_rows(features)
 
     if kind == GROW:
         leaves = sorted(tree.leaves())
@@ -328,7 +381,7 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         feature, threshold, prob = rule
         cand = tree.copy()
         left, right = cand.grow(leaf, feature, threshold)
-        rows = cand.leaf_rows(features)
+        rows, affected = _reroute(tree, cand, features, rows_by_leaf, [leaf])
         if min(rows[left].size, rows[right].size) < n_min:
             return MoveProposal.invalid(kind, "child below minimum node size")
         # reverse move is a prune of the new parent among the candidate's
@@ -337,7 +390,7 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
             math.log(len(leaves)) - math.log(len(cand.prunable_nodes()))
             - math.log(prob) + math.log(split_dict.values[feature].size)
         )
-        return MoveProposal(kind, cand, rows, {left, right}, correction)
+        return MoveProposal(kind, cand, rows, affected, correction)
 
     if kind == PRUNE:
         prunable = sorted(tree.prunable_nodes())
@@ -358,7 +411,8 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
                 math.log(len(prunable)) - math.log(cand.n_leaves())
                 + math.log(probs[feature]) - math.log(split_dict.values[feature].size)
             )
-        return MoveProposal(kind, cand, cand.leaf_rows(features), {target}, correction)
+        rows, affected = _reroute(tree, cand, features, rows_by_leaf, [target])
+        return MoveProposal(kind, cand, rows, affected, correction)
 
     if kind == CHANGE:
         targets = sorted(tree.prunable_nodes())
@@ -371,11 +425,10 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         feature, threshold, _ = rule
         cand = tree.copy()
         cand.set_rule(target, feature, threshold)
-        rows = cand.leaf_rows(features)
+        rows, affected = _reroute(tree, cand, features, rows_by_leaf, [target])
         if min(r.size for r in rows.values()) < n_min:
             return MoveProposal.invalid(kind, "terminal below minimum node size")
-        nd = cand.nodes[target]
-        return MoveProposal(kind, cand, rows, {nd.left, nd.right})
+        return MoveProposal(kind, cand, rows, affected)
 
     # swap: exchange the rules of two distinct internal nodes
     internal = sorted(tree.internal_nodes())
@@ -387,10 +440,9 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
     na, nb = cand.nodes[a], cand.nodes[b]
     na.feature, nb.feature = nb.feature, na.feature
     na.threshold, nb.threshold = nb.threshold, na.threshold
-    rows = cand.leaf_rows(features)
+    rows, affected = _reroute(tree, cand, features, rows_by_leaf, _top_nodes(tree, a, b))
     if min(r.size for r in rows.values()) < n_min:
         return MoveProposal.invalid(SWAP, "terminal below minimum node size")
-    affected = set(cand.subtree_leaves(a)) | set(cand.subtree_leaves(b))
     return MoveProposal(SWAP, cand, rows, affected)
 
 

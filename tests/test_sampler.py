@@ -159,13 +159,13 @@ class TestLatentZ:
 def handmade_state(fits, target):
     """Minimal SamplerState with fixed per-tree fit vectors."""
     from lmbart.sampler import SamplerState, TreeState
-    from lmbart.trees import Tree
+    from lmbart.trees import Tree, log_tree_prior
 
     trees = []
     for fit in fits:
         t = Tree()
         trees.append(TreeState(t, {t.root: 0.0}, {t.root: np.arange(len(fit))},
-                               np.asarray(fit, dtype=float)))
+                               np.asarray(fit, dtype=float), log_tree_prior(t, 0.95, 2.0)))
     return SamplerState(trees=trees, sigma2=1.0, tau_beta0=1.0, tau_beta=1.0,
                         split_probs=np.array([1.0]),
                         total_fit=np.sum(fits, axis=0).astype(float),
@@ -305,18 +305,19 @@ class TestRunRegression:
         # every step must leave the structure alone and only redraw the leaf
         from lmbart.data import split_dictionary
         from lmbart.sampler import SamplerState, TreeState, mh_tree_step
-        from lmbart.trees import Tree
+        from lmbart.trees import Tree, log_tree_prior
 
         rng = np.random.default_rng(33)
         X = rng.normal(size=(6, 2))
         d = Dataset(X, rng.normal(size=6), ["a", "b"], REGRESSION)
         sd = split_dictionary(d)
+        hp = Hyperparams(m=1, n_min=5, burn_in=1, post_burn_in=1)
         t = Tree()
-        ts = TreeState(t, {t.root: 0.0}, {t.root: np.arange(6)}, np.zeros(6))
+        ts = TreeState(t, {t.root: 0.0}, {t.root: np.arange(6)}, np.zeros(6),
+                       log_tree_prior(t, hp.alpha, hp.beta_depth))
         state = SamplerState(trees=[ts], sigma2=1.0, tau_beta0=1.0,
                              tau_beta=1.0, split_probs=np.full(2, 0.5),
                              total_fit=np.zeros(6), target=d.response.copy())
-        hp = Hyperparams(m=1, n_min=5, burn_in=1, post_burn_in=1)
         mus = []
         for _ in range(30):
             kind, outcome = mh_tree_step(state, 0, d.features, sd, hp, rng)
@@ -365,6 +366,111 @@ def test_stored_trees_replay_the_chain_fit_exactly(config):
     assert draws.terminal_counts[-1].max() > 1
     for tree_dict, fit in zip(draws.trees[-1], last_fits):
         assert np.array_equal(eval_tree_dict(tree_dict, scaled.features), fit)
+
+
+STEP_CONFIGS = {
+    "constant": dict(leaf_model="constant"),
+    "linear-tree-splits": dict(leaf_model="linear", covariate_rule="tree-splits"),
+    "linear-ancestors": dict(leaf_model="linear", covariate_rule="ancestors"),
+}
+
+
+def traced_chain(monkeypatch, hp):
+    """Run a small chain; record per tree step the trees, proposal and stats builds.
+
+    Also returns the number of calls of `log_tree_prior` and `build_leaf_design`.
+    """
+    from lmbart import leaves, sampler, trees
+
+    steps, calls = [], {"log_tree_prior": 0, "build_leaf_design": 0}
+
+    def wrap(owner, name, after):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            after(out)
+            return out
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def recording_step(state, tree_index, *args):
+        steps.append({"tree": state.trees[tree_index].tree, "built": []})
+        return step(state, tree_index, *args)
+
+    def count(name):
+        def after(_):
+            calls[name] += 1
+        return after
+
+    step = sampler.mh_tree_step
+    monkeypatch.setattr(sampler, "mh_tree_step", recording_step)
+    wrap(trees, "propose_move", lambda prop: steps[-1].update(proposal=prop))
+    for name in ("constant_leaf_stats", "linear_leaf_stats"):
+        wrap(leaves, name, lambda out: steps[-1]["built"].append(len(out)))
+    wrap(trees, "log_tree_prior", count("log_tree_prior"))
+    wrap(leaves, "build_leaf_design", count("build_leaf_design"))
+    data = friedman_generate(FriedmanSpec(n=80, p=5, seed=8))
+    scaled, info = standardize(data)
+    run_regression(scaled, hp, info)
+    return steps, calls
+
+
+class TestIncrementalTreeStep:
+    @pytest.mark.parametrize("config", list(STEP_CONFIGS))
+    def test_candidate_builds_stats_only_for_changed_leaves(self, monkeypatch, config):
+        from lmbart.trees import ancestor_covariates, split_covariates
+
+        hp = hp_small(**STEP_CONFIGS[config])
+        steps, _ = traced_chain(monkeypatch, hp)
+        valid = rebuilt_all = 0
+        for rec in steps:
+            current, prop = rec["tree"], rec["proposal"]
+            assert rec["built"][0] == current.n_leaves()
+            if not prop.valid:
+                assert len(rec["built"]) == 1
+                continue
+            valid += 1
+            cand, affected = prop.tree, prop.affected_leaves
+            if config == "linear-tree-splits" and split_covariates(cand) != split_covariates(current):
+                expected = cand.n_leaves()
+                rebuilt_all += 1
+            elif config == "linear-ancestors":
+                # a re-routed leaf with unchanged rows but a new path is rebuilt too
+                expected = len(affected) + sum(
+                    ancestor_covariates(cand, leaf) != ancestor_covariates(current, leaf)
+                    for leaf in set(cand.leaves()) - affected)
+            else:
+                expected = len(affected)
+            assert rec["built"][1] == expected
+        assert valid > 50
+        if config == "linear-tree-splits":
+            assert 0 < rebuilt_all < valid
+
+    @pytest.mark.parametrize("config", list(STEP_CONFIGS))
+    def test_tree_prior_is_computed_once_per_valid_proposal(self, monkeypatch, config):
+        from lmbart.trees import log_tree_prior
+
+        hp = hp_small(**STEP_CONFIGS[config])
+        checked = []
+
+        def check(state):
+            for ts in state.trees:
+                assert ts.log_prior == log_tree_prior(ts.tree, hp.alpha, hp.beta_depth)
+            checked.append(state.iteration)
+
+        data = friedman_generate(FriedmanSpec(n=80, p=5, seed=8))
+        scaled, info = standardize(data)
+        run_regression(scaled, hp, info, on_sweep=check)
+        assert len(checked) == hp.burn_in + hp.post_burn_in
+
+        steps, calls = traced_chain(monkeypatch, hp)
+        # one call for the stumps' shared prior, then one per valid candidate
+        assert calls["log_tree_prior"] == 1 + sum(rec["proposal"].valid for rec in steps)
+
+    def test_linear_fit_reuses_the_stats_design(self, monkeypatch):
+        steps, calls = traced_chain(monkeypatch, hp_small(leaf_model="linear"))
+        # one design per leaf stat and none for the redrawn fit
+        assert calls["build_leaf_design"] == sum(sum(rec["built"]) for rec in steps) > 0
 
 
 @pytest.fixture(scope="module")

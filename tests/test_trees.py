@@ -243,19 +243,36 @@ class TestInvariantsUnderMoves:
         rng = np.random.default_rng(7)
         probs = np.full(3, 1 / 3)
         t = Tree()
+        current = t.leaf_rows(d.features)
         accepted = 0
         carried = {kind: 0 for kind in (GROW, PRUNE, CHANGE, SWAP)}
         for _ in range(10_000):
-            prop = propose_move(t, d.features, sd, probs, rng, n_min=5)
+            snapshot = {leaf: rows.copy() for leaf, rows in current.items()}
+            prop = propose_move(t, d.features, sd, probs, rng, n_min=5,
+                                rows_by_leaf=current)
+            # the current routing is read, never modified
+            assert current.keys() == snapshot.keys()
+            for leaf, rows in snapshot.items():
+                assert_array_equal(current[leaf], rows)
             if prop.valid:
                 # the routing a proposal carries is the candidate's own routing
                 rerouted = prop.tree.leaf_rows(d.features)
                 assert prop.rows_by_leaf.keys() == rerouted.keys()
                 for leaf, rows in rerouted.items():
-                    assert_array_equal(prop.rows_by_leaf[leaf], rows)
+                    got = prop.rows_by_leaf[leaf]
+                    assert_array_equal(got, rows)
+                    assert got.dtype == np.int64
+                    assert np.all(np.diff(got) > 0)
+                differ = {leaf for leaf, rows in rerouted.items()
+                          if leaf not in current
+                          or not np.array_equal(current[leaf], rows)}
+                assert prop.affected_leaves == differ
+                for leaf in rerouted.keys() - prop.affected_leaves:
+                    assert prop.rows_by_leaf[leaf] is current[leaf]
                 carried[prop.kind] += 1
             if prop.valid and rng.uniform() < 0.5:
                 t = prop.tree
+                current = prop.rows_by_leaf
                 accepted += 1
                 t.validate()
                 part = partition(t, d.features)
