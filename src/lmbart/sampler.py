@@ -19,7 +19,8 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import chi2, norm, truncnorm
+from scipy.special import log_ndtr, ndtri_exp
+from scipy.stats import chi2, norm
 
 from . import leaves as lv
 from . import trees as tr
@@ -182,18 +183,17 @@ def sample_latent_z(y_binary: np.ndarray, fit: np.ndarray,
     """Truncated-Normal draw of the probit latent variables.
 
     z_i ~ N(fit_i, 1) constrained to (0, inf) when y_i = 1 and to (-inf, 0]
-    when y_i = 0. scipy's truncnorm uses inversion, which stays exact far
-    into the tails where naive rejection would stall.
+    when y_i = 0 (Albert & Chib, 1993). With s_i = +1 for y_i = 1 and -1
+    otherwise, the offset s_i (fit_i - z_i) is a standard Normal truncated
+    above at s_i fit_i, drawn by inversion from one uniform U_i in (0, 1]:
+    z_i = fit_i - s_i ndtri_exp(log U_i + log_ndtr(s_i fit_i)). The mass
+    and its inverse stay in log space, so a truncation point far in either
+    tail neither underflows to a zero mass nor loses the draw to rounding
+    near 1, as a probability-space inversion would.
     """
-    z = np.empty_like(fit)
-    pos = y_binary == 1
-    if pos.any():
-        z[pos] = truncnorm.rvs(-fit[pos], np.inf, loc=fit[pos], scale=1.0,
-                               random_state=rng)
-    if (~pos).any():
-        z[~pos] = truncnorm.rvs(-np.inf, -fit[~pos], loc=fit[~pos], scale=1.0,
-                                random_state=rng)
-    return z
+    s = np.where(y_binary == 1, 1.0, -1.0)
+    log_u = np.log1p(-rng.random(fit.shape[0]))   # log U, U = 1 - [0, 1) in (0, 1]
+    return fit - s * ndtri_exp(log_u + log_ndtr(s * fit))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +285,9 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
         )
         if hp.proposal_correction:
             log_alpha += proposal.log_transition_correction
+        if math.isnan(log_alpha):
+            raise FloatingPointError(f"tree {tree_index}: {proposal.kind} move has a "
+                                     "NaN log acceptance ratio")
         if mh_accept(log_alpha, rng):
             ts.tree = proposal.tree
             ts.rows_by_leaf = proposal.rows_by_leaf

@@ -137,7 +137,7 @@ class Tree:
             if nd.is_leaf:
                 out[node_id] = rows
                 continue
-            go_right = X[rows, nd.feature] < nd.threshold
+            go_right = X[:, nd.feature][rows] < nd.threshold
             stack.append((nd.right, rows[go_right]))
             stack.append((nd.left, rows[~go_right]))
         return out
@@ -274,10 +274,17 @@ class MoveProposal:
     candidate's leaves whose rows differ from the current tree's: new leaves,
     and re-routed leaves whose rows changed. Every other leaf's entry is the
     current routing's own array object, so its statistics can be reused.
-    `log_transition_correction` carries the asymmetric-proposal density
-    ratio for grow/prune; the default acceptance rule ignores it (the ratio
-    is prior x marginal-likelihood only) but it is always computed so runs
-    can opt in.
+    `log_transition_correction` is the log proposal ratio
+    q(reverse) / q(forward) of a grow or prune. The tree prior is the depth
+    prior of `log_tree_prior` times a rule prior that picks each split's
+    feature by the split probabilities and its threshold uniformly from that
+    feature's split values. A grow proposes its rule from that same rule
+    prior, so the rule's proposal and prior probabilities cancel, and the
+    ratio keeps only the choice of node: log L - log P' for a grow from L
+    leaves to a tree with P' prunable nodes, and the inverse for a prune.
+    Change and swap moves are symmetric and leave the rule prior unchanged,
+    so theirs is 0. The acceptance rule adds it only under
+    `Hyperparams.proposal_correction`.
     """
 
     kind: str
@@ -302,14 +309,13 @@ def _masked_split_probs(split_probs: np.ndarray, splittable: np.ndarray) -> np.n
     return probs / total
 
 
-def _draw_rule(split_dict, split_probs, splittable, rng) -> tuple[int, float, float] | None:
+def _draw_rule(split_dict, split_probs, splittable, rng) -> tuple[int, float] | None:
     probs = _masked_split_probs(split_probs, splittable)
     if probs is None:
         return None
     feature = int(rng.choice(len(probs), p=probs))
     values = split_dict.values[feature]
-    threshold = float(values[rng.integers(values.size)])
-    return feature, threshold, float(probs[feature])
+    return feature, float(values[rng.integers(values.size)])
 
 
 def _reroute(tree: Tree, cand: Tree, features: np.ndarray, rows_by_leaf: dict,
@@ -378,18 +384,15 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         rule = _draw_rule(split_dict, split_probs, splittable, rng)
         if rule is None:
             return MoveProposal.invalid(kind, "no splittable feature")
-        feature, threshold, prob = rule
         cand = tree.copy()
-        left, right = cand.grow(leaf, feature, threshold)
+        left, right = cand.grow(leaf, *rule)
         rows, affected = _reroute(tree, cand, features, rows_by_leaf, [leaf])
         if min(rows[left].size, rows[right].size) < n_min:
             return MoveProposal.invalid(kind, "child below minimum node size")
-        # reverse move is a prune of the new parent among the candidate's
-        # prunable nodes; forward picked a leaf, a feature, and a threshold
-        correction = (
-            math.log(len(leaves)) - math.log(len(cand.prunable_nodes()))
-            - math.log(prob) + math.log(split_dict.values[feature].size)
-        )
+        # forward picks one of the current leaves, the reverse prune one of
+        # the candidate's prunable nodes; the rule's proposal probability
+        # equals its prior probability, so the two cancel out of the ratio
+        correction = math.log(len(leaves)) - math.log(len(cand.prunable_nodes()))
         return MoveProposal(kind, cand, rows, affected, correction)
 
     if kind == PRUNE:
@@ -397,20 +400,9 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         if not prunable:
             return MoveProposal.invalid(kind, "no prunable node")
         target = prunable[rng.integers(len(prunable))]
-        removed = tree.nodes[target]
         cand = tree.copy()
         cand.prune(target)
-        probs = _masked_split_probs(split_probs, splittable)
-        feature = removed.feature
-        if probs is None or probs[feature] <= 0:
-            # removed rule's feature can no longer be proposed; the reverse
-            # grow has probability zero, leave the correction at zero
-            correction = 0.0
-        else:
-            correction = (
-                math.log(len(prunable)) - math.log(cand.n_leaves())
-                + math.log(probs[feature]) - math.log(split_dict.values[feature].size)
-            )
+        correction = math.log(len(prunable)) - math.log(cand.n_leaves())
         rows, affected = _reroute(tree, cand, features, rows_by_leaf, [target])
         return MoveProposal(kind, cand, rows, affected, correction)
 
@@ -422,9 +414,8 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         rule = _draw_rule(split_dict, split_probs, splittable, rng)
         if rule is None:
             return MoveProposal.invalid(kind, "no splittable feature")
-        feature, threshold, _ = rule
         cand = tree.copy()
-        cand.set_rule(target, feature, threshold)
+        cand.set_rule(target, *rule)
         rows, affected = _reroute(tree, cand, features, rows_by_leaf, [target])
         if min(r.size for r in rows.values()) < n_min:
             return MoveProposal.invalid(kind, "terminal below minimum node size")

@@ -1,4 +1,19 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def pytest_addoption(parser):
+    parser.addoption("--slow", action="store_true", help="also run tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--slow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)

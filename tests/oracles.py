@@ -131,3 +131,33 @@ def explicit_partial_residual(state, tree_index):
         if j != tree_index:
             total += ts.fit
     return state.target - total
+
+
+def draw_truncated_prior_tree(X, split_values, alpha, beta_depth, n_min, rng):
+    """One tree from the tree prior truncated to `n_min` rows per leaf, by rejection.
+
+    A node at depth d splits with probability alpha * (1+d)^-beta; its rule
+    takes a feature uniformly and a threshold uniformly from that feature's
+    `split_values`. A tree with a node holding fewer than `n_min` of the rows
+    of `X` is thrown away whole and drawn again, so the draw is exact.
+    """
+    from lmbart.trees import Tree
+
+    while True:
+        tree = Tree()
+        stack = [(tree.root, list(range(X.shape[0])))]
+        while stack:
+            node_id, rows = stack.pop()
+            if rng.random() >= alpha * (1.0 + tree.nodes[node_id].depth) ** (-beta_depth):
+                continue
+            feature = int(rng.integers(len(split_values)))
+            values = split_values[feature]
+            threshold = float(values[rng.integers(values.size)])
+            right = [i for i in rows if X[i, feature] < threshold]
+            left = [i for i in rows if not X[i, feature] < threshold]
+            if min(len(left), len(right)) < n_min:
+                break
+            left_id, right_id = tree.grow(node_id, feature, threshold)
+            stack += [(left_id, left), (right_id, right)]
+        else:
+            return tree

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.stats import norm
+from scipy.stats import kstest, norm, truncnorm
 
 from lmbart.data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
                          standardize)
@@ -148,6 +148,21 @@ class TestLatentZ:
         z = sample_latent_z(np.ones(n), np.full(n, 10.0), rng)
         assert_allclose(z.mean(), 10.0, atol=0.03)
         assert_allclose(z.std(), 1.0, atol=0.03)
+
+    def test_matches_truncnorm_from_deep_tail_to_deep_tail(self):
+        # one call over every (fit, label) cell, 5000 rows each, so each
+        # cell's rows also check that the labels pick their own truncation
+        fits = np.array([-40.0, -8.0, -1.0, 0.0, 1.0, 8.0, 40.0])
+        n = 5000
+        cell_fit = np.repeat(np.tile(fits, 2), n)
+        cell_y = np.repeat([1.0, 0.0], fits.size * n)
+        z = sample_latent_z(cell_y, cell_fit, np.random.default_rng(16))
+        assert np.all(np.isfinite(z))
+        assert np.all(z[cell_y == 1] > 0) and np.all(z[cell_y == 0] <= 0)
+        for k, (y, fit) in enumerate((y, f) for y in (1, 0) for f in fits):
+            lo, hi = (-fit, np.inf) if y == 1 else (-np.inf, -fit)
+            reference = truncnorm(lo, hi, loc=fit)
+            assert kstest(z[k * n:(k + 1) * n], reference.cdf).pvalue > 1e-3, (fit, y)
 
     def test_deep_tail_does_not_stall_or_overflow(self):
         rng = np.random.default_rng(15)
@@ -327,6 +342,32 @@ class TestRunRegression:
         assert len(set(mus)) == len(mus)   # leaf mean redrawn every step
         counts = state.acceptance
         assert sum(rec["invalid"] for rec in counts.values()) == 30
+
+    def test_nan_log_acceptance_ratio_raises(self, monkeypatch):
+        # from a stump only a grow can be valid; a NaN marginal must stop the
+        # chain at that grow instead of counting it as a rejection
+        from lmbart import leaves
+        from lmbart.data import split_dictionary
+        from lmbart.sampler import SamplerState, TreeState, mh_tree_step
+        from lmbart.trees import Tree, log_tree_prior
+
+        monkeypatch.setattr(leaves, "bart_log_marginal",
+                            lambda stats, sigma2, sigma_mu2: math.nan)
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(20, 2))
+        d = Dataset(X, rng.normal(size=20), ["a", "b"], REGRESSION)
+        sd = split_dictionary(d)
+        hp = Hyperparams(m=2, n_min=1, burn_in=1, post_burn_in=1)
+        stumps = [Tree(), Tree()]
+        state = SamplerState(
+            trees=[TreeState(t, {t.root: {"mu": 0.0}}, {t.root: np.arange(20)}, np.zeros(20),
+                             log_tree_prior(t, hp.alpha, hp.beta_depth)) for t in stumps],
+            sigma2=1.0, tau_beta0=1.0, tau_beta=1.0, split_probs=np.full(2, 0.5),
+            total_fit=np.zeros(20), target=d.response.copy())
+        with pytest.raises(FloatingPointError, match="tree 1: grow move has a NaN"):
+            for _ in range(50):
+                mh_tree_step(state, 1, d.features, sd, hp, rng)
+        assert sum(rec["rejected"] for rec in state.acceptance.values()) == 0
 
     def test_fixed_precision_records_tau_b(self, tmp_path):
         data = friedman_generate(FriedmanSpec(n=60, p=5, seed=6))

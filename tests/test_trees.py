@@ -197,7 +197,8 @@ class TestProposeMove:
 
     def test_grow_correction_from_stump_matches_hand_formula(self):
         # stump: one leaf to grow, one prunable node afterward, so the
-        # correction reduces to log(K_j) - log(s_j)
+        # correction log(leaves) - log(prunable nodes) is log 1 - log 1; the
+        # rule's proposal probability cancels against its prior probability
         d, sd = make_dataset(n=100, seed=30)
         rng = np.random.default_rng(6)
         probs = np.full(3, 1 / 3)
@@ -205,9 +206,7 @@ class TestProposeMove:
         while prop is None or not prop.valid:
             prop = propose_move(Tree(), d.features, sd, probs, rng, n_min=5,
                                 kind=GROW)
-        feature = prop.tree.nodes[prop.tree.root].feature
-        expected = math.log(sd.values[feature].size) - math.log(1 / 3)
-        assert_allclose(prop.log_transition_correction, expected, rtol=1e-12)
+        assert prop.log_transition_correction == 0.0
 
     def test_grow_prune_corrections_are_antisymmetric(self):
         d, sd = make_dataset(n=300, seed=8)
