@@ -5,9 +5,9 @@ constant model gives every terminal node a scalar mean with a N(0, sigma_mu^2)
 prior and stores it as {"mu": m}. The linear model gives every terminal node
 a coefficient vector beta (intercept first) on the leaf's covariates with a
 N_q(0, sigma^2 V) prior, V diagonal, and stores {"beta": [...], "covariates":
-[...]}. `leaf_values` evaluates a stored leaf. The model classes reach this
-module's functions through its globals, so wrapping those functions at run
-time sees every call.
+[...]}. `leaf_design` and `leaf_values` evaluate a stored leaf. The model
+classes reach this module's functions through its globals, so wrapping those
+functions at run time sees every call.
 
 A linear leaf's posterior precision X'X + V^-1 is factored once per
 `LeafStats` (`LeafStats.posterior`); the marginal and the draw share that
@@ -253,18 +253,30 @@ def leaf_parameter_count(tree: Tree, leaf_model: str,
 # leaf models and the stored leaf format
 
 
-def leaf_values(payload: dict, rows: np.ndarray, features: np.ndarray,
-                design: np.ndarray | None = None):
-    """Fitted values of one stored leaf on its rows (a scalar for a constant leaf).
+def leaf_design(payload: dict, rows: np.ndarray, features: np.ndarray) -> np.ndarray | None:
+    """The design of a stored leaf on its rows; None for a constant leaf.
 
-    `design`, when given, is the linear leaf's design on these rows
-    (`LeafStats.design`) and is used instead of building it again.
+    For a linear leaf this is the design its stats were built on
+    (`LeafStats.design`).
+    """
+    if "mu" in payload:
+        return None
+    return build_leaf_design(rows, features, payload["covariates"])
+
+
+def leaf_values(payload: dict, design: np.ndarray | None):
+    """Fitted values of one stored leaf on the rows of its `leaf_design`.
+
+    A constant leaf gives its scalar mean.
     """
     if "mu" in payload:
         return payload["mu"]
-    if design is None:
-        design = build_leaf_design(rows, features, payload["covariates"])
     return design @ payload["beta"]
+
+
+def same_design(a: dict, b: dict) -> bool:
+    """Whether two stored leaves on the same rows have the same `leaf_design`."""
+    return a.get("covariates") == b.get("covariates")
 
 
 def _reuse(rows_by_leaf: dict, kept: dict, build) -> list[LeafStats]:

@@ -19,8 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
-from scipy.stats import chi2, norm
+from scipy.special import gammaincinv, log_ndtr, ndtr, ndtri_exp
 
 from . import leaves as lv
 from . import trees as tr
@@ -127,11 +126,13 @@ def calibrate_lambda(y: np.ndarray, nu: float, q: float = 0.90) -> float:
     """Scale of the error-variance prior so P(sigma^2 < var(y)) = q.
 
     Uses the scaled-inverse-chi-square device: sigma^2 ~ nu*lam / chi2_nu.
+    The chi2_nu quantile is 2 * gammaincinv(nu/2, .), as `scipy.stats.chi2.ppf`
+    computes it.
     """
     s2 = float(np.var(y, ddof=1))
     if s2 <= 0:
         s2 = 1e-12
-    return chi2.ppf(1.0 - q, nu) * s2 / nu
+    return 2.0 * gammaincinv(nu / 2.0, 1.0 - q) * s2 / nu
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +240,11 @@ def leaf_model(hp: Hyperparams) -> lv.ConstantLeaves | lv.LinearLeaves:
     return lv.LinearLeaves(hp.covariate_rule)
 
 
-def _tree_fit(leaf_params: dict, rows_by_leaf: dict, features: np.ndarray,
-              designs: dict | None = None) -> np.ndarray:
-    fit = np.zeros(features.shape[0])
+def _tree_fit(leaf_params: dict, rows_by_leaf: dict, designs: dict, n: int) -> np.ndarray:
+    """One tree's fit on n rows; `designs` maps leaf id -> its `leaf_design`."""
+    fit = np.zeros(n)
     for leaf, rows in rows_by_leaf.items():
-        design = None if designs is None else designs[leaf]
-        fit[rows] = lv.leaf_values(leaf_params[leaf], rows, features, design)
+        fit[rows] = lv.leaf_values(leaf_params[leaf], designs[leaf])
     return fit
 
 
@@ -299,8 +299,8 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     state.acceptance[proposal.kind][outcome] += 1
 
     ts.leaf_params = model.draw(stats, state.sigma2, rng)
-    new_fit = _tree_fit(ts.leaf_params, ts.rows_by_leaf, features,
-                        {st.leaf_id: st.design for st in stats})
+    new_fit = _tree_fit(ts.leaf_params, ts.rows_by_leaf,
+                        {st.leaf_id: st.design for st in stats}, features.shape[0])
     state.total_fit += new_fit - ts.fit
     ts.fit = new_fit
     return proposal.kind, outcome
@@ -344,10 +344,42 @@ def _serialize_tree(ts: TreeState) -> dict:
     return ts.tree.to_dict(ts.leaf_params)
 
 
+@dataclass
+class _Replay:
+    """One stored tree's replay on a feature matrix, kept to serve the next draw."""
+
+    nodes: dict            # the rebuilt tree's arena; equal arenas route alike
+    rows_by_leaf: dict     # leaf id -> rows it receives
+    payload: dict          # leaf id -> stored leaf payload
+    designs: dict          # leaf id -> design its values were computed on
+
+
+def _replay_tree(tree_dict: dict, features: np.ndarray,
+                 previous: _Replay | None = None) -> tuple[np.ndarray, _Replay]:
+    """Fit of one serialized tree on standardized features, and its replay.
+
+    `previous` is the replay of the same tree index in the previous draw.
+    `Tree.from_dict` numbers nodes by the tree's shape, so a tree whose
+    arena equals the previous one has the same splits: it reuses that
+    routing, and every linear leaf whose covariates are unchanged its design.
+    Any other tree is routed with `Tree.leaf_rows`.
+    """
+    tree, payload = tr.Tree.from_dict(tree_dict)
+    hit = previous is not None and previous.nodes == tree.nodes
+    rows_by_leaf = previous.rows_by_leaf if hit else tree.leaf_rows(features)
+    designs = {}
+    for leaf, rows in rows_by_leaf.items():
+        if hit and lv.same_design(payload[leaf], previous.payload[leaf]):
+            designs[leaf] = previous.designs[leaf]
+        else:
+            designs[leaf] = lv.leaf_design(payload[leaf], rows, features)
+    fit = _tree_fit(payload, rows_by_leaf, designs, features.shape[0])
+    return fit, _Replay(tree.nodes, rows_by_leaf, payload, designs)
+
+
 def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
     """Evaluate one serialized tree on standardized features."""
-    tree, payload = tr.Tree.from_dict(tree_dict)
-    return _tree_fit(payload, tree.leaf_rows(features), features)
+    return _replay_tree(tree_dict, features)[0]
 
 
 def _split_usage_counts(state: SamplerState, p: int) -> np.ndarray:
@@ -441,7 +473,7 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
             if tau0_draws is not None:
                 tau0_draws[keep] = state.tau_beta0
                 tau1_draws[keep] = state.tau_beta
-            yhat_draws[keep] = (norm.cdf(state.total_fit) if classification
+            yhat_draws[keep] = (ndtr(state.total_fit) if classification
                                 else scaling.invert_response(state.total_fit))
             for t, ts in enumerate(state.trees):
                 terminal_counts[keep, t] = ts.tree.n_leaves()
@@ -526,17 +558,29 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     """Replay stored trees (one list of tree dicts per draw) on new rows.
 
     `X_new` is on the original feature scale and `scaling` is the training
-    run's. Classification runs return probabilities.
+    run's. Classification runs return probabilities. Each tree index carries
+    its replay from one draw to the next, so a tree is routed again only
+    when its splits changed since the previous draw (see `_replay_tree`).
     """
+    if not trees:
+        raise ValueError("no stored draws")
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2 or X_new.shape[1] != scaling.feature_centers.size:
         raise ValueError(f"expected {scaling.feature_centers.size} feature columns, "
                          f"got {X_new.shape}")
+    bad = np.argwhere(~np.isfinite(X_new))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"non-finite feature value {X_new[row, col]} at X_new[{row}, {col}]")
     Xs = scaling.transform_features(X_new)
     out = np.zeros((len(trees), Xs.shape[0]))
+    replays = {}                  # tree index -> its replay in the previous draw
     for k, tree_dicts in enumerate(trees):
-        fit = sum(eval_tree_dict(d, Xs) for d in tree_dicts)
-        out[k] = norm.cdf(fit) if task == CLASSIFICATION else scaling.invert_response(fit)
+        fit = 0
+        for t, d in enumerate(tree_dicts):
+            tree_fit, replays[t] = _replay_tree(d, Xs, replays.get(t))
+            fit = fit + tree_fit
+        out[k] = ndtr(fit) if task == CLASSIFICATION else scaling.invert_response(fit)
     lower, upper = np.quantile(out, (0.05, 0.95), axis=0)
     return PredictionSummary(out.mean(axis=0), lower, upper, out)
 
@@ -574,8 +618,18 @@ def write_draws_jsonl(draws: PosteriorDraws, path) -> None:
 
 
 def read_draws_jsonl(path) -> list[dict]:
+    """Records of `write_draws_jsonl`; a line that is not JSON raises ValueError."""
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {number} is not valid JSON at column "
+                                 f"{exc.colno}; the file may be truncated") from None
+    return records
 
 
 def write_metadata(draws: PosteriorDraws, path, target_column: str = "y",

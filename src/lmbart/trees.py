@@ -313,7 +313,10 @@ def _draw_rule(split_dict, split_probs, splittable, rng) -> tuple[int, float] | 
     probs = _masked_split_probs(split_probs, splittable)
     if probs is None:
         return None
-    feature = int(rng.choice(len(probs), p=probs))
+    # what rng.choice(len(probs), p=probs) does, without its argument checks
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    feature = int(cdf.searchsorted(rng.random(), "right"))
     values = split_dict.values[feature]
     return feature, float(values[rng.integers(values.size)])
 

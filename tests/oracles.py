@@ -2,13 +2,14 @@
 
 Everything here is deliberately brute force: quadrature instead of closed
 forms, per-row rule walking instead of vectorized routing, explicit sums
-instead of running totals. None of it shares code with the package.
+instead of running totals. None of it shares code with the package, except
+`replay_every_tree`, which rebuilds and routes trees with the package's `Tree`.
 """
 
 import math
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 
 def quad_constant_leaf(r, sigma2, sigma_mu2, points=4001, width=14.0):
@@ -161,3 +162,36 @@ def draw_truncated_prior_tree(X, split_values, alpha, beta_depth, n_min, rng):
             stack += [(left_id, left), (right_id, right)]
         else:
             return tree
+
+
+def replay_every_tree(trees, task, scaling, X_new):
+    """(draws, mean, lower, upper) of stored trees replayed with no reuse.
+
+    Every tree of every draw is rebuilt with `Tree.from_dict` and routed with
+    `Tree.leaf_rows`; a linear leaf's design is assembled here, a column of
+    ones beside its covariates. Tree fits are summed in tree order.
+    """
+    from lmbart.trees import Tree
+
+    Xs = (np.asarray(X_new, dtype=float) - scaling.feature_centers) / scaling.feature_scales
+    out = np.zeros((len(trees), Xs.shape[0]))
+    for k, tree_dicts in enumerate(trees):
+        fit = 0
+        for d in tree_dicts:
+            tree, payload = Tree.from_dict(d)
+            tree_fit = np.zeros(Xs.shape[0])
+            for leaf, rows in tree.leaf_rows(Xs).items():
+                leaf_params = payload[leaf]
+                if "mu" in leaf_params:
+                    tree_fit[rows] = leaf_params["mu"]
+                else:
+                    design = np.column_stack(
+                        [np.ones(rows.size), Xs[np.ix_(rows, leaf_params["covariates"])]])
+                    tree_fit[rows] = design @ leaf_params["beta"]
+            fit = fit + tree_fit
+        if task == "classification":
+            out[k] = special.ndtr(fit)
+        else:
+            out[k] = scaling.invert_response(fit)
+    lower, upper = np.quantile(out, (0.05, 0.95), axis=0)
+    return out, out.mean(axis=0), lower, upper

@@ -6,8 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lmbart.cli import main
-from lmbart.data import REGRESSION, load_csv, standardize
-from lmbart.sampler import Hyperparams, predict, run_regression
+from lmbart.data import REGRESSION, ScalingInfo, load_csv, standardize
+from lmbart.sampler import (Hyperparams, predict, predict_stored, read_draws_jsonl,
+                            run_regression)
+from oracles import replay_every_tree
 
 
 def run_cli(*argv):
@@ -158,6 +160,46 @@ class TestPredict:
         assert got[:, 0].tolist() == expected.mean.tolist()
         assert got[:, 1].tolist() == expected.lower.tolist()
         assert got[:, 2].tolist() == expected.upper.tolist()
+
+    def test_persisted_replay_matches_the_reference(self, tmp_path, friedman_csv,
+                                                    trained_run):
+        meta = json.loads((trained_run.parent / "run.meta.json").read_text())
+        trees = [r["trees"] for r in read_draws_jsonl(trained_run.parent / "run.draws.jsonl")]
+        scaling = ScalingInfo.from_dict(meta["scaling"])
+        X = load_csv(friedman_csv, "y", REGRESSION).features
+        draws, mean, lower, upper = replay_every_tree(trees, meta["task"], scaling, X)
+        result = predict_stored(trees, meta["task"], scaling, X)
+        for got, want in ((result.draws, draws), (result.mean, mean),
+                          (result.lower, lower), (result.upper, upper)):
+            assert np.array_equal(got, want)
+        out = tmp_path / "preds.csv"
+        assert run_cli("predict", "--run", trained_run, "--data", friedman_csv,
+                       "--out", out) == 0
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(got, np.column_stack([mean, lower, upper]))
+
+    def test_non_finite_cell_is_an_error(self, tmp_path, friedman_csv, trained_run,
+                                         capsys):
+        lines = friedman_csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "nan"
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code = run_cli("predict", "--run", trained_run, "--data", bad,
+                       "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert "error: non-finite feature value nan at X_new[2, 1]" in capsys.readouterr().err
+
+    def test_truncated_draws_file_is_an_error(self, tmp_path, friedman_csv, trained_run,
+                                              capsys):
+        path = trained_run.parent / "run.draws.jsonl"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:-40], encoding="utf-8")
+        code = run_cli("predict", "--run", trained_run, "--data", friedman_csv,
+                       "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert "run.draws.jsonl: line 25 is not valid JSON" in capsys.readouterr().err
 
     def test_missing_trees_advises_store_trees(self, tmp_path, friedman_csv,
                                                capsys):

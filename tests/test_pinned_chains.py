@@ -32,9 +32,9 @@ CHAINS = {
 }
 
 
-def run_chain(name: str):
+def run_chain(name: str, **extra):
     hp = Hyperparams(m=4, burn_in=15, post_burn_in=10, thin=5, seed=12,
-                     **CHAINS[name])
+                     **CHAINS[name], **extra)
     data = friedman_generate(FriedmanSpec(n=50, p=5, seed=31))
     if name == "probit":
         labels = (data.response > np.median(data.response)).astype(float)

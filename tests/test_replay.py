@@ -1,0 +1,154 @@
+"""Replay of stored draws: the routing carried from one draw to the next.
+
+`predict_stored` routes a tree again only when its splits differ from the
+same tree's in the previous draw. These tests pin its output to a replay
+that rebuilds and routes every tree (`oracles.replay_every_tree`) and count
+the routing it does.
+"""
+
+import numpy as np
+import pytest
+
+from lmbart import leaves as lv
+from lmbart.benchmark import FriedmanSpec, friedman_generate
+from lmbart.data import REGRESSION, ScalingInfo, standardize
+from lmbart.sampler import Hyperparams, predict, predict_stored, run_regression
+from lmbart.trees import Tree
+from oracles import replay_every_tree
+from test_pinned_chains import CHAINS, run_chain
+
+
+def assert_same_summary(result, expected):
+    for got, want in zip((result.draws, result.mean, result.lower, result.upper), expected):
+        assert np.array_equal(got, want)
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    """Calls of Tree.from_dict, Tree.leaf_rows and leaves.build_leaf_design."""
+    tally = {"from_dict": 0, "leaf_rows": 0, "build_leaf_design": 0}
+    from_dict, leaf_rows, build = Tree.from_dict, Tree.leaf_rows, lv.build_leaf_design
+
+    def counting(name, fn):
+        def wrapper(*args):
+            tally[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Tree, "from_dict", staticmethod(counting("from_dict", from_dict)))
+    monkeypatch.setattr(Tree, "leaf_rows", counting("leaf_rows", leaf_rows))
+    monkeypatch.setattr(lv, "build_leaf_design", counting("build_leaf_design", build))
+    return tally
+
+
+def splits(d):
+    """A stored tree without its leaf payloads."""
+    if d["kind"] == "leaf":
+        return None
+    return (d["feature"], d["threshold"], splits(d["left"]), splits(d["right"]))
+
+
+def split_changes(trees) -> int:
+    """Tree indices whose splits differ from the previous draw's, over all draws."""
+    return sum(splits(d) != splits(prev)
+               for k in range(1, len(trees)) for d, prev in zip(trees[k], trees[k - 1]))
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_pinned_chains_replay_like_the_reference(name):
+    draws = run_chain(name, store_trees=True)
+    X = friedman_generate(FriedmanSpec(n=40, p=5, seed=32)).features
+    assert_same_summary(predict(draws, X),
+                        replay_every_tree(draws.trees, draws.task, draws.scaling, X))
+
+
+@pytest.mark.parametrize("leaf_model", ["constant", "linear"])
+def test_long_chain_routes_a_tree_only_when_its_splits_change(leaf_model, counts):
+    data = friedman_generate(FriedmanSpec(n=80, p=5, seed=8))
+    scaled, info = standardize(data)
+    hp = Hyperparams(m=4, burn_in=20, post_burn_in=40, leaf_model=leaf_model,
+                     seed=5, store_trees=True)
+    draws = run_regression(scaled, hp, info)
+    changes = split_changes(draws.trees)
+    assert 0 < changes < (draws.retained - 1) * hp.m   # both hits and misses occur
+    expected = replay_every_tree(draws.trees, draws.task, draws.scaling, data.features)
+    for key in counts:
+        counts[key] = 0
+    assert_same_summary(predict(draws, data.features), expected)
+    assert counts["leaf_rows"] == hp.m + changes
+    # every stored tree is still parsed once, for its leaf payloads
+    assert counts["from_dict"] == draws.retained * hp.m
+
+
+def stump_split(threshold, left, right):
+    return {"kind": "internal", "feature": 0, "threshold": threshold,
+            "left": left, "right": right}
+
+
+def const(mu):
+    return {"kind": "leaf", "mu": mu}
+
+
+def linear(beta, covariates):
+    return {"kind": "leaf", "beta": beta, "covariates": covariates}
+
+
+IDENTITY = ScalingInfo.identity(2)
+X_HAND = np.array([[-1.0, 2.0], [0.25, -3.0], [1.0, 0.5], [-0.5, 1.5]])
+
+
+def replay_hand_made(trees, counts):
+    """The replay's result and its call counts, after checking it against the reference."""
+    result = predict_stored(trees, REGRESSION, IDENTITY, X_HAND)
+    seen = dict(counts)
+    assert_same_summary(result, replay_every_tree(trees, REGRESSION, IDENTITY, X_HAND))
+    return result, seen
+
+
+def test_leaf_values_alone_change_so_each_tree_is_routed_once(counts):
+    trees = [[stump_split(0.0, const(k), const(-k)), const(10.0 * k)] for k in range(3)]
+    result, seen = replay_hand_made(trees, counts)
+    assert seen["leaf_rows"] == 2
+    assert seen["from_dict"] == 6
+    # x0 < 0 goes right: rows 0 and 3 get -k, rows 1 and 2 get k
+    assert result.draws[2].tolist() == [18.0, 22.0, 22.0, 18.0]
+
+
+def test_a_changed_threshold_reroutes_that_tree_only(counts):
+    thresholds = [0.0, 0.5, 0.5]
+    trees = [[stump_split(thr, const(1.0), const(-1.0)),
+              stump_split(0.0, const(2.0), const(-2.0))] for thr in thresholds]
+    result, seen = replay_hand_made(trees, counts)
+    assert seen["leaf_rows"] == 2 + 1
+    assert result.draws[0].tolist() == [-3.0, 3.0, 3.0, -3.0]
+    assert result.draws[1].tolist() == [-3.0, 1.0, 3.0, -3.0]   # 0.25 < 0.5 now
+
+
+def test_changed_covariates_under_the_same_split_rebuild_that_design(counts):
+    covariate_sets = [[0], [0, 1], [0, 1]]
+    trees = [[stump_split(0.0, linear([1.0] * (len(c) + 1), c), linear([0.5, 2.0], [0]))]
+             for c in covariate_sets]
+    result, seen = replay_hand_made(trees, counts)
+    assert seen["leaf_rows"] == 1
+    # both designs once, then only the left leaf's when its covariates change
+    assert seen["build_leaf_design"] == 2 + 1
+    assert result.draws[1].tolist() == [0.5 - 2.0, 1.0 + 0.25 - 3.0, 1.0 + 1.0 + 0.5,
+                                        0.5 - 1.0]
+
+
+def test_non_finite_feature_is_named():
+    # nan fails every `x < threshold` test, so it would go left silently
+    trees = [[stump_split(0.0, const(1.0), const(-1.0))]]
+    X = X_HAND.copy()
+    X[2, 0] = np.nan
+    with pytest.raises(ValueError, match=r"nan at X_new\[2, 0\]"):
+        predict_stored(trees, REGRESSION, IDENTITY, X)
+    X[1, 1] = -np.inf
+    with pytest.raises(ValueError, match=r"-inf at X_new\[1, 1\]"):
+        predict_stored(trees, REGRESSION, IDENTITY, X)
+
+
+def test_no_stored_draws_is_an_error():
+    with pytest.raises(ValueError, match="no stored draws"):
+        predict_stored([], REGRESSION, IDENTITY, X_HAND)
+

@@ -1,13 +1,19 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.stats import kstest, norm, truncnorm
+from scipy.special import ndtr
+from scipy.stats import chi2, kstest, norm, truncnorm
 
+import lmbart
 from lmbart.data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
                          standardize)
-from lmbart.sampler import (Hyperparams, PosteriorDraws, dirichlet_update_splitprobs,
+from lmbart.sampler import (Hyperparams, PosteriorDraws, calibrate_lambda,
+                            dirichlet_update_splitprobs,
                             eval_tree_dict, mh_accept, partial_residual, predict,
                             read_draws_jsonl, run_classification, run_regression,
                             sample_latent_z, sample_sigma2,
@@ -649,3 +655,40 @@ class TestHyperparams:
     def test_vars_inter_slope_needs_linear_leaves(self):
         with pytest.raises(ValueError, match="vars_inter_slope.*leaf_model"):
             Hyperparams(leaf_model="constant", vars_inter_slope=True)
+
+
+class TestWithoutScipyStats:
+    def test_importing_the_package_leaves_scipy_stats_unloaded(self):
+        src = str(Path(lmbart.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import lmbart; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 3.0, 5.0, 7.3, 10.0])
+    def test_calibrate_lambda_is_the_chi2_quantile(self, nu):
+        y = np.array([0.3, -1.2, 2.5, 0.7, -0.4])
+        s2 = float(np.var(y, ddof=1))
+        for q in (0.75, 0.9, 0.99):
+            assert calibrate_lambda(y, nu, q) == chi2.ppf(1.0 - q, nu) * s2 / nu
+
+    def test_ndtr_is_the_normal_cdf(self):
+        x = np.linspace(-40.0, 40.0, 20001)
+        assert np.array_equal(ndtr(x), norm.cdf(x))
+
+
+class TestReadDraws:
+    def test_truncated_last_line_names_file_and_line(self, tmp_path):
+        data = friedman_generate(FriedmanSpec(n=40, p=5, seed=6))
+        scaled, info = standardize(data)
+        draws = run_regression(scaled, hp_small(m=3, burn_in=5, post_burn_in=4,
+                                                store_trees=True), info)
+        path = tmp_path / "draws.jsonl"
+        write_draws_jsonl(draws, path)
+        assert len(read_draws_jsonl(path)) == 4
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:len(text) - len(text.splitlines()[-1]) // 2 - 1],
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"draws\.jsonl: line 4 is not valid JSON"):
+            read_draws_jsonl(path)

@@ -1,13 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lmbart.data import REGRESSION, Dataset, split_dictionary
-from lmbart.trees import (CHANGE, GROW, PRUNE, SWAP, Tree, ancestor_covariates,
-                          log_tree_prior, log_tree_prior_grow_delta, partition,
-                          propose_move, split_covariates)
+from lmbart.trees import (CHANGE, GROW, PRUNE, SWAP, Tree, _draw_rule,
+                          ancestor_covariates, log_tree_prior,
+                          log_tree_prior_grow_delta, partition, propose_move,
+                          split_covariates)
 from oracles import recursive_log_tree_prior, route_row
 
 
@@ -347,3 +349,29 @@ class TestSerialization:
         assert_array_equal(
             sorted(np.unique(partition(t, X).assignment, return_counts=True)[1]),
             sorted(np.unique(partition(back, X).assignment, return_counts=True)[1]))
+
+
+def test_draw_rule_matches_generator_choice_draw_for_draw():
+    # _draw_rule inverts the cdf itself; it must pick the feature rng.choice
+    # would pick from the same state and leave the generator where choice does
+    p = 6
+    values = [np.arange(j + 2, dtype=float) for j in range(p)]
+    split_dict = SimpleNamespace(values=values)
+    tested = single = 0
+    for seed in range(1500):
+        draw = np.random.default_rng([seed, 1])
+        probs = draw.dirichlet(np.full(p, 0.3))
+        splittable = draw.random(p) < 0.6
+        if seed % 10 == 0:   # one splittable feature left
+            splittable = np.arange(p) == seed % p
+        if not splittable.any():
+            continue
+        tested += 1
+        single += splittable.sum() == 1
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        masked = np.where(splittable, probs, 0.0)
+        feature = int(ref.choice(p, p=masked / masked.sum()))
+        expected = (feature, float(values[feature][ref.integers(values[feature].size)]))
+        assert _draw_rule(split_dict, probs, splittable, ours) == expected
+        assert ours.bit_generator.state == ref.bit_generator.state
+    assert tested >= 1000 and single >= 150
