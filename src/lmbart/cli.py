@@ -16,7 +16,7 @@ import numpy as np
 from . import benchmark as bm
 from . import sampler as sp
 from .data import (CLASSIFICATION, REGRESSION, DataError, ScalingInfo, load_csv,
-                   standardize)
+                   parse_cell, standardize)
 
 
 def _bool_flag(value: str) -> bool:
@@ -140,7 +140,8 @@ def _load_features_like(meta: dict, path) -> np.ndarray:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
-        rows = [record for record in reader if any(cell.strip() for cell in record)]
+        rows = [(lineno, record) for lineno, record in enumerate(reader, start=2)
+                if any(cell.strip() for cell in record)]
     present = [h for h in header if h != target]
     if present != feature_names:
         for got, expected in zip(present, feature_names):
@@ -149,14 +150,10 @@ def _load_features_like(meta: dict, path) -> np.ndarray:
                                 f"had {expected!r}")
         raise DataError(f"{path}: expected columns {feature_names}, got {present}")
     out = np.empty((len(rows), len(feature_names)))
-    for i, record in enumerate(rows):
+    for i, (lineno, record) in enumerate(rows):
         cells = dict(zip(header, record))
         for j, name in enumerate(feature_names):
-            try:
-                out[i, j] = float(cells[name].strip())
-            except (ValueError, KeyError):
-                raise DataError(f"{path}: row {i + 2}, column {name!r}: "
-                                f"bad value") from None
+            out[i, j] = parse_cell(path, lineno, name, cells.get(name, ""))
     return out
 
 

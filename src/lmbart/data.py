@@ -8,7 +8,6 @@ callers get predictions back on the original scale through `ScalingInfo`.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -109,9 +108,6 @@ class ScalingInfo:
     def transform_features(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.feature_centers) / self.feature_scales
 
-    def invert_features(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) * self.feature_scales + self.feature_centers
-
     def transform_response(self, y: np.ndarray) -> np.ndarray:
         if not self.response_scaled:
             return np.asarray(y, dtype=float)
@@ -145,15 +141,6 @@ class ScalingInfo:
     def identity(cls, p: int) -> "ScalingInfo":
         return cls(np.zeros(p), np.ones(p))
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "ScalingInfo":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class SplitDictionary:
@@ -181,11 +168,26 @@ class SplitDictionary:
         return np.array([v.size >= 2 for v in self.values], dtype=bool)
 
 
+def parse_cell(path, row: int, column: str, cell: str) -> float:
+    """One CSV cell as a finite float; a bad cell raises with its file row and column."""
+    where = f"{path}: row {row}, column {column!r}"
+    text = cell.strip()
+    if text == "":
+        raise DataError(f"{where}: empty cell")
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"{where}: non-numeric value {cell!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{where}: non-finite value {cell!r}")
+    return value
+
+
 def load_csv(path, target_column: str, task: str) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
-    All non-target columns must be numeric; missing cells are rejected with
-    their row/column location (header is row 1, data starts at row 2).
+    Every cell must be a finite number; a bad cell is rejected with its
+    row/column location (header is row 1, data starts at row 2).
     """
     if task not in _TASKS:
         raise DataError(f"unknown task {task!r}")
@@ -212,17 +214,8 @@ def load_csv(path, target_column: str, task: str) -> Dataset:
             if len(record) != len(header):
                 raise DataError(f"{path}: row {lineno} has {len(record)} cells, "
                                 f"expected {len(header)}")
-            parsed = []
-            for col, cell in zip(header, record):
-                text = cell.strip()
-                if text == "":
-                    raise DataError(f"{path}: row {lineno}, column {col!r}: empty cell")
-                try:
-                    parsed.append(float(text))
-                except ValueError:
-                    raise DataError(f"{path}: row {lineno}, column {col!r}: "
-                                    f"non-numeric value {cell!r}") from None
-            rows.append(parsed)
+            rows.append([parse_cell(path, lineno, col, cell)
+                         for col, cell in zip(header, record)])
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
     data = np.asarray(rows, dtype=float)

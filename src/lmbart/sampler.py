@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import gammaincinv, log_ndtr, ndtr, ndtri_exp
@@ -66,7 +66,6 @@ class Hyperparams:
     n_min: int = 5
     seed: int = 0
     store_trees: bool = False
-    proposal_correction: bool = False
     dirichlet_mass: float = 1.0
 
     def __post_init__(self):
@@ -119,6 +118,10 @@ class Hyperparams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparams":
+        """Inverse of `to_dict`; a key that names no field raises ValueError."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown hyperparameter(s): {', '.join(unknown)}")
         return cls(**d)
 
 
@@ -254,8 +257,12 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     """One tree update: structural MH step, then leaf-parameter redraw.
 
     Returns (move kind, outcome) with outcome one of accepted / rejected /
-    invalid. Leaf parameters are redrawn from their full conditionals in
-    every case, acceptance or not, from the leaf statistics of the kept tree.
+    invalid. The log acceptance ratio adds the move's log proposal ratio
+    (`MoveProposal.log_transition_correction`) to the change in log marginal
+    likelihood and log tree prior, so the chain targets the tree prior
+    truncated to trees with at least `n_min` rows per leaf. Leaf parameters
+    are redrawn from their full conditionals in every case, acceptance or
+    not, from the leaf statistics of the kept tree.
 
     The candidate reuses the current tree's routing and the statistics of
     every leaf outside `proposal.affected_leaves`; the log ratio still sums
@@ -282,9 +289,8 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
             + cand_prior
             - model.log_marginal(stats, state.sigma2)
             - ts.log_prior
+            + proposal.log_transition_correction
         )
-        if hp.proposal_correction:
-            log_alpha += proposal.log_transition_correction
         if math.isnan(log_alpha):
             raise FloatingPointError(f"tree {tree_index}: {proposal.kind} move has a "
                                      "NaN log acceptance ratio")

@@ -253,17 +253,6 @@ def log_tree_prior(tree: Tree, alpha: float, beta_depth: float) -> float:
     return total
 
 
-def log_tree_prior_grow_delta(depth: int, alpha: float, beta_depth: float) -> float:
-    """Log prior change from splitting a terminal node at the given depth.
-
-    Growing replaces one terminal factor at depth d by an internal factor at
-    d plus two terminal factors at d+1.
-    """
-    p_d = alpha * (1.0 + depth) ** (-beta_depth)
-    p_d1 = alpha * (2.0 + depth) ** (-beta_depth)
-    return math.log(p_d) + 2.0 * math.log(1.0 - p_d1) - math.log(1.0 - p_d)
-
-
 @dataclass
 class MoveProposal:
     """One structural proposal, valid or not.
@@ -283,8 +272,7 @@ class MoveProposal:
     ratio keeps only the choice of node: log L - log P' for a grow from L
     leaves to a tree with P' prunable nodes, and the inverse for a prune.
     Change and swap moves are symmetric and leave the rule prior unchanged,
-    so theirs is 0. The acceptance rule adds it only under
-    `Hyperparams.proposal_correction`.
+    so theirs is 0.
     """
 
     kind: str

@@ -25,6 +25,18 @@ def friedman_csv(tmp_path):
 
 
 @pytest.fixture()
+def nan_csv(tmp_path, friedman_csv):
+    """`friedman_csv` with 'nan' in file row 4, column 'x2'."""
+    lines = friedman_csv.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = "nan"
+    lines[3] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
 def trained_run(tmp_path, friedman_csv):
     prefix = tmp_path / "run"
     code = run_cli("train", "--data", friedman_csv, "--target", "y",
@@ -111,6 +123,13 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "vars_inter_slope" in err
 
+    def test_non_finite_cell_is_an_error(self, tmp_path, nan_csv, capsys):
+        code = run_cli("train", "--data", nan_csv, "--target", "y",
+                       "--out", tmp_path / "r")
+        assert code == 1
+        assert (f"error: {nan_csv}: row 4, column 'x2': non-finite value 'nan'"
+                in capsys.readouterr().err)
+
     def test_unknown_flag_is_an_error(self, friedman_csv, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("train", "--data", friedman_csv, "--target", "y",
@@ -178,18 +197,12 @@ class TestPredict:
         got = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(got, np.column_stack([mean, lower, upper]))
 
-    def test_non_finite_cell_is_an_error(self, tmp_path, friedman_csv, trained_run,
-                                         capsys):
-        lines = friedman_csv.read_text().splitlines()
-        cells = lines[3].split(",")
-        cells[1] = "nan"
-        lines[3] = ",".join(cells)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines), encoding="utf-8")
-        code = run_cli("predict", "--run", trained_run, "--data", bad,
+    def test_non_finite_cell_is_an_error(self, tmp_path, nan_csv, trained_run, capsys):
+        code = run_cli("predict", "--run", trained_run, "--data", nan_csv,
                        "--out", tmp_path / "p.csv")
         assert code == 1
-        assert "error: non-finite feature value nan at X_new[2, 1]" in capsys.readouterr().err
+        assert (f"error: {nan_csv}: row 4, column 'x2': non-finite value 'nan'"
+                in capsys.readouterr().err)
 
     def test_truncated_draws_file_is_an_error(self, tmp_path, friedman_csv, trained_run,
                                               capsys):
@@ -227,7 +240,7 @@ class TestPredict:
 
 
 class TestBenchmarkCommand:
-    def make_grid(self, tmp_path):
+    def make_grid(self, tmp_path, **extra):
         grid = {
             "master_seed": 3,
             "replicates": 2,
@@ -237,7 +250,7 @@ class TestBenchmarkCommand:
                 {"name": "c2", "leaf_model": "constant", "m": 2,
                  "burn_in": 5, "post_burn_in": 10},
                 {"name": "l2", "leaf_model": "linear", "m": 2,
-                 "burn_in": 5, "post_burn_in": 10},
+                 "burn_in": 5, "post_burn_in": 10, **extra},
             ],
         }
         path = tmp_path / "grid.json"
@@ -266,6 +279,13 @@ class TestBenchmarkCommand:
         with open(a / "rmse_table.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["replicates"] == "1" for row in rows)
+
+    def test_unknown_algorithm_key_is_an_error(self, tmp_path, capsys):
+        grid = self.make_grid(tmp_path, proposal_correction=True)
+        code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown hyperparameter(s): proposal_correction")
 
     def test_bundled_desk_grid_parses(self):
         from lmbart.benchmark import load_grid_config

@@ -10,9 +10,9 @@ distribution under both simulators.
 
 The target is the tree prior truncated to trees whose every leaf holds at
 least `n_min` rows, since the sampler rejects any proposal that leaves a leaf
-below `n_min`; the prior simulator draws from it by rejection. Both tests run
-with `proposal_correction=True`: the default acceptance rule omits the
-grow/prune proposal ratio and does not target this prior.
+below `n_min`; the prior simulator draws from it by rejection. The chain
+targets it only because the acceptance rule carries the grow/prune proposal
+ratio: without that ratio the flat-likelihood chain grows too few leaves.
 
 The smoke versions run in the default suite; the slow ones take ten times
 the draws and run under `pytest --slow`.
@@ -78,7 +78,7 @@ def test_flat_likelihood_chain_samples_the_truncated_tree_prior():
     # targets the truncated tree prior alone
     X = np.arange(6.0)[:, None]
     sd = split_dictionary(Dataset(X, np.zeros(6), ["a"], CLASSIFICATION))
-    hp = Hyperparams(m=1, n_min=1, proposal_correction=True, burn_in=1, post_burn_in=1)
+    hp = Hyperparams(m=1, n_min=1, burn_in=1, post_burn_in=1)
     rng = np.random.default_rng(7)
     prior = np.array([draw_truncated_prior_tree(X, sd.values, hp.alpha, hp.beta_depth,
                                                 hp.n_min, rng).n_leaves()
@@ -94,17 +94,22 @@ def test_flat_likelihood_chain_samples_the_truncated_tree_prior():
 
 
 # ---------------------------------------------------------------------------
-# probit: 10 rows, p=2, one tree, constant leaves, uniform branching
+# probit and regression slices: 10 rows, p=2, one tree, constant leaves,
+# uniform branching
 
 QUERY_X = np.array([[-0.5, 0.5], [0.8, -0.3]])
-MOMENTS = ("mean_mu", "fit_a", "fit_b", "mean_mu^2", "fit_a^2", "fit_b^2")
+SUMMARIES = ("mean_mu", "fit_a", "fit_b")
+
+# the regression slice fixes lam and raises nu from its default 3 so that
+# the square of a prior sigma^2 draw has a finite variance
+REGRESSION_PRIOR = dict(nu=20.0, lam=0.2)
 
 
-def probit_setting():
+def setting(**prior):
     X = np.random.default_rng(2024).normal(size=(10, 2))
     sd = split_dictionary(Dataset(X, np.zeros(10), ["a", "b"], CLASSIFICATION))
-    hp = Hyperparams(m=1, n_min=1, branching="uniform", proposal_correction=True,
-                     burn_in=1, post_burn_in=1)
+    hp = Hyperparams(m=1, n_min=1, branching="uniform", burn_in=1, post_burn_in=1,
+                     **prior)
     return X, sd, hp
 
 
@@ -119,49 +124,84 @@ def prior_draw(X, sd, hp, rng):
     return tree, {leaf: rng.normal(0.0, math.sqrt(hp.sigma_mu2)) for leaf in tree.leaves()}
 
 
-def marginal_conditional(draws: int, X, sd, hp, rng) -> np.ndarray:
-    """Summaries of independent prior draws; y | theta is not needed for them."""
-    return np.array([summaries(*prior_draw(X, sd, hp, rng)) for _ in range(draws)])
+def prior_sigma2(hp, rng) -> float:
+    """The error-variance prior, sigma^2 ~ nu lam / chi2_nu."""
+    return hp.nu * hp.lam / rng.chisquare(hp.nu)
 
 
-def successive_conditional(sweeps: int, X, sd, hp, rng) -> np.ndarray:
-    """Summaries of a chain alternating y ~ Bernoulli(Phi(fit)) with one sweep.
+def marginal_conditional(draws: int, X, sd, hp, rng, regression: bool) -> np.ndarray:
+    """Summaries (and sigma^2 for regression) of independent prior draws.
 
-    A sweep is the sampler's own: the latent z given y and the fit, then the
-    tree step given z. The chain starts from a prior draw.
+    y | theta is not needed for them.
+    """
+    rows = []
+    for _ in range(draws):
+        row = summaries(*prior_draw(X, sd, hp, rng))
+        rows.append(row + [prior_sigma2(hp, rng)] if regression else row)
+    return np.array(rows)
+
+
+def successive_conditional(sweeps: int, X, sd, hp, rng, regression: bool) -> np.ndarray:
+    """Summaries of a chain alternating a data draw given theta with one sweep.
+
+    A sweep is the sampler's own. Probit draws y ~ Bernoulli(Phi(fit)), then
+    the latent z given y and the fit, then the tree step given z. Regression
+    draws y ~ N(fit, sigma^2), then the tree step given y, then sigma^2 given
+    y and the new fit. The chain starts from a prior draw.
     """
     tree, mus = prior_draw(X, sd, hp, rng)
     state = chain_state(tree, {leaf: {"mu": mu} for leaf, mu in mus.items()}, X, hp)
-    out = np.empty((sweeps, 2 + len(QUERY_X)))
+    n = X.shape[0]
+    if regression:
+        state.sigma2 = prior_sigma2(hp, rng)
+    out = np.empty((sweeps, 2 + len(QUERY_X) + regression))
     for k in range(sweeps):
-        y = (rng.random(X.shape[0]) < ndtr(state.total_fit)).astype(float)
-        state.target = sampler.sample_latent_z(y, state.total_fit, rng)
+        if regression:
+            state.target = state.total_fit + math.sqrt(state.sigma2) * rng.standard_normal(n)
+        else:
+            y = (rng.random(n) < ndtr(state.total_fit)).astype(float)
+            state.target = sampler.sample_latent_z(y, state.total_fit, rng)
         mh_tree_step(state, 0, X, sd, hp, rng)
         ts = state.trees[0]
-        out[k] = summaries(ts.tree, {leaf: p["mu"] for leaf, p in ts.leaf_params.items()})
+        row = summaries(ts.tree, {leaf: p["mu"] for leaf, p in ts.leaf_params.items()})
+        if regression:
+            resid = state.target - state.total_fit
+            state.sigma2 = sampler.sample_sigma2(float(resid @ resid), n, hp.nu, hp.lam, rng)
+            row.append(state.sigma2)
+        out[k] = row
     return out
 
 
-def probit_gate(draws: int, sweeps: int) -> dict:
-    """The gate's statistics: the leaf-count chi-square p-value and a z per moment."""
-    X, sd, hp = probit_setting()
+def joint_gate(draws: int, sweeps: int, regression: bool) -> dict:
+    """The gate's statistics: the leaf-count chi-square p-value and a z per moment.
+
+    The moments are every summary after the leaf count, then their squares.
+    """
+    X, sd, hp = setting(**REGRESSION_PRIOR) if regression else setting()
     rng = np.random.default_rng(0)
-    mc = marginal_conditional(draws, X, sd, hp, rng)
-    sc = successive_conditional(sweeps, X, sd, hp, rng)
+    mc = marginal_conditional(draws, X, sd, hp, rng, regression)
+    sc = successive_conditional(sweeps, X, sd, hp, rng, regression)
+    names = SUMMARIES + ("sigma2",) * regression
+    names += tuple(f"{name}^2" for name in names)
     mc_moments = np.hstack([mc[:, 1:], mc[:, 1:] ** 2])
     sc_moments = np.hstack([sc[:, 1:], sc[:, 1:] ** 2])
     return {
         "leaf_count_p": leaf_count_pvalue(mc[:, 0], sc[::THIN, 0]),
         "leaf_count_z": z_score(mc[:, 0], sc[:, 0]),
         **{name: z_score(mc_moments[:, j], sc_moments[:, j])
-           for j, name in enumerate(MOMENTS)},
+           for j, name in enumerate(names)},
     }
 
 
 @pytest.mark.parametrize("draws, sweeps", SIZES)
 def test_probit_chain_preserves_the_joint_distribution(draws, sweeps):
-    stats = probit_gate(draws, sweeps)
+    stats = joint_gate(draws, sweeps, regression=False)
     assert stats.pop("leaf_count_p") > P_MIN, stats
     assert all(abs(z) < Z_MAX for z in stats.values()), stats
 
 
+@pytest.mark.parametrize("draws, sweeps", SIZES)
+def test_regression_chain_preserves_the_joint_distribution(draws, sweeps):
+    stats = joint_gate(draws, sweeps, regression=True)
+    assert stats.pop("leaf_count_p") > P_MIN, stats
+    assert all(abs(z) < Z_MAX for z in stats.values()), stats

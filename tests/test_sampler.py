@@ -274,16 +274,6 @@ class TestRunRegression:
         assert np.all(draws.sigma2 > 0)
         assert np.all(draws.sigma2_chain > 0)
 
-    def test_proposal_correction_flag_changes_the_chain(self):
-        data = friedman_generate(FriedmanSpec(n=100, p=5, seed=9))
-        scaled, info = standardize(data)
-        plain = run_regression(scaled, hp_small(seed=2), info)
-        corrected = run_regression(scaled, hp_small(seed=2,
-                                                    proposal_correction=True),
-                                   info)
-        assert not np.array_equal(plain.sigma2, corrected.sigma2)
-        assert np.all(corrected.sigma2 > 0)
-
     def test_retained_count_respects_thinning(self):
         data = friedman_generate(FriedmanSpec(n=70, p=5, seed=7))
         scaled, info = standardize(data)
@@ -643,6 +633,12 @@ class TestHyperparams:
     def test_round_trip(self):
         hp = Hyperparams(m=7, leaf_model="linear", seed=5, lam=0.3)
         assert Hyperparams.from_dict(hp.to_dict()) == hp
+
+    def test_from_dict_names_every_unknown_key(self):
+        d = {**Hyperparams().to_dict(), "proposal_correction": True, "bogus": 1}
+        with pytest.raises(ValueError, match=r"unknown hyperparameter\(s\): "
+                                             r"bogus, proposal_correction$"):
+            Hyperparams.from_dict(d)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,20 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from lmbart.data import REGRESSION, Dataset, split_dictionary
 from lmbart.trees import (CHANGE, GROW, PRUNE, SWAP, Tree, _draw_rule,
-                          ancestor_covariates, log_tree_prior,
-                          log_tree_prior_grow_delta, partition, propose_move,
-                          split_covariates)
+                          ancestor_covariates, log_tree_prior, partition,
+                          propose_move, split_covariates)
 from oracles import recursive_log_tree_prior, route_row
+
+
+def grow_delta(depth, alpha, beta):
+    """Log prior change from splitting a leaf at `depth`, by hand.
+
+    One terminal factor at depth d becomes an internal factor at d and two
+    terminal factors at d+1.
+    """
+    p_d = alpha * (1.0 + depth) ** -beta
+    p_d1 = alpha * (2.0 + depth) ** -beta
+    return math.log(p_d) + 2.0 * math.log(1.0 - p_d1) - math.log(1.0 - p_d)
 
 
 def make_dataset(n=60, p=3, seed=0):
@@ -77,16 +87,26 @@ class TestLogTreePrior:
             if not prop.valid:
                 continue
             grown_leaf_depth = prop.tree.depth_of(next(iter(prop.affected_leaves))) - 1
-            delta = log_tree_prior_grow_delta(grown_leaf_depth, 0.95, 2.0)
             full = (log_tree_prior(prop.tree, 0.95, 2.0)
                     - log_tree_prior(t, 0.95, 2.0))
-            assert_allclose(delta, full, rtol=0, atol=1e-12)
+            assert_allclose(grow_delta(grown_leaf_depth, 0.95, 2.0), full,
+                            rtol=0, atol=1e-12)
             t = prop.tree
             checked += 1
 
     def test_grow_delta_strictly_decreasing_in_depth(self):
         for alpha, beta in ((0.95, 2.0), (0.5, 0.5), (0.99, 3.0)):
-            deltas = [log_tree_prior_grow_delta(d, alpha, beta) for d in range(8)]
+            deltas = []
+            for depth in range(8):
+                t = Tree()
+                leaf = t.root
+                for _ in range(depth):   # a chain of splits down to `depth`
+                    leaf = t.grow(leaf, 0, 0.0)[0]
+                before = log_tree_prior(t, alpha, beta)
+                t.grow(leaf, 0, 0.0)
+                deltas.append(log_tree_prior(t, alpha, beta) - before)
+                assert_allclose(deltas[-1], grow_delta(depth, alpha, beta),
+                                rtol=0, atol=1e-12)
             assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
