@@ -293,17 +293,24 @@ def format_text_table(result: BenchmarkResult) -> str:
     return "\n".join(lines)
 
 
+def _require(entry: dict, key: str, path):
+    """`entry[key]`; a missing key raises ValueError naming the grid file."""
+    if key not in entry:
+        raise ValueError(f"{path}: missing key {key!r}")
+    return entry[key]
+
+
 def load_grid_config(path) -> dict:
     """Parse a declarative benchmark grid file (JSON)."""
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    scenarios = [FriedmanSpec(n=int(s["n"]), p=int(s.get("p", 5)),
+    scenarios = [FriedmanSpec(n=int(_require(s, "n", path)), p=int(s.get("p", 5)),
                               noise_sd=float(s.get("noise_sd", 1.0)),
                               seed=int(s.get("seed", i)))
-                 for i, s in enumerate(cfg["scenarios"])]
-    algorithms = [EngineConfig(a["name"], Hyperparams.from_dict(
+                 for i, s in enumerate(_require(cfg, "scenarios", path))]
+    algorithms = [EngineConfig(_require(a, "name", path), Hyperparams.from_dict(
                       {k: v for k, v in a.items() if k != "name"}))
-                  for a in cfg["algorithms"]]
+                  for a in _require(cfg, "algorithms", path)]
     return {
         "scenarios": scenarios,
         "algorithms": algorithms,

@@ -1,7 +1,8 @@
 """Command-line entry point: simulate | train | predict | benchmark | diagnostics.
 
-Flags mirror the sampler configuration one-to-one; unknown flags are hard
-errors. Every command is reproducible from the metadata it writes.
+Train flags mirror `Hyperparams` one-to-one and take their defaults from it;
+unknown flags are hard errors. Every command is reproducible from the
+metadata it writes.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark as bm
+from . import leaves as lv
 from . import sampler as sp
 from .data import (CLASSIFICATION, REGRESSION, DataError, ScalingInfo, load_csv,
-                   parse_cell, standardize)
+                   load_features, standardize)
 
 
 def _bool_flag(value: str) -> bool:
@@ -41,29 +43,29 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
 
-    train = sub.add_parser("train", help="fit the model and persist the draws")
+    train = sub.add_parser("train", help="fit the model and persist the draws",
+                           argument_default=argparse.SUPPRESS)
     train.add_argument("--data", required=True)
     train.add_argument("--target", required=True)
     train.add_argument("--task", choices=(REGRESSION, CLASSIFICATION),
                        default=REGRESSION)
-    train.add_argument("--leaf", choices=("constant", "linear"), default="constant")
-    train.add_argument("--trees", type=int, default=10)
-    train.add_argument("--burnin", type=int, default=1000)
-    train.add_argument("--iters", type=int, default=5000,
+    train.add_argument("--leaf", dest="leaf_model", choices=(lv.CONSTANT, lv.LINEAR))
+    train.add_argument("--trees", dest="m", type=int)
+    train.add_argument("--burnin", dest="burn_in", type=int)
+    train.add_argument("--iters", dest="post_burn_in", type=int,
                        help="post-burn-in iterations")
-    train.add_argument("--thin", type=int, default=1)
-    train.add_argument("--alpha", type=float, default=0.95)
-    train.add_argument("--beta-depth", type=float, default=2.0)
-    train.add_argument("--nu", type=float, default=3.0)
-    train.add_argument("--lambda", dest="lam", type=float, default=None)
-    train.add_argument("--c", type=float, default=2.0)
-    train.add_argument("--covariate-rule", choices=("tree-splits", "ancestors"),
-                       default="tree-splits")
-    train.add_argument("--branching", choices=("uniform", "dirichlet"), default=None)
-    train.add_argument("--vars-inter-slope", type=_bool_flag, default=None)
-    train.add_argument("--nmin", type=int, default=5)
+    train.add_argument("--thin", type=int)
+    train.add_argument("--alpha", type=float)
+    train.add_argument("--beta-depth", type=float)
+    train.add_argument("--nu", type=float)
+    train.add_argument("--lambda", dest="lam", type=float)
+    train.add_argument("--c", type=float)
+    train.add_argument("--covariate-rule", choices=(lv.TREE_SPLITS, lv.ANCESTORS))
+    train.add_argument("--branching", choices=(sp.UNIFORM, sp.DIRICHLET))
+    train.add_argument("--vars-inter-slope", type=_bool_flag)
+    train.add_argument("--nmin", dest="n_min", type=int)
     train.add_argument("--store-trees", action="store_true")
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=int)
     train.add_argument("--out", required=True, help="output path prefix")
 
     pred = sub.add_parser("predict", help="replay stored trees on new data")
@@ -109,14 +111,8 @@ def _run_paths(prefix: str) -> dict[str, Path]:
 
 def cmd_train(args) -> int:
     data = load_csv(args.data, args.target, args.task)
-    hp = sp.Hyperparams(
-        m=args.trees, alpha=args.alpha, beta_depth=args.beta_depth,
-        nu=args.nu, lam=args.lam, c=args.c,
-        burn_in=args.burnin, post_burn_in=args.iters, thin=args.thin,
-        leaf_model=args.leaf, covariate_rule=args.covariate_rule,
-        branching=args.branching, vars_inter_slope=args.vars_inter_slope,
-        n_min=args.nmin, seed=args.seed, store_trees=args.store_trees,
-    )
+    inputs = ("command", "data", "target", "task", "out")
+    hp = sp.Hyperparams.from_dict({k: v for k, v in vars(args).items() if k not in inputs})
     scaled, scaling = standardize(data)
     if args.task == REGRESSION:
         draws = sp.run_regression(scaled, hp, scaling)
@@ -133,30 +129,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_features_like(meta: dict, path) -> np.ndarray:
-    """Read new-data feature columns in training order, by header name."""
-    feature_names = meta["feature_names"]
-    target = meta.get("target_column")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        rows = [(lineno, record) for lineno, record in enumerate(reader, start=2)
-                if any(cell.strip() for cell in record)]
-    present = [h for h in header if h != target]
-    if present != feature_names:
-        for got, expected in zip(present, feature_names):
-            if got != expected:
-                raise DataError(f"{path}: column {got!r} where training data "
-                                f"had {expected!r}")
-        raise DataError(f"{path}: expected columns {feature_names}, got {present}")
-    out = np.empty((len(rows), len(feature_names)))
-    for i, (lineno, record) in enumerate(rows):
-        cells = dict(zip(header, record))
-        for j, name in enumerate(feature_names):
-            out[i, j] = parse_cell(path, lineno, name, cells.get(name, ""))
-    return out
-
-
 def cmd_predict(args) -> int:
     paths = _run_paths(args.run)
     meta = sp.read_metadata(paths["meta"])
@@ -165,7 +137,7 @@ def cmd_predict(args) -> int:
         print(f"{paths['draws']}: no stored trees; rerun train with --store-trees",
               file=sys.stderr)
         return 1
-    X = _load_features_like(meta, args.data)
+    X = load_features(args.data, meta["feature_names"], meta.get("target_column"))
     result = sp.predict_stored([r["trees"] for r in records], meta["task"],
                                ScalingInfo.from_dict(meta["scaling"]), X)
     is_classification = meta["task"] == CLASSIFICATION
@@ -246,7 +218,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError, lv.LeafFactorizationError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

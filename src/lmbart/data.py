@@ -183,14 +183,13 @@ def parse_cell(path, row: int, column: str, cell: str) -> float:
     return value
 
 
-def load_csv(path, target_column: str, task: str) -> Dataset:
-    """Load a comma-separated file with a header row into a Dataset.
+def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and data rows of a comma-separated file, each row as (file row, cells).
 
-    Every cell must be a finite number; a bad cell is rejected with its
-    row/column location (header is row 1, data starts at row 2).
+    The header is row 1. A row whose cells are all blank is skipped; any
+    other row must have one cell per header column. A file that cannot be
+    opened, is empty, has a ragged row or has no data rows raises DataError.
     """
-    if task not in _TASKS:
-        raise DataError(f"unknown task {task!r}")
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -198,24 +197,38 @@ def load_csv(path, target_column: str, task: str) -> Dataset:
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if target_column not in header:
-            raise DataError(f"{path}: target column {target_column!r} not found "
-                            f"(columns: {', '.join(header)})")
-        target_idx = header.index(target_column)
-        feature_names = [h for i, h in enumerate(header) if i != target_idx]
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record or (len(record) == 1 and record[0].strip() == ""):
+        records = []
+        for row, cells in enumerate(reader, start=2):
+            if not any(cell.strip() for cell in cells):
                 continue
-            if len(record) != len(header):
-                raise DataError(f"{path}: row {lineno} has {len(record)} cells, "
+            if len(cells) != len(header):
+                raise DataError(f"{path}: row {row} has {len(cells)} cells, "
                                 f"expected {len(header)}")
-            rows.append([parse_cell(path, lineno, col, cell)
-                         for col, cell in zip(header, record)])
+            records.append((row, cells))
+    if not records:
+        raise DataError(f"{path}: no data rows")
+    return header, records
+
+
+def load_csv(path, target_column: str, task: str) -> Dataset:
+    """Load a comma-separated file with a header row into a Dataset.
+
+    The file is read by `read_csv`. Every cell must be a finite number; a
+    bad cell is rejected with its file row and column name.
+    """
+    if task not in _TASKS:
+        raise DataError(f"unknown task {task!r}")
+    header, records = read_csv(path)
+    if target_column not in header:
+        raise DataError(f"{path}: target column {target_column!r} not found "
+                        f"(columns: {', '.join(header)})")
+    target_idx = header.index(target_column)
+    feature_names = [h for i, h in enumerate(header) if i != target_idx]
+    rows = [[parse_cell(path, row, col, cell) for col, cell in zip(header, cells)]
+            for row, cells in records]
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
     data = np.asarray(rows, dtype=float)
@@ -224,9 +237,29 @@ def load_csv(path, target_column: str, task: str) -> Dataset:
     if task == CLASSIFICATION:
         bad = np.nonzero(~np.isin(y, (0.0, 1.0)))[0]
         if bad.size:
-            raise DataError(f"{path}: row {bad[0] + 2}, column {target_column!r}: "
-                            f"response not in {{0,1}}: {y[bad[0]]!r}")
+            raise DataError(f"{path}: row {records[bad[0]][0]}, column {target_column!r}: "
+                            f"response not in {{0,1}}: {float(y[bad[0]])!r}")
     return Dataset(X, y, feature_names, task)
+
+
+def load_features(path, feature_names: list[str], target_column: str | None) -> np.ndarray:
+    """Feature columns of a file read by `read_csv`, in training order.
+
+    The header less `target_column`, which may be absent and is never
+    read, must list `feature_names` in order.
+    """
+    header, records = read_csv(path)
+    present = [h for h in header if h != target_column]
+    if present != feature_names:
+        for got, expected in zip(present, feature_names):
+            if got != expected:
+                raise DataError(f"{path}: column {got!r} where training data "
+                                f"had {expected!r}")
+        raise DataError(f"{path}: expected columns {feature_names}, got {present}")
+    columns = [header.index(name) for name in feature_names]
+    return np.array([[parse_cell(path, row, name, cells[j])
+                      for name, j in zip(feature_names, columns)]
+                     for row, cells in records], dtype=float)
 
 
 def standardize(dataset: Dataset, scale_response: bool = True) -> tuple[Dataset, ScalingInfo]:

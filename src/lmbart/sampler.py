@@ -27,6 +27,8 @@ from .data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
                    SplitDictionary, split_dictionary)
 
 VERSION = "lmbart 0.1.0"
+# keys that `read_metadata` requires of a run's metadata
+_META_KEYS = ("version", "task", "feature_names", "scaling", "acceptance")
 
 UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
@@ -660,8 +662,25 @@ def write_metadata(draws: PosteriorDraws, path, target_column: str = "y",
 
 
 def read_metadata(path) -> dict:
+    """Metadata of `write_metadata`.
+
+    Invalid JSON, a value that is not an object, a missing required key or
+    another `VERSION` raises ValueError naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    if meta["version"] != VERSION:
+        raise ValueError(f"{path}: written by {meta['version']!r}, "
+                         f"expected {VERSION!r}")
+    return meta
 
 
 def write_sigma2_trace(draws: PosteriorDraws, path) -> None:

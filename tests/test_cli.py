@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lmbart import leaves
 from lmbart.cli import main
 from lmbart.data import REGRESSION, ScalingInfo, load_csv, standardize
 from lmbart.sampler import (Hyperparams, predict, predict_stored, read_draws_jsonl,
@@ -130,6 +131,26 @@ class TestTrain:
         assert (f"error: {nan_csv}: row 4, column 'x2': non-finite value 'nan'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("leaf, patch, message", [
+        ("linear", "cholesky", "posterior precision factorization failed at leaf"),
+        ("constant", "bart_log_marginal", "move has a NaN log acceptance ratio"),
+    ])
+    def test_mid_chain_failure_writes_nothing(self, friedman_csv, tmp_path, capsys,
+                                              monkeypatch, leaf, patch, message):
+        def fail(*args, **kwargs):
+            if patch == "cholesky":
+                raise np.linalg.LinAlgError("not positive definite")
+            return float("nan")
+
+        monkeypatch.setattr(leaves, patch, fail)
+        code = run_cli("train", "--data", friedman_csv, "--target", "y",
+                       "--leaf", leaf, "--trees", 2, "--burnin", 5, "--iters", 5,
+                       "--out", tmp_path / "r")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not list(tmp_path.glob("r.*"))
+
     def test_unknown_flag_is_an_error(self, friedman_csv, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("train", "--data", friedman_csv, "--target", "y",
@@ -239,6 +260,91 @@ class TestPredict:
         assert "x2" in err and "x1" in err
 
 
+def read_csv_with(command, path, run, tmp_path):
+    """Exit code of `train` or `predict` (replaying `run`) on the CSV at `path`."""
+    if command == "train":
+        return run_cli("train", "--data", path, "--target", "y", "--trees", 2,
+                       "--burnin", 5, "--iters", 5, "--out", tmp_path / "r")
+    return run_cli("predict", "--run", run, "--data", path,
+                   "--out", tmp_path / "p.csv")
+
+
+def predictions(run, path, tmp_path):
+    out = tmp_path / f"{path.stem}.pred.csv"
+    assert run_cli("predict", "--run", run, "--data", path, "--out", out) == 0
+    return out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+class TestCsvRules:
+    """`train` and `predict` read a CSV file by the same rules."""
+
+    def test_empty_file(self, command, tmp_path, trained_run, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        assert read_csv_with(command, path, trained_run, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {path}: file is empty\n"
+
+    @pytest.mark.parametrize("cells", [5, 7])
+    def test_ragged_row(self, command, cells, tmp_path, friedman_csv, trained_run,
+                        capsys):
+        lines = friedman_csv.read_text().splitlines()
+        row = lines[1].split(",")
+        lines[1] = ",".join(row[:5] if cells == 5 else row + ["1.0"])
+        path = tmp_path / "ragged.csv"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert read_csv_with(command, path, trained_run, tmp_path) == 1
+        assert (capsys.readouterr().err
+                == f"error: {path}: row 2 has {cells} cells, expected 6\n")
+
+    def test_header_only(self, command, tmp_path, friedman_csv, trained_run, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text(friedman_csv.read_text().splitlines()[0] + "\n",
+                        encoding="utf-8")
+        assert read_csv_with(command, path, trained_run, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_row_of_blank_cells_is_skipped(self, command, tmp_path, friedman_csv,
+                                           trained_run):
+        lines = friedman_csv.read_text().splitlines()
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join(lines[:3] + [" , , , , , "] + lines[3:]),
+                        encoding="utf-8")
+        if command == "predict":
+            assert (predictions(trained_run, path, tmp_path)
+                    == predictions(trained_run, friedman_csv, tmp_path))
+            return
+        for name, data in (("full", friedman_csv), ("blank", path)):
+            assert run_cli("train", "--data", data, "--target", "y", "--trees", 2,
+                           "--burnin", 5, "--iters", 5, "--out", tmp_path / name) == 0
+        assert ((tmp_path / "full.draws.jsonl").read_bytes()
+                == (tmp_path / "blank.draws.jsonl").read_bytes())
+
+
+def test_bad_label_is_named_by_its_file_row(tmp_path, capsys):
+    path = tmp_path / "cls.csv"
+    path.write_text("a,y\n0.1,0\n0.2,1\n0.3,0\n\n\n0.4,2\n", encoding="utf-8")
+    code = run_cli("train", "--data", path, "--target", "y", "--task",
+                   "classification", "--out", tmp_path / "r")
+    assert code == 1
+    assert (capsys.readouterr().err
+            == f"error: {path}: row 7, column 'y': response not in {{0,1}}: 2.0\n")
+
+
+@pytest.mark.parametrize("target", ["empty", "missing"])
+def test_predict_ignores_the_target_column(target, tmp_path, friedman_csv, trained_run):
+    rows = [line.split(",") for line in friedman_csv.read_text().splitlines()]
+    if target == "empty":
+        rows = [rows[0]] + [row[:-1] + [""] for row in rows[1:]]
+    else:
+        rows = [row[:-1] for row in rows]
+    path = tmp_path / f"{target}.csv"
+    path.write_text("\n".join(",".join(row) for row in rows), encoding="utf-8")
+    assert (predictions(trained_run, path, tmp_path)
+            == predictions(trained_run, friedman_csv, tmp_path))
+
+
 class TestBenchmarkCommand:
     def make_grid(self, tmp_path, **extra):
         grid = {
@@ -287,6 +393,21 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown hyperparameter(s): proposal_correction")
 
+    @pytest.mark.parametrize("key", ["scenarios", "algorithms", "n", "name"])
+    def test_missing_key_is_named(self, tmp_path, capsys, key):
+        grid = self.make_grid(tmp_path)
+        cfg = json.loads(grid.read_text())
+        if key == "n":
+            del cfg["scenarios"][0]["n"]
+        elif key == "name":
+            del cfg["algorithms"][1]["name"]
+        else:
+            del cfg[key]
+        grid.write_text(json.dumps(cfg), encoding="utf-8")
+        code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {grid}: missing key {key!r}\n"
+
     def test_bundled_desk_grid_parses(self):
         from lmbart.benchmark import load_grid_config
         from pathlib import Path
@@ -296,6 +417,50 @@ class TestBenchmarkCommand:
         assert cfg["replicates"] == 5
         assert [a.name for a in cfg["algorithms"]] == ["linear-10", "constant-10"]
         assert cfg["scenarios"][0].n == 500
+
+
+@pytest.mark.parametrize("command", ["predict", "diagnostics"])
+class TestRunMetadata:
+    """A damaged or foreign `meta.json` fails with the file named."""
+
+    def run_on(self, command, run, friedman_csv, tmp_path):
+        if command == "predict":
+            return run_cli("predict", "--run", run, "--data", friedman_csv,
+                           "--out", tmp_path / "p.csv")
+        return run_cli("diagnostics", "--run", run)
+
+    def test_invalid_json(self, command, tmp_path, friedman_csv, trained_run, capsys):
+        path = trained_run.parent / "run.meta.json"
+        path.write_text(path.read_text()[:-10], encoding="utf-8")
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert f"error: {path}: not valid JSON" in capsys.readouterr().err
+
+    def test_not_an_object(self, command, tmp_path, friedman_csv, trained_run, capsys):
+        path = trained_run.parent / "run.meta.json"
+        path.write_text("5", encoding="utf-8")
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {path}: not a JSON object\n"
+
+    @pytest.mark.parametrize("key", ["version", "task", "feature_names", "scaling",
+                                     "acceptance"])
+    def test_missing_key(self, command, key, tmp_path, friedman_csv, trained_run,
+                         capsys):
+        path = trained_run.parent / "run.meta.json"
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert f"error: {path}: missing key(s) {key}\n" in capsys.readouterr().err
+
+    def test_foreign_version(self, command, tmp_path, friedman_csv, trained_run,
+                             capsys):
+        path = trained_run.parent / "run.meta.json"
+        meta = json.loads(path.read_text())
+        meta["version"] = "lmbart 9.9"
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert (f"error: {path}: written by 'lmbart 9.9', expected 'lmbart 0.1.0'"
+                in capsys.readouterr().err)
 
 
 class TestDiagnostics:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtr
 from scipy.stats import chi2, kstest, norm, truncnorm
@@ -614,6 +616,57 @@ class TestPredict:
         draws = run_regression(scaled, hp, info)
         res = predict(draws, data.features)
         assert np.abs(res.draws - draws.yhat_train).max() < 1e-8
+
+
+@st.composite
+def degenerate_problems(draw):
+    """A tiny data set with constant or duplicated columns, and a chain config.
+
+    n runs from 2 to 12 and may be at or below `n_min`; a duplicated column
+    makes linear leaf designs collinear; a probit set may hold one class.
+    """
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("random", "constant", "duplicate")))
+        if kind == "constant":
+            columns.append(np.full(n, rng.normal()))
+        elif kind == "duplicate" and columns:
+            columns.append(columns[-1].copy())
+        else:
+            columns.append(rng.normal(size=n))
+    X = np.column_stack(columns)
+    task = draw(st.sampled_from((REGRESSION, CLASSIFICATION)))
+    if task == CLASSIFICATION and draw(st.booleans()):
+        y = np.full(n, float(draw(st.integers(0, 1))))
+    elif task == CLASSIFICATION:
+        y = (rng.uniform(size=n) < 0.5).astype(float)
+    else:
+        y = rng.normal(size=n)
+    hp = Hyperparams(m=draw(st.integers(1, 3)), burn_in=5, post_burn_in=10,
+                     leaf_model=draw(st.sampled_from(("constant", "linear"))),
+                     covariate_rule=draw(st.sampled_from(("tree-splits", "ancestors"))),
+                     n_min=draw(st.integers(1, 13)), seed=draw(st.integers(0, 99)),
+                     store_trees=True)
+    return Dataset(X, y, [f"x{j}" for j in range(X.shape[1])], task), hp
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_problems())
+def test_degenerate_inputs_run_and_predict(problem):
+    data, hp = problem
+    scaled, info = standardize(data)
+    run = run_classification if data.task == CLASSIFICATION else run_regression
+    draws = run(scaled, hp, info)
+    result = predict(draws, data.features)
+    assert sum(sum(rec.values()) for rec in draws.acceptance.values()) == \
+        hp.m * (hp.burn_in + hp.post_burn_in)
+    assert np.all(np.isfinite(draws.sigma2)) and np.all(draws.sigma2 > 0)
+    for values in (draws.yhat_train, result.draws, result.mean):
+        assert np.all(np.isfinite(values))
+        if data.task == CLASSIFICATION:
+            assert np.all((values >= 0.0) & (values <= 1.0))
 
 
 class TestHyperparams:
