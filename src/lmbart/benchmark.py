@@ -301,9 +301,15 @@ def _require(entry: dict, key: str, path):
 
 
 def load_grid_config(path) -> dict:
-    """Parse a declarative benchmark grid file (JSON)."""
+    """Parse a declarative benchmark grid file (JSON).
+
+    Invalid JSON or a missing required key raises ValueError naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
     scenarios = [FriedmanSpec(n=int(_require(s, "n", path)), p=int(s.get("p", 5)),
                               noise_sd=float(s.get("noise_sd", 1.0)),
                               seed=int(s.get("seed", i)))

@@ -188,7 +188,8 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 
     The header is row 1. A row whose cells are all blank is skipped; any
     other row must have one cell per header column. A file that cannot be
-    opened, is empty, has a ragged row or has no data rows raises DataError.
+    opened, is empty, has a blank header, has a ragged row or has no data
+    rows raises DataError.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -200,6 +201,8 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
+        if not any(header):
+            raise DataError(f"{path}: row 1 (header) is blank")
         records = []
         for row, cells in enumerate(reader, start=2):
             if not any(cell.strip() for cell in cells):

@@ -16,6 +16,17 @@ directly, the routines behind `scipy.linalg`'s `cholesky`/`cho_solve`/
 `solve_triangular`, so results match those wrappers bit for bit. A model's
 `stats` takes the `kept` stats of leaves whose rows a move left unchanged and
 builds only the others, so a kept leaf's design and factor serve both trees.
+The prior terms that depend on V alone (`LeafPrior`: V^-1 and log|V|) are
+built once per q in one `stats` call and shared by every leaf of that q.
+
+Across tree steps, `LinearLeaves.carry` hands the kept tree's stats to the
+next step of the same tree. That step's `stats` reuses a carried leaf's
+`design` and `xtx`, which depend only on its rows and covariates, when the
+leaf's rows are the same array object (a tree's routing changes only when a
+move is accepted, and kept leaves keep their arrays) and its covariates are
+unchanged; it recomputes only the residual terms `xtr`, `r_sum` and
+`r_sq_sum`. The factor is always recomputed, since the taus move between
+steps. Constant leaves carry nothing.
 
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
@@ -61,15 +72,26 @@ class LeafFactorizationError(RuntimeError):
         )
 
 
+class LeafPrior:
+    """The terms of a N_q(0, sigma^2 V) coefficient prior that depend on V alone:
+    its diagonal `v_diag`, V^-1 as a matrix (`precision`) and log|V| (`log_det`)."""
+
+    def __init__(self, v_diag: np.ndarray):
+        self.v_diag = v_diag
+        self.precision = np.diag(1.0 / v_diag)
+        self.log_det = float(np.log(v_diag).sum())
+
+
 @dataclass
 class LeafStats:
     """Sufficient statistics of one terminal node against the residuals.
 
     For linear leaves `design` is the leaf design (intercept column of ones
-    plus the leaf's `covariates` in ascending feature order), `xtx`/`xtr` are
-    its Gram matrix and moment vector, and `v_diag` is the diagonal of the
-    leaf's coefficient prior covariance V. Set `v_diag` before the first use
-    of `posterior`, which is computed once and then kept.
+    plus the leaf's `covariates` in ascending feature order) on the training
+    `rows`, `xtx`/`xtr` are its Gram matrix and moment vector, and `v_diag`
+    is the diagonal of the leaf's coefficient prior covariance V. Set
+    `v_diag` before the first use of `posterior`, which is computed once and
+    then kept.
     """
 
     leaf_id: int
@@ -81,10 +103,16 @@ class LeafStats:
     covariates: list[int] | None = None
     v_diag: np.ndarray | None = None
     design: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     @property
     def q(self) -> int:
         return 0 if self.xtx is None else self.xtx.shape[0]
+
+    @cached_property
+    def prior(self) -> LeafPrior:
+        """The prior terms of `v_diag`; `LinearLeaves.stats` sets one shared per q."""
+        return LeafPrior(self.v_diag)
 
     @cached_property
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -114,16 +142,24 @@ def constant_leaf_stats(rows_by_leaf: dict[int, np.ndarray],
 
 
 def linear_leaf_stats(rows_by_leaf: dict[int, np.ndarray], features: np.ndarray,
-                      resid: np.ndarray,
-                      covariates_by_leaf: dict[int, list[int]]) -> list[LeafStats]:
+                      resid: np.ndarray, covariates_by_leaf: dict[int, list[int]],
+                      carried: dict[int, LeafStats] | None = None) -> list[LeafStats]:
+    """Stats of every leaf; a `carried` leaf on the same rows array and
+    covariates lends its design and X'X, which do not depend on the residuals."""
+    carried = carried or {}
     out = []
     for leaf in sorted(rows_by_leaf):
         rows = rows_by_leaf[leaf]
+        covs = covariates_by_leaf[leaf]
         r = resid[rows]
-        X = build_leaf_design(rows, features, covariates_by_leaf[leaf])
+        old = carried.get(leaf)
+        if old is not None and old.rows is rows and old.covariates == covs:
+            X, xtx = old.design, old.xtx
+        else:
+            X = build_leaf_design(rows, features, covs)
+            xtx = X.T @ X
         out.append(LeafStats(leaf, r.size, float(r.sum()), float(r @ r),
-                             xtx=X.T @ X, xtr=X.T @ r,
-                             covariates=covariates_by_leaf[leaf], design=X))
+                             xtx=xtx, xtr=X.T @ r, covariates=covs, design=X, rows=rows))
     return out
 
 
@@ -177,7 +213,7 @@ def cholesky(A: np.ndarray) -> np.ndarray:
 
 def _posterior_factor(st: LeafStats) -> np.ndarray:
     """Cholesky of X'X + V^-1, with one jitter retry before giving up."""
-    A = st.xtx + np.diag(1.0 / st.v_diag)
+    A = st.xtx + st.prior.precision
     try:
         return cholesky(A)
     except np.linalg.LinAlgError:
@@ -204,10 +240,9 @@ def linear_log_marginal(stats: list[LeafStats], sigma2: float) -> float:
         n_total += st.n
         L, mu = st.posterior
         # log|Lambda| = -log|A|, log|A| = 2 sum log diag(L)
-        log_det_A = 2.0 * float(np.sum(np.log(L.diagonal())))
-        log_det_V = float(np.sum(np.log(st.v_diag)))
+        log_det_A = 2.0 * float(np.log(L.diagonal()).sum())
         quad = float(st.xtr @ mu)     # mu' Lambda^-1 mu
-        total += -0.5 * log_det_V - 0.5 * log_det_A
+        total += -0.5 * st.prior.log_det - 0.5 * log_det_A
         total += -(st.r_sq_sum - quad) / (2.0 * sigma2)
     return total - 0.5 * n_total * math.log(sigma2)
 
@@ -299,9 +334,14 @@ class ConstantLeaves:
 
     sigma_mu2: float
 
-    def stats(self, tree, rows_by_leaf, features, resid, taus, kept=None) -> list[LeafStats]:
+    def stats(self, tree, rows_by_leaf, features, resid, taus, kept=None,
+              carried=None) -> list[LeafStats]:
         """Stats of every leaf; `kept` maps leaf id -> stats still valid for its rows."""
         return _reuse(rows_by_leaf, kept or {}, lambda rows: constant_leaf_stats(rows, resid))
+
+    def carry(self, stats) -> None:
+        """Nothing of a constant leaf's stats outlives its tree step."""
+        return None
 
     def log_marginal(self, stats, sigma2) -> float:
         return bart_log_marginal(stats, sigma2, self.sigma_mu2)
@@ -320,19 +360,33 @@ class LinearLeaves:
 
     covariate_rule: str
 
-    def stats(self, tree, rows_by_leaf, features, resid, taus, kept=None) -> list[LeafStats]:
-        """Stats of every leaf; a `kept` stat is reused only if its covariates still hold."""
+    def stats(self, tree, rows_by_leaf, features, resid, taus, kept=None,
+              carried=None) -> list[LeafStats]:
+        """Stats of every leaf; a `kept` stat is reused only if its covariates still hold.
+
+        `carried` is this tree's `carry` from its previous step; see the module
+        docstring for what a built leaf takes from it.
+        """
         covs = leaf_covariate_sets(tree, self.covariate_rule)
+        priors = {}                   # q -> LeafPrior shared by the leaves of that q
 
         def build(rows):
-            stats = linear_leaf_stats(rows, features, resid, covs)
+            stats = linear_leaf_stats(rows, features, resid, covs, carried)
             for st in stats:
-                st.v_diag = np.full(st.q, 1.0 / taus[1])
-                st.v_diag[0] = 1.0 / taus[0]
+                prior = priors.get(st.q)
+                if prior is None:
+                    v_diag = np.full(st.q, 1.0 / taus[1])
+                    v_diag[0] = 1.0 / taus[0]
+                    prior = priors[st.q] = LeafPrior(v_diag)
+                st.v_diag, st.prior = prior.v_diag, prior
             return stats
 
         kept = {leaf: st for leaf, st in (kept or {}).items() if st.covariates == covs[leaf]}
         return _reuse(rows_by_leaf, kept, build)
+
+    def carry(self, stats) -> dict[int, LeafStats]:
+        """The kept tree's stats by leaf id, for the next step of the same tree."""
+        return {st.leaf_id: st for st in stats}
 
     def log_marginal(self, stats, sigma2) -> float:
         return linear_log_marginal(stats, sigma2)

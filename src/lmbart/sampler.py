@@ -213,6 +213,7 @@ class TreeState:
     rows_by_leaf: dict             # leaf id -> training row indices
     fit: np.ndarray                # (n,) current contribution
     log_prior: float               # log_tree_prior(tree), updated on acceptance
+    carried: dict | None = None    # the leaf model's `carry` of the kept tree's stats
 
 
 @dataclass
@@ -269,12 +270,14 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     The candidate reuses the current tree's routing and the statistics of
     every leaf outside `proposal.affected_leaves`; the log ratio still sums
     every leaf of both trees, so it is the full-recompute value bit for bit.
+    The current tree's stats start from `ts.carried`, what the leaf model
+    kept of this tree's previous step (see `leaves.py`).
     """
     model = leaf_model(hp)
     taus = (state.tau_beta0, state.tau_beta)
     ts = state.trees[tree_index]
     resid = partial_residual(state, tree_index)
-    stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, taus)
+    stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, taus, carried=ts.carried)
 
     proposal = tr.propose_move(ts.tree, features, split_dict, state.split_probs,
                                rng, hp.n_min, rows_by_leaf=ts.rows_by_leaf)
@@ -307,6 +310,7 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     state.acceptance[proposal.kind][outcome] += 1
 
     ts.leaf_params = model.draw(stats, state.sigma2, rng)
+    ts.carried = model.carry(stats)
     new_fit = _tree_fit(ts.leaf_params, ts.rows_by_leaf,
                         {st.leaf_id: st.design for st in stats}, features.shape[0])
     state.total_fit += new_fit - ts.fit

@@ -297,6 +297,15 @@ class TestCsvRules:
         assert (capsys.readouterr().err
                 == f"error: {path}: row 2 has {cells} cells, expected 6\n")
 
+    @pytest.mark.parametrize("blank", ["", " , , , , , "])
+    def test_blank_header_row(self, command, blank, tmp_path, friedman_csv, trained_run,
+                              capsys):
+        lines = friedman_csv.read_text().splitlines()
+        path = tmp_path / "no-header.csv"
+        path.write_text("\n".join([blank] + lines), encoding="utf-8")
+        assert read_csv_with(command, path, trained_run, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {path}: row 1 (header) is blank\n"
+
     def test_header_only(self, command, tmp_path, friedman_csv, trained_run, capsys):
         path = tmp_path / "header.csv"
         path.write_text(friedman_csv.read_text().splitlines()[0] + "\n",
@@ -407,6 +416,14 @@ class TestBenchmarkCommand:
         code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
         assert code == 1
         assert capsys.readouterr().err == f"error: {grid}: missing key {key!r}\n"
+
+    def test_invalid_json_is_named(self, tmp_path, capsys):
+        grid = self.make_grid(tmp_path)
+        grid.write_text(grid.read_text()[:40], encoding="utf-8")
+        code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {grid}: not valid JSON (")
+        assert not (tmp_path / "bench").exists()
 
     def test_bundled_desk_grid_parses(self):
         from lmbart.benchmark import load_grid_config

@@ -402,3 +402,44 @@ class TestLeafModels:
         assert json.loads(json.dumps(t.to_dict(payload))) == t.to_dict(payload)
         assert model.parameter_count(t) == sum(
             len(p.get("beta", [None])) for p in payload.values())
+
+    def test_carried_stats_lend_their_design_only_on_the_same_rows_and_covariates(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 3))
+        t = self.grown_tree()
+        rows = t.leaf_rows(X)
+        # under tree-splits every leaf has covariates [0, 1]; under ancestors
+        # the leaf split off the root has [0] only
+        split_off = next(leaf for leaf in rows if t.nodes[leaf].depth == 1)
+        copied = min(leaf for leaf in rows if leaf != split_off)
+        carried = LinearLeaves(TREE_SPLITS).carry(
+            LinearLeaves(TREE_SPLITS).stats(t, rows, X, rng.normal(size=40), (1.0, 2.0)))
+        rows = {**rows, copied: rows[copied].copy()}
+        resid = rng.normal(size=40)
+        model = LinearLeaves(ANCESTORS)
+        got = model.stats(t, rows, X, resid, (3.0, 4.0), carried=carried)
+        fresh = model.stats(t, rows, X, resid, (3.0, 4.0))
+        for st, ref in zip(got, fresh):
+            lent = st.leaf_id not in (split_off, copied)
+            assert (st.design is carried[st.leaf_id].design) == lent
+            assert (st.xtx is carried[st.leaf_id].xtx) == lent
+            for name in ("design", "xtx", "xtr", "v_diag"):
+                assert np.array_equal(getattr(st, name), getattr(ref, name))
+            assert (st.r_sum, st.r_sq_sum, st.covariates) == (ref.r_sum, ref.r_sq_sum,
+                                                              ref.covariates)
+            assert linear_log_marginal([st], 0.7) == linear_log_marginal([ref], 0.7)
+
+    def test_leaves_of_one_q_share_their_prior_terms(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(40, 3))
+        t = self.grown_tree()
+        stats = LinearLeaves(ANCESTORS).stats(t, t.leaf_rows(X), X,
+                                              rng.normal(size=40), (2.0, 5.0))
+        by_q = {}
+        for st in stats:
+            by_q.setdefault(st.q, []).append(st.prior)
+            assert st.prior.v_diag is st.v_diag
+            assert np.array_equal(st.prior.precision, np.diag(1.0 / st.v_diag))
+            assert st.prior.log_det == float(np.sum(np.log(st.v_diag)))
+        assert sorted(len(p) for p in by_q.values()) == [1, 2]
+        assert all(p[0] is p[-1] for p in by_q.values())

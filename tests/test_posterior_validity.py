@@ -16,6 +16,9 @@ ratio: without that ratio the flat-likelihood chain grows too few leaves.
 
 The smoke versions run in the default suite; the slow ones take ten times
 the draws and run under `pytest --slow`.
+
+Slices: probit and regression with constant leaves, and regression with
+linear leaves under the tree-splits rule at a fixed coefficient precision.
 """
 
 import math
@@ -28,7 +31,7 @@ from scipy.stats import chi2_contingency
 from lmbart import sampler
 from lmbart.data import CLASSIFICATION, Dataset, split_dictionary
 from lmbart.sampler import Hyperparams, SamplerState, TreeState, mh_tree_step
-from lmbart.trees import Tree, log_tree_prior
+from lmbart.trees import Tree, log_tree_prior, split_covariates
 from oracles import draw_truncated_prior_tree, route_row
 
 LEAF_COUNT_CAP = 4        # leaf counts from 4 up share one chi-square cell
@@ -60,14 +63,21 @@ def z_score(independent: np.ndarray, chain: np.ndarray) -> float:
     return (chain.mean() - independent.mean()) / math.sqrt(se2)
 
 
+def leaf_value(payload: dict, x: np.ndarray) -> float:
+    """A stored leaf's value at one row: its mean, or [1, x_cov] @ beta."""
+    if "mu" in payload:
+        return payload["mu"]
+    return float(np.concatenate(([1.0], x[payload["covariates"]])) @ payload["beta"])
+
+
 def chain_state(tree, leaf_params, X, hp) -> SamplerState:
-    """A one-tree chain state holding `tree` with `leaf_params`."""
+    """A one-tree chain state holding `tree` with `leaf_params`, taus at `tau_b`."""
     rows = tree.leaf_rows(X)
     fit = np.zeros(X.shape[0])
     for leaf, r in rows.items():
-        fit[r] = leaf_params[leaf]["mu"]
+        fit[r] = [leaf_value(leaf_params[leaf], x) for x in X[r]]
     ts = TreeState(tree, leaf_params, rows, fit, log_tree_prior(tree, hp.alpha, hp.beta_depth))
-    return SamplerState(trees=[ts], sigma2=1.0, tau_beta0=1.0, tau_beta=1.0,
+    return SamplerState(trees=[ts], sigma2=1.0, tau_beta0=hp.tau_b, tau_beta=hp.tau_b,
                         split_probs=np.full(X.shape[1], 1.0 / X.shape[1]),
                         total_fit=fit.copy(), target=np.zeros(X.shape[0]))
 
@@ -94,15 +104,18 @@ def test_flat_likelihood_chain_samples_the_truncated_tree_prior():
 
 
 # ---------------------------------------------------------------------------
-# probit and regression slices: 10 rows, p=2, one tree, constant leaves,
-# uniform branching
+# probit and regression slices: 10 rows, p=2, one tree, uniform branching
 
 QUERY_X = np.array([[-0.5, 0.5], [0.8, -0.3]])
-SUMMARIES = ("mean_mu", "fit_a", "fit_b")
+SUMMARIES = ("mean_intercept", "fit_a", "fit_b")
 
-# the regression slice fixes lam and raises nu from its default 3 so that
+# the regression slices fix lam and raise nu from its default 3 so that
 # the square of a prior sigma^2 draw has a finite variance
 REGRESSION_PRIOR = dict(nu=20.0, lam=0.2)
+# linear leaves on the tree's split features, with the coefficient prior
+# N(0, sigma^2 / tau_b I) held fixed
+LINEAR_LEAVES = dict(leaf_model="linear", covariate_rule="tree-splits",
+                     vars_inter_slope=False, tau_b=1.0)
 
 
 def setting(**prior):
@@ -113,20 +126,34 @@ def setting(**prior):
     return X, sd, hp
 
 
-def summaries(tree, mus: dict) -> list[float]:
-    """Leaf count, mean leaf value, and the fit at the two query points."""
-    mean_mu = sum(mus[leaf] for leaf in tree.leaves()) / tree.n_leaves()
-    return [tree.n_leaves(), mean_mu] + [mus[route_row(tree, x)] for x in QUERY_X]
-
-
-def prior_draw(X, sd, hp, rng):
-    tree = draw_truncated_prior_tree(X, sd.values, hp.alpha, hp.beta_depth, hp.n_min, rng)
-    return tree, {leaf: rng.normal(0.0, math.sqrt(hp.sigma_mu2)) for leaf in tree.leaves()}
+def summaries(tree, leaf_params: dict) -> list[float]:
+    """Leaf count, mean leaf intercept, and the fit at the two query points."""
+    intercepts = [leaf_value(leaf_params[leaf], np.zeros(QUERY_X.shape[1]))
+                  for leaf in tree.leaves()]
+    return [tree.n_leaves(), sum(intercepts) / tree.n_leaves()] + [
+        leaf_value(leaf_params[route_row(tree, x)], x) for x in QUERY_X]
 
 
 def prior_sigma2(hp, rng) -> float:
     """The error-variance prior, sigma^2 ~ nu lam / chi2_nu."""
     return hp.nu * hp.lam / rng.chisquare(hp.nu)
+
+
+def prior_draw(X, sd, hp, rng, regression: bool):
+    """(tree, leaf payloads, sigma^2) from the prior; sigma^2 is None for probit.
+
+    Linear leaves draw beta ~ N(0, sigma^2 V) on the tree's split features,
+    so their sigma^2 comes before them.
+    """
+    tree = draw_truncated_prior_tree(X, sd.values, hp.alpha, hp.beta_depth, hp.n_min, rng)
+    if hp.leaf_model == "linear":
+        sigma2 = prior_sigma2(hp, rng)
+        covs = sorted(split_covariates(tree))
+        sd_beta = math.sqrt(sigma2 / hp.tau_b)
+        return tree, {leaf: {"beta": list(sd_beta * rng.standard_normal(len(covs) + 1)),
+                             "covariates": covs} for leaf in tree.leaves()}, sigma2
+    mus = {leaf: {"mu": rng.normal(0.0, math.sqrt(hp.sigma_mu2))} for leaf in tree.leaves()}
+    return tree, mus, prior_sigma2(hp, rng) if regression else None
 
 
 def marginal_conditional(draws: int, X, sd, hp, rng, regression: bool) -> np.ndarray:
@@ -136,8 +163,9 @@ def marginal_conditional(draws: int, X, sd, hp, rng, regression: bool) -> np.nda
     """
     rows = []
     for _ in range(draws):
-        row = summaries(*prior_draw(X, sd, hp, rng))
-        rows.append(row + [prior_sigma2(hp, rng)] if regression else row)
+        tree, leaf_params, sigma2 = prior_draw(X, sd, hp, rng, regression)
+        row = summaries(tree, leaf_params)
+        rows.append(row + [sigma2] if regression else row)
     return np.array(rows)
 
 
@@ -149,11 +177,11 @@ def successive_conditional(sweeps: int, X, sd, hp, rng, regression: bool) -> np.
     draws y ~ N(fit, sigma^2), then the tree step given y, then sigma^2 given
     y and the new fit. The chain starts from a prior draw.
     """
-    tree, mus = prior_draw(X, sd, hp, rng)
-    state = chain_state(tree, {leaf: {"mu": mu} for leaf, mu in mus.items()}, X, hp)
+    tree, leaf_params, sigma2 = prior_draw(X, sd, hp, rng, regression)
+    state = chain_state(tree, leaf_params, X, hp)
     n = X.shape[0]
     if regression:
-        state.sigma2 = prior_sigma2(hp, rng)
+        state.sigma2 = sigma2
     out = np.empty((sweeps, 2 + len(QUERY_X) + regression))
     for k in range(sweeps):
         if regression:
@@ -163,7 +191,7 @@ def successive_conditional(sweeps: int, X, sd, hp, rng, regression: bool) -> np.
             state.target = sampler.sample_latent_z(y, state.total_fit, rng)
         mh_tree_step(state, 0, X, sd, hp, rng)
         ts = state.trees[0]
-        row = summaries(ts.tree, {leaf: p["mu"] for leaf, p in ts.leaf_params.items()})
+        row = summaries(ts.tree, ts.leaf_params)
         if regression:
             resid = state.target - state.total_fit
             state.sigma2 = sampler.sample_sigma2(float(resid @ resid), n, hp.nu, hp.lam, rng)
@@ -172,12 +200,13 @@ def successive_conditional(sweeps: int, X, sd, hp, rng, regression: bool) -> np.
     return out
 
 
-def joint_gate(draws: int, sweeps: int, regression: bool) -> dict:
+def joint_gate(draws: int, sweeps: int, regression: bool, **leaves) -> dict:
     """The gate's statistics: the leaf-count chi-square p-value and a z per moment.
 
     The moments are every summary after the leaf count, then their squares.
+    `leaves` are leaf-model settings on top of the slice's prior.
     """
-    X, sd, hp = setting(**REGRESSION_PRIOR) if regression else setting()
+    X, sd, hp = setting(**REGRESSION_PRIOR, **leaves) if regression else setting(**leaves)
     rng = np.random.default_rng(0)
     mc = marginal_conditional(draws, X, sd, hp, rng, regression)
     sc = successive_conditional(sweeps, X, sd, hp, rng, regression)
@@ -203,5 +232,12 @@ def test_probit_chain_preserves_the_joint_distribution(draws, sweeps):
 @pytest.mark.parametrize("draws, sweeps", SIZES)
 def test_regression_chain_preserves_the_joint_distribution(draws, sweeps):
     stats = joint_gate(draws, sweeps, regression=True)
+    assert stats.pop("leaf_count_p") > P_MIN, stats
+    assert all(abs(z) < Z_MAX for z in stats.values()), stats
+
+
+@pytest.mark.parametrize("draws, sweeps", SIZES)
+def test_linear_regression_chain_preserves_the_joint_distribution(draws, sweeps):
+    stats = joint_gate(draws, sweeps, regression=True, **LINEAR_LEAVES)
     assert stats.pop("leaf_count_p") > P_MIN, stats
     assert all(abs(z) < Z_MAX for z in stats.values()), stats

@@ -415,7 +415,8 @@ STEP_CONFIGS = {
 
 
 def traced_chain(monkeypatch, hp):
-    """Run a small chain; record per tree step the trees, proposal and stats builds.
+    """Run a small chain; record per tree step the tree, its routing, the
+    proposal, its outcome and the stats builds.
 
     Also returns the number of calls of `log_tree_prior` and `build_leaf_design`.
     """
@@ -433,8 +434,12 @@ def traced_chain(monkeypatch, hp):
         monkeypatch.setattr(owner, name, wrapper)
 
     def recording_step(state, tree_index, *args):
-        steps.append({"tree": state.trees[tree_index].tree, "built": []})
-        return step(state, tree_index, *args)
+        ts = state.trees[tree_index]
+        steps.append({"index": tree_index, "tree": ts.tree, "rows": ts.rows_by_leaf,
+                      "built": []})
+        kind, outcome = step(state, tree_index, *args)
+        steps[-1]["outcome"] = outcome
+        return kind, outcome
 
     def count(name):
         def after(_):
@@ -507,9 +512,69 @@ class TestIncrementalTreeStep:
         assert calls["log_tree_prior"] == 1 + sum(rec["proposal"].valid for rec in steps)
 
     def test_linear_fit_reuses_the_stats_design(self, monkeypatch):
-        steps, calls = traced_chain(monkeypatch, hp_small(leaf_model="linear"))
-        # one design per leaf stat and none for the redrawn fit
-        assert calls["build_leaf_design"] == sum(sum(rec["built"]) for rec in steps) > 0
+        from lmbart.leaves import leaf_covariate_sets
+
+        hp = hp_small(leaf_model="linear")
+        steps, calls = traced_chain(monkeypatch, hp)
+
+        def side(tree, rows_by_leaf):
+            return rows_by_leaf, leaf_covariate_sets(tree, hp.covariate_rule)
+
+        def differing(now, before):
+            """Leaves of `now` whose rows array or covariates differ from `before`'s."""
+            (rows, covs), (rows_before, covs_before) = now, before
+            return sum(leaf not in rows_before or rows[leaf] is not rows_before[leaf]
+                       or covs[leaf] != covs_before[leaf] for leaf in rows)
+
+        # a design for every leaf whose rows or covariates differ from what this
+        # tree's previous step kept, and none for the redrawn fit
+        kept, expected = {}, 0
+        for rec in steps:
+            current, prop = side(rec["tree"], rec["rows"]), rec["proposal"]
+            expected += differing(current, kept.get(rec["index"], ({}, {})))
+            if prop.valid:
+                candidate = side(prop.tree, prop.rows_by_leaf)
+                expected += differing(candidate, current)
+            kept[rec["index"]] = candidate if rec["outcome"] == "accepted" else current
+        assert calls["build_leaf_design"] == expected > 0
+        assert expected < sum(sum(rec["built"]) for rec in steps) / 2
+
+    @pytest.mark.parametrize("config", ["linear-tree-splits", "linear-ancestors",
+                                        "linear-fixed-precision"])
+    def test_carried_leaf_algebra_equals_a_fresh_build(self, monkeypatch, config):
+        from lmbart import leaves, sampler, trees
+
+        data = friedman_generate(FriedmanSpec(n=80, p=5, seed=8))
+        scaled, info = standardize(data)
+        X = scaled.features
+        hp = hp_small(post_burn_in=100, **REPLAY_CONFIGS[config])
+        accepted, carried_over, previous = set(), 0, {}
+        step = sampler.mh_tree_step
+
+        def checking_step(state, tree_index, *args):
+            nonlocal carried_over
+            kind, outcome = step(state, tree_index, *args)
+            if outcome == "accepted":
+                accepted.add(kind)
+            ts = state.trees[tree_index]
+            covs = leaves.leaf_covariate_sets(ts.tree, hp.covariate_rule)
+            assert sorted(ts.carried) == sorted(ts.rows_by_leaf)
+            for leaf, rows in ts.rows_by_leaf.items():
+                st = ts.carried[leaf]
+                fresh = leaves.build_leaf_design(rows, X, covs[leaf])
+                assert st.rows is rows and st.covariates == covs[leaf]
+                assert np.array_equal(st.design, fresh)
+                assert np.array_equal(st.xtx, fresh.T @ fresh)
+            designs = [st.design for st in ts.carried.values()]
+            carried_over += sum(any(d is p for p in previous.get(tree_index, ()))
+                                for d in designs)
+            previous[tree_index] = designs
+            return kind, outcome
+
+        monkeypatch.setattr(sampler, "mh_tree_step", checking_step)
+        run_regression(scaled, hp, info)
+        assert accepted == set(trees.MOVE_KINDS)
+        assert carried_over > 0
 
 
 @pytest.fixture(scope="module")
