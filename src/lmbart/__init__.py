@@ -1,8 +1,8 @@
 """Bayesian additive regression trees with constant or linear leaf models."""
 
 from .benchmark import (BenchmarkResult, EngineConfig, FriedmanSpec,
-                        friedman_generate, ingest_external_predictions,
-                        parameter_accounting, rmse, run_benchmark)
+                        friedman_generate, parameter_accounting, rmse,
+                        run_benchmark)
 from .data import (Dataset, DataError, ScalingInfo, SplitDictionary, load_csv,
                    split_dictionary, standardize, train_test_split)
 from .leaves import (bart_log_marginal, bart_sample_mu, build_leaf_design,
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkResult", "EngineConfig", "FriedmanSpec", "friedman_generate",
-    "ingest_external_predictions", "parameter_accounting", "rmse",
+    "parameter_accounting", "rmse",
     "run_benchmark", "Dataset", "DataError", "ScalingInfo", "SplitDictionary",
     "load_csv", "split_dictionary", "standardize", "train_test_split",
     "bart_log_marginal", "bart_sample_mu", "build_leaf_design",

@@ -15,7 +15,6 @@ import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -219,31 +218,6 @@ def run_benchmark(scenarios: list[FriedmanSpec], algorithms: list[EngineConfig],
         cell.params_per_tree.append(accounting.mean_params_per_tree)
         cell.terminal_per_tree.append(accounting.mean_terminal_per_tree)
     return result
-
-
-def ingest_external_predictions(path, test_set: Dataset) -> tuple[str, float]:
-    """Score a prediction file produced elsewhere against the test response.
-
-    The file holds one numeric prediction per test row, in row order; a
-    single header line is tolerated. Returns (label from the file stem, RMSE).
-    """
-    path = Path(path)
-    values = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip().split(",")[0]
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                if not values:   # header line
-                    continue
-                raise ValueError(f"{path}: non-numeric prediction {text!r}") from None
-    preds = np.asarray(values)
-    if preds.size != test_set.n:
-        raise ValueError(f"{path}: {preds.size} predictions for {test_set.n} test rows")
-    return path.stem, rmse(preds, test_set.response)
 
 
 def write_rmse_table(result: BenchmarkResult, path) -> None:

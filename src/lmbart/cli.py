@@ -109,6 +109,20 @@ def _run_paths(prefix: str) -> dict[str, Path]:
     }
 
 
+def _read_run(prefix: str) -> tuple[dict[str, Path], dict, list[dict]]:
+    """Paths, metadata and draw records of a run; a draws file with no records,
+    or another count than the metadata's `retained`, raises ValueError."""
+    paths = _run_paths(prefix)
+    meta = sp.read_metadata(paths["meta"])
+    records = sp.read_draws_jsonl(paths["draws"])
+    if len(records) != meta["retained"]:
+        raise ValueError(f"{paths['draws']}: {len(records)} draws, but {paths['meta']} "
+                         f"records {meta['retained']}; the file may be truncated")
+    if not records:
+        raise ValueError(f"{paths['draws']}: no retained draws")
+    return paths, meta, records
+
+
 def cmd_train(args) -> int:
     data = load_csv(args.data, args.target, args.task)
     inputs = ("command", "data", "target", "task", "out")
@@ -130,10 +144,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    paths = _run_paths(args.run)
-    meta = sp.read_metadata(paths["meta"])
-    records = sp.read_draws_jsonl(paths["draws"])
-    if not records or "trees" not in records[0]:
+    paths, meta, records = _read_run(args.run)
+    if "trees" not in records[0]:
         print(f"{paths['draws']}: no stored trees; rerun train with --store-trees",
               file=sys.stderr)
         return 1
@@ -177,12 +189,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    paths = _run_paths(args.run)
-    meta = sp.read_metadata(paths["meta"])
-    records = sp.read_draws_jsonl(paths["draws"])
-    if not records:
-        print(f"{paths['draws']}: no retained draws", file=sys.stderr)
-        return 1
+    paths, meta, records = _read_run(args.run)
     sigma2 = np.array([r["sigma2"] for r in records])
     terminal = np.array([r["terminal_counts"] for r in records], dtype=float)
     params = np.array([r["param_counts"] for r in records], dtype=float)

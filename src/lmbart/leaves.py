@@ -16,17 +16,20 @@ directly, the routines behind `scipy.linalg`'s `cholesky`/`cho_solve`/
 `solve_triangular`, so results match those wrappers bit for bit. A model's
 `stats` takes the `kept` stats of leaves whose rows a move left unchanged and
 builds only the others, so a kept leaf's design and factor serve both trees.
-The prior terms that depend on V alone (`LeafPrior`: V^-1 and log|V|) are
-built once per q in one `stats` call and shared by every leaf of that q.
+
+The sampler builds one `LinearLeaves` per sweep, holding that sweep's taus
+(tau0, tau1); it builds the prior terms that depend on V alone (`LeafPrior`:
+V^-1 and log|V|) once per q, shared by every leaf of that q in the sweep.
 
 Across tree steps, `LinearLeaves.carry` hands the kept tree's stats to the
-next step of the same tree. That step's `stats` reuses a carried leaf's
+next step of the same tree, whose tree is unchanged since. That step's
+`stats` takes every leaf's covariates from them, and reuses a carried leaf's
 `design` and `xtx`, which depend only on its rows and covariates, when the
 leaf's rows are the same array object (a tree's routing changes only when a
 move is accepted, and kept leaves keep their arrays) and its covariates are
 unchanged; it recomputes only the residual terms `xtr`, `r_sum` and
 `r_sq_sum`. The factor is always recomputed, since the taus move between
-steps. Constant leaves carry nothing.
+sweeps. Constant leaves carry nothing.
 
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
@@ -43,7 +46,7 @@ comparing against brute-force integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -111,7 +114,7 @@ class LeafStats:
 
     @cached_property
     def prior(self) -> LeafPrior:
-        """The prior terms of `v_diag`; `LinearLeaves.stats` sets one shared per q."""
+        """The prior terms of `v_diag`; `LinearLeaves.stats` sets the model's one per q."""
         return LeafPrior(self.v_diag)
 
     @cached_property
@@ -323,18 +326,13 @@ def _reuse(rows_by_leaf: dict, kept: dict, build) -> list[LeafStats]:
     return [kept[leaf] if leaf in kept else next(fresh) for leaf in sorted(rows_by_leaf)]
 
 
-def leaf_coefficients(payload: dict) -> list[float]:
-    """Coefficients of a stored linear leaf, intercept first."""
-    return payload["beta"]
-
-
 @dataclass(frozen=True)
 class ConstantLeaves:
     """One mean per leaf with a N(0, sigma_mu^2) prior."""
 
     sigma_mu2: float
 
-    def stats(self, tree, rows_by_leaf, features, resid, taus, kept=None,
+    def stats(self, tree, rows_by_leaf, features, resid, kept=None,
               carried=None) -> list[LeafStats]:
         """Stats of every leaf; `kept` maps leaf id -> stats still valid for its rows."""
         return _reuse(rows_by_leaf, kept or {}, lambda rows: constant_leaf_stats(rows, resid))
@@ -350,35 +348,39 @@ class ConstantLeaves:
         mus = bart_sample_mu(stats, sigma2, self.sigma_mu2, rng)
         return {leaf: {"mu": mu} for leaf, mu in mus.items()}
 
-    def parameter_count(self, tree) -> int:
-        return leaf_parameter_count(tree, CONSTANT)
-
 
 @dataclass(frozen=True)
 class LinearLeaves:
     """Linear leaves: V holds 1/tau0 for the intercept, 1/tau1 per slope; taus = (tau0, tau1)."""
 
     covariate_rule: str
+    taus: tuple[float, float]
+    _priors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def stats(self, tree, rows_by_leaf, features, resid, taus, kept=None,
+    def prior(self, q: int) -> LeafPrior:
+        """The `LeafPrior` of q coefficients under the taus, built once per q."""
+        prior = self._priors.get(q)
+        if prior is None:
+            v_diag = np.full(q, 1.0 / self.taus[1])
+            v_diag[0] = 1.0 / self.taus[0]
+            prior = self._priors[q] = LeafPrior(v_diag)
+        return prior
+
+    def stats(self, tree, rows_by_leaf, features, resid, kept=None,
               carried=None) -> list[LeafStats]:
         """Stats of every leaf; a `kept` stat is reused only if its covariates still hold.
 
         `carried` is this tree's `carry` from its previous step; see the module
         docstring for what a built leaf takes from it.
         """
-        covs = leaf_covariate_sets(tree, self.covariate_rule)
-        priors = {}                   # q -> LeafPrior shared by the leaves of that q
+        covs = ({leaf: st.covariates for leaf, st in carried.items()} if carried
+                else leaf_covariate_sets(tree, self.covariate_rule))
 
         def build(rows):
             stats = linear_leaf_stats(rows, features, resid, covs, carried)
             for st in stats:
-                prior = priors.get(st.q)
-                if prior is None:
-                    v_diag = np.full(st.q, 1.0 / taus[1])
-                    v_diag[0] = 1.0 / taus[0]
-                    prior = priors[st.q] = LeafPrior(v_diag)
-                st.v_diag, st.prior = prior.v_diag, prior
+                st.prior = self.prior(st.q)
+                st.v_diag = st.prior.v_diag
             return stats
 
         kept = {leaf: st for leaf, st in (kept or {}).items() if st.covariates == covs[leaf]}
@@ -395,6 +397,3 @@ class LinearLeaves:
         betas = linear_sample_beta(stats, sigma2, rng)
         return {st.leaf_id: {"beta": betas[st.leaf_id].tolist(),
                              "covariates": st.covariates} for st in stats}
-
-    def parameter_count(self, tree) -> int:
-        return leaf_parameter_count(tree, LINEAR, self.covariate_rule)

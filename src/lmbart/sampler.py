@@ -4,7 +4,8 @@ One chain is strictly sequential: each tree is updated against the partial
 residuals implied by every other tree's current fit, through a
 Metropolis-Hastings step on the tree structure followed by a Gibbs redraw
 of all its leaf parameters. Global draws (error variance, coefficient
-precisions, split probabilities) close each sweep.
+precisions, split probabilities) close each sweep. `sweep` is the only
+implementation of a sweep; `_run_chain` and the joint-distribution test loop over it.
 
 Binary responses are handled by probit data augmentation: a latent Gaussian
 variable per observation, truncated to match the label's sign, replaces the
@@ -28,7 +29,7 @@ from .data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
 
 VERSION = "lmbart 0.1.0"
 # keys that `read_metadata` requires of a run's metadata
-_META_KEYS = ("version", "task", "feature_names", "scaling", "acceptance")
+_META_KEYS = ("version", "task", "feature_names", "scaling", "acceptance", "retained")
 
 UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
@@ -227,7 +228,8 @@ class SamplerState:
     split_probs: np.ndarray
     total_fit: np.ndarray
     target: np.ndarray             # y (internal scale) or latent z
-    iteration: int = 0
+    probit: bool = False           # target is latent z given labels; sigma2 pinned at 1
+    iteration: int = 0             # sweeps completed
     acceptance: dict = field(default_factory=lambda: {
         kind: {"accepted": 0, "rejected": 0, "invalid": 0} for kind in tr.MOVE_KINDS
     })
@@ -239,11 +241,12 @@ def partial_residual(state: SamplerState, tree_index: int) -> np.ndarray:
     return state.target - state.total_fit + ts.fit
 
 
-def leaf_model(hp: Hyperparams) -> lv.ConstantLeaves | lv.LinearLeaves:
-    """The leaf model a configuration selects; the only place that picks one."""
+def leaf_model(hp: Hyperparams, taus: tuple[float, float]):
+    """The leaf model a configuration selects (the only place that picks one),
+    holding the precisions `taus` = (tau0, tau1); constant leaves ignore them."""
     if hp.leaf_model == lv.CONSTANT:
         return lv.ConstantLeaves(hp.sigma_mu2)
-    return lv.LinearLeaves(hp.covariate_rule)
+    return lv.LinearLeaves(hp.covariate_rule, taus)
 
 
 def _tree_fit(leaf_params: dict, rows_by_leaf: dict, designs: dict, n: int) -> np.ndarray:
@@ -256,7 +259,7 @@ def _tree_fit(leaf_params: dict, rows_by_leaf: dict, designs: dict, n: int) -> n
 
 def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
                  split_dict: SplitDictionary, hp: Hyperparams,
-                 rng: np.random.Generator) -> tuple[str, str]:
+                 model, rng: np.random.Generator) -> tuple[str, str]:
     """One tree update: structural MH step, then leaf-parameter redraw.
 
     Returns (move kind, outcome) with outcome one of accepted / rejected /
@@ -270,14 +273,12 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     The candidate reuses the current tree's routing and the statistics of
     every leaf outside `proposal.affected_leaves`; the log ratio still sums
     every leaf of both trees, so it is the full-recompute value bit for bit.
-    The current tree's stats start from `ts.carried`, what the leaf model
-    kept of this tree's previous step (see `leaves.py`).
+    The current tree's stats start from `ts.carried`, what the sweep's
+    `leaf_model` kept of this tree's previous step (see `leaves.py`).
     """
-    model = leaf_model(hp)
-    taus = (state.tau_beta0, state.tau_beta)
     ts = state.trees[tree_index]
     resid = partial_residual(state, tree_index)
-    stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, taus, carried=ts.carried)
+    stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, carried=ts.carried)
 
     proposal = tr.propose_move(ts.tree, features, split_dict, state.split_probs,
                                rng, hp.n_min, rows_by_leaf=ts.rows_by_leaf)
@@ -287,7 +288,7 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
         kept = {st.leaf_id: st for st in stats if st.leaf_id in proposal.rows_by_leaf
                 and st.leaf_id not in proposal.affected_leaves}
         cand_stats = model.stats(proposal.tree, proposal.rows_by_leaf, features,
-                                 resid, taus, kept)
+                                 resid, kept)
         cand_prior = tr.log_tree_prior(proposal.tree, hp.alpha, hp.beta_depth)
         log_alpha = (
             model.log_marginal(cand_stats, state.sigma2)
@@ -316,6 +317,30 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     state.total_fit += new_fit - ts.fit
     ts.fit = new_fit
     return proposal.kind, outcome
+
+
+def sweep(state: SamplerState, X: np.ndarray, y: np.ndarray,
+          split_dict: SplitDictionary, hp: Hyperparams, lam: float | None,
+          rng: np.random.Generator) -> None:
+    """One sweep of the chain, in place: the probit latent z given labels `y`,
+    the m tree steps under one `leaf_model` holding the sweep's taus, then
+    sigma^2 given `y` (regression; `lam` is its prior scale), the taus and the
+    split probabilities, each when the configuration draws it."""
+    state.iteration += 1
+    state.target = sample_latent_z(y, state.total_fit, rng) if state.probit else y
+    model = leaf_model(hp, (state.tau_beta0, state.tau_beta))
+    for t in range(hp.m):
+        mh_tree_step(state, t, X, split_dict, hp, model, rng)
+    if not state.probit:
+        resid = y - state.total_fit
+        state.sigma2 = sample_sigma2(float(resid @ resid), y.size, hp.nu, lam, rng)
+    if hp.vars_inter_slope:
+        intercepts, slopes = _gather_coefficients(state)
+        state.tau_beta0 = sample_tau_intercept(intercepts, state.sigma2, hp.a0, hp.b0, rng)
+        state.tau_beta = sample_tau_slopes(slopes, state.sigma2, hp.a1, hp.b1, rng)
+    if hp.branching == DIRICHLET:
+        counts = _split_usage_counts(state, X.shape[1])
+        state.split_probs = dirichlet_update_splitprobs(counts, hp.dirichlet_mass, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +444,7 @@ def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
         split_probs=np.full(p, 1.0 / p),
         total_fit=np.zeros(n),
         target=target,
+        probit=train.task == CLASSIFICATION,
     )
 
 
@@ -428,10 +454,9 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
     if scaling is None:
         scaling = ScalingInfo.identity(train.p)
     X = train.features
-    n, p = train.n, train.p
+    n = train.n
     rng = np.random.default_rng(hp.seed)
     split_dict = split_dictionary(train)
-    model = leaf_model(hp)
 
     y = train.response
     if classification:
@@ -459,24 +484,7 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
 
     keep = 0
     for k in range(1, total_iters + 1):
-        state.iteration = k
-        if classification:
-            state.target = sample_latent_z(y, state.total_fit, rng)
-        for t in range(hp.m):
-            mh_tree_step(state, t, X, split_dict, hp, rng)
-        if not classification:
-            resid = y - state.total_fit
-            state.sigma2 = sample_sigma2(float(resid @ resid), n, hp.nu, lam, rng)
-        if hp.vars_inter_slope:
-            intercepts, slopes = _gather_coefficients(state)
-            state.tau_beta0 = sample_tau_intercept(intercepts, state.sigma2,
-                                                   hp.a0, hp.b0, rng)
-            state.tau_beta = sample_tau_slopes(slopes, state.sigma2,
-                                               hp.a1, hp.b1, rng)
-        if hp.branching == DIRICHLET:
-            counts = _split_usage_counts(state, p)
-            state.split_probs = dirichlet_update_splitprobs(counts,
-                                                            hp.dirichlet_mass, rng)
+        sweep(state, X, y, split_dict, hp, lam, rng)
         sigma2_chain[k - 1] = state.sigma2 * scale2
 
         if k > hp.burn_in and (k - hp.burn_in) % hp.thin == 0 and keep < n_retained:
@@ -489,7 +497,8 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
                                 else scaling.invert_response(state.total_fit))
             for t, ts in enumerate(state.trees):
                 terminal_counts[keep, t] = ts.tree.n_leaves()
-                param_counts[keep, t] = model.parameter_count(ts.tree)
+                param_counts[keep, t] = lv.leaf_parameter_count(ts.tree, hp.leaf_model,
+                                                                hp.covariate_rule)
             if trees_out is not None:
                 trees_out.append([_serialize_tree(ts) for ts in state.trees])
             keep += 1
@@ -519,7 +528,7 @@ def _gather_coefficients(state: SamplerState) -> tuple[np.ndarray, np.ndarray]:
     intercepts, slopes = [], []
     for ts in state.trees:
         for leaf in ts.tree.leaves():
-            beta = lv.leaf_coefficients(ts.leaf_params[leaf])
+            beta = ts.leaf_params[leaf]["beta"]
             intercepts.append(beta[0])
             slopes.extend(beta[1:])
     return np.asarray(intercepts), np.asarray(slopes)

@@ -134,33 +134,46 @@ def explicit_partial_residual(state, tree_index):
     return state.target - total
 
 
-def draw_truncated_prior_tree(X, split_values, alpha, beta_depth, n_min, rng):
-    """One tree from the tree prior truncated to `n_min` rows per leaf, by rejection.
+def draw_prior_tree(X, split_values, alpha, beta_depth, n_min, rng, split_probs=None):
+    """One draw from the tree prior, or None if a node holds fewer than `n_min` rows.
 
     A node at depth d splits with probability alpha * (1+d)^-beta; its rule
-    takes a feature uniformly and a threshold uniformly from that feature's
-    `split_values`. A tree with a node holding fewer than `n_min` of the rows
-    of `X` is thrown away whole and drawn again, so the draw is exact.
+    takes a feature with probabilities `split_probs` (uniformly when None)
+    and a threshold uniformly from that feature's `split_values`. The draw
+    stops at the first node with fewer than `n_min` of the rows of `X`.
     """
     from lmbart.trees import Tree
 
-    while True:
-        tree = Tree()
-        stack = [(tree.root, list(range(X.shape[0])))]
-        while stack:
-            node_id, rows = stack.pop()
-            if rng.random() >= alpha * (1.0 + tree.nodes[node_id].depth) ** (-beta_depth):
-                continue
+    tree = Tree()
+    stack = [(tree.root, list(range(X.shape[0])))]
+    while stack:
+        node_id, rows = stack.pop()
+        if rng.random() >= alpha * (1.0 + tree.nodes[node_id].depth) ** (-beta_depth):
+            continue
+        if split_probs is None:
             feature = int(rng.integers(len(split_values)))
-            values = split_values[feature]
-            threshold = float(values[rng.integers(values.size)])
-            right = [i for i in rows if X[i, feature] < threshold]
-            left = [i for i in rows if not X[i, feature] < threshold]
-            if min(len(left), len(right)) < n_min:
-                break
-            left_id, right_id = tree.grow(node_id, feature, threshold)
-            stack += [(left_id, left), (right_id, right)]
         else:
+            feature = int(rng.choice(len(split_values), p=split_probs))
+        values = split_values[feature]
+        threshold = float(values[rng.integers(values.size)])
+        right = [i for i in rows if X[i, feature] < threshold]
+        left = [i for i in rows if not X[i, feature] < threshold]
+        if min(len(left), len(right)) < n_min:
+            return None
+        left_id, right_id = tree.grow(node_id, feature, threshold)
+        stack += [(left_id, left), (right_id, right)]
+    return tree
+
+
+def draw_truncated_prior_tree(X, split_values, alpha, beta_depth, n_min, rng):
+    """One tree from the tree prior truncated to `n_min` rows per leaf, by rejection.
+
+    Features are drawn uniformly. A `draw_prior_tree` that fails is thrown
+    away whole and drawn again, so the draw is exact.
+    """
+    while True:
+        tree = draw_prior_tree(X, split_values, alpha, beta_depth, n_min, rng)
+        if tree is not None:
             return tree
 
 

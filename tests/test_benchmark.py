@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lmbart.benchmark import (EngineConfig, FriedmanSpec, friedman_generate,
-                              friedman_signal, ingest_external_predictions,
-                              load_grid_config, parameter_accounting,
+                              friedman_signal, load_grid_config, parameter_accounting,
                               recount_parameters, rmse, run_benchmark,
                               write_param_table, write_rmse_table)
 from lmbart.data import standardize
@@ -40,6 +39,18 @@ class TestFriedmanGenerate:
         d = friedman_generate(FriedmanSpec(n=50_000, p=5, noise_sd=1.0, seed=5))
         achieved = rmse(friedman_signal(d.features), d.response)
         assert_allclose(achieved, 1.0, atol=0.02)
+
+    def test_constant_predictor_hits_signal_sd(self):
+        # predicting the train mean of the noiseless signal scores close to
+        # the population sd of the signal, estimated by brute-force MC
+        rng = np.random.default_rng(12)
+        mc = friedman_signal(rng.uniform(size=(1_000_000, 5)))
+        pop_mean, pop_sd = mc.mean(), mc.std()
+        d = friedman_generate(FriedmanSpec(n=20_000, p=5, noise_sd=0.0, seed=6))
+        train_mean = d.response.mean()
+        value = rmse(np.full(d.n, train_mean), d.response)
+        assert_allclose(train_mean, pop_mean, atol=0.1)
+        assert_allclose(value, pop_sd, rtol=0.02)
 
 
 class TestRmse:
@@ -159,47 +170,6 @@ class TestRunBenchmark:
                                master_seed=1)
         assert result.cells[("n=30,p=5", "bad")].failures
         assert result.cells[("n=30,p=5", "good")].rmses
-
-
-class TestIngestExternalPredictions:
-    def test_perfect_predictions(self, tmp_path):
-        d = friedman_generate(FriedmanSpec(n=20, p=5, seed=3))
-        path = tmp_path / "oracle_model.csv"
-        path.write_text("\n".join(repr(float(v)) for v in d.response),
-                        encoding="utf-8")
-        label, value = ingest_external_predictions(path, d)
-        assert label == "oracle_model"
-        assert value == 0.0
-
-    def test_row_count_mismatch(self, tmp_path):
-        d = friedman_generate(FriedmanSpec(n=20, p=5, seed=3))
-        path = tmp_path / "short.csv"
-        path.write_text("\n".join("1.0" for _ in range(19)), encoding="utf-8")
-        with pytest.raises(ValueError, match="19 predictions for 20"):
-            ingest_external_predictions(path, d)
-
-    def test_header_tolerated(self, tmp_path):
-        d = friedman_generate(FriedmanSpec(n=10, p=5, seed=3))
-        path = tmp_path / "preds.csv"
-        path.write_text("prediction\n" + "\n".join("2.0" for _ in range(10)),
-                        encoding="utf-8")
-        label, value = ingest_external_predictions(path, d)
-        assert np.isfinite(value)
-
-    def test_constant_predictor_hits_signal_sd(self, tmp_path):
-        # predicting the train mean of the noiseless signal scores close to
-        # the population sd of the signal, estimated by brute-force MC
-        rng = np.random.default_rng(12)
-        mc = friedman_signal(rng.uniform(size=(1_000_000, 5)))
-        pop_mean, pop_sd = mc.mean(), mc.std()
-        d = friedman_generate(FriedmanSpec(n=20_000, p=5, noise_sd=0.0, seed=6))
-        path = tmp_path / "mean.csv"
-        train_mean = d.response.mean()
-        path.write_text("\n".join(repr(float(train_mean))
-                                  for _ in range(d.n)), encoding="utf-8")
-        _, value = ingest_external_predictions(path, d)
-        assert_allclose(train_mean, pop_mean, atol=0.1)
-        assert_allclose(value, pop_sd, rtol=0.02)
 
 
 class TestGridConfig:

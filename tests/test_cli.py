@@ -459,7 +459,7 @@ class TestRunMetadata:
         assert capsys.readouterr().err == f"error: {path}: not a JSON object\n"
 
     @pytest.mark.parametrize("key", ["version", "task", "feature_names", "scaling",
-                                     "acceptance"])
+                                     "acceptance", "retained"])
     def test_missing_key(self, command, key, tmp_path, friedman_csv, trained_run,
                          capsys):
         path = trained_run.parent / "run.meta.json"
@@ -478,6 +478,17 @@ class TestRunMetadata:
         assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
         assert (f"error: {path}: written by 'lmbart 9.9', expected 'lmbart 0.1.0'"
                 in capsys.readouterr().err)
+
+    def test_draws_cut_at_a_line_boundary(self, command, tmp_path, friedman_csv,
+                                          trained_run, capsys):
+        path = trained_run.parent / "run.draws.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 25
+        path.write_text("".join(lines[:7]), encoding="utf-8")
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert not (tmp_path / "p.csv").exists()
+        assert (f"error: {path}: 7 draws, but {trained_run.parent / 'run.meta.json'} "
+                "records 25; the file may be truncated") in capsys.readouterr().err
 
 
 class TestDiagnostics:

@@ -272,8 +272,8 @@ class TestFactorOnce:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(50, 3))
         t = TestLeafModels.grown_tree()
-        stats = LinearLeaves(TREE_SPLITS).stats(t, t.leaf_rows(X), X,
-                                                rng.normal(size=50), (1.0, 2.0))
+        stats = LinearLeaves(TREE_SPLITS, (1.0, 2.0)).stats(t, t.leaf_rows(X), X,
+                                                            rng.normal(size=50))
         linear_log_marginal(stats, 0.8)
         linear_sample_beta(stats, 0.8, rng)
         assert len(factor_calls) == len(stats) == 3
@@ -383,24 +383,25 @@ class TestLeafModels:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
         t = self.grown_tree()
-        stats = LinearLeaves(ANCESTORS).stats(t, t.leaf_rows(X), X,
-                                              rng.normal(size=40), (2.0, 5.0))
+        stats = LinearLeaves(ANCESTORS, (2.0, 5.0)).stats(t, t.leaf_rows(X), X,
+                                                          rng.normal(size=40))
         for st in stats:
             assert st.covariates == sorted(ancestor_covariates(t, st.leaf_id))
             assert_allclose(st.v_diag, [0.5] + [0.2] * len(st.covariates),
                             rtol=0, atol=0)
 
-    @pytest.mark.parametrize("model", [ConstantLeaves(0.1), LinearLeaves(TREE_SPLITS)],
+    @pytest.mark.parametrize("kind, model", [(CONSTANT, ConstantLeaves(0.1)),
+                                             (LINEAR, LinearLeaves(TREE_SPLITS, (1.0, 1.0)))],
                              ids=["constant", "linear"])
-    def test_draw_stores_one_json_payload_per_leaf(self, model):
+    def test_draw_stores_one_json_payload_per_leaf(self, kind, model):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 3))
         t = self.grown_tree()
-        stats = model.stats(t, t.leaf_rows(X), X, rng.normal(size=40), (1.0, 1.0))
+        stats = model.stats(t, t.leaf_rows(X), X, rng.normal(size=40))
         payload = model.draw(stats, 1.0, rng)
         assert sorted(payload) == sorted(t.leaves())
         assert json.loads(json.dumps(t.to_dict(payload))) == t.to_dict(payload)
-        assert model.parameter_count(t) == sum(
+        assert leaf_parameter_count(t, kind, TREE_SPLITS) == sum(
             len(p.get("beta", [None])) for p in payload.values())
 
     def test_carried_stats_lend_their_design_only_on_the_same_rows_and_covariates(self):
@@ -412,14 +413,16 @@ class TestLeafModels:
         # the leaf split off the root has [0] only
         split_off = next(leaf for leaf in rows if t.nodes[leaf].depth == 1)
         copied = min(leaf for leaf in rows if leaf != split_off)
-        carried = LinearLeaves(TREE_SPLITS).carry(
-            LinearLeaves(TREE_SPLITS).stats(t, rows, X, rng.normal(size=40), (1.0, 2.0)))
+        carried = LinearLeaves(TREE_SPLITS, (1.0, 2.0)).carry(
+            LinearLeaves(TREE_SPLITS, (1.0, 2.0)).stats(t, rows, X, rng.normal(size=40)))
         rows = {**rows, copied: rows[copied].copy()}
         resid = rng.normal(size=40)
-        model = LinearLeaves(ANCESTORS)
-        got = model.stats(t, rows, X, resid, (3.0, 4.0), carried=carried)
-        fresh = model.stats(t, rows, X, resid, (3.0, 4.0))
+        covs = leaf_covariate_sets(t, ANCESTORS)
+        got = linear_leaf_stats(rows, X, resid, covs, carried)
+        fresh = linear_leaf_stats(rows, X, resid, covs)
+        prior = LinearLeaves(ANCESTORS, (3.0, 4.0)).prior
         for st, ref in zip(got, fresh):
+            st.v_diag, ref.v_diag = prior(st.q).v_diag, prior(ref.q).v_diag
             lent = st.leaf_id not in (split_off, copied)
             assert (st.design is carried[st.leaf_id].design) == lent
             assert (st.xtx is carried[st.leaf_id].xtx) == lent
@@ -433,8 +436,8 @@ class TestLeafModels:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 3))
         t = self.grown_tree()
-        stats = LinearLeaves(ANCESTORS).stats(t, t.leaf_rows(X), X,
-                                              rng.normal(size=40), (2.0, 5.0))
+        stats = LinearLeaves(ANCESTORS, (2.0, 5.0)).stats(t, t.leaf_rows(X), X,
+                                                          rng.normal(size=40))
         by_q = {}
         for st in stats:
             by_q.setdefault(st.q, []).append(st.prior)
@@ -443,3 +446,37 @@ class TestLeafModels:
             assert st.prior.log_det == float(np.sum(np.log(st.v_diag)))
         assert sorted(len(p) for p in by_q.values()) == [1, 2]
         assert all(p[0] is p[-1] for p in by_q.values())
+
+    def test_one_model_builds_one_prior_per_q_across_stats_calls(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(40, 3))
+        t = self.grown_tree()
+        model = LinearLeaves(ANCESTORS, (2.0, 5.0))
+        first = model.stats(t, t.leaf_rows(X), X, rng.normal(size=40))
+        second = model.stats(t, t.leaf_rows(X), X, rng.normal(size=40))
+        for a, b in zip(first, second):
+            assert a.prior is b.prior is model.prior(a.q)
+        other = LinearLeaves(ANCESTORS, (2.0, 5.0)).stats(t, t.leaf_rows(X), X,
+                                                          rng.normal(size=40))
+        assert all(a.prior is not c.prior for a, c in zip(first, other))
+
+    @pytest.mark.parametrize("rule", [TREE_SPLITS, ANCESTORS])
+    def test_carried_stats_give_the_covariates(self, monkeypatch, rule):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(40, 3))
+        t = self.grown_tree()
+        rows = t.leaf_rows(X)
+        model = LinearLeaves(rule, (3.0, 4.0))
+        carried = model.carry(model.stats(t, rows, X, rng.normal(size=40)))
+        resid = rng.normal(size=40)
+        fresh = model.stats(t, rows, X, resid)
+
+        def no_covariate_sets(*args):
+            raise AssertionError("leaf_covariate_sets called with carried stats")
+
+        monkeypatch.setattr(leaves, "leaf_covariate_sets", no_covariate_sets)
+        got = model.stats(t, rows, X, resid, carried=carried)
+        for st, ref in zip(got, fresh):
+            assert st.covariates == ref.covariates
+            assert st.design is carried[st.leaf_id].design
+            assert linear_log_marginal([st], 0.7) == linear_log_marginal([ref], 0.7)

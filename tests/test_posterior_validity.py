@@ -14,11 +14,23 @@ below `n_min`; the prior simulator draws from it by rejection. The chain
 targets it only because the acceptance rule carries the grow/prune proposal
 ratio: without that ratio the flat-likelihood chain grows too few leaves.
 
-The smoke versions run in the default suite; the slow ones take ten times
-the draws and run under `pytest --slow`.
+The successive-conditional simulator runs the chain's own sweep,
+`sampler.sweep`: the probit latent z, every tree step, and every global draw
+the slice's settings switch on (sigma^2, the coefficient precisions tau0 and
+tau1, the Dirichlet split probabilities). The prior simulator draws each of
+them from its prior, and each is a statistic of the gate.
 
-Slices: probit and regression with constant leaves, and regression with
-linear leaves under the tree-splits rule at a fixed coefficient precision.
+The smoke versions run in the default suite; the slow ones take ten times
+the draws and run under `pytest --slow`. The ancestors and three-tree slices
+run only under `--slow`, smoke version included.
+
+Slices, each on 10 rows with p=2 and one tree unless named otherwise:
+probit with constant leaves; regression with constant leaves; regression
+with linear leaves under the tree-splits rule and under the ancestors rule,
+both at a fixed coefficient precision; probit with linear leaves and
+estimated taus (the paper's classification model); probit with constant
+leaves under Dirichlet branching; and regression with constant leaves and
+three trees.
 """
 
 import math
@@ -30,9 +42,9 @@ from scipy.stats import chi2_contingency
 
 from lmbart import sampler
 from lmbart.data import CLASSIFICATION, Dataset, split_dictionary
-from lmbart.sampler import Hyperparams, SamplerState, TreeState, mh_tree_step
-from lmbart.trees import Tree, log_tree_prior, split_covariates
-from oracles import draw_truncated_prior_tree, route_row
+from lmbart.sampler import Hyperparams, SamplerState, TreeState, leaf_model, mh_tree_step
+from lmbart.trees import Tree, ancestor_covariates, log_tree_prior, split_covariates
+from oracles import draw_prior_tree, draw_truncated_prior_tree, route_row
 
 LEAF_COUNT_CAP = 4        # leaf counts from 4 up share one chi-square cell
 THIN = 20                 # sweeps between the chain's leaf counts in the chi-square
@@ -41,6 +53,9 @@ P_MIN = 1e-3
 
 SIZES = [pytest.param(10_000, 30_000, id="smoke"),
          pytest.param(100_000, 300_000, id="full", marks=pytest.mark.slow)]
+# slices whose smoke version also runs only under --slow, to bound the
+# default suite's wall time
+SLOW_SIZES = [pytest.param(*p.values, id=p.id, marks=pytest.mark.slow) for p in SIZES]
 
 
 def leaf_count_pvalue(reference: np.ndarray, chain: np.ndarray) -> float:
@@ -70,16 +85,32 @@ def leaf_value(payload: dict, x: np.ndarray) -> float:
     return float(np.concatenate(([1.0], x[payload["covariates"]])) @ payload["beta"])
 
 
-def chain_state(tree, leaf_params, X, hp) -> SamplerState:
-    """A one-tree chain state holding `tree` with `leaf_params`, taus at `tau_b`."""
-    rows = tree.leaf_rows(X)
-    fit = np.zeros(X.shape[0])
-    for leaf, r in rows.items():
-        fit[r] = [leaf_value(leaf_params[leaf], x) for x in X[r]]
-    ts = TreeState(tree, leaf_params, rows, fit, log_tree_prior(tree, hp.alpha, hp.beta_depth))
-    return SamplerState(trees=[ts], sigma2=1.0, tau_beta0=hp.tau_b, tau_beta=hp.tau_b,
-                        split_probs=np.full(X.shape[1], 1.0 / X.shape[1]),
-                        total_fit=fit.copy(), target=np.zeros(X.shape[0]))
+def leaf_intercept(payload: dict) -> float:
+    """A stored leaf's value at x = 0: its mean, or its first coefficient."""
+    return payload["mu"] if "mu" in payload else payload["beta"][0]
+
+
+def chain_state(trees, payloads, X, hp, probit=False, **globals_) -> SamplerState:
+    """A chain state holding `trees` with leaf `payloads` (one dict per tree).
+
+    The taus start at `tau_b`, sigma^2 at 1 and the split probabilities
+    uniform; `globals_` sets any of these state fields instead.
+    """
+    states, total_fit = [], np.zeros(X.shape[0])
+    for tree, leaf_params in zip(trees, payloads):
+        rows = tree.leaf_rows(X)
+        fit = np.zeros(X.shape[0])
+        for leaf, r in rows.items():
+            fit[r] = [leaf_value(leaf_params[leaf], x) for x in X[r]]
+        states.append(TreeState(tree, leaf_params, rows, fit,
+                                log_tree_prior(tree, hp.alpha, hp.beta_depth)))
+        total_fit += fit
+    state = SamplerState(trees=states, sigma2=1.0, tau_beta0=hp.tau_b, tau_beta=hp.tau_b,
+                         split_probs=np.full(X.shape[1], 1.0 / X.shape[1]),
+                         total_fit=total_fit, target=np.zeros(X.shape[0]), probit=probit)
+    for name, value in globals_.items():
+        setattr(state, name, value)
+    return state
 
 
 def test_flat_likelihood_chain_samples_the_truncated_tree_prior():
@@ -93,21 +124,37 @@ def test_flat_likelihood_chain_samples_the_truncated_tree_prior():
     prior = np.array([draw_truncated_prior_tree(X, sd.values, hp.alpha, hp.beta_depth,
                                                 hp.n_min, rng).n_leaves()
                       for _ in range(10_000)])
-    state = chain_state(Tree.stump(), {0: {"mu": 0.0}}, X, hp)
-    state.sigma2 = 1e12
+    state = chain_state([Tree.stump()], [{0: {"mu": 0.0}}], X, hp, sigma2=1e12)
+    model = leaf_model(hp, (state.tau_beta0, state.tau_beta))
     counts = np.empty(20_000)
     for k in range(counts.size):
-        mh_tree_step(state, 0, X, sd, hp, rng)
+        mh_tree_step(state, 0, X, sd, hp, model, rng)
         counts[k] = state.trees[0].tree.n_leaves()
     assert leaf_count_pvalue(prior, counts[::THIN]) > P_MIN
     assert abs(z_score(prior.astype(float), counts)) < Z_MAX
 
 
 # ---------------------------------------------------------------------------
-# probit and regression slices: 10 rows, p=2, one tree, uniform branching
+# the slices: 10 rows, p=2, uniform branching unless a slice says otherwise
 
 QUERY_X = np.array([[-0.5, 0.5], [0.8, -0.3]])
-SUMMARIES = ("mean_intercept", "fit_a", "fit_b")
+SUMMARIES = ("depth", "mean_intercept", "fit_a", "fit_b")
+
+
+def split_log_prob(split_probs, trees) -> float:
+    """Sum of log split_probs[feature] over the internal nodes: how the split
+    probabilities and the trees' features go together."""
+    return sum(math.log(split_probs[nd.feature])
+               for tree in trees for nd in tree.nodes.values() if not nd.is_leaf)
+
+
+# state fields the sweep draws besides the trees, each with its statistics
+# as (name, function of the field's value and the trees)
+GLOBALS = {"sigma2": [("sigma2", lambda v, trees: v)],
+           "tau_beta0": [("log_tau0", lambda v, trees: math.log(v))],
+           "tau_beta": [("log_tau1", lambda v, trees: math.log(v))],
+           "split_probs": [("split_prob0", lambda v, trees: v[0]),
+                           ("split_log_prob", split_log_prob)]}
 
 # the regression slices fix lam and raise nu from its default 3 so that
 # the square of a prior sigma^2 draw has a finite variance
@@ -116,22 +163,42 @@ REGRESSION_PRIOR = dict(nu=20.0, lam=0.2)
 # N(0, sigma^2 / tau_b I) held fixed
 LINEAR_LEAVES = dict(leaf_model="linear", covariate_rule="tree-splits",
                      vars_inter_slope=False, tau_b=1.0)
+# the paper's classification model: linear leaves with estimated taus. The
+# Gamma(3, 3) tau priors replace the default Gamma(0.5, 0.5), under which
+# E[1/tau] is infinite, so the leaf coefficients and the fit have no finite
+# variance and a z statistic on them means nothing (the reason the
+# regression slices raise nu); shape 3 keeps E[1/tau^2] finite too, so the
+# squared fit has a finite variance
+ESTIMATED_TAUS = dict(leaf_model="linear", covariate_rule="tree-splits",
+                      vars_inter_slope=True, a0=3.0, b0=3.0, a1=3.0, b1=3.0)
 
 
 def setting(**prior):
     X = np.random.default_rng(2024).normal(size=(10, 2))
     sd = split_dictionary(Dataset(X, np.zeros(10), ["a", "b"], CLASSIFICATION))
-    hp = Hyperparams(m=1, n_min=1, branching="uniform", burn_in=1, post_burn_in=1,
-                     **prior)
+    hp = Hyperparams(**{"m": 1, "n_min": 1, "branching": "uniform", "burn_in": 1,
+                        "post_burn_in": 1, **prior})
     return X, sd, hp
 
 
-def summaries(tree, leaf_params: dict) -> list[float]:
-    """Leaf count, mean leaf intercept, and the fit at the two query points."""
-    intercepts = [leaf_value(leaf_params[leaf], np.zeros(QUERY_X.shape[1]))
-                  for leaf in tree.leaves()]
-    return [tree.n_leaves(), sum(intercepts) / tree.n_leaves()] + [
-        leaf_value(leaf_params[route_row(tree, x)], x) for x in QUERY_X]
+def summaries(trees, payloads) -> list[float]:
+    """The first tree's leaf count and depth, the mean leaf intercept over all
+    trees, and the fit summed over trees at the two query points."""
+    first = trees[0]
+    intercepts = [leaf_intercept(leaf_params[leaf])
+                  for tree, leaf_params in zip(trees, payloads) for leaf in tree.leaves()]
+    depth = max(first.nodes[leaf].depth for leaf in first.leaves())
+    return [first.n_leaves(), depth, sum(intercepts) / len(intercepts)] + [
+        sum(leaf_value(leaf_params[route_row(tree, x)], x)
+            for tree, leaf_params in zip(trees, payloads)) for x in QUERY_X]
+
+
+def statistics(trees, payloads, globals_: dict) -> dict[str, float]:
+    """`summaries` by name, then the statistics of each global the slice draws."""
+    out = dict(zip(("leaf_count",) + SUMMARIES, summaries(trees, payloads)))
+    for name, value in globals_.items():
+        out.update((stat, f(value, trees)) for stat, f in GLOBALS[name])
+    return out
 
 
 def prior_sigma2(hp, rng) -> float:
@@ -140,78 +207,100 @@ def prior_sigma2(hp, rng) -> float:
 
 
 def prior_draw(X, sd, hp, rng, regression: bool):
-    """(tree, leaf payloads, sigma^2) from the prior; sigma^2 is None for probit.
+    """(trees, leaf payloads per tree, globals) from the prior.
 
-    Linear leaves draw beta ~ N(0, sigma^2 V) on the tree's split features,
-    so their sigma^2 comes before them.
+    `globals` maps each state field the slice's sweep draws besides the
+    trees to its prior draw: sigma^2 for regression, the taus when they are
+    estimated, the split probabilities under Dirichlet branching. The split
+    probabilities come first, since the trees are drawn under them. Linear
+    leaves draw beta ~ N(0, sigma^2 V(tau)) on their covariates, so sigma^2
+    and the taus come before them; constant leaves draw sigma^2 after.
     """
-    tree = draw_truncated_prior_tree(X, sd.values, hp.alpha, hp.beta_depth, hp.n_min, rng)
+    globals_ = {}
+    if hp.branching == "dirichlet":
+        # the chain targets the joint prior of the split probabilities and
+        # the trees, truncated to valid trees: it never computes the
+        # truncation's normalizing constant, which depends on the split
+        # probabilities, so a rejected tree takes its split probabilities with it
+        while True:
+            s = rng.dirichlet(np.full(X.shape[1], hp.dirichlet_mass / X.shape[1]))
+            trees = [draw_prior_tree(X, sd.values, hp.alpha, hp.beta_depth, hp.n_min, rng, s)
+                     for _ in range(hp.m)]
+            if None not in trees:
+                break
+        globals_["split_probs"] = s
+    else:
+        trees = [draw_truncated_prior_tree(X, sd.values, hp.alpha, hp.beta_depth, hp.n_min,
+                                           rng) for _ in range(hp.m)]
     if hp.leaf_model == "linear":
-        sigma2 = prior_sigma2(hp, rng)
-        covs = sorted(split_covariates(tree))
-        sd_beta = math.sqrt(sigma2 / hp.tau_b)
-        return tree, {leaf: {"beta": list(sd_beta * rng.standard_normal(len(covs) + 1)),
-                             "covariates": covs} for leaf in tree.leaves()}, sigma2
-    mus = {leaf: {"mu": rng.normal(0.0, math.sqrt(hp.sigma_mu2))} for leaf in tree.leaves()}
-    return tree, mus, prior_sigma2(hp, rng) if regression else None
-
-
-def marginal_conditional(draws: int, X, sd, hp, rng, regression: bool) -> np.ndarray:
-    """Summaries (and sigma^2 for regression) of independent prior draws.
-
-    y | theta is not needed for them.
-    """
-    rows = []
-    for _ in range(draws):
-        tree, leaf_params, sigma2 = prior_draw(X, sd, hp, rng, regression)
-        row = summaries(tree, leaf_params)
-        rows.append(row + [sigma2] if regression else row)
-    return np.array(rows)
-
-
-def successive_conditional(sweeps: int, X, sd, hp, rng, regression: bool) -> np.ndarray:
-    """Summaries of a chain alternating a data draw given theta with one sweep.
-
-    A sweep is the sampler's own. Probit draws y ~ Bernoulli(Phi(fit)), then
-    the latent z given y and the fit, then the tree step given z. Regression
-    draws y ~ N(fit, sigma^2), then the tree step given y, then sigma^2 given
-    y and the new fit. The chain starts from a prior draw.
-    """
-    tree, leaf_params, sigma2 = prior_draw(X, sd, hp, rng, regression)
-    state = chain_state(tree, leaf_params, X, hp)
-    n = X.shape[0]
-    if regression:
-        state.sigma2 = sigma2
-    out = np.empty((sweeps, 2 + len(QUERY_X) + regression))
-    for k in range(sweeps):
+        sigma2 = 1.0
         if regression:
-            state.target = state.total_fit + math.sqrt(state.sigma2) * rng.standard_normal(n)
+            sigma2 = globals_["sigma2"] = prior_sigma2(hp, rng)
+        taus = (hp.tau_b, hp.tau_b)
+        if hp.vars_inter_slope:
+            taus = globals_["tau_beta0"], globals_["tau_beta"] = (
+                rng.gamma(hp.a0, 1.0 / hp.b0), rng.gamma(hp.a1, 1.0 / hp.b1))
+        payloads = [{leaf: linear_prior_leaf(tree, leaf, hp.covariate_rule, sigma2, taus, rng)
+                     for leaf in tree.leaves()} for tree in trees]
+        return trees, payloads, globals_
+    payloads = [{leaf: {"mu": rng.normal(0.0, math.sqrt(hp.sigma_mu2))}
+                 for leaf in tree.leaves()} for tree in trees]
+    if regression:
+        globals_["sigma2"] = prior_sigma2(hp, rng)
+    return trees, payloads, globals_
+
+
+def linear_prior_leaf(tree, leaf, rule, sigma2, taus, rng) -> dict:
+    """One linear leaf's payload, beta ~ N(0, sigma^2 V) with V = diag(1/tau0, 1/tau1, ...)."""
+    covs = sorted(split_covariates(tree) if rule == "tree-splits"
+                  else ancestor_covariates(tree, leaf))
+    sd_beta = np.sqrt(sigma2 / np.array([taus[0]] + [taus[1]] * len(covs)))
+    return {"beta": list(sd_beta * rng.standard_normal(len(covs) + 1)), "covariates": covs}
+
+
+def marginal_conditional(draws: int, X, sd, hp, rng, regression: bool) -> list[dict]:
+    """`statistics` of independent prior draws; y | theta is not needed for them."""
+    return [statistics(*prior_draw(X, sd, hp, rng, regression)) for _ in range(draws)]
+
+
+def successive_conditional(sweeps: int, X, sd, hp, rng, regression: bool) -> list[dict]:
+    """`statistics` of a chain alternating a data draw given theta with one sweep.
+
+    The sweep is the sampler's own, `sampler.sweep`. Regression draws
+    y ~ N(fit, sigma^2); probit draws labels y ~ Bernoulli(Phi(fit)), and
+    the sweep draws the latent z from them. The chain starts from a prior
+    draw.
+    """
+    trees, payloads, globals_ = prior_draw(X, sd, hp, rng, regression)
+    state = chain_state(trees, payloads, X, hp, probit=not regression, **globals_)
+    n = X.shape[0]
+    out = []
+    for _ in range(sweeps):
+        if regression:
+            y = state.total_fit + math.sqrt(state.sigma2) * rng.standard_normal(n)
         else:
             y = (rng.random(n) < ndtr(state.total_fit)).astype(float)
-            state.target = sampler.sample_latent_z(y, state.total_fit, rng)
-        mh_tree_step(state, 0, X, sd, hp, rng)
-        ts = state.trees[0]
-        row = summaries(ts.tree, ts.leaf_params)
-        if regression:
-            resid = state.target - state.total_fit
-            state.sigma2 = sampler.sample_sigma2(float(resid @ resid), n, hp.nu, hp.lam, rng)
-            row.append(state.sigma2)
-        out[k] = row
+        sampler.sweep(state, X, y, sd, hp, hp.lam, rng)
+        out.append(statistics([ts.tree for ts in state.trees],
+                              [ts.leaf_params for ts in state.trees],
+                              {name: getattr(state, name) for name in globals_}))
     return out
 
 
-def joint_gate(draws: int, sweeps: int, regression: bool, **leaves) -> dict:
+def joint_gate(draws: int, sweeps: int, regression: bool, **settings) -> dict:
     """The gate's statistics: the leaf-count chi-square p-value and a z per moment.
 
-    The moments are every summary after the leaf count, then their squares.
-    `leaves` are leaf-model settings on top of the slice's prior.
+    The moments are every statistic after the leaf count, then their squares.
+    `settings` are `Hyperparams` fields on top of the slice's prior.
     """
-    X, sd, hp = setting(**REGRESSION_PRIOR, **leaves) if regression else setting(**leaves)
+    X, sd, hp = setting(**REGRESSION_PRIOR, **settings) if regression else setting(**settings)
     rng = np.random.default_rng(0)
-    mc = marginal_conditional(draws, X, sd, hp, rng, regression)
-    sc = successive_conditional(sweeps, X, sd, hp, rng, regression)
-    names = SUMMARIES + ("sigma2",) * regression
-    names += tuple(f"{name}^2" for name in names)
+    mc_rows = marginal_conditional(draws, X, sd, hp, rng, regression)
+    sc_rows = successive_conditional(sweeps, X, sd, hp, rng, regression)
+    # both simulators list the statistics in the order of one prior draw
+    mc, sc = (np.array([list(row.values()) for row in rows]) for rows in (mc_rows, sc_rows))
+    names = list(mc_rows[0])[1:]
+    names += [f"{name}^2" for name in names]
     mc_moments = np.hstack([mc[:, 1:], mc[:, 1:] ** 2])
     sc_moments = np.hstack([sc[:, 1:], sc[:, 1:] ** 2])
     return {
@@ -222,22 +311,43 @@ def joint_gate(draws: int, sweeps: int, regression: bool, **leaves) -> dict:
     }
 
 
-@pytest.mark.parametrize("draws, sweeps", SIZES)
-def test_probit_chain_preserves_the_joint_distribution(draws, sweeps):
-    stats = joint_gate(draws, sweeps, regression=False)
+def assert_gate_passes(stats: dict) -> None:
     assert stats.pop("leaf_count_p") > P_MIN, stats
     assert all(abs(z) < Z_MAX for z in stats.values()), stats
+
+
+@pytest.mark.parametrize("draws, sweeps", SIZES)
+def test_probit_chain_preserves_the_joint_distribution(draws, sweeps):
+    assert_gate_passes(joint_gate(draws, sweeps, regression=False))
 
 
 @pytest.mark.parametrize("draws, sweeps", SIZES)
 def test_regression_chain_preserves_the_joint_distribution(draws, sweeps):
-    stats = joint_gate(draws, sweeps, regression=True)
-    assert stats.pop("leaf_count_p") > P_MIN, stats
-    assert all(abs(z) < Z_MAX for z in stats.values()), stats
+    assert_gate_passes(joint_gate(draws, sweeps, regression=True))
 
 
 @pytest.mark.parametrize("draws, sweeps", SIZES)
 def test_linear_regression_chain_preserves_the_joint_distribution(draws, sweeps):
-    stats = joint_gate(draws, sweeps, regression=True, **LINEAR_LEAVES)
-    assert stats.pop("leaf_count_p") > P_MIN, stats
-    assert all(abs(z) < Z_MAX for z in stats.values()), stats
+    assert_gate_passes(joint_gate(draws, sweeps, regression=True, **LINEAR_LEAVES))
+
+
+@pytest.mark.parametrize("draws, sweeps", SLOW_SIZES)
+def test_ancestors_linear_regression_chain_preserves_the_joint_distribution(draws, sweeps):
+    assert_gate_passes(joint_gate(draws, sweeps, regression=True,
+                                  **{**LINEAR_LEAVES, "covariate_rule": "ancestors"}))
+
+
+@pytest.mark.parametrize("draws, sweeps", SIZES)
+def test_probit_linear_chain_with_estimated_taus_preserves_the_joint_distribution(draws,
+                                                                                  sweeps):
+    assert_gate_passes(joint_gate(draws, sweeps, regression=False, **ESTIMATED_TAUS))
+
+
+@pytest.mark.parametrize("draws, sweeps", SIZES)
+def test_dirichlet_probit_chain_preserves_the_joint_distribution(draws, sweeps):
+    assert_gate_passes(joint_gate(draws, sweeps, regression=False, branching="dirichlet"))
+
+
+@pytest.mark.parametrize("draws, sweeps", SLOW_SIZES)
+def test_three_tree_regression_chain_preserves_the_joint_distribution(draws, sweeps):
+    assert_gate_passes(joint_gate(draws, sweeps, regression=True, m=3))

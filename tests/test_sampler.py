@@ -317,7 +317,7 @@ class TestRunRegression:
         # a 6-row stump with n_min=5 admits no valid move of any kind, so
         # every step must leave the structure alone and only redraw the leaf
         from lmbart.data import split_dictionary
-        from lmbart.sampler import SamplerState, TreeState, mh_tree_step
+        from lmbart.sampler import SamplerState, TreeState, leaf_model, mh_tree_step
         from lmbart.trees import Tree, log_tree_prior
 
         rng = np.random.default_rng(33)
@@ -333,7 +333,8 @@ class TestRunRegression:
                              total_fit=np.zeros(6), target=d.response.copy())
         mus = []
         for _ in range(30):
-            kind, outcome = mh_tree_step(state, 0, d.features, sd, hp, rng)
+            kind, outcome = mh_tree_step(state, 0, d.features, sd, hp,
+                                         leaf_model(hp, (1.0, 1.0)), rng)
             assert outcome == "invalid"
             assert state.trees[0].tree.n_leaves() == 1
             mus.append(state.trees[0].leaf_params[t.root]["mu"])
@@ -346,7 +347,7 @@ class TestRunRegression:
         # chain at that grow instead of counting it as a rejection
         from lmbart import leaves
         from lmbart.data import split_dictionary
-        from lmbart.sampler import SamplerState, TreeState, mh_tree_step
+        from lmbart.sampler import SamplerState, TreeState, leaf_model, mh_tree_step
         from lmbart.trees import Tree, log_tree_prior
 
         monkeypatch.setattr(leaves, "bart_log_marginal",
@@ -364,7 +365,7 @@ class TestRunRegression:
             total_fit=np.zeros(20), target=d.response.copy())
         with pytest.raises(FloatingPointError, match="tree 1: grow move has a NaN"):
             for _ in range(50):
-                mh_tree_step(state, 1, d.features, sd, hp, rng)
+                mh_tree_step(state, 1, d.features, sd, hp, leaf_model(hp, (1.0, 1.0)), rng)
         assert sum(rec["rejected"] for rec in state.acceptance.values()) == 0
 
     def test_fixed_precision_records_tau_b(self, tmp_path):
