@@ -198,7 +198,9 @@ def cmd_diagnostics(args) -> int:
     if meta["task"] == CLASSIFICATION:
         print("sigma2: fixed at 1")
     else:
-        print(f"sigma2 post-burn-in mean: {sigma2.mean():.6f}  sd: {sigma2.std(ddof=1):.6f}")
+        # the sample sd needs two draws
+        sd = f"  sd: {sigma2.std(ddof=1):.6f}" if sigma2.size > 1 else ""
+        print(f"sigma2 post-burn-in mean: {sigma2.mean():.6f}{sd}")
     print("acceptance rates per move kind:")
     for kind, rec in meta["acceptance"].items():
         total = sum(rec.values())

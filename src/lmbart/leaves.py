@@ -13,23 +13,24 @@ A linear leaf's posterior precision X'X + V^-1 is factored once per
 `LeafStats` (`LeafStats.posterior`); the marginal and the draw share that
 factor and the posterior mean. They call LAPACK `potrf`/`potrs`/`trtrs`
 directly, the routines behind `scipy.linalg`'s `cholesky`/`cho_solve`/
-`solve_triangular`, so results match those wrappers bit for bit. A model's
-`stats` takes the `kept` stats of leaves whose rows a move left unchanged and
-builds only the others, so a kept leaf's design and factor serve both trees.
+`solve_triangular`, so results match those wrappers bit for bit.
 
 The sampler builds one `LinearLeaves` per sweep, holding that sweep's taus
 (tau0, tau1); it builds the prior terms that depend on V alone (`LeafPrior`:
 V^-1 and log|V|) once per q, shared by every leaf of that q in the sweep.
 
-Across tree steps, `LinearLeaves.carry` hands the kept tree's stats to the
-next step of the same tree, whose tree is unchanged since. That step's
-`stats` takes every leaf's covariates from them, and reuses a carried leaf's
-`design` and `xtx`, which depend only on its rows and covariates, when the
-leaf's rows are the same array object (a tree's routing changes only when a
-move is accepted, and kept leaves keep their arrays) and its covariates are
-unchanged; it recomputes only the residual terms `xtr`, `r_sum` and
-`r_sq_sum`. The factor is always recomputed, since the taus move between
-sweeps. Constant leaves carry nothing.
+A model's `stats` takes `prev`, earlier stats by leaf id, and reuses them by
+one rule, since a leaf's statistics are a function of its rows, its
+covariates and the residuals. A stat on the same rows array object, the same
+covariates and the same residual array object is taken whole, prior and
+factor included (`_reuse`; the same residual array means the same tree step,
+so the same model). A linear stat on the same rows array and covariates but
+other residuals lends its `design` and `xtx` (`linear_leaf_stats`); `xtr`,
+`r_sum`, `r_sq_sum` and the factor are recomputed, since the taus move
+between sweeps. Every other leaf is built fresh. The sampler passes a tree's stats from its
+previous step to its current tree (a routing changes only when a move is
+accepted) and the current tree's stats to the candidate (whose untouched
+leaves keep the current routing's arrays).
 
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
@@ -87,30 +88,34 @@ class LeafPrior:
 
 @dataclass
 class LeafStats:
-    """Sufficient statistics of one terminal node against the residuals.
+    """Sufficient statistics of one terminal node's training `rows` against
+    the residual array `resid` they were built on.
 
     For linear leaves `design` is the leaf design (intercept column of ones
-    plus the leaf's `covariates` in ascending feature order) on the training
-    `rows`, `xtx`/`xtr` are its Gram matrix and moment vector, and `v_diag`
-    is the diagonal of the leaf's coefficient prior covariance V. Set
-    `v_diag` before the first use of `posterior`, which is computed once and
-    then kept.
+    plus the leaf's `covariates` in ascending feature order) on `rows`,
+    `xtx`/`xtr` are its Gram matrix and moment vector, and `v_diag` is the
+    diagonal of the leaf's coefficient prior covariance V. Set `v_diag`
+    before the first use of `posterior`, which is computed once and then
+    kept.
     """
 
     leaf_id: int
     n: int
     r_sum: float
-    r_sq_sum: float
+    r_sq_sum: float = 0.0     # linear leaves only; the constant marginal never reads it
     xtx: np.ndarray | None = None
     xtr: np.ndarray | None = None
     covariates: list[int] | None = None
     v_diag: np.ndarray | None = None
     design: np.ndarray | None = None
     rows: np.ndarray | None = None
+    resid: np.ndarray | None = None
 
     @property
     def q(self) -> int:
-        return 0 if self.xtx is None else self.xtx.shape[0]
+        """The leaf's parameter count: 1 for a constant leaf, the coefficient
+        count for a linear one."""
+        return 1 if self.xtx is None else self.xtx.shape[0]
 
     @cached_property
     def prior(self) -> LeafPrior:
@@ -139,30 +144,32 @@ def constant_leaf_stats(rows_by_leaf: dict[int, np.ndarray],
                         resid: np.ndarray) -> list[LeafStats]:
     out = []
     for leaf in sorted(rows_by_leaf):
-        r = resid[rows_by_leaf[leaf]]
-        out.append(LeafStats(leaf, r.size, float(r.sum()), float(r @ r)))
+        rows = rows_by_leaf[leaf]
+        r = resid[rows]
+        out.append(LeafStats(leaf, r.size, float(r.sum()), rows=rows, resid=resid))
     return out
 
 
 def linear_leaf_stats(rows_by_leaf: dict[int, np.ndarray], features: np.ndarray,
                       resid: np.ndarray, covariates_by_leaf: dict[int, list[int]],
-                      carried: dict[int, LeafStats] | None = None) -> list[LeafStats]:
-    """Stats of every leaf; a `carried` leaf on the same rows array and
-    covariates lends its design and X'X, which do not depend on the residuals."""
-    carried = carried or {}
+                      prev: dict[int, LeafStats] | None = None) -> list[LeafStats]:
+    """Stats of every leaf; a `prev` stat on the same rows array and covariates
+    lends its design and X'X, which do not depend on the residuals."""
+    prev = prev or {}
     out = []
     for leaf in sorted(rows_by_leaf):
         rows = rows_by_leaf[leaf]
         covs = covariates_by_leaf[leaf]
         r = resid[rows]
-        old = carried.get(leaf)
+        old = prev.get(leaf)
         if old is not None and old.rows is rows and old.covariates == covs:
             X, xtx = old.design, old.xtx
         else:
             X = build_leaf_design(rows, features, covs)
             xtx = X.T @ X
         out.append(LeafStats(leaf, r.size, float(r.sum()), float(r @ r),
-                             xtx=xtx, xtr=X.T @ r, covariates=covs, design=X, rows=rows))
+                             xtx=xtx, xtr=X.T @ r, covariates=covs, design=X, rows=rows,
+                             resid=resid))
     return out
 
 
@@ -317,13 +324,18 @@ def same_design(a: dict, b: dict) -> bool:
     return a.get("covariates") == b.get("covariates")
 
 
-def _reuse(rows_by_leaf: dict, kept: dict, build) -> list[LeafStats]:
-    """Stats in ascending leaf order: `kept` ones as given, `build` for the others."""
-    if not kept:
+def _reuse(rows_by_leaf: dict, covariates_by_leaf: dict, resid: np.ndarray,
+           prev: dict, build) -> list[LeafStats]:
+    """Stats in ascending leaf order: a `prev` stat on the same rows array,
+    covariates and residual array is taken whole, `build` makes the others."""
+    whole = {leaf: st for leaf, st in prev.items()
+             if st.resid is resid and st.rows is rows_by_leaf.get(leaf)
+             and st.covariates == covariates_by_leaf.get(leaf)}
+    if not whole:
         return build(rows_by_leaf)
     # build returns its leaves in ascending order, the order they are taken in
-    fresh = iter(build({leaf: rows for leaf, rows in rows_by_leaf.items() if leaf not in kept}))
-    return [kept[leaf] if leaf in kept else next(fresh) for leaf in sorted(rows_by_leaf)]
+    fresh = iter(build({leaf: rows for leaf, rows in rows_by_leaf.items() if leaf not in whole}))
+    return [whole[leaf] if leaf in whole else next(fresh) for leaf in sorted(rows_by_leaf)]
 
 
 @dataclass(frozen=True)
@@ -332,14 +344,10 @@ class ConstantLeaves:
 
     sigma_mu2: float
 
-    def stats(self, tree, rows_by_leaf, features, resid, kept=None,
-              carried=None) -> list[LeafStats]:
-        """Stats of every leaf; `kept` maps leaf id -> stats still valid for its rows."""
-        return _reuse(rows_by_leaf, kept or {}, lambda rows: constant_leaf_stats(rows, resid))
-
-    def carry(self, stats) -> None:
-        """Nothing of a constant leaf's stats outlives its tree step."""
-        return None
+    def stats(self, tree, rows_by_leaf, features, resid, prev=None) -> list[LeafStats]:
+        """Stats of every leaf, reusing `prev` (leaf id -> stats) by `_reuse`'s rule."""
+        return _reuse(rows_by_leaf, {}, resid, prev or {},
+                      lambda rows: constant_leaf_stats(rows, resid))
 
     def log_marginal(self, stats, sigma2) -> float:
         return bart_log_marginal(stats, sigma2, self.sigma_mu2)
@@ -366,29 +374,20 @@ class LinearLeaves:
             prior = self._priors[q] = LeafPrior(v_diag)
         return prior
 
-    def stats(self, tree, rows_by_leaf, features, resid, kept=None,
-              carried=None) -> list[LeafStats]:
-        """Stats of every leaf; a `kept` stat is reused only if its covariates still hold.
-
-        `carried` is this tree's `carry` from its previous step; see the module
-        docstring for what a built leaf takes from it.
-        """
-        covs = ({leaf: st.covariates for leaf, st in carried.items()} if carried
-                else leaf_covariate_sets(tree, self.covariate_rule))
+    def stats(self, tree, rows_by_leaf, features, resid, prev=None) -> list[LeafStats]:
+        """Stats of every leaf, reusing `prev` (leaf id -> stats) by the module
+        docstring's rule; the covariates come from `tree`."""
+        covs = leaf_covariate_sets(tree, self.covariate_rule)
+        prev = prev or {}
 
         def build(rows):
-            stats = linear_leaf_stats(rows, features, resid, covs, carried)
+            stats = linear_leaf_stats(rows, features, resid, covs, prev)
             for st in stats:
                 st.prior = self.prior(st.q)
                 st.v_diag = st.prior.v_diag
             return stats
 
-        kept = {leaf: st for leaf, st in (kept or {}).items() if st.covariates == covs[leaf]}
-        return _reuse(rows_by_leaf, kept, build)
-
-    def carry(self, stats) -> dict[int, LeafStats]:
-        """The kept tree's stats by leaf id, for the next step of the same tree."""
-        return {st.leaf_id: st for st in stats}
+        return _reuse(rows_by_leaf, covs, resid, prev, build)
 
     def log_marginal(self, stats, sigma2) -> float:
         return linear_log_marginal(stats, sigma2)

@@ -95,6 +95,9 @@ class Hyperparams:
             raise ValueError("c must lie in [1, 3]")
         if self.burn_in < 0 or self.post_burn_in < 1 or self.thin < 1:
             raise ValueError("need burn_in >= 0, post_burn_in >= 1, thin >= 1")
+        if self.post_burn_in < self.thin:
+            raise ValueError(f"post_burn_in={self.post_burn_in} keeps no draw at "
+                             f"thin={self.thin}; need post_burn_in >= thin")
         if self.leaf_model not in (lv.CONSTANT, lv.LINEAR):
             raise ValueError(f"unknown leaf model {self.leaf_model!r}")
         if self.covariate_rule not in (lv.TREE_SPLITS, lv.ANCESTORS):
@@ -214,7 +217,7 @@ class TreeState:
     rows_by_leaf: dict             # leaf id -> training row indices
     fit: np.ndarray                # (n,) current contribution
     log_prior: float               # log_tree_prior(tree), updated on acceptance
-    carried: dict | None = None    # the leaf model's `carry` of the kept tree's stats
+    stats: dict = field(default_factory=dict)  # leaf id -> LeafStats of the kept tree
 
 
 @dataclass
@@ -270,25 +273,23 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     are redrawn from their full conditionals in every case, acceptance or
     not, from the leaf statistics of the kept tree.
 
-    The candidate reuses the current tree's routing and the statistics of
-    every leaf outside `proposal.affected_leaves`; the log ratio still sums
-    every leaf of both trees, so it is the full-recompute value bit for bit.
-    The current tree's stats start from `ts.carried`, what the sweep's
-    `leaf_model` kept of this tree's previous step (see `leaves.py`).
+    The candidate reuses the current tree's routing. The current tree's
+    stats reuse `ts.stats`, the kept tree's stats from this tree's previous
+    step, and the candidate's reuse the current tree's, by the rule in
+    `leaves.py`. The log ratio still sums every leaf of both trees, so it is
+    the full-recompute value bit for bit.
     """
     ts = state.trees[tree_index]
     resid = partial_residual(state, tree_index)
-    stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, carried=ts.carried)
+    stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, ts.stats)
 
     proposal = tr.propose_move(ts.tree, features, split_dict, state.split_probs,
                                rng, hp.n_min, rows_by_leaf=ts.rows_by_leaf)
     if not proposal.valid:
         outcome = "invalid"
     else:
-        kept = {st.leaf_id: st for st in stats if st.leaf_id in proposal.rows_by_leaf
-                and st.leaf_id not in proposal.affected_leaves}
-        cand_stats = model.stats(proposal.tree, proposal.rows_by_leaf, features,
-                                 resid, kept)
+        cand_stats = model.stats(proposal.tree, proposal.rows_by_leaf, features, resid,
+                                 {st.leaf_id: st for st in stats})
         cand_prior = tr.log_tree_prior(proposal.tree, hp.alpha, hp.beta_depth)
         log_alpha = (
             model.log_marginal(cand_stats, state.sigma2)
@@ -311,7 +312,7 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     state.acceptance[proposal.kind][outcome] += 1
 
     ts.leaf_params = model.draw(stats, state.sigma2, rng)
-    ts.carried = model.carry(stats)
+    ts.stats = {st.leaf_id: st for st in stats}
     new_fit = _tree_fit(ts.leaf_params, ts.rows_by_leaf,
                         {st.leaf_id: st.design for st in stats}, features.shape[0])
     state.total_fit += new_fit - ts.fit
@@ -497,8 +498,7 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
                                 else scaling.invert_response(state.total_fit))
             for t, ts in enumerate(state.trees):
                 terminal_counts[keep, t] = ts.tree.n_leaves()
-                param_counts[keep, t] = lv.leaf_parameter_count(ts.tree, hp.leaf_model,
-                                                                hp.covariate_rule)
+                param_counts[keep, t] = sum(st.q for st in ts.stats.values())
             if trees_out is not None:
                 trees_out.append([_serialize_tree(ts) for ts in state.trees])
             keep += 1

@@ -259,26 +259,24 @@ class MoveProposal:
 
     A valid proposal carries its candidate tree's routing of the training
     rows in `rows_by_leaf` (leaf id -> ascending int64 row indices), so the
-    sampler never routes the candidate again. `affected_leaves` holds the
-    candidate's leaves whose rows differ from the current tree's: new leaves,
-    and re-routed leaves whose rows changed. Every other leaf's entry is the
-    current routing's own array object, so its statistics can be reused.
-    `log_transition_correction` is the log proposal ratio
-    q(reverse) / q(forward) of a grow or prune. The tree prior is the depth
-    prior of `log_tree_prior` times a rule prior that picks each split's
-    feature by the split probabilities and its threshold uniformly from that
-    feature's split values. A grow proposes its rule from that same rule
-    prior, so the rule's proposal and prior probabilities cancel, and the
-    ratio keeps only the choice of node: log L - log P' for a grow from L
-    leaves to a tree with P' prunable nodes, and the inverse for a prune.
-    Change and swap moves are symmetric and leave the rule prior unchanged,
-    so theirs is 0.
+    sampler never routes the candidate again. A candidate leaf whose rows
+    equal the current tree's holds the current routing's own array object,
+    and every other leaf a new array, so array identity tells which leaves'
+    statistics can be reused. `log_transition_correction` is the log
+    proposal ratio q(reverse) / q(forward) of a grow or prune. The tree
+    prior is the depth prior of `log_tree_prior` times a rule prior that
+    picks each split's feature by the split probabilities and its threshold
+    uniformly from that feature's split values. A grow proposes its rule
+    from that same rule prior, so the rule's proposal and prior
+    probabilities cancel, and the ratio keeps only the choice of node:
+    log L - log P' for a grow from L leaves to a tree with P' prunable
+    nodes, and the inverse for a prune. Change and swap moves are symmetric and leave
+    the rule prior unchanged, so theirs is 0.
     """
 
     kind: str
     tree: Tree | None
     rows_by_leaf: dict[int, np.ndarray] = field(default_factory=dict)
-    affected_leaves: set[int] = field(default_factory=set)
     log_transition_correction: float = 0.0
     valid: bool = True
     reason: str = ""
@@ -310,17 +308,15 @@ def _draw_rule(split_dict, split_probs, splittable, rng) -> tuple[int, float] | 
 
 
 def _reroute(tree: Tree, cand: Tree, features: np.ndarray, rows_by_leaf: dict,
-             nodes: list[int]) -> tuple[dict[int, np.ndarray], set[int]]:
+             nodes: list[int]) -> dict[int, np.ndarray]:
     """The candidate's routing, re-routing only the rows under `nodes`.
 
     Each node exists in both trees and no node lies under another. The rows
     under a node, gathered from the current tree's leaves below it, are
     routed through the candidate's subtree. Every other leaf keeps its array
     object, and so does a re-routed leaf whose rows come out unchanged.
-    Returns the routing and the leaves whose rows differ from `rows_by_leaf`.
     """
     rows = dict(rows_by_leaf)
-    changed = set()
     for node in nodes:
         under = [rows.pop(leaf) for leaf in tree.subtree_leaves(node)]
         merged = under[0] if len(under) == 1 else np.sort(np.concatenate(under))
@@ -328,10 +324,8 @@ def _reroute(tree: Tree, cand: Tree, features: np.ndarray, rows_by_leaf: dict,
             old = rows_by_leaf.get(leaf)
             if old is not None and old.size == r.size and (old == r).all():
                 r = old
-            else:
-                changed.add(leaf)
             rows[leaf] = r
-    return rows, changed
+    return rows
 
 
 def _top_nodes(tree: Tree, a: int, b: int) -> list[int]:
@@ -377,14 +371,14 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
             return MoveProposal.invalid(kind, "no splittable feature")
         cand = tree.copy()
         left, right = cand.grow(leaf, *rule)
-        rows, affected = _reroute(tree, cand, features, rows_by_leaf, [leaf])
+        rows = _reroute(tree, cand, features, rows_by_leaf, [leaf])
         if min(rows[left].size, rows[right].size) < n_min:
             return MoveProposal.invalid(kind, "child below minimum node size")
         # forward picks one of the current leaves, the reverse prune one of
         # the candidate's prunable nodes; the rule's proposal probability
         # equals its prior probability, so the two cancel out of the ratio
         correction = math.log(len(leaves)) - math.log(len(cand.prunable_nodes()))
-        return MoveProposal(kind, cand, rows, affected, correction)
+        return MoveProposal(kind, cand, rows, correction)
 
     if kind == PRUNE:
         prunable = sorted(tree.prunable_nodes())
@@ -394,8 +388,8 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         cand = tree.copy()
         cand.prune(target)
         correction = math.log(len(prunable)) - math.log(cand.n_leaves())
-        rows, affected = _reroute(tree, cand, features, rows_by_leaf, [target])
-        return MoveProposal(kind, cand, rows, affected, correction)
+        rows = _reroute(tree, cand, features, rows_by_leaf, [target])
+        return MoveProposal(kind, cand, rows, correction)
 
     if kind == CHANGE:
         targets = sorted(tree.prunable_nodes())
@@ -407,10 +401,10 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
             return MoveProposal.invalid(kind, "no splittable feature")
         cand = tree.copy()
         cand.set_rule(target, *rule)
-        rows, affected = _reroute(tree, cand, features, rows_by_leaf, [target])
+        rows = _reroute(tree, cand, features, rows_by_leaf, [target])
         if min(r.size for r in rows.values()) < n_min:
             return MoveProposal.invalid(kind, "terminal below minimum node size")
-        return MoveProposal(kind, cand, rows, affected)
+        return MoveProposal(kind, cand, rows)
 
     # swap: exchange the rules of two distinct internal nodes
     internal = sorted(tree.internal_nodes())
@@ -422,10 +416,10 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
     na, nb = cand.nodes[a], cand.nodes[b]
     na.feature, nb.feature = nb.feature, na.feature
     na.threshold, nb.threshold = nb.threshold, na.threshold
-    rows, affected = _reroute(tree, cand, features, rows_by_leaf, _top_nodes(tree, a, b))
+    rows = _reroute(tree, cand, features, rows_by_leaf, _top_nodes(tree, a, b))
     if min(r.size for r in rows.values()) < n_min:
         return MoveProposal.invalid(SWAP, "terminal below minimum node size")
-    return MoveProposal(SWAP, cand, rows, affected)
+    return MoveProposal(SWAP, cand, rows)
 
 
 def split_covariates(tree: Tree) -> set[int]:

@@ -111,6 +111,12 @@ def route_row(tree, x):
     return node_id
 
 
+def changed_leaves(rows_by_leaf, current):
+    """Leaves of a candidate routing whose rows array is not the current
+    routing's own object: the leaves a move gave other rows."""
+    return {leaf for leaf, rows in rows_by_leaf.items() if current.get(leaf) is not rows}
+
+
 def recursive_log_tree_prior(tree, alpha, beta_depth):
     """Evaluate the depth prior by explicit recursion from the root."""
 

@@ -151,6 +151,15 @@ class TestTrain:
         assert err.startswith("error: ") and message in err
         assert not list(tmp_path.glob("r.*"))
 
+    def test_thinning_that_keeps_no_draw_is_an_error(self, friedman_csv, tmp_path, capsys):
+        code = run_cli("train", "--data", friedman_csv, "--target", "y",
+                       "--trees", 2, "--burnin", 5, "--iters", 5, "--thin", 10,
+                       "--store-trees", "--out", tmp_path / "r")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "post_burn_in=5" in err and "thin=10" in err
+        assert not list(tmp_path.glob("r.*"))
+
     def test_unknown_flag_is_an_error(self, friedman_csv, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("train", "--data", friedman_csv, "--target", "y",
@@ -512,6 +521,15 @@ class TestDiagnostics:
         capsys.readouterr()
         assert run_cli("diagnostics", "--run", prefix) == 0
         assert "sigma2: fixed at 1" in capsys.readouterr().out
+
+    def test_one_draw_prints_no_sd(self, tmp_path, friedman_csv, capsys):
+        prefix = tmp_path / "one"
+        assert run_cli("train", "--data", friedman_csv, "--target", "y", "--trees", 2,
+                       "--burnin", 5, "--iters", 1, "--out", prefix) == 0
+        capsys.readouterr()
+        assert run_cli("diagnostics", "--run", prefix) == 0
+        out = capsys.readouterr().out
+        assert "sigma2 post-burn-in mean" in out and "sd:" not in out
 
     def test_trace_copy(self, tmp_path, trained_run, capsys):
         dest = tmp_path / "trace_copy.csv"

@@ -404,33 +404,65 @@ class TestLeafModels:
         assert leaf_parameter_count(t, kind, TREE_SPLITS) == sum(
             len(p.get("beta", [None])) for p in payload.values())
 
-    def test_carried_stats_lend_their_design_only_on_the_same_rows_and_covariates(self):
+    def test_prev_stats_are_taken_whole_lent_or_rebuilt(self, monkeypatch):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         t = self.grown_tree()
         rows = t.leaf_rows(X)
-        # under tree-splits every leaf has covariates [0, 1]; under ancestors
-        # the leaf split off the root has [0] only
+        resid = rng.normal(size=40)
+        model = LinearLeaves(ANCESTORS, (1.0, 2.0))
+        prev = {st.leaf_id: st for st in model.stats(t, rows, X, resid)}
+        built, build = [], leaves.linear_leaf_stats
+
+        def counting_build(rows, *args):
+            built.append(sorted(rows))
+            return build(rows, *args)
+
+        monkeypatch.setattr(leaves, "linear_leaf_stats", counting_build)
+
+        def check(got, fresh):
+            for st, ref in zip(got, fresh):
+                for name in ("design", "xtx", "xtr", "v_diag"):
+                    assert np.array_equal(getattr(st, name), getattr(ref, name))
+                assert (st.r_sum, st.r_sq_sum, st.covariates) == (ref.r_sum, ref.r_sq_sum,
+                                                                  ref.covariates)
+                assert linear_log_marginal([st], 0.7) == linear_log_marginal([ref], 0.7)
+
+        # same rows arrays, covariates and residual array: every stat taken whole
+        got = model.stats(t, rows, X, resid, prev)
+        assert all(st is prev[st.leaf_id] for st in got) and built == [[]]
+
+        # another residual array: design and X'X lent, the rest built
+        other = rng.normal(size=40)
+        got = model.stats(t, rows, X, other, prev)
+        for st in got:
+            old = prev[st.leaf_id]
+            assert st is not old and st.design is old.design and st.xtx is old.xtx
+        check(got, model.stats(t, rows, X, other))
+
+        # an equal but distinct rows array, or other covariates: built fresh
         split_off = next(leaf for leaf in rows if t.nodes[leaf].depth == 1)
         copied = min(leaf for leaf in rows if leaf != split_off)
-        carried = LinearLeaves(TREE_SPLITS, (1.0, 2.0)).carry(
-            LinearLeaves(TREE_SPLITS, (1.0, 2.0)).stats(t, rows, X, rng.normal(size=40)))
-        rows = {**rows, copied: rows[copied].copy()}
-        resid = rng.normal(size=40)
-        covs = leaf_covariate_sets(t, ANCESTORS)
-        got = linear_leaf_stats(rows, X, resid, covs, carried)
-        fresh = linear_leaf_stats(rows, X, resid, covs)
-        prior = LinearLeaves(ANCESTORS, (3.0, 4.0)).prior
-        for st, ref in zip(got, fresh):
-            st.v_diag, ref.v_diag = prior(st.q).v_diag, prior(ref.q).v_diag
-            lent = st.leaf_id not in (split_off, copied)
-            assert (st.design is carried[st.leaf_id].design) == lent
-            assert (st.xtx is carried[st.leaf_id].xtx) == lent
-            for name in ("design", "xtx", "xtr", "v_diag"):
-                assert np.array_equal(getattr(st, name), getattr(ref, name))
-            assert (st.r_sum, st.r_sq_sum, st.covariates) == (ref.r_sum, ref.r_sq_sum,
-                                                              ref.covariates)
-            assert linear_log_marginal([st], 0.7) == linear_log_marginal([ref], 0.7)
+        moved = t.copy()
+        moved.set_rule(moved.nodes[copied].parent, 2, 0.5)   # path features {0, 1} -> {0, 2}
+        for tree, rows_now, rebuilt in [(t, {**rows, copied: rows[copied].copy()}, {copied}),
+                                        (moved, rows, set(rows) - {split_off})]:
+            built.clear()
+            got = model.stats(tree, rows_now, X, resid, prev)
+            assert built == [sorted(rebuilt)]
+            for st in got:
+                old = prev[st.leaf_id]
+                assert (st is old) == (st.leaf_id not in rebuilt)
+                if st.leaf_id in rebuilt:
+                    assert st.design is not old.design and st.xtx is not old.xtx
+            check(got, model.stats(tree, rows_now, X, resid))
+
+        # a constant stat records its rows and residuals and follows the same rule
+        constant = ConstantLeaves(0.1)
+        prev = {st.leaf_id: st for st in constant.stats(t, rows, X, resid)}
+        assert all(st.rows is rows[st.leaf_id] and st.resid is resid for st in prev.values())
+        assert all(st is prev[st.leaf_id] for st in constant.stats(t, rows, X, resid, prev))
+        assert not any(st is prev[st.leaf_id] for st in constant.stats(t, rows, X, other, prev))
 
     def test_leaves_of_one_q_share_their_prior_terms(self):
         rng = np.random.default_rng(6)
@@ -459,24 +491,3 @@ class TestLeafModels:
         other = LinearLeaves(ANCESTORS, (2.0, 5.0)).stats(t, t.leaf_rows(X), X,
                                                           rng.normal(size=40))
         assert all(a.prior is not c.prior for a, c in zip(first, other))
-
-    @pytest.mark.parametrize("rule", [TREE_SPLITS, ANCESTORS])
-    def test_carried_stats_give_the_covariates(self, monkeypatch, rule):
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(40, 3))
-        t = self.grown_tree()
-        rows = t.leaf_rows(X)
-        model = LinearLeaves(rule, (3.0, 4.0))
-        carried = model.carry(model.stats(t, rows, X, rng.normal(size=40)))
-        resid = rng.normal(size=40)
-        fresh = model.stats(t, rows, X, resid)
-
-        def no_covariate_sets(*args):
-            raise AssertionError("leaf_covariate_sets called with carried stats")
-
-        monkeypatch.setattr(leaves, "leaf_covariate_sets", no_covariate_sets)
-        got = model.stats(t, rows, X, resid, carried=carried)
-        for st, ref in zip(got, fresh):
-            assert st.covariates == ref.covariates
-            assert st.design is carried[st.leaf_id].design
-            assert linear_log_marginal([st], 0.7) == linear_log_marginal([ref], 0.7)

@@ -22,7 +22,7 @@ from lmbart.sampler import (Hyperparams, PosteriorDraws, calibrate_lambda,
                             sample_tau_intercept, sample_tau_slopes,
                             write_draws_jsonl)
 from lmbart.benchmark import FriedmanSpec, friedman_generate
-from oracles import explicit_partial_residual
+from oracles import changed_leaves, explicit_partial_residual
 
 
 def hp_small(**kwargs):
@@ -475,7 +475,7 @@ class TestIncrementalTreeStep:
                 assert len(rec["built"]) == 1
                 continue
             valid += 1
-            cand, affected = prop.tree, prop.affected_leaves
+            cand, affected = prop.tree, changed_leaves(prop.rows_by_leaf, rec["rows"])
             if config == "linear-tree-splits" and split_covariates(cand) != split_covariates(current):
                 expected = cand.n_leaves()
                 rebuilt_all += 1
@@ -559,14 +559,14 @@ class TestIncrementalTreeStep:
                 accepted.add(kind)
             ts = state.trees[tree_index]
             covs = leaves.leaf_covariate_sets(ts.tree, hp.covariate_rule)
-            assert sorted(ts.carried) == sorted(ts.rows_by_leaf)
+            assert sorted(ts.stats) == sorted(ts.rows_by_leaf)
             for leaf, rows in ts.rows_by_leaf.items():
-                st = ts.carried[leaf]
+                st = ts.stats[leaf]
                 fresh = leaves.build_leaf_design(rows, X, covs[leaf])
                 assert st.rows is rows and st.covariates == covs[leaf]
                 assert np.array_equal(st.design, fresh)
                 assert np.array_equal(st.xtx, fresh.T @ fresh)
-            designs = [st.design for st in ts.carried.values()]
+            designs = [st.design for st in ts.stats.values()]
             carried_over += sum(any(d is p for p in previous.get(tree_index, ()))
                                 for d in designs)
             previous[tree_index] = designs
@@ -766,6 +766,11 @@ class TestHyperparams:
             Hyperparams(c=5.0)
         with pytest.raises(ValueError):
             Hyperparams(leaf_model="cubic")
+
+    def test_post_burn_in_must_keep_a_draw(self):
+        with pytest.raises(ValueError, match="post_burn_in=5 keeps no draw at thin=10"):
+            Hyperparams(post_burn_in=5, thin=10)
+        assert Hyperparams(post_burn_in=10, thin=10).thin == 10
 
     def test_vars_inter_slope_needs_linear_leaves(self):
         with pytest.raises(ValueError, match="vars_inter_slope.*leaf_model"):

@@ -9,7 +9,7 @@ from lmbart.data import REGRESSION, Dataset, split_dictionary
 from lmbart.trees import (CHANGE, GROW, PRUNE, SWAP, Tree, _draw_rule,
                           ancestor_covariates, log_tree_prior, partition,
                           propose_move, split_covariates)
-from oracles import recursive_log_tree_prior, route_row
+from oracles import changed_leaves, recursive_log_tree_prior, route_row
 
 
 def grow_delta(depth, alpha, beta):
@@ -83,10 +83,13 @@ class TestLogTreePrior:
         t = Tree()
         checked = 0
         while checked < 50:
-            prop = propose_move(t, d.features, sd, probs, rng, n_min=2, kind=GROW)
+            current = t.leaf_rows(d.features)
+            prop = propose_move(t, d.features, sd, probs, rng, n_min=2, kind=GROW,
+                                rows_by_leaf=current)
             if not prop.valid:
                 continue
-            grown_leaf_depth = prop.tree.depth_of(next(iter(prop.affected_leaves))) - 1
+            child = next(iter(changed_leaves(prop.rows_by_leaf, current)))
+            grown_leaf_depth = prop.tree.depth_of(child) - 1
             full = (log_tree_prior(prop.tree, 0.95, 2.0)
                     - log_tree_prior(t, 0.95, 2.0))
             assert_allclose(grow_delta(grown_leaf_depth, 0.95, 2.0), full,
@@ -134,10 +137,11 @@ class TestPartition:
             probs = np.full(3, 1 / 3)
             t = Tree()
             for _ in range(10):   # random trees of depth <= ~3
+                current = t.leaf_rows(d.features)
                 prop = propose_move(t, d.features, sd, probs, rng, n_min=1,
-                                    kind=GROW)
+                                    kind=GROW, rows_by_leaf=current)
                 if prop.valid and prop.tree.depth_of(
-                        next(iter(prop.affected_leaves))) <= 3:
+                        next(iter(changed_leaves(prop.rows_by_leaf, current)))) <= 3:
                     t = prop.tree
             part = partition(t, d.features)
             for i in range(n):
@@ -148,12 +152,13 @@ class TestProposeMove:
     def test_forced_grow_on_stump(self):
         d, sd = make_dataset()
         rng = np.random.default_rng(0)
+        current = Tree().leaf_rows(d.features)
         prop = propose_move(Tree(), d.features, sd, np.full(3, 1 / 3), rng,
-                            n_min=5, kind=GROW)
+                            n_min=5, kind=GROW, rows_by_leaf=current)
         assert prop.valid
         assert len(prop.tree.internal_nodes()) == 1
         assert prop.tree.n_leaves() == 2
-        assert prop.affected_leaves == set(prop.tree.leaves())
+        assert changed_leaves(prop.rows_by_leaf, current) == set(prop.tree.leaves())
 
     def test_forced_prune_on_stump_is_invalid(self):
         d, sd = make_dataset()
@@ -168,10 +173,12 @@ class TestProposeMove:
         rng = np.random.default_rng(0)
         t = Tree()
         t.grow(t.root, 0, float(sd.values[0][len(sd.values[0]) // 2]))
-        prop = propose_move(t, d.features, sd, np.full(3, 1 / 3), rng, kind=PRUNE)
+        current = t.leaf_rows(d.features)
+        prop = propose_move(t, d.features, sd, np.full(3, 1 / 3), rng, kind=PRUNE,
+                            rows_by_leaf=current)
         assert prop.valid
         assert prop.tree.n_leaves() == 1
-        assert prop.affected_leaves == {t.root}
+        assert changed_leaves(prop.rows_by_leaf, current) == {t.root}
 
     def test_swap_needs_two_internal_nodes(self):
         d, sd = make_dataset()
@@ -186,11 +193,13 @@ class TestProposeMove:
         rng = np.random.default_rng(2)
         t = Tree()
         t.grow(t.root, 0, float(np.median(d.features[:, 0])))
-        prop = propose_move(t, d.features, sd, np.full(3, 1 / 3), rng, kind=CHANGE)
+        current = t.leaf_rows(d.features)
+        prop = propose_move(t, d.features, sd, np.full(3, 1 / 3), rng, kind=CHANGE,
+                            rows_by_leaf=current)
         assert prop.valid
         assert prop.tree.n_leaves() == 2
         nd = prop.tree.nodes[prop.tree.root]
-        assert prop.affected_leaves == {nd.left, nd.right}
+        assert changed_leaves(prop.rows_by_leaf, current) == {nd.left, nd.right}
 
     def test_grow_respects_minimum_node_size(self):
         X = np.array([[0.0]] * 9 + [[100.0]] * 41)
@@ -237,16 +246,19 @@ class TestProposeMove:
         checked = 0
         t = Tree()
         while checked < 20:
-            grow = propose_move(t, d.features, sd, probs, rng, n_min=5, kind=GROW)
+            current = t.leaf_rows(d.features)
+            grow = propose_move(t, d.features, sd, probs, rng, n_min=5, kind=GROW,
+                                rows_by_leaf=current)
             if not grow.valid:
                 continue
             # find the prune that undoes this grow; corrections must cancel
-            grown_parent = {prop_leaf for prop_leaf in grow.affected_leaves}
-            parent = grow.tree.nodes[next(iter(grown_parent))].parent
+            grown = changed_leaves(grow.rows_by_leaf, current)
+            parent = grow.tree.nodes[next(iter(grown))].parent
             for _ in range(200):
                 prune = propose_move(grow.tree, d.features, sd, probs, rng,
-                                     kind=PRUNE)
-                if prune.valid and prune.affected_leaves == {parent}:
+                                     kind=PRUNE, rows_by_leaf=grow.rows_by_leaf)
+                if prune.valid and changed_leaves(prune.rows_by_leaf,
+                                                  grow.rows_by_leaf) == {parent}:
                     assert_allclose(grow.log_transition_correction,
                                     -prune.log_transition_correction,
                                     rtol=0, atol=1e-12)
@@ -284,12 +296,11 @@ class TestInvariantsUnderMoves:
                     assert_array_equal(got, rows)
                     assert got.dtype == np.int64
                     assert np.all(np.diff(got) > 0)
+                # a candidate leaf holds the current array exactly when its rows are equal
                 differ = {leaf for leaf, rows in rerouted.items()
                           if leaf not in current
                           or not np.array_equal(current[leaf], rows)}
-                assert prop.affected_leaves == differ
-                for leaf in rerouted.keys() - prop.affected_leaves:
-                    assert prop.rows_by_leaf[leaf] is current[leaf]
+                assert changed_leaves(prop.rows_by_leaf, current) == differ
                 carried[prop.kind] += 1
             if prop.valid and rng.uniform() < 0.5:
                 t = prop.tree
@@ -314,10 +325,13 @@ class TestInvariantsUnderMoves:
             if prop.valid:
                 t = prop.tree
         before = partition(t, d.features).assignment
+        current = t.leaf_rows(d.features)
         grow = None
         while grow is None or not grow.valid:
-            grow = propose_move(t, d.features, sd, probs, rng, n_min=5, kind=GROW)
-        parent = grow.tree.nodes[next(iter(grow.affected_leaves))].parent
+            grow = propose_move(t, d.features, sd, probs, rng, n_min=5, kind=GROW,
+                                rows_by_leaf=current)
+        child = next(iter(changed_leaves(grow.rows_by_leaf, current)))
+        parent = grow.tree.nodes[child].parent
         undone = grow.tree.copy()
         undone.prune(parent)
         after = partition(undone, d.features).assignment
