@@ -1,8 +1,10 @@
 """Command-line entry point: simulate | train | predict | benchmark | diagnostics.
 
-Train flags mirror `Hyperparams` one-to-one and take their defaults from it;
-unknown flags are hard errors. Every command is reproducible from the
-metadata it writes.
+Train flags mirror the `Hyperparams` fields and take their defaults from it,
+except `tau_b`, `a0`, `b0`, `a1`, `b1` and `dirichlet_mass`, which have no flag
+and are set through the Python API or a grid file. Unknown flags are hard
+errors. A trained run is one file, `<out>.draws.jsonl`, whose header line
+records everything needed to reproduce it.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diagnostics", help="summarize a persisted run")
     diag.add_argument("--run", required=True, help="path prefix used by train")
     diag.add_argument("--out", default=None,
-                      help="optional copy destination for the sigma2 trace CSV")
+                      help="optional path for the sigma2 trace CSV "
+                           "(whole chain, burn-in included)")
     return parser
 
 
@@ -100,29 +103,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_paths(prefix: str) -> dict[str, Path]:
-    prefix = str(prefix)
-    return {
-        "draws": Path(prefix + ".draws.jsonl"),
-        "meta": Path(prefix + ".meta.json"),
-        "trace": Path(prefix + ".sigma2.csv"),
-    }
-
-
-def _read_run(prefix: str) -> tuple[dict[str, Path], dict, list[dict]]:
-    """Paths, metadata and draw records of a run; a draws file with no records,
-    or another count than the metadata's `retained`, raises ValueError."""
-    paths = _run_paths(prefix)
-    meta = sp.read_metadata(paths["meta"])
-    records = sp.read_draws_jsonl(paths["draws"])
-    if len(records) != meta["retained"]:
-        raise ValueError(f"{paths['draws']}: {len(records)} draws, but {paths['meta']} "
-                         f"records {meta['retained']}; the file may be truncated")
-    if not records:
-        raise ValueError(f"{paths['draws']}: no retained draws")
-    return paths, meta, records
-
-
 def cmd_train(args) -> int:
     data = load_csv(args.data, args.target, args.task)
     inputs = ("command", "data", "target", "task", "out")
@@ -132,27 +112,25 @@ def cmd_train(args) -> int:
         draws = sp.run_regression(scaled, hp, scaling)
     else:
         draws = sp.run_classification(scaled, hp, scaling)
-    paths = _run_paths(args.out)
-    sp.write_draws_jsonl(draws, paths["draws"])
-    sp.write_metadata(draws, paths["meta"], target_column=args.target,
-                      extra={"inputs": {"data": str(args.data),
-                                        "target": args.target,
-                                        "task": args.task}})
-    sp.write_sigma2_trace(draws, paths["trace"])
-    print(f"wrote {paths['draws']}, {paths['meta']}, {paths['trace']}")
+    path = f"{args.out}.draws.jsonl"
+    sp.write_run(draws, path, extra={"target_column": args.target,
+                                     "inputs": {"data": str(args.data),
+                                                "target": args.target,
+                                                "task": args.task}})
+    print(f"wrote {path}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    paths, meta, records = _read_run(args.run)
+    path = f"{args.run}.draws.jsonl"
+    header, records = sp.read_run(path)
     if "trees" not in records[0]:
-        print(f"{paths['draws']}: no stored trees; rerun train with --store-trees",
-              file=sys.stderr)
+        print(f"{path}: no stored trees; rerun train with --store-trees", file=sys.stderr)
         return 1
-    X = load_features(args.data, meta["feature_names"], meta.get("target_column"))
-    result = sp.predict_stored([r["trees"] for r in records], meta["task"],
-                               ScalingInfo.from_dict(meta["scaling"]), X)
-    is_classification = meta["task"] == CLASSIFICATION
+    X = load_features(args.data, header["feature_names"], header.get("target_column"))
+    result = sp.predict_stored([r["trees"] for r in records], header["task"],
+                               ScalingInfo.from_dict(header["scaling"]), X)
+    is_classification = header["task"] == CLASSIFICATION
     label = "probability" if is_classification else "mean"
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -189,20 +167,20 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    paths, meta, records = _read_run(args.run)
+    header, records = sp.read_run(f"{args.run}.draws.jsonl")
     sigma2 = np.array([r["sigma2"] for r in records])
     terminal = np.array([r["terminal_counts"] for r in records], dtype=float)
     params = np.array([r["param_counts"] for r in records], dtype=float)
     print(f"run: {args.run}")
-    print(f"task: {meta['task']}; retained draws: {len(records)}")
-    if meta["task"] == CLASSIFICATION:
+    print(f"task: {header['task']}; retained draws: {len(records)}")
+    if header["task"] == CLASSIFICATION:
         print("sigma2: fixed at 1")
     else:
         # the sample sd needs two draws
         sd = f"  sd: {sigma2.std(ddof=1):.6f}" if sigma2.size > 1 else ""
         print(f"sigma2 post-burn-in mean: {sigma2.mean():.6f}{sd}")
     print("acceptance rates per move kind:")
-    for kind, rec in meta["acceptance"].items():
+    for kind, rec in header["acceptance"].items():
         total = sum(rec.values())
         rate = rec["accepted"] / total if total else float("nan")
         print(f"  {kind:<7} accepted {rec['accepted']:>6}  rejected {rec['rejected']:>6}  "
@@ -210,8 +188,8 @@ def cmd_diagnostics(args) -> int:
     print(f"mean terminal nodes per tree: {terminal.mean():.3f}")
     print(f"mean parameters per tree: {params.mean():.3f}")
     if args.out is not None:
-        Path(args.out).write_bytes(Path(paths["trace"]).read_bytes())
-        print(f"copied sigma2 trace to {args.out}")
+        sp.write_sigma2_trace(header["sigma2_chain"], args.out)
+        print(f"wrote sigma2 trace to {args.out}")
     return 0
 
 

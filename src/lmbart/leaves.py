@@ -93,10 +93,9 @@ class LeafStats:
 
     For linear leaves `design` is the leaf design (intercept column of ones
     plus the leaf's `covariates` in ascending feature order) on `rows`,
-    `xtx`/`xtr` are its Gram matrix and moment vector, and `v_diag` is the
-    diagonal of the leaf's coefficient prior covariance V. Set `v_diag`
-    before the first use of `posterior`, which is computed once and then
-    kept.
+    `xtx`/`xtr` are its Gram matrix and moment vector, and `prior` holds the
+    terms of the leaf's coefficient prior covariance V. Set `prior` before
+    the first use of `posterior`, which is computed once and then kept.
     """
 
     leaf_id: int
@@ -106,7 +105,7 @@ class LeafStats:
     xtx: np.ndarray | None = None
     xtr: np.ndarray | None = None
     covariates: list[int] | None = None
-    v_diag: np.ndarray | None = None
+    prior: LeafPrior | None = None
     design: np.ndarray | None = None
     rows: np.ndarray | None = None
     resid: np.ndarray | None = None
@@ -116,11 +115,6 @@ class LeafStats:
         """The leaf's parameter count: 1 for a constant leaf, the coefficient
         count for a linear one."""
         return 1 if self.xtx is None else self.xtx.shape[0]
-
-    @cached_property
-    def prior(self) -> LeafPrior:
-        """The prior terms of `v_diag`; `LinearLeaves.stats` sets the model's one per q."""
-        return LeafPrior(self.v_diag)
 
     @cached_property
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +378,6 @@ class LinearLeaves:
             stats = linear_leaf_stats(rows, features, resid, covs, prev)
             for st in stats:
                 st.prior = self.prior(st.q)
-                st.v_diag = st.prior.v_diag
             return stats
 
         return _reuse(rows_by_leaf, covs, resid, prev, build)

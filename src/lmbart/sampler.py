@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -28,11 +29,43 @@ from .data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
                    SplitDictionary, split_dictionary)
 
 VERSION = "lmbart 0.1.0"
-# keys that `read_metadata` requires of a run's metadata
-_META_KEYS = ("version", "task", "feature_names", "scaling", "acceptance", "retained")
+# keys that `read_run` requires of a run's header line
+_HEADER_KEYS = ("version", "task", "feature_names", "scaling", "acceptance", "retained",
+                "sigma2_chain")
 
 UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
+
+# annotation of a `Hyperparams` field -> (accepts a value, what it expects);
+# numpy integers are integers, and a bool is neither an integer nor a real
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+            "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and math.isfinite(v), "a finite real"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+_POSITIVE = (lambda v: v > 0, "> 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices), " or ".join(map(repr, choices))
+
+
+# `Hyperparams` field -> (accepts a value of its type, the range it states)
+_FIELD_RANGES = {
+    "m": _AT_LEAST_1, "alpha": (lambda v: 0 < v < 1, "in (0, 1)"), "beta_depth": _NON_NEGATIVE,
+    "nu": _POSITIVE, "lam": _POSITIVE, "c": (lambda v: 1 <= v <= 3, "in [1, 3]"),
+    "burn_in": _NON_NEGATIVE, "post_burn_in": _AT_LEAST_1, "thin": _AT_LEAST_1,
+    "leaf_model": _one_of(lv.CONSTANT, lv.LINEAR),
+    "covariate_rule": _one_of(lv.TREE_SPLITS, lv.ANCESTORS),
+    "branching": _one_of(UNIFORM, DIRICHLET),
+    "tau_b": _POSITIVE, "a0": _POSITIVE, "b0": _POSITIVE, "a1": _POSITIVE, "b1": _POSITIVE,
+    "n_min": _AT_LEAST_1, "seed": _NON_NEGATIVE, "dirichlet_mass": _POSITIVE,
+}
 
 
 @dataclass
@@ -72,44 +105,32 @@ class Hyperparams:
     dirichlet_mass: float = 1.0
 
     def __post_init__(self):
+        self.validate()
         if self.branching is None:
             self.branching = DIRICHLET if self.leaf_model == lv.LINEAR else UNIFORM
         if self.vars_inter_slope is None:
             self.vars_inter_slope = self.leaf_model == lv.LINEAR
         if self.tau_b is None:
             self.tau_b = float(self.m)
-        self.validate()
 
     def validate(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.beta_depth < 0:
-            raise ValueError("beta_depth must be >= 0")
-        if self.nu <= 0:
-            raise ValueError("nu must be > 0")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be > 0")
-        if not 1.0 <= self.c <= 3.0:
-            raise ValueError("c must lie in [1, 3]")
-        if self.burn_in < 0 or self.post_burn_in < 1 or self.thin < 1:
-            raise ValueError("need burn_in >= 0, post_burn_in >= 1, thin >= 1")
+        """Each field must hold its annotated type (`_FIELD_TYPES`), then lie in
+        its range (`_FIELD_RANGES`); a failure raises ValueError naming the
+        field and the value. A field left None where its annotation allows it
+        is skipped: `__post_init__` then resolves it, or the chain calibrates
+        `lam`."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("| None"):
+                continue
+            accepts, expected = _FIELD_TYPES[f.type.split(" |")[0]]
+            if accepts(value) and f.name in _FIELD_RANGES:
+                accepts, expected = _FIELD_RANGES[f.name]
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
         if self.post_burn_in < self.thin:
             raise ValueError(f"post_burn_in={self.post_burn_in} keeps no draw at "
                              f"thin={self.thin}; need post_burn_in >= thin")
-        if self.leaf_model not in (lv.CONSTANT, lv.LINEAR):
-            raise ValueError(f"unknown leaf model {self.leaf_model!r}")
-        if self.covariate_rule not in (lv.TREE_SPLITS, lv.ANCESTORS):
-            raise ValueError(f"unknown covariate rule {self.covariate_rule!r}")
-        if self.branching not in (UNIFORM, DIRICHLET):
-            raise ValueError(f"unknown branching {self.branching!r}")
-        if self.tau_b <= 0 or min(self.a0, self.b0, self.a1, self.b1) <= 0:
-            raise ValueError("precision hyperparameters must be > 0")
-        if self.n_min < 1:
-            raise ValueError("n_min must be >= 1")
-        if self.dirichlet_mass <= 0:
-            raise ValueError("dirichlet_mass must be > 0")
         if self.vars_inter_slope and self.leaf_model != lv.LINEAR:
             raise ValueError("vars_inter_slope needs leaf_model='linear', "
                              f"got leaf_model={self.leaf_model!r}")
@@ -617,12 +638,32 @@ def predict(draws: PosteriorDraws, X_new: np.ndarray) -> PredictionSummary:
 
 
 # ---------------------------------------------------------------------------
-# run persistence (JSON-lines draws, metadata JSON, sigma^2 trace CSV)
+# run persistence: one JSON-lines file per run, a header line then the draws
 
 
-def write_draws_jsonl(draws: PosteriorDraws, path) -> None:
-    """One retained iteration per line: sigma2, taus, counts, optional trees."""
+def write_run(draws: PosteriorDraws, path, extra: dict | None = None) -> None:
+    """A run as one JSON-lines file.
+
+    The first line is the header: version, task, feature names, resolved
+    config and lambda, scaling, acceptance counters, `retained`, the mean
+    training fit, the whole sigma^2 chain (burn-in included) and `extra`.
+    One line per retained draw follows: sigma2, taus, counts, optional trees.
+    """
+    header = {
+        "version": VERSION,
+        "task": draws.task,
+        "feature_names": draws.feature_names,
+        "config": draws.hyperparams.to_dict(),
+        "resolved_lambda": draws.lam,
+        "scaling": draws.scaling.to_dict(),
+        "acceptance": draws.acceptance,
+        "retained": draws.retained,
+        "train_yhat_mean": draws.yhat_train.mean(axis=0).tolist(),
+        "sigma2_chain": draws.sigma2_chain.tolist(),
+        **(extra or {}),
+    }
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n")
         for k in range(draws.retained):
             record = {
                 "iteration": int(draws.iterations[k]),
@@ -638,68 +679,51 @@ def write_draws_jsonl(draws: PosteriorDraws, path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def read_draws_jsonl(path) -> list[dict]:
-    """Records of `write_draws_jsonl`; a line that is not JSON raises ValueError."""
-    records = []
+def read_run(path) -> tuple[dict, list[dict]]:
+    """(header, draw records) of a `write_run` file.
+
+    Raises ValueError naming the file when a line is not valid JSON (by line
+    number), the header is not an object, is a draw record (a run written
+    before the header, with a separate metadata file), lacks a required key or
+    has another `VERSION`, or when the draw count is not the header's
+    `retained`.
+    """
+    values = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                values.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {number} is not valid JSON at column "
                                  f"{exc.colno}; the file may be truncated") from None
-    return records
-
-
-def write_metadata(draws: PosteriorDraws, path, target_column: str = "y",
-                   extra: dict | None = None) -> None:
-    """Run-reproduction record: config, scaling sidecar, seed, version."""
-    meta = {
-        "version": VERSION,
-        "task": draws.task,
-        "target_column": target_column,
-        "feature_names": draws.feature_names,
-        "config": draws.hyperparams.to_dict(),
-        "resolved_lambda": draws.lam,
-        "scaling": draws.scaling.to_dict(),
-        "acceptance": draws.acceptance,
-        "retained": draws.retained,
-        "train_yhat_mean": draws.yhat_train.mean(axis=0).tolist(),
-    }
-    if extra:
-        meta.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-
-
-def read_metadata(path) -> dict:
-    """Metadata of `write_metadata`.
-
-    Invalid JSON, a value that is not an object, a missing required key or
-    another `VERSION` raises ValueError naming the file.
-    """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    missing = [key for key in _META_KEYS if key not in meta]
+    if not values:
+        raise ValueError(f"{path}: empty file, no run header")
+    header, records = values[0], values[1:]
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the header line is not a JSON object")
+    if "iteration" in header:
+        raise ValueError(f"{path}: no run header (the first line is a draw); runs "
+                         "written with a separate metadata file must be trained again")
+    missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
-        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    if meta["version"] != VERSION:
-        raise ValueError(f"{path}: written by {meta['version']!r}, "
+        raise ValueError(f"{path}: header missing key(s) {', '.join(missing)}")
+    if header["version"] != VERSION:
+        raise ValueError(f"{path}: written by {header['version']!r}, "
                          f"expected {VERSION!r}")
-    return meta
+    if len(records) != header["retained"]:
+        raise ValueError(f"{path}: {len(records)} draws, but the header records "
+                         f"{header['retained']}; the file may be truncated")
+    if not records:
+        raise ValueError(f"{path}: no retained draws")
+    return header, records
 
 
-def write_sigma2_trace(draws: PosteriorDraws, path) -> None:
-    """Two-column CSV (iteration, sigma2) over the whole chain, burn-in included."""
+def write_sigma2_trace(sigma2_chain, path) -> None:
+    """Two-column CSV (iteration, sigma2) of a whole chain, burn-in included."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "sigma2"])
-        for i, s2 in enumerate(draws.sigma2_chain, start=1):
+        for i, s2 in enumerate(sigma2_chain, start=1):
             writer.writerow([i, repr(float(s2))])

@@ -17,7 +17,7 @@ from lmbart.benchmark import (EngineConfig, FriedmanSpec, friedman_generate,
                               run_benchmark)
 from lmbart.cli import main as cli_main
 from lmbart.data import CLASSIFICATION, Dataset, standardize
-from lmbart.leaves import (LeafStats, bart_log_marginal, bart_sample_mu,
+from lmbart.leaves import (LeafPrior, LeafStats, bart_log_marginal, bart_sample_mu,
                            leaf_parameter_count, linear_log_marginal,
                            linear_sample_beta)
 from lmbart.sampler import (Hyperparams, partial_residual, run_classification,
@@ -80,7 +80,7 @@ def test_criterion_1_marginal_likelihood_oracle_equivalence():
         sigma2 = rng.uniform(0.3, 2.0)
         v = rng.uniform(0.3, 2.0, q)
         st = LeafStats(0, n, float(r.sum()), float(r @ r), xtx=X.T @ X,
-                       xtr=X.T @ r, v_diag=v)
+                       xtr=X.T @ r, prior=LeafPrior(v))
         impl = linear_log_marginal([st], sigma2)
         restored = math.exp(linear_marginal_restore_constants(impl, n))
         oracle = quad_linear_leaf(X, r, sigma2, v)
@@ -111,7 +111,7 @@ def test_criterion_2_conjugate_sampler_moments():
 
     X = np.array([[1.0, 1.0], [1.0, -1.0]])
     beta_stats = [LeafStats(0, 2, 2.0, 4.0, xtx=X.T @ X,
-                            xtr=X.T @ np.array([2.0, 0.0]), v_diag=np.ones(2))]
+                            xtr=X.T @ np.array([2.0, 0.0]), prior=LeafPrior(np.ones(2)))]
     betas = np.array([linear_sample_beta(beta_stats, 1.0, rng)[0]
                       for _ in range(n_draws)])
     moment_check("beta0", betas[:, 0], 2.0 / 3.0, 1.0 / 3.0)

@@ -1,15 +1,16 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lmbart import leaves
-from lmbart.cli import main
+from lmbart.cli import build_parser, main
 from lmbart.data import REGRESSION, ScalingInfo, load_csv, standardize
-from lmbart.sampler import (Hyperparams, predict, predict_stored, read_draws_jsonl,
-                            run_regression)
+from lmbart.sampler import (Hyperparams, predict, predict_stored, read_run,
+                            run_regression, write_sigma2_trace)
 from oracles import replay_every_tree
 
 
@@ -35,6 +36,27 @@ def nan_csv(tmp_path, friedman_csv):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines), encoding="utf-8")
     return path
+
+
+def read_header(prefix):
+    """The header line of the run at `prefix`, parsed."""
+    with open(f"{prefix}.draws.jsonl", encoding="utf-8") as fh:
+        return json.loads(fh.readline())
+
+
+def rewrite_header(prefix, edit):
+    """Replace the header line of the run at `prefix` by `edit(line)`."""
+    path = prefix.parent / f"{prefix.name}.draws.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = edit(lines[0])
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def trace_via_diagnostics(prefix, dest):
+    """Bytes of the sigma2 trace CSV that `diagnostics --out` writes for `prefix`."""
+    assert run_cli("diagnostics", "--run", prefix, "--out", dest) == 0
+    return dest.read_bytes()
 
 
 @pytest.fixture()
@@ -72,24 +94,29 @@ class TestSimulate:
 
 
 class TestTrain:
-    def test_writes_three_outputs(self, trained_run):
-        assert (trained_run.parent / "run.draws.jsonl").exists()
-        assert (trained_run.parent / "run.meta.json").exists()
-        assert (trained_run.parent / "run.sigma2.csv").exists()
+    def test_writes_exactly_one_file(self, trained_run, friedman_csv):
+        assert sorted(p.name for p in trained_run.parent.iterdir()) == sorted(
+            ["run.draws.jsonl", friedman_csv.name])
 
     def test_metadata_config_round_trips(self, trained_run):
-        meta = json.loads((trained_run.parent / "run.meta.json").read_text())
-        hp = Hyperparams.from_dict(meta["config"])
-        assert hp.to_dict() == meta["config"]
-        assert meta["config"]["leaf_model"] == "linear"
-        assert meta["version"].startswith("lmbart")
+        header = read_header(trained_run)
+        hp = Hyperparams.from_dict(header["config"])
+        assert hp.to_dict() == header["config"]
+        assert header["config"]["leaf_model"] == "linear"
+        assert header["version"].startswith("lmbart")
 
     def test_draws_lines_parse(self, trained_run):
         lines = (trained_run.parent / "run.draws.jsonl").read_text().splitlines()
-        assert len(lines) == 25
-        record = json.loads(lines[0])
-        assert {"iteration", "sigma2", "terminal_counts", "param_counts",
-                "tau_beta0", "tau_beta", "trees"} <= set(record)
+        assert len(lines) == 26
+        header = json.loads(lines[0])
+        assert {"version", "task", "target_column", "feature_names", "config",
+                "resolved_lambda", "scaling", "acceptance", "retained",
+                "train_yhat_mean", "sigma2_chain", "inputs"} == set(header)
+        assert header["retained"] == 25 and len(header["sigma2_chain"]) == 40
+        for line in lines[1:]:
+            record = json.loads(line)
+            assert {"iteration", "sigma2", "terminal_counts", "param_counts",
+                    "tau_beta0", "tau_beta", "trees"} == set(record)
 
     def test_classification_trace_is_constant_one(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -105,8 +132,9 @@ class TestTrain:
                        "--trees", 3, "--burnin", 10, "--iters", 15,
                        "--out", prefix)
         assert code == 0
-        trace = (tmp_path / "cls_run.sigma2.csv").read_text().splitlines()
+        trace = trace_via_diagnostics(prefix, tmp_path / "trace.csv").decode().splitlines()
         assert trace[0] == "iteration,sigma2"
+        assert len(trace) == 26
         assert all(line.split(",")[1] == "1.0" for line in trace[1:])
 
     def test_bad_data_path_exits_nonzero(self, tmp_path, capsys):
@@ -160,6 +188,18 @@ class TestTrain:
         assert err.startswith("error: ") and "post_burn_in=5" in err and "thin=10" in err
         assert not list(tmp_path.glob("r.*"))
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--nu", "nan", "nu"), ("--nu", "inf", "nu"), ("--lambda", "nan", "lam"),
+        ("--beta-depth", "nan", "beta_depth"), ("--seed", "-1", "seed"),
+    ])
+    def test_bad_value_is_named_and_writes_nothing(self, friedman_csv, tmp_path, capsys,
+                                                   flag, value, name):
+        code = run_cli("train", "--data", friedman_csv, "--target", "y",
+                       flag, value, "--out", tmp_path / "r")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+        assert not list(tmp_path.glob("r.*"))
+
     def test_unknown_flag_is_an_error(self, friedman_csv, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("train", "--data", friedman_csv, "--target", "y",
@@ -176,8 +216,8 @@ class TestDeterminism:
         assert run_cli(*args, "--out", tmp_path / "two") == 0
         assert ((tmp_path / "one.draws.jsonl").read_bytes()
                 == (tmp_path / "two.draws.jsonl").read_bytes())
-        assert ((tmp_path / "one.sigma2.csv").read_bytes()
-                == (tmp_path / "two.sigma2.csv").read_bytes())
+        assert (trace_via_diagnostics(tmp_path / "one", tmp_path / "one.csv")
+                == trace_via_diagnostics(tmp_path / "two", tmp_path / "two.csv"))
 
 
 class TestPredict:
@@ -185,8 +225,7 @@ class TestPredict:
         out = tmp_path / "preds.csv"
         assert run_cli("predict", "--run", trained_run, "--data", friedman_csv,
                        "--out", out) == 0
-        meta = json.loads((trained_run.parent / "run.meta.json").read_text())
-        recorded = np.asarray(meta["train_yhat_mean"])
+        recorded = np.asarray(read_header(trained_run)["train_yhat_mean"])
         got = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
         assert_allclose(got, recorded, atol=1e-8)
 
@@ -212,12 +251,12 @@ class TestPredict:
 
     def test_persisted_replay_matches_the_reference(self, tmp_path, friedman_csv,
                                                     trained_run):
-        meta = json.loads((trained_run.parent / "run.meta.json").read_text())
-        trees = [r["trees"] for r in read_draws_jsonl(trained_run.parent / "run.draws.jsonl")]
-        scaling = ScalingInfo.from_dict(meta["scaling"])
+        header, records = read_run(trained_run.parent / "run.draws.jsonl")
+        trees = [r["trees"] for r in records]
+        scaling = ScalingInfo.from_dict(header["scaling"])
         X = load_csv(friedman_csv, "y", REGRESSION).features
-        draws, mean, lower, upper = replay_every_tree(trees, meta["task"], scaling, X)
-        result = predict_stored(trees, meta["task"], scaling, X)
+        draws, mean, lower, upper = replay_every_tree(trees, header["task"], scaling, X)
+        result = predict_stored(trees, header["task"], scaling, X)
         for got, want in ((result.draws, draws), (result.mean, mean),
                           (result.lower, lower), (result.upper, upper)):
             assert np.array_equal(got, want)
@@ -242,7 +281,8 @@ class TestPredict:
         code = run_cli("predict", "--run", trained_run, "--data", friedman_csv,
                        "--out", tmp_path / "p.csv")
         assert code == 1
-        assert "run.draws.jsonl: line 25 is not valid JSON" in capsys.readouterr().err
+        # line 1 is the header, so the 25th draw is on line 26
+        assert "run.draws.jsonl: line 26 is not valid JSON" in capsys.readouterr().err
 
     def test_missing_trees_advises_store_trees(self, tmp_path, friedman_csv,
                                                capsys):
@@ -336,8 +376,14 @@ class TestCsvRules:
         for name, data in (("full", friedman_csv), ("blank", path)):
             assert run_cli("train", "--data", data, "--target", "y", "--trees", 2,
                            "--burnin", 5, "--iters", 5, "--out", tmp_path / name) == 0
-        assert ((tmp_path / "full.draws.jsonl").read_bytes()
-                == (tmp_path / "blank.draws.jsonl").read_bytes())
+        # the draw lines are byte-identical; the header differs in the data path only
+        full, blank = ((tmp_path / f"{name}.draws.jsonl").read_text(encoding="utf-8")
+                       .split("\n", 1) for name in ("full", "blank"))
+        assert full[1] == blank[1]
+        full_header, blank_header = json.loads(full[0]), json.loads(blank[0])
+        assert blank_header.pop("inputs")["data"] == str(path)
+        assert full_header.pop("inputs")["data"] == str(friedman_csv)
+        assert full_header == blank_header
 
 
 def test_bad_label_is_named_by_its_file_row(tmp_path, capsys):
@@ -404,6 +450,13 @@ class TestBenchmarkCommand:
             rows = list(csv.DictReader(fh))
         assert all(row["replicates"] == "1" for row in rows)
 
+    def test_wrongly_typed_algorithm_value_is_an_error(self, tmp_path, capsys):
+        grid = self.make_grid(tmp_path, vars_inter_slope="false")
+        code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: vars_inter_slope must be a bool, got 'false'\n")
+
     def test_unknown_algorithm_key_is_an_error(self, tmp_path, capsys):
         grid = self.make_grid(tmp_path, proposal_correction=True)
         code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
@@ -447,7 +500,7 @@ class TestBenchmarkCommand:
 
 @pytest.mark.parametrize("command", ["predict", "diagnostics"])
 class TestRunMetadata:
-    """A damaged or foreign `meta.json` fails with the file named."""
+    """A damaged, foreign or missing run header fails with the draws file named."""
 
     def run_on(self, command, run, friedman_csv, tmp_path):
         if command == "predict":
@@ -456,34 +509,33 @@ class TestRunMetadata:
         return run_cli("diagnostics", "--run", run)
 
     def test_invalid_json(self, command, tmp_path, friedman_csv, trained_run, capsys):
-        path = trained_run.parent / "run.meta.json"
-        path.write_text(path.read_text()[:-10], encoding="utf-8")
+        path = rewrite_header(trained_run, lambda line: line[:-10] + "\n")
         assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
-        assert f"error: {path}: not valid JSON" in capsys.readouterr().err
+        assert f"error: {path}: line 1 is not valid JSON" in capsys.readouterr().err
 
     def test_not_an_object(self, command, tmp_path, friedman_csv, trained_run, capsys):
-        path = trained_run.parent / "run.meta.json"
-        path.write_text("5", encoding="utf-8")
+        path = rewrite_header(trained_run, lambda line: "5\n")
         assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
-        assert capsys.readouterr().err == f"error: {path}: not a JSON object\n"
+        assert (capsys.readouterr().err
+                == f"error: {path}: the header line is not a JSON object\n")
 
     @pytest.mark.parametrize("key", ["version", "task", "feature_names", "scaling",
-                                     "acceptance", "retained"])
+                                     "acceptance", "retained", "sigma2_chain"])
     def test_missing_key(self, command, key, tmp_path, friedman_csv, trained_run,
                          capsys):
-        path = trained_run.parent / "run.meta.json"
-        meta = json.loads(path.read_text())
-        del meta[key]
-        path.write_text(json.dumps(meta), encoding="utf-8")
+        def drop(line):
+            header = json.loads(line)
+            del header[key]
+            return json.dumps(header) + "\n"
+
+        path = rewrite_header(trained_run, drop)
         assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
-        assert f"error: {path}: missing key(s) {key}\n" in capsys.readouterr().err
+        assert f"error: {path}: header missing key(s) {key}\n" in capsys.readouterr().err
 
     def test_foreign_version(self, command, tmp_path, friedman_csv, trained_run,
                              capsys):
-        path = trained_run.parent / "run.meta.json"
-        meta = json.loads(path.read_text())
-        meta["version"] = "lmbart 9.9"
-        path.write_text(json.dumps(meta), encoding="utf-8")
+        path = rewrite_header(trained_run, lambda line: json.dumps(
+            {**json.loads(line), "version": "lmbart 9.9"}) + "\n")
         assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
         assert (f"error: {path}: written by 'lmbart 9.9', expected 'lmbart 0.1.0'"
                 in capsys.readouterr().err)
@@ -492,12 +544,32 @@ class TestRunMetadata:
                                           trained_run, capsys):
         path = trained_run.parent / "run.draws.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert len(lines) == 25
-        path.write_text("".join(lines[:7]), encoding="utf-8")
+        assert len(lines) == 26
+        path.write_text("".join(lines[:8]), encoding="utf-8")
         assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
         assert not (tmp_path / "p.csv").exists()
-        assert (f"error: {path}: 7 draws, but {trained_run.parent / 'run.meta.json'} "
-                "records 25; the file may be truncated") in capsys.readouterr().err
+        assert (f"error: {path}: 7 draws, but the header records 25; "
+                "the file may be truncated") in capsys.readouterr().err
+
+    def test_empty_file(self, command, tmp_path, friedman_csv, trained_run, capsys):
+        path = trained_run.parent / "run.draws.jsonl"
+        path.write_text("", encoding="utf-8")
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {path}: empty file, no run header\n"
+
+    def test_run_written_before_the_header(self, command, tmp_path, friedman_csv,
+                                           trained_run, capsys):
+        # the earlier layout: draw records only, with the metadata in run.meta.json
+        path = trained_run.parent / "run.draws.jsonl"
+        header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(records), encoding="utf-8")
+        (trained_run.parent / "run.meta.json").write_text(
+            json.dumps(json.loads(header), indent=2), encoding="utf-8")
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert not (tmp_path / "p.csv").exists()
+        assert (capsys.readouterr().err
+                == f"error: {path}: no run header (the first line is a draw); runs "
+                   "written with a separate metadata file must be trained again\n")
 
 
 class TestDiagnostics:
@@ -534,5 +606,30 @@ class TestDiagnostics:
     def test_trace_copy(self, tmp_path, trained_run, capsys):
         dest = tmp_path / "trace_copy.csv"
         assert run_cli("diagnostics", "--run", trained_run, "--out", dest) == 0
-        assert dest.read_bytes() == (trained_run.parent
-                                     / "run.sigma2.csv").read_bytes()
+        assert f"wrote sigma2 trace to {dest}" in capsys.readouterr().out
+        chain = read_header(trained_run)["sigma2_chain"]
+        rows = dest.read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "iteration,sigma2" and len(rows) == 1 + 15 + 25
+        assert [row.split(",") for row in rows[1:]] == [
+            [str(i), repr(s2)] for i, s2 in enumerate(chain, start=1)]
+
+    def test_trace_matches_the_in_memory_fit(self, tmp_path, friedman_csv, trained_run):
+        # same fit in memory as the trained_run fixture
+        data = load_csv(friedman_csv, "y", REGRESSION)
+        scaled, scaling = standardize(data)
+        hp = Hyperparams(m=4, burn_in=15, post_burn_in=25, leaf_model="linear",
+                         seed=7, store_trees=True)
+        expected = tmp_path / "expected.csv"
+        write_sigma2_trace(run_regression(scaled, hp, scaling).sigma2_chain, expected)
+        assert (trace_via_diagnostics(trained_run, tmp_path / "trace.csv")
+                == expected.read_bytes())
+
+
+def test_train_flags_cover_every_hyperparameter_but_six():
+    # these six are set through the Python API or a grid file; a new field
+    # must get a flag or join this list, and the docs say which
+    train = next(action for action in build_parser()._actions
+                 if action.dest == "command").choices["train"]
+    dests = {action.dest for action in train._actions}
+    assert {f.name for f in fields(Hyperparams)} - dests == {
+        "tau_b", "a0", "b0", "a1", "b1", "dirichlet_mass"}

@@ -10,7 +10,7 @@ from lmbart import leaves
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from lmbart.data import standardize
 from lmbart.leaves import (ANCESTORS, CONSTANT, LINEAR, TREE_SPLITS,
-                           ConstantLeaves, LeafFactorizationError, LeafStats,
+                           ConstantLeaves, LeafFactorizationError, LeafPrior, LeafStats,
                            LinearLeaves, bart_log_marginal, bart_sample_mu,
                            build_leaf_design, constant_leaf_stats,
                            leaf_covariate_sets, leaf_parameter_count,
@@ -28,7 +28,8 @@ def stats_from_resid(r, X=None, v_diag=None):
     if X is None:
         return LeafStats(0, r.size, float(r.sum()), float(r @ r))
     return LeafStats(0, r.size, float(r.sum()), float(r @ r),
-                     xtx=X.T @ X, xtr=X.T @ r, v_diag=v_diag)
+                     xtx=X.T @ X, xtr=X.T @ r,
+                     prior=None if v_diag is None else LeafPrior(v_diag))
 
 
 class TestBartLogMarginal:
@@ -177,7 +178,7 @@ class TestLinearLogMarginal:
 
     def test_factorization_error_carries_leaf_id(self):
         st = LeafStats(17, 1, 1.0, 1.0, xtx=np.array([[-1e12]]),
-                       xtr=np.array([1.0]), v_diag=np.array([1.0]))
+                       xtr=np.array([1.0]), prior=LeafPrior(np.array([1.0])))
         with pytest.raises(LeafFactorizationError) as err:
             linear_log_marginal([st], 1.0)
         assert err.value.leaf_id == 17
@@ -231,7 +232,7 @@ class TestDirectLapack:
             r = rng.normal(0, 2, n)
             st = stats_from_resid(r, X, rng.uniform(0.05, 20.0, q))
             sigma2 = rng.uniform(0.2, 3.0)
-            A = st.xtx + np.diag(1.0 / st.v_diag)
+            A = st.xtx + np.diag(1.0 / st.prior.v_diag)
             L_ref = scipy.linalg.cholesky(A, lower=True)
             L, mean = st.posterior
             assert np.array_equal(leaves.cholesky(A), L_ref)
@@ -335,7 +336,7 @@ class TestMhRatioSufficiency:
             def marg(rows, covs):
                 stats = linear_leaf_stats(rows, X, resid, covs)
                 for st in stats:
-                    st.v_diag = np.full(st.q, 1.0 / 10)
+                    st.prior = LeafPrior(np.full(st.q, 1.0 / 10))
                 return linear_log_marginal(stats, sigma2)
 
             full = marg(rows_grown, covs_grown) - marg(rows_base, covs_base)
@@ -387,7 +388,7 @@ class TestLeafModels:
                                                           rng.normal(size=40))
         for st in stats:
             assert st.covariates == sorted(ancestor_covariates(t, st.leaf_id))
-            assert_allclose(st.v_diag, [0.5] + [0.2] * len(st.covariates),
+            assert_allclose(st.prior.v_diag, [0.5] + [0.2] * len(st.covariates),
                             rtol=0, atol=0)
 
     @pytest.mark.parametrize("kind, model", [(CONSTANT, ConstantLeaves(0.1)),
@@ -422,8 +423,9 @@ class TestLeafModels:
 
         def check(got, fresh):
             for st, ref in zip(got, fresh):
-                for name in ("design", "xtx", "xtr", "v_diag"):
+                for name in ("design", "xtx", "xtr"):
                     assert np.array_equal(getattr(st, name), getattr(ref, name))
+                assert np.array_equal(st.prior.v_diag, ref.prior.v_diag)
                 assert (st.r_sum, st.r_sq_sum, st.covariates) == (ref.r_sum, ref.r_sq_sum,
                                                                   ref.covariates)
                 assert linear_log_marginal([st], 0.7) == linear_log_marginal([ref], 0.7)
@@ -473,9 +475,8 @@ class TestLeafModels:
         by_q = {}
         for st in stats:
             by_q.setdefault(st.q, []).append(st.prior)
-            assert st.prior.v_diag is st.v_diag
-            assert np.array_equal(st.prior.precision, np.diag(1.0 / st.v_diag))
-            assert st.prior.log_det == float(np.sum(np.log(st.v_diag)))
+            assert np.array_equal(st.prior.precision, np.diag(1.0 / st.prior.v_diag))
+            assert st.prior.log_det == float(np.sum(np.log(st.prior.v_diag)))
         assert sorted(len(p) for p in by_q.values()) == [1, 2]
         assert all(p[0] is p[-1] for p in by_q.values())
 

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,10 +18,9 @@ from lmbart.data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
 from lmbart.sampler import (Hyperparams, PosteriorDraws, calibrate_lambda,
                             dirichlet_update_splitprobs,
                             eval_tree_dict, mh_accept, partial_residual, predict,
-                            read_draws_jsonl, run_classification, run_regression,
+                            read_run, run_classification, run_regression,
                             sample_latent_z, sample_sigma2,
-                            sample_tau_intercept, sample_tau_slopes,
-                            write_draws_jsonl)
+                            sample_tau_intercept, sample_tau_slopes, write_run)
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from oracles import changed_leaves, explicit_partial_residual
 
@@ -376,8 +376,9 @@ class TestRunRegression:
         draws = run_regression(scaled, hp, info)
         assert np.all(draws.tau_beta0 == hp.tau_b)
         assert np.all(draws.tau_beta == hp.tau_b)
-        write_draws_jsonl(draws, tmp_path / "draws.jsonl")
-        records = read_draws_jsonl(tmp_path / "draws.jsonl")
+        write_run(draws, tmp_path / "run.draws.jsonl")
+        header, records = read_run(tmp_path / "run.draws.jsonl")
+        assert header["config"]["tau_b"] == hp.tau_b
         assert all(r["tau_beta0"] == r["tau_beta"] == hp.tau_b for r in records)
 
 
@@ -776,6 +777,31 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="vars_inter_slope.*leaf_model"):
             Hyperparams(leaf_model="constant", vars_inter_slope=True)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("m", "3", "m must be an integer, got '3'"),
+        ("m", 2.5, "m must be an integer, got 2.5"),
+        ("m", True, "m must be an integer, got True"),
+        ("vars_inter_slope", "false", "vars_inter_slope must be a bool, got 'false'"),
+        ("store_trees", 1, "store_trees must be a bool, got 1"),
+        ("leaf_model", 1, "leaf_model must be a string, got 1"),
+        ("nu", math.nan, "nu must be a finite real, got nan"),
+        ("nu", math.inf, "nu must be a finite real, got inf"),
+        ("lam", math.nan, "lam must be a finite real, got nan"),
+        ("beta_depth", math.nan, "beta_depth must be a finite real, got nan"),
+        ("alpha", True, "alpha must be a finite real, got True"),
+        ("tau_b", math.nan, "tau_b must be a finite real, got nan"),
+        ("a0", math.nan, "a0 must be a finite real, got nan"),
+        ("dirichlet_mass", math.nan, "dirichlet_mass must be a finite real, got nan"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_wrong_type_or_value_is_named(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Hyperparams.from_dict({name: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        hp = Hyperparams(m=np.int64(3), seed=np.uint32(5), alpha=np.float64(0.9), nu=3)
+        assert (hp.m, hp.seed, hp.alpha, hp.nu) == (3, 5, 0.9, 3)
+
 
 class TestWithoutScipyStats:
     def test_importing_the_package_leaves_scipy_stats_unloaded(self):
@@ -804,11 +830,35 @@ class TestReadDraws:
         scaled, info = standardize(data)
         draws = run_regression(scaled, hp_small(m=3, burn_in=5, post_burn_in=4,
                                                 store_trees=True), info)
-        path = tmp_path / "draws.jsonl"
-        write_draws_jsonl(draws, path)
-        assert len(read_draws_jsonl(path)) == 4
+        path = tmp_path / "run.draws.jsonl"
+        write_run(draws, path)
+        assert len(read_run(path)[1]) == 4
         text = path.read_text(encoding="utf-8")
         path.write_text(text[:len(text) - len(text.splitlines()[-1]) // 2 - 1],
                         encoding="utf-8")
-        with pytest.raises(ValueError, match=r"draws\.jsonl: line 4 is not valid JSON"):
-            read_draws_jsonl(path)
+        # line 1 is the header, so the fourth draw is on line 5
+        with pytest.raises(ValueError, match=r"draws\.jsonl: line 5 is not valid JSON"):
+            read_run(path)
+
+    def test_read_run_returns_the_written_run(self, tmp_path):
+        data = friedman_generate(FriedmanSpec(n=50, p=5, seed=2))
+        scaled, info = standardize(data)
+        draws = run_regression(scaled, hp_small(m=3, burn_in=6, post_burn_in=8,
+                                                leaf_model="linear", store_trees=True),
+                               info)
+        path = tmp_path / "run.draws.jsonl"
+        write_run(draws, path)
+        header, records = read_run(path)
+        assert header["config"] == draws.hyperparams.to_dict()
+        assert header["scaling"] == draws.scaling.to_dict()
+        assert header["acceptance"] == draws.acceptance
+        assert header["retained"] == draws.retained == len(records)
+        assert np.array_equal(header["sigma2_chain"], draws.sigma2_chain)
+        for k, record in enumerate(records):
+            assert record["iteration"] == draws.iterations[k]
+            assert record["sigma2"] == draws.sigma2[k]
+            assert record["tau_beta0"] == draws.tau_beta0[k]
+            assert record["tau_beta"] == draws.tau_beta[k]
+            assert record["terminal_counts"] == draws.terminal_counts[k].tolist()
+            assert record["param_counts"] == draws.param_counts[k].tolist()
+            assert record["trees"] == draws.trees[k]
