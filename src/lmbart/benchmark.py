@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import REGRESSION, Dataset, standardize, train_test_split
-from .sampler import Hyperparams, PosteriorDraws, predict, run_regression
+from .sampler import _FIELD_TYPES, Hyperparams, PosteriorDraws, predict, run_regression
 
 
 @dataclass(frozen=True)
@@ -274,19 +274,33 @@ def _require(entry: dict, key: str, path):
     return entry[key]
 
 
+def _typed(entry: dict, key: str, kind: str, path, default=None):
+    """`entry[key]` checked by the `Hyperparams` type rule `kind` ("int" or
+    "float"); a wrong type raises ValueError naming the grid file and the
+    key. The key is required unless a `default` is given."""
+    value = _require(entry, key, path) if default is None else entry.get(key, default)
+    accepts, expected = _FIELD_TYPES[kind]
+    if not accepts(value):
+        raise ValueError(f"{path}: {key!r} must be {expected}, got {value!r}")
+    return int(value) if kind == "int" else float(value)
+
+
 def load_grid_config(path) -> dict:
     """Parse a declarative benchmark grid file (JSON).
 
-    Invalid JSON or a missing required key raises ValueError naming the file.
+    Invalid JSON, a missing required key or a value of the wrong type (a
+    non-integer count or seed, a non-finite real) raises ValueError naming
+    the file.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    scenarios = [FriedmanSpec(n=int(_require(s, "n", path)), p=int(s.get("p", 5)),
-                              noise_sd=float(s.get("noise_sd", 1.0)),
-                              seed=int(s.get("seed", i)))
+    scenarios = [FriedmanSpec(n=_typed(s, "n", "int", path),
+                              p=_typed(s, "p", "int", path, 5),
+                              noise_sd=_typed(s, "noise_sd", "float", path, 1.0),
+                              seed=_typed(s, "seed", "int", path, i))
                  for i, s in enumerate(_require(cfg, "scenarios", path))]
     algorithms = [EngineConfig(_require(a, "name", path), Hyperparams.from_dict(
                       {k: v for k, v in a.items() if k != "name"}))
@@ -294,7 +308,7 @@ def load_grid_config(path) -> dict:
     return {
         "scenarios": scenarios,
         "algorithms": algorithms,
-        "replicates": int(cfg.get("replicates", 10)),
-        "test_fraction": float(cfg.get("test_fraction", 0.2)),
-        "master_seed": int(cfg.get("master_seed", 0)),
+        "replicates": _typed(cfg, "replicates", "int", path, 10),
+        "test_fraction": _typed(cfg, "test_fraction", "float", path, 0.2),
+        "master_seed": _typed(cfg, "master_seed", "int", path, 0),
     }

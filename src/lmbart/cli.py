@@ -163,7 +163,7 @@ def cmd_benchmark(args) -> int:
         print(f"{failures} grid cell(s) failed; see tables for coverage",
               file=sys.stderr)
     print(f"wrote {rmse_path} and {param_path}")
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_diagnostics(args) -> int:

@@ -125,12 +125,17 @@ class LeafStats:
 
 def build_leaf_design(rows: np.ndarray, features: np.ndarray,
                       covariates: list[int]) -> np.ndarray:
-    """Leaf design matrix: a column of ones, then the covariates in index order."""
+    """Leaf design matrix: a column of ones, then the covariates in index order.
+
+    The values are gathered through `features.T`, which is C-ordered for the
+    column-major features the chain and the replay pass (trees.py); `take`
+    copies a whole array that is not C-ordered before it gathers.
+    """
     n = rows.size
     X = np.empty((n, len(covariates) + 1))
     X[:, 0] = 1.0
     if covariates:
-        X[:, 1:] = features.take(rows, 0).take(covariates, 1)
+        X[:, 1:] = features.T.take(covariates, 0).take(rows, 1).T
     return X
 
 

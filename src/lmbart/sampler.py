@@ -475,7 +475,7 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
     classification = train.task == CLASSIFICATION
     if scaling is None:
         scaling = ScalingInfo.identity(train.p)
-    X = train.features
+    X = np.asfortranarray(train.features)    # column-major for routing (trees.py)
     n = train.n
     rng = np.random.default_rng(hp.seed)
     split_dict = split_dictionary(train)
@@ -614,7 +614,7 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     if bad.size:
         row, col = bad[0]
         raise ValueError(f"non-finite feature value {X_new[row, col]} at X_new[{row}, {col}]")
-    Xs = scaling.transform_features(X_new)
+    Xs = np.asfortranarray(scaling.transform_features(X_new))   # column-major for routing
     out = np.zeros((len(trees), Xs.shape[0]))
     replays = {}                  # tree index -> its replay in the previous draw
     for k, tree_dicts in enumerate(trees):

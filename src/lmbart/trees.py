@@ -4,6 +4,14 @@ Routing convention: a row goes to the RIGHT child when
 ``x[feature] < threshold`` is true, to the left child otherwise. Any fixed
 convention works as long as it is used everywhere; this one is used by the
 router, the proposals, and the serialized form alike.
+
+Routing kernel: `Tree.route` carries an ascending int64 array of row indices
+down from a node. At each split it gathers the rows' values of the split
+feature with ``X[:, feature].take(rows)`` and divides the rows with
+``rows.compress(go_right)`` / ``rows.compress(~go_right)``, so both children
+stay ascending. Any memory layout of X routes alike; the chain and
+`predict_stored` pass a column-major (``np.asfortranarray``) copy of the
+standardized features, on which each split's column is contiguous.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ SWAP = "swap"
 MOVE_KINDS = (GROW, PRUNE, CHANGE, SWAP)
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     depth: int
     parent: int | None = None
@@ -137,9 +145,9 @@ class Tree:
             if nd.is_leaf:
                 out[node_id] = rows
                 continue
-            go_right = X[:, nd.feature][rows] < nd.threshold
-            stack.append((nd.right, rows[go_right]))
-            stack.append((nd.left, rows[~go_right]))
+            go_right = X[:, nd.feature].take(rows) < nd.threshold
+            stack.append((nd.right, rows.compress(go_right)))
+            stack.append((nd.left, rows.compress(~go_right)))
         return out
 
     def subtree_leaves(self, node_id: int) -> list[int]:
@@ -195,19 +203,34 @@ class Tree:
 
     @classmethod
     def from_dict(cls, d: dict) -> tuple["Tree", dict[int, dict]]:
-        """Inverse of `to_dict`; returns the tree and per-leaf payload dicts."""
-        tree = cls()
+        """Inverse of `to_dict`; returns the tree and per-leaf payload dicts.
+
+        Node ids are allocated as `grow` would allocate them when splitting
+        the nodes in preorder: a split node's left child gets the next free
+        id and its right child the one after, and the left subtree is
+        numbered before the right. The arena is therefore a function of the
+        tree's shape, and the payload lists the leaves in preorder.
+        """
+        arena: list[Node | None] = [None]      # node id -> node, ids 0..n-1
         payload: dict[int, dict] = {}
-
-        def build(node_id, spec):
+        stack = [(d, 0, None, 0)]              # (spec, node id, parent, depth)
+        while stack:
+            spec, node_id, parent, depth = stack.pop()
             if spec["kind"] == "leaf":
-                payload[node_id] = {k: v for k, v in spec.items() if k != "kind"}
-                return
-            left, right = tree.grow(node_id, spec["feature"], spec["threshold"])
-            build(left, spec["left"])
-            build(right, spec["right"])
-
-        build(tree.root, d)
+                arena[node_id] = Node(depth, parent)
+                leaf = payload[node_id] = dict(spec)
+                del leaf["kind"]
+                continue
+            left = len(arena)
+            arena += (None, None)
+            arena[node_id] = Node(depth, parent, spec["feature"], float(spec["threshold"]),
+                                  left, left + 1)
+            stack.append((spec["right"], left + 1, node_id, depth + 1))
+            stack.append((spec["left"], left, node_id, depth + 1))
+        tree = cls.__new__(cls)
+        tree.nodes = dict(enumerate(arena))
+        tree.root = 0
+        tree._next_id = len(arena)
         return tree, payload
 
 
@@ -319,7 +342,8 @@ def _reroute(tree: Tree, cand: Tree, features: np.ndarray, rows_by_leaf: dict,
     rows = dict(rows_by_leaf)
     for node in nodes:
         under = [rows.pop(leaf) for leaf in tree.subtree_leaves(node)]
-        merged = under[0] if len(under) == 1 else np.sort(np.concatenate(under))
+        # each part is ascending, and a stable sort merges sorted runs in linear time
+        merged = under[0] if len(under) == 1 else np.sort(np.concatenate(under), kind="stable")
         for leaf, r in cand.route(features, node, merged).items():
             old = rows_by_leaf.get(leaf)
             if old is not None and old.size == r.size and (old == r).all():

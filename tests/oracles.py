@@ -3,7 +3,8 @@
 Everything here is deliberately brute force: quadrature instead of closed
 forms, per-row rule walking instead of vectorized routing, explicit sums
 instead of running totals. None of it shares code with the package, except
-`replay_every_tree`, which rebuilds and routes trees with the package's `Tree`.
+`grow_from_dict` and `replay_every_tree`, which build trees with the
+package's `Tree.grow` (and route them with `Tree.leaf_rows`).
 """
 
 import math
@@ -183,21 +184,43 @@ def draw_truncated_prior_tree(X, split_values, alpha, beta_depth, n_min, rng):
             return tree
 
 
-def replay_every_tree(trees, task, scaling, X_new):
-    """(draws, mean, lower, upper) of stored trees replayed with no reuse.
+def grow_from_dict(d):
+    """`Tree.from_dict` by recursion: one `Tree.grow` per internal node.
 
-    Every tree of every draw is rebuilt with `Tree.from_dict` and routed with
-    `Tree.leaf_rows`; a linear leaf's design is assembled here, a column of
-    ones beside its covariates. Tree fits are summed in tree order.
+    Splits the stored tree's nodes in preorder, left subtree first, so the
+    node ids are the ones `grow` allocates. Returns the tree and the per-leaf
+    payload dicts.
     """
     from lmbart.trees import Tree
 
+    tree = Tree()
+    payload = {}
+
+    def build(node_id, spec):
+        if spec["kind"] == "leaf":
+            payload[node_id] = {k: v for k, v in spec.items() if k != "kind"}
+            return
+        left, right = tree.grow(node_id, spec["feature"], spec["threshold"])
+        build(left, spec["left"])
+        build(right, spec["right"])
+
+    build(tree.root, d)
+    return tree, payload
+
+
+def replay_every_tree(trees, task, scaling, X_new):
+    """(draws, mean, lower, upper) of stored trees replayed with no reuse.
+
+    Every tree of every draw is rebuilt with `grow_from_dict` and routed with
+    `Tree.leaf_rows`; a linear leaf's design is assembled here, a column of
+    ones beside its covariates. Tree fits are summed in tree order.
+    """
     Xs = (np.asarray(X_new, dtype=float) - scaling.feature_centers) / scaling.feature_scales
     out = np.zeros((len(trees), Xs.shape[0]))
     for k, tree_dicts in enumerate(trees):
         fit = 0
         for d in tree_dicts:
-            tree, payload = Tree.from_dict(d)
+            tree, payload = grow_from_dict(d)
             tree_fit = np.zeros(Xs.shape[0])
             for leaf, rows in tree.leaf_rows(Xs).items():
                 leaf_params = payload[leaf]

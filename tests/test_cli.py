@@ -479,6 +479,48 @@ class TestBenchmarkCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {grid}: missing key {key!r}\n"
 
+    @pytest.mark.parametrize("where, key, value, expected", [
+        ("scenario", "n", "sixty", "an integer"),
+        ("scenario", "n", 60.9, "an integer"),
+        ("scenario", "p", True, "an integer"),
+        ("scenario", "noise_sd", float("nan"), "a finite real"),
+        ("scenario", "noise_sd", float("inf"), "a finite real"),
+        ("grid", "replicates", 1.7, "an integer"),
+        ("grid", "master_seed", "3", "an integer"),
+        ("grid", "test_fraction", float("nan"), "a finite real"),
+    ])
+    def test_wrongly_typed_grid_value_is_named(self, tmp_path, capsys, where, key, value,
+                                               expected):
+        grid = self.make_grid(tmp_path)
+        cfg = json.loads(grid.read_text())
+        (cfg["scenarios"][0] if where == "scenario" else cfg)[key] = value
+        grid.write_text(json.dumps(cfg), encoding="utf-8")   # nan and inf as NaN, Infinity
+        code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"error: {grid}: {key!r} must be {expected}, got {value!r}\n")
+        assert not (tmp_path / "bench").exists()
+
+    def test_failed_cells_exit_1_after_writing_both_tables(self, tmp_path, capsys):
+        grid = self.make_grid(tmp_path)
+        cfg = json.loads(grid.read_text())
+        cfg["scenarios"].append({"n": 3, "p": 5})     # too few rows to fit
+        grid.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--grid", grid, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "4 grid cell(s) failed; see tables for coverage\n"
+        assert "wrote" in captured.out
+        import csv
+        with open(out / "rmse_table.csv", newline="") as fh:
+            rows = {(r["scenario"], r["algorithm"]): r for r in csv.DictReader(fh)}
+        assert len(rows) == 4
+        for algorithm in ("c2", "l2"):
+            assert rows[("n=3,p=5", algorithm)]["failures"] == "2"
+            assert rows[("n=3,p=5", algorithm)]["median_rmse"] == ""
+            assert rows[("n=60,p=5", algorithm)]["failures"] == "0"
+        assert len((out / "param_counts.csv").read_text().strip().splitlines()) == 5
+
     def test_invalid_json_is_named(self, tmp_path, capsys):
         grid = self.make_grid(tmp_path)
         grid.write_text(grid.read_text()[:40], encoding="utf-8")

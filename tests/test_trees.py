@@ -3,13 +3,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lmbart.data import REGRESSION, Dataset, split_dictionary
 from lmbart.trees import (CHANGE, GROW, PRUNE, SWAP, Tree, _draw_rule,
                           ancestor_covariates, log_tree_prior, partition,
                           propose_move, split_covariates)
-from oracles import changed_leaves, recursive_log_tree_prior, route_row
+from oracles import changed_leaves, grow_from_dict, recursive_log_tree_prior, route_row
+from test_pinned_chains import CHAINS, run_chain
 
 
 def grow_delta(depth, alpha, beta):
@@ -146,6 +149,16 @@ class TestPartition:
             part = partition(t, d.features)
             for i in range(n):
                 assert part.assignment[i] == route_row(t, d.features[i])
+            # a column-major copy routes alike
+            column_major = np.asfortranarray(d.features)
+            assert column_major.flags.f_contiguous and not column_major.flags.c_contiguous
+            by_layout = [t.leaf_rows(X) for X in (d.features, column_major)]
+            assert list(by_layout[0]) == list(by_layout[1])
+            for leaf, rows in by_layout[0].items():
+                for routed in (rows, by_layout[1][leaf]):
+                    assert routed.dtype == np.int64
+                    assert (np.diff(routed) > 0).all()
+                    assert_array_equal(routed, np.flatnonzero(part.assignment == leaf))
 
 
 class TestProposeMove:
@@ -383,6 +396,61 @@ class TestSerialization:
         assert_array_equal(
             sorted(np.unique(partition(t, X).assignment, return_counts=True)[1]),
             sorted(np.unique(partition(back, X).assignment, return_counts=True)[1]))
+
+
+def internal(feature, threshold, left, right):
+    return {"kind": "internal", "feature": feature, "threshold": threshold,
+            "left": left, "right": right}
+
+
+# stored leaves as `to_dict` writes them, plus one with "kind" last
+stored_leaves = st.one_of(
+    st.builds(lambda mu: {"kind": "leaf", "mu": mu}, st.floats(-5, 5)),
+    st.builds(lambda beta, covs: {"kind": "leaf", "beta": beta, "covariates": covs},
+              st.lists(st.floats(-5, 5), min_size=1, max_size=3),
+              st.lists(st.integers(0, 4), max_size=2, unique=True)),
+    st.builds(lambda mu: {"mu": mu, "kind": "leaf"}, st.floats(-5, 5)),
+)
+stored_trees = st.recursive(
+    stored_leaves,
+    lambda children: st.builds(internal, st.integers(0, 4), st.floats(-3, 3),
+                               children, children),
+    max_leaves=40)
+
+
+def assert_rebuilds_like_grow(d):
+    """`Tree.from_dict` gives the arena, next id and payload of one `grow` per split."""
+    tree, payload = Tree.from_dict(d)
+    ref, ref_payload = grow_from_dict(d)
+    assert tree.nodes == ref.nodes
+    assert list(tree.nodes) == list(ref.nodes)
+    assert (tree.root, tree._next_id) == (ref.root, ref._next_id)
+    assert list(payload.items()) == list(ref_payload.items())
+    assert [list(v) for v in payload.values()] == [list(v) for v in ref_payload.values()]
+    tree.validate()
+
+
+class TestRebuild:
+    def test_left_subtree_is_numbered_first(self):
+        leaf = {"kind": "leaf", "mu": 0.0}
+        d = internal(0, 0.0, internal(1, 1.0, leaf, leaf), internal(2, 2.0, leaf, leaf))
+        tree, payload = Tree.from_dict(d)
+        assert [(nd.left, nd.right) for nd in tree.nodes.values()][:3] == [(1, 2), (3, 4),
+                                                                            (5, 6)]
+        assert list(payload) == [3, 4, 5, 6]
+        assert_rebuilds_like_grow(d)
+
+    @pytest.mark.parametrize("name", list(CHAINS))
+    def test_every_stored_tree_of_the_pinned_chains(self, name):
+        draws = run_chain(name, store_trees=True)
+        for tree_dicts in draws.trees:
+            for d in tree_dicts:
+                assert_rebuilds_like_grow(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stored_trees)
+    def test_drawn_trees(self, d):
+        assert_rebuilds_like_grow(d)
 
 
 def test_draw_rule_matches_generator_choice_draw_for_draw():
