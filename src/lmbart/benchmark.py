@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -37,8 +38,8 @@ class FriedmanSpec:
                              f"signal), got {self.p}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be a finite value >= 0, got {self.noise_sd}")
 
     @property
     def label(self) -> str:
@@ -192,8 +193,12 @@ def run_benchmark(scenarios: list[FriedmanSpec], algorithms: list[EngineConfig],
     """Fit every algorithm on `replicates` fresh splits of every scenario.
 
     Deterministic given the master seed. Per-cell failures are recorded and
-    the rest of the grid keeps running.
+    the rest of the grid keeps running. `replicates` and `jobs` below 1
+    raise ValueError before any fit.
     """
+    for name, value in (("replicates", replicates), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     tasks = []
     for s_idx, spec in enumerate(scenarios):
         for rep in range(replicates):
@@ -305,10 +310,13 @@ def load_grid_config(path) -> dict:
     algorithms = [EngineConfig(_require(a, "name", path), Hyperparams.from_dict(
                       {k: v for k, v in a.items() if k != "name"}))
                   for a in _require(cfg, "algorithms", path)]
+    replicates = _typed(cfg, "replicates", "int", path, 10)
+    if replicates < 1:
+        raise ValueError(f"{path}: replicates must be >= 1, got {replicates}")
     return {
         "scenarios": scenarios,
         "algorithms": algorithms,
-        "replicates": _typed(cfg, "replicates", "int", path, 10),
+        "replicates": replicates,
         "test_fraction": _typed(cfg, "test_fraction", "float", path, 0.2),
         "master_seed": _typed(cfg, "master_seed", "int", path, 0),
     }

@@ -147,12 +147,12 @@ def cmd_benchmark(args) -> int:
         cfg["replicates"] = args.replicates
     if args.seed is not None:
         cfg["master_seed"] = args.seed
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = bm.run_benchmark(cfg["scenarios"], cfg["algorithms"],
                               replicates=cfg["replicates"],
                               test_fraction=cfg["test_fraction"],
                               master_seed=cfg["master_seed"], jobs=args.jobs)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rmse_path = out_dir / "rmse_table.csv"
     param_path = out_dir / "param_counts.csv"
     bm.write_rmse_table(result, rmse_path)

@@ -233,12 +233,22 @@ def sample_latent_z(y_binary: np.ndarray, fit: np.ndarray,
 
 @dataclass
 class TreeState:
+    """One tree of the chain and what its steps carry.
+
+    `rows_by_leaf` and `rows_by_split` are the tree's routing of the
+    training rows, every node's ascending rows, as `Tree.route` fills them;
+    `propose_move` re-routes from them only the rows its move changes.
+    `rows_by_split` None routes the split nodes' rows from the root at each
+    proposal until one is accepted (a stump's is empty).
+    """
+
     tree: tr.Tree
     leaf_params: dict              # leaf id -> stored leaf payload (see leaves.py)
     rows_by_leaf: dict             # leaf id -> training row indices
     fit: np.ndarray                # (n,) current contribution
     log_prior: float               # log_tree_prior(tree), updated on acceptance
     stats: dict = field(default_factory=dict)  # leaf id -> LeafStats of the kept tree
+    rows_by_split: dict | None = None          # split node id -> training row indices
 
 
 @dataclass
@@ -294,7 +304,8 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     are redrawn from their full conditionals in every case, acceptance or
     not, from the leaf statistics of the kept tree.
 
-    The candidate reuses the current tree's routing. The current tree's
+    The candidate reuses the current tree's leaf and split routing, and on
+    acceptance its own routing replaces both. The current tree's
     stats reuse `ts.stats`, the kept tree's stats from this tree's previous
     step, and the candidate's reuse the current tree's, by the rule in
     `leaves.py`. The log ratio still sums every leaf of both trees, so it is
@@ -305,7 +316,8 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, ts.stats)
 
     proposal = tr.propose_move(ts.tree, features, split_dict, state.split_probs,
-                               rng, hp.n_min, rows_by_leaf=ts.rows_by_leaf)
+                               rng, hp.n_min, rows_by_leaf=ts.rows_by_leaf,
+                               rows_by_split=ts.rows_by_split)
     if not proposal.valid:
         outcome = "invalid"
     else:
@@ -325,6 +337,7 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
         if mh_accept(log_alpha, rng):
             ts.tree = proposal.tree
             ts.rows_by_leaf = proposal.rows_by_leaf
+            ts.rows_by_split = proposal.rows_by_split
             ts.log_prior = cand_prior
             stats = cand_stats
             outcome = "accepted"
@@ -458,8 +471,8 @@ def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
     tau = 1.0 if hp.vars_inter_slope else hp.tau_b   # fixed precisions stay at tau_b
     return SamplerState(
         # leaf parameters are first drawn by the first tree step
-        trees=[TreeState(t, {}, {t.root: np.arange(n)}, np.zeros(n), stump_prior)
-               for t in stumps],
+        trees=[TreeState(t, {}, {t.root: np.arange(n)}, np.zeros(n), stump_prior,
+                         rows_by_split={}) for t in stumps],
         sigma2=sigma2,
         tau_beta0=tau,
         tau_beta=tau,

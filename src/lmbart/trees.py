@@ -12,6 +12,14 @@ feature with ``X[:, feature].take(rows)`` and divides the rows with
 stay ascending. Any memory layout of X routes alike; the chain and
 `predict_stored` pass a column-major (``np.asfortranarray``) copy of the
 standardized features, on which each split's column is contiguous.
+
+Carried routing: the chain keeps, for each tree, the rows of every node: a
+leaf routing (terminal id -> rows) and a split routing (split node id ->
+rows), both filled by one `Tree.route` pass. A proposal re-routes only the
+rows of the node its move changes, read straight from that node's entry,
+and stops as soon as a re-routed terminal falls below the minimum node size.
+A candidate tree copies only the nodes its move changes and shares the rest
+with the current tree.
 """
 
 from __future__ import annotations
@@ -64,8 +72,16 @@ class Tree:
         return cls()
 
     def copy(self) -> "Tree":
+        """A deep copy: no node is shared with this tree."""
+        return self._edit(*self.nodes)
+
+    def _edit(self, *changed: int) -> "Tree":
+        """A tree that copies the nodes `changed` and shares every other node
+        with this one; only the copied nodes may be mutated."""
         t = Tree.__new__(Tree)
-        t.nodes = {i: node.copy() for i, node in self.nodes.items()}
+        t.nodes = nodes = self.nodes.copy()
+        for i in changed:
+            nodes[i] = nodes[i].copy()
         t.root = self.root
         t._next_id = self._next_id
         return t
@@ -77,21 +93,20 @@ class Tree:
         return self.nodes[node_id].depth
 
     def leaves(self) -> list[int]:
-        return [i for i, nd in self.nodes.items() if nd.is_leaf]
+        return [i for i, nd in self.nodes.items() if nd.feature is None]
 
     def internal_nodes(self) -> list[int]:
-        return [i for i, nd in self.nodes.items() if not nd.is_leaf]
+        return [i for i, nd in self.nodes.items() if nd.feature is not None]
 
     def prunable_nodes(self) -> list[int]:
         """Internal nodes whose two children are both terminal."""
-        out = []
-        for i, nd in self.nodes.items():
-            if not nd.is_leaf and self.nodes[nd.left].is_leaf and self.nodes[nd.right].is_leaf:
-                out.append(i)
-        return out
+        nodes = self.nodes
+        return [i for i, nd in nodes.items()
+                if nd.feature is not None and nodes[nd.left].feature is None
+                and nodes[nd.right].feature is None]
 
     def n_leaves(self) -> int:
-        return sum(1 for nd in self.nodes.values() if nd.is_leaf)
+        return sum(1 for nd in self.nodes.values() if nd.feature is None)
 
     def grow(self, leaf_id: int, feature: int, threshold: float) -> tuple[int, int]:
         """Split a terminal node; returns the (left, right) child ids."""
@@ -132,35 +147,47 @@ class Tree:
         X = np.asarray(X, dtype=float)
         return self.route(X, self.root, np.arange(X.shape[0]))
 
-    def route(self, X: np.ndarray, node_id: int, rows: np.ndarray) -> dict[int, np.ndarray]:
+    def route(self, X: np.ndarray, node_id: int, rows: np.ndarray, splits: dict | None = None,
+              n_min: int = 0) -> dict[int, np.ndarray] | None:
         """Route `rows` from `node_id` down to each terminal of its subtree.
 
-        Ascending `rows` give ascending row indices at every terminal.
+        Returns terminal id -> rows. Ascending `rows` give ascending row
+        indices at every node. When `splits` is a dict, each split node's
+        rows are stored in it (`node_id` keeps the `rows` object itself).
+        Returns None as soon as a terminal receives fewer than `n_min` rows,
+        leaving the rest of the subtree unrouted.
         """
         out = {}
         stack = [(node_id, rows)]
         while stack:
             node_id, rows = stack.pop()
             nd = self.nodes[node_id]
-            if nd.is_leaf:
+            if nd.feature is None:
+                if rows.size < n_min:
+                    return None
                 out[node_id] = rows
                 continue
+            if splits is not None:
+                splits[node_id] = rows
             go_right = X[:, nd.feature].take(rows) < nd.threshold
             stack.append((nd.right, rows.compress(go_right)))
             stack.append((nd.left, rows.compress(~go_right)))
         return out
 
-    def subtree_leaves(self, node_id: int) -> list[int]:
+    def subtree(self, node_id: int) -> list[int]:
+        """`node_id` and every node below it."""
         out = []
         stack = [node_id]
         while stack:
             i = stack.pop()
+            out.append(i)
             nd = self.nodes[i]
-            if nd.is_leaf:
-                out.append(i)
-            else:
+            if nd.feature is not None:
                 stack.extend((nd.left, nd.right))
         return out
+
+    def subtree_leaves(self, node_id: int) -> list[int]:
+        return [i for i in self.subtree(node_id) if self.nodes[i].feature is None]
 
     def validate(self) -> None:
         """Assert the structural invariants; used by property tests."""
@@ -269,11 +296,20 @@ def log_tree_prior(tree: Tree, alpha: float, beta_depth: float) -> float:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if beta_depth < 0:
         raise ValueError(f"beta_depth must be >= 0, got {beta_depth}")
+    terms = _DEPTH_LOG_TERMS.setdefault((alpha, beta_depth), [])
     total = 0.0
     for nd in tree.nodes.values():
-        p_internal = alpha * (1.0 + nd.depth) ** (-beta_depth)
-        total += math.log(1.0 - p_internal) if nd.is_leaf else math.log(p_internal)
+        while len(terms) <= nd.depth:
+            p_internal = alpha * (1.0 + len(terms)) ** (-beta_depth)
+            terms.append((math.log(1.0 - p_internal), math.log(p_internal)))
+        total += terms[nd.depth][nd.feature is not None]
     return total
+
+
+# (alpha, beta_depth) -> per depth, the (terminal, internal) log terms of
+# `log_tree_prior`; each entry is a function of its key alone, so every caller
+# may share it
+_DEPTH_LOG_TERMS: dict[tuple[float, float], list[tuple[float, float]]] = {}
 
 
 @dataclass
@@ -281,11 +317,15 @@ class MoveProposal:
     """One structural proposal, valid or not.
 
     A valid proposal carries its candidate tree's routing of the training
-    rows in `rows_by_leaf` (leaf id -> ascending int64 row indices), so the
-    sampler never routes the candidate again. A candidate leaf whose rows
-    equal the current tree's holds the current routing's own array object,
-    and every other leaf a new array, so array identity tells which leaves'
-    statistics can be reused. `log_transition_correction` is the log
+    rows in `rows_by_leaf` (leaf id -> ascending int64 row indices) and
+    `rows_by_split` (split node id -> the same), so the sampler never routes
+    the candidate again. A candidate leaf whose rows equal the current
+    tree's holds the current routing's own array object, and every other
+    leaf a new array (a pruned node's new leaf holds that node's array), so
+    array identity tells which leaves' statistics can be reused. The
+    candidate `tree` shares every node its move did not change with the
+    current tree, so it must not be mutated; mutate its `copy()` instead.
+    `log_transition_correction` is the log
     proposal ratio q(reverse) / q(forward) of a grow or prune. The tree
     prior is the depth prior of `log_tree_prior` times a rule prior that
     picks each split's feature by the split probabilities and its threshold
@@ -300,6 +340,7 @@ class MoveProposal:
     kind: str
     tree: Tree | None
     rows_by_leaf: dict[int, np.ndarray] = field(default_factory=dict)
+    rows_by_split: dict[int, np.ndarray] = field(default_factory=dict)
     log_transition_correction: float = 0.0
     valid: bool = True
     reason: str = ""
@@ -331,25 +372,34 @@ def _draw_rule(split_dict, split_probs, splittable, rng) -> tuple[int, float] | 
 
 
 def _reroute(tree: Tree, cand: Tree, features: np.ndarray, rows_by_leaf: dict,
-             nodes: list[int]) -> dict[int, np.ndarray]:
-    """The candidate's routing, re-routing only the rows under `nodes`.
+             rows_by_split: dict, nodes: list[int], n_min: int = 0) -> tuple[dict, dict] | None:
+    """The candidate's (leaf, split) routing, re-routing only the rows under `nodes`.
 
-    Each node exists in both trees and no node lies under another. The rows
-    under a node, gathered from the current tree's leaves below it, are
-    routed through the candidate's subtree. Every other leaf keeps its array
-    object, and so does a re-routed leaf whose rows come out unchanged.
+    Each node exists in both trees and no node lies under another. The
+    current tree's entries for a node and everything below it are dropped,
+    and the node's own rows are routed through the candidate's subtree.
+    Returns None as soon as a re-routed terminal gets fewer than `n_min`
+    rows. Every other entry keeps its array object, and so does a re-routed
+    leaf whose rows come out unchanged.
     """
-    rows = dict(rows_by_leaf)
+    leaves, splits = dict(rows_by_leaf), dict(rows_by_split)
+    routed = []
     for node in nodes:
-        under = [rows.pop(leaf) for leaf in tree.subtree_leaves(node)]
-        # each part is ascending, and a stable sort merges sorted runs in linear time
-        merged = under[0] if len(under) == 1 else np.sort(np.concatenate(under), kind="stable")
-        for leaf, r in cand.route(features, node, merged).items():
+        rows = rows_by_leaf[node] if node in rows_by_leaf else rows_by_split[node]
+        for i in tree.subtree(node):
+            leaves.pop(i, None)
+            splits.pop(i, None)
+        out = cand.route(features, node, rows, splits, n_min)
+        if out is None:
+            return None
+        routed.append(out)
+    for out in routed:
+        for leaf, r in out.items():
             old = rows_by_leaf.get(leaf)
             if old is not None and old.size == r.size and (old == r).all():
                 r = old
-            rows[leaf] = r
-    return rows
+            leaves[leaf] = r
+    return leaves, splits
 
 
 def _top_nodes(tree: Tree, a: int, b: int) -> list[int]:
@@ -362,7 +412,8 @@ def _top_nodes(tree: Tree, a: int, b: int) -> list[int]:
 
 def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.ndarray,
                  rng: np.random.Generator, n_min: int = 5, kind: str | None = None,
-                 rows_by_leaf: dict[int, np.ndarray] | None = None) -> MoveProposal:
+                 rows_by_leaf: dict[int, np.ndarray] | None = None,
+                 rows_by_split: dict[int, np.ndarray] | None = None) -> MoveProposal:
     """Draw one of grow/prune/change/swap uniformly and apply it to a copy.
 
     A proposal that has no valid target (prune on a stump, swap with fewer
@@ -371,64 +422,74 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
     automatic rejection rather than redrawing. Passing `kind` skips the
     uniform move draw (useful for forcing a particular move).
 
-    `rows_by_leaf` is the current tree's routing of `features` (None routes
-    it once here); it is not modified. The candidate's routing is built from
-    it by routing only the rows a move touches: a grow splits its leaf's
-    rows, a prune merges its two leaves' rows, a change re-routes the rows
-    under its node and a swap those under the higher of its two nodes (under
-    both when neither is an ancestor of the other).
+    `rows_by_leaf` and `rows_by_split` are the current tree's leaf and split
+    routing of `features` (None routes the missing one from the root here);
+    neither is modified. The candidate's routing is built from them by
+    routing only the rows a move touches: a grow splits its leaf's rows, a
+    prune gives its node's rows to the new leaf, a change re-routes the rows
+    of its node and a swap those of the higher of its two nodes (of both
+    when neither is an ancestor of the other).
+
+    Only re-routed terminals are checked against `n_min`, and routing stops
+    at the first one below it. This equals checking every terminal under
+    the precondition that every terminal of `tree` holds at least `n_min`
+    rows, which holds for every tree the chain keeps (each passed this
+    check, and a stump has no change or swap target). No move draws from
+    `rng` after routing, so stopping early leaves `rng` where the full
+    check would.
     """
     if kind is None:
         kind = MOVE_KINDS[rng.integers(4)]
     elif kind not in MOVE_KINDS:
         raise ValueError(f"unknown move kind {kind!r}")
-    splittable = split_dict.splittable()
     features = np.asarray(features, dtype=float)
-    if rows_by_leaf is None:
-        rows_by_leaf = tree.leaf_rows(features)
+    if rows_by_leaf is None or rows_by_split is None:
+        rows_by_split = {}
+        routed = tree.route(features, tree.root, np.arange(features.shape[0]), rows_by_split)
+        rows_by_leaf = routed if rows_by_leaf is None else rows_by_leaf
 
     if kind == GROW:
         leaves = sorted(tree.leaves())
         leaf = leaves[rng.integers(len(leaves))]
-        rule = _draw_rule(split_dict, split_probs, splittable, rng)
+        rule = _draw_rule(split_dict, split_probs, split_dict.splittable(), rng)
         if rule is None:
             return MoveProposal.invalid(kind, "no splittable feature")
-        cand = tree.copy()
-        left, right = cand.grow(leaf, *rule)
-        rows = _reroute(tree, cand, features, rows_by_leaf, [leaf])
-        if min(rows[left].size, rows[right].size) < n_min:
+        cand = tree._edit(leaf)
+        cand.grow(leaf, *rule)
+        routing = _reroute(tree, cand, features, rows_by_leaf, rows_by_split, [leaf], n_min)
+        if routing is None:
             return MoveProposal.invalid(kind, "child below minimum node size")
         # forward picks one of the current leaves, the reverse prune one of
         # the candidate's prunable nodes; the rule's proposal probability
         # equals its prior probability, so the two cancel out of the ratio
         correction = math.log(len(leaves)) - math.log(len(cand.prunable_nodes()))
-        return MoveProposal(kind, cand, rows, correction)
+        return MoveProposal(kind, cand, *routing, correction)
 
     if kind == PRUNE:
         prunable = sorted(tree.prunable_nodes())
         if not prunable:
             return MoveProposal.invalid(kind, "no prunable node")
         target = prunable[rng.integers(len(prunable))]
-        cand = tree.copy()
+        cand = tree._edit(target)
         cand.prune(target)
         correction = math.log(len(prunable)) - math.log(cand.n_leaves())
-        rows = _reroute(tree, cand, features, rows_by_leaf, [target])
-        return MoveProposal(kind, cand, rows, correction)
+        routing = _reroute(tree, cand, features, rows_by_leaf, rows_by_split, [target])
+        return MoveProposal(kind, cand, *routing, correction)
 
     if kind == CHANGE:
         targets = sorted(tree.prunable_nodes())
         if not targets:
             return MoveProposal.invalid(kind, "no internal node with two terminal children")
         target = targets[rng.integers(len(targets))]
-        rule = _draw_rule(split_dict, split_probs, splittable, rng)
+        rule = _draw_rule(split_dict, split_probs, split_dict.splittable(), rng)
         if rule is None:
             return MoveProposal.invalid(kind, "no splittable feature")
-        cand = tree.copy()
+        cand = tree._edit(target)
         cand.set_rule(target, *rule)
-        rows = _reroute(tree, cand, features, rows_by_leaf, [target])
-        if min(r.size for r in rows.values()) < n_min:
+        routing = _reroute(tree, cand, features, rows_by_leaf, rows_by_split, [target], n_min)
+        if routing is None:
             return MoveProposal.invalid(kind, "terminal below minimum node size")
-        return MoveProposal(kind, cand, rows)
+        return MoveProposal(kind, cand, *routing)
 
     # swap: exchange the rules of two distinct internal nodes
     internal = sorted(tree.internal_nodes())
@@ -436,14 +497,15 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         return MoveProposal.invalid(kind, "fewer than two internal nodes")
     pick = rng.choice(len(internal), size=2, replace=False)
     a, b = internal[int(pick[0])], internal[int(pick[1])]
-    cand = tree.copy()
+    cand = tree._edit(a, b)
     na, nb = cand.nodes[a], cand.nodes[b]
     na.feature, nb.feature = nb.feature, na.feature
     na.threshold, nb.threshold = nb.threshold, na.threshold
-    rows = _reroute(tree, cand, features, rows_by_leaf, _top_nodes(tree, a, b))
-    if min(r.size for r in rows.values()) < n_min:
+    routing = _reroute(tree, cand, features, rows_by_leaf, rows_by_split,
+                       _top_nodes(tree, a, b), n_min)
+    if routing is None:
         return MoveProposal.invalid(SWAP, "terminal below minimum node size")
-    return MoveProposal(SWAP, cand, rows)
+    return MoveProposal(SWAP, cand, *routing)
 
 
 def split_covariates(tree: Tree) -> set[int]:

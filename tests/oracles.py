@@ -112,6 +112,40 @@ def route_row(tree, x):
     return node_id
 
 
+def node_rows(tree, X):
+    """Every node's rows, routed from the root with a boolean mask per split."""
+    out = {}
+
+    def visit(node_id, rows):
+        out[node_id] = rows
+        nd = tree.nodes[node_id]
+        if nd.feature is not None:
+            right = X[rows, nd.feature] < nd.threshold
+            visit(nd.right, rows[right])
+            visit(nd.left, rows[~right])
+
+    visit(tree.root, np.arange(X.shape[0]))
+    return out
+
+
+BELOW_N_MIN = {"grow": "child below minimum node size",
+               "change": "terminal below minimum node size",
+               "swap": "terminal below minimum node size"}
+
+
+def full_size_check(proposal, X, n_min):
+    """(valid, reason, leaf rows) of a proposal drawn with no minimum node
+    size, once its candidate is routed from the root and its smallest leaf
+    is compared with `n_min`; the leaf rows are None when invalid."""
+    if not proposal.valid:
+        return False, proposal.reason, None
+    rows = node_rows(proposal.tree, X)
+    leaves = {i: rows[i] for i, nd in proposal.tree.nodes.items() if nd.feature is None}
+    if min(r.size for r in leaves.values()) < n_min:
+        return False, BELOW_N_MIN[proposal.kind], None
+    return True, "", leaves
+
+
 def changed_leaves(rows_by_leaf, current):
     """Leaves of a candidate routing whose rows array is not the current
     routing's own object: the leaves a move gave other rows."""

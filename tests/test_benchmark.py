@@ -35,6 +35,13 @@ class TestFriedmanGenerate:
         with pytest.raises(ValueError, match="p must be >= 5"):
             FriedmanSpec(n=10, p=4)
 
+    @pytest.mark.parametrize("noise_sd, shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                                 (-0.5, "-0.5")])
+    def test_rejects_non_finite_or_negative_noise(self, noise_sd, shown):
+        with pytest.raises(ValueError) as err:
+            FriedmanSpec(n=10, noise_sd=noise_sd)
+        assert str(err.value) == f"noise_sd must be a finite value >= 0, got {shown}"
+
     def test_noise_matches_irreducible_error(self):
         d = friedman_generate(FriedmanSpec(n=50_000, p=5, noise_sd=1.0, seed=5))
         achieved = rmse(friedman_signal(d.features), d.response)
@@ -153,6 +160,15 @@ class TestRunBenchmark:
                               replicates=2, test_fraction=0.2, master_seed=7)
         key = ("n=80,p=5", "constant-3")
         assert again.cells[key].rmses == tiny_grid.cells[key].rmses
+
+    @pytest.mark.parametrize("name, value", [("replicates", 0), ("replicates", -2),
+                                             ("jobs", 0)])
+    def test_counts_below_one_are_rejected(self, name, value):
+        counts = {"replicates": 1, "jobs": 1, name: value}
+        with pytest.raises(ValueError) as err:
+            run_benchmark([FriedmanSpec(n=80, p=5, seed=0)],
+                          [EngineConfig("constant-3", Hyperparams(m=3))], **counts)
+        assert str(err.value) == f"{name} must be >= 1, got {value}"
 
     def test_tables_written(self, tiny_grid, tmp_path):
         write_rmse_table(tiny_grid, tmp_path / "rmse.csv")

@@ -86,6 +86,15 @@ class TestSimulate:
         assert code == 1
         assert "p must be >= 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_sd_is_named(self, tmp_path, capsys, value):
+        path = tmp_path / "f.csv"
+        code = run_cli("simulate", "--n", 10, "--noise-sd", value, "--out", path)
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"error: noise_sd must be a finite value >= 0, got {value}\n")
+        assert not path.exists()
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("simulate", "--n", 50, "--p", 6, "--seed", 9, "--out", a)
@@ -500,6 +509,27 @@ class TestBenchmarkCommand:
         assert (capsys.readouterr().err
                 == f"error: {grid}: {key!r} must be {expected}, got {value!r}\n")
         assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--replicates", 0), ("--replicates", -2),
+                                             ("--jobs", 0)])
+    def test_count_flag_below_one_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                              flag, value):
+        grid = self.make_grid(tmp_path)
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--grid", grid, "--out", out, flag, value) == 1
+        assert (capsys.readouterr().err
+                == f"error: {flag[2:]} must be >= 1, got {value}\n")
+        assert not out.exists()
+
+    def test_grid_replicates_below_one_is_named(self, tmp_path, capsys):
+        grid = self.make_grid(tmp_path)
+        cfg = json.loads(grid.read_text())
+        cfg["replicates"] = 0
+        grid.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--grid", grid, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {grid}: replicates must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_failed_cells_exit_1_after_writing_both_tables(self, tmp_path, capsys):
         grid = self.make_grid(tmp_path)

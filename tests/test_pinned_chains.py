@@ -32,17 +32,22 @@ CHAINS = {
 }
 
 
-def run_chain(name: str, **extra):
-    hp = Hyperparams(m=4, burn_in=15, post_burn_in=10, thin=5, seed=12,
-                     **CHAINS[name], **extra)
+def chain_data(name: str):
+    """The standardized training set of a pinned chain and its scaling."""
     data = friedman_generate(FriedmanSpec(n=50, p=5, seed=31))
     if name == "probit":
         labels = (data.response > np.median(data.response)).astype(float)
         binary = Dataset(data.features, labels, data.feature_names, CLASSIFICATION)
-        scaled, info = standardize(binary, scale_response=False)
-        return run_classification(scaled, hp, info)
-    scaled, info = standardize(data)
-    return run_regression(scaled, hp, info)
+        return standardize(binary, scale_response=False)
+    return standardize(data)
+
+
+def run_chain(name: str, on_sweep=None, **extra):
+    hp = Hyperparams(m=4, burn_in=15, post_burn_in=10, thin=5, seed=12,
+                     **CHAINS[name], **extra)
+    scaled, info = chain_data(name)
+    fit = run_classification if name == "probit" else run_regression
+    return fit(scaled, hp, info, on_sweep=on_sweep)
 
 
 def benchmark_cell_rmse() -> float:

@@ -98,12 +98,14 @@ def chain_state(trees, payloads, X, hp, probit=False, **globals_) -> SamplerStat
     """
     states, total_fit = [], np.zeros(X.shape[0])
     for tree, leaf_params in zip(trees, payloads):
-        rows = tree.leaf_rows(X)
+        splits = {}
+        rows = tree.route(X, tree.root, np.arange(X.shape[0]), splits)
         fit = np.zeros(X.shape[0])
         for leaf, r in rows.items():
             fit[r] = [leaf_value(leaf_params[leaf], x) for x in X[r]]
         states.append(TreeState(tree, leaf_params, rows, fit,
-                                log_tree_prior(tree, hp.alpha, hp.beta_depth)))
+                                log_tree_prior(tree, hp.alpha, hp.beta_depth),
+                                rows_by_split=splits))
         total_fit += fit
     state = SamplerState(trees=states, sigma2=1.0, tau_beta0=hp.tau_b, tau_beta=hp.tau_b,
                          split_probs=np.full(X.shape[1], 1.0 / X.shape[1]),

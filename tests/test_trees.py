@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lmbart.data import REGRESSION, Dataset, split_dictionary
-from lmbart.trees import (CHANGE, GROW, PRUNE, SWAP, Tree, _draw_rule,
+from lmbart.trees import (CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, _draw_rule,
                           ancestor_covariates, log_tree_prior, partition,
                           propose_move, split_covariates)
-from oracles import changed_leaves, grow_from_dict, recursive_log_tree_prior, route_row
-from test_pinned_chains import CHAINS, run_chain
+from oracles import (BELOW_N_MIN, changed_leaves, full_size_check, grow_from_dict, node_rows,
+                     recursive_log_tree_prior, route_row)
+from test_pinned_chains import CHAINS, chain_data, run_chain
 
 
 def grow_delta(depth, alpha, beta):
@@ -31,6 +32,29 @@ def make_dataset(n=60, p=3, seed=0):
     X = rng.normal(size=(n, p))
     d = Dataset(X, rng.normal(size=n), [f"x{j + 1}" for j in range(p)], REGRESSION)
     return d, split_dictionary(d)
+
+
+def node_fields(tree):
+    """Node id -> (depth, parent, feature, threshold, left, right)."""
+    return {i: (nd.depth, nd.parent, nd.feature, nd.threshold, nd.left, nd.right)
+            for i, nd in tree.nodes.items()}
+
+
+def assert_carried_routing(tree, X, rows_by_leaf, rows_by_split):
+    """The carried rows of every node equal a fresh route from the root: an
+    ascending int64 array, and for a split node the union of its children's."""
+    fresh = node_rows(tree, X)
+    assert rows_by_leaf.keys() == {i for i, nd in tree.nodes.items() if nd.feature is None}
+    assert rows_by_split.keys() == {i for i, nd in tree.nodes.items() if nd.feature is not None}
+    carried = {**rows_by_leaf, **rows_by_split}
+    for node_id, rows in carried.items():
+        assert rows.dtype == np.int64
+        assert np.all(np.diff(rows) > 0)
+        assert_array_equal(rows, fresh[node_id])
+    for node_id, rows in rows_by_split.items():
+        nd = tree.nodes[node_id]
+        children = np.concatenate((carried[nd.left], carried[nd.right]))
+        assert_array_equal(np.sort(children), rows)
 
 
 def figure_tree():
@@ -289,17 +313,19 @@ class TestInvariantsUnderMoves:
         rng = np.random.default_rng(7)
         probs = np.full(3, 1 / 3)
         t = Tree()
-        current = t.leaf_rows(d.features)
+        current, splits = t.leaf_rows(d.features), {}
         accepted = 0
         carried = {kind: 0 for kind in (GROW, PRUNE, CHANGE, SWAP)}
         for _ in range(10_000):
-            snapshot = {leaf: rows.copy() for leaf, rows in current.items()}
+            nodes = node_fields(t)
+            snapshot = {i: rows.copy() for i, rows in {**current, **splits}.items()}
             prop = propose_move(t, d.features, sd, probs, rng, n_min=5,
-                                rows_by_leaf=current)
-            # the current routing is read, never modified
-            assert current.keys() == snapshot.keys()
-            for leaf, rows in snapshot.items():
-                assert_array_equal(current[leaf], rows)
+                                rows_by_leaf=current, rows_by_split=splits)
+            # neither the current tree nor its routing is modified
+            assert node_fields(t) == nodes
+            assert {**current, **splits}.keys() == snapshot.keys()
+            for i, rows in snapshot.items():
+                assert_array_equal({**current, **splits}[i], rows)
             if prop.valid:
                 # the routing a proposal carries is the candidate's own routing
                 rerouted = prop.tree.leaf_rows(d.features)
@@ -317,9 +343,10 @@ class TestInvariantsUnderMoves:
                 carried[prop.kind] += 1
             if prop.valid and rng.uniform() < 0.5:
                 t = prop.tree
-                current = prop.rows_by_leaf
+                current, splits = prop.rows_by_leaf, prop.rows_by_split
                 accepted += 1
                 t.validate()
+                assert_carried_routing(t, d.features, current, splits)
                 part = partition(t, d.features)
                 assert sum(part.counts.values()) == d.n
                 assert part.min_count() >= 5
@@ -327,6 +354,49 @@ class TestInvariantsUnderMoves:
                     assert ancestor_covariates(t, leaf) <= split_covariates(t)
         assert accepted > 100
         assert min(carried.values()) > 0
+
+    def test_copy_shares_no_node(self):
+        t, *_ = figure_tree()
+        before = node_fields(t)
+        c = t.copy()
+        for node_id in c.prunable_nodes():
+            c.prune(node_id)
+        c.set_rule(c.root, 0, -1.0)
+        c.grow(c.leaves()[0], 2, 0.5)
+        assert node_fields(c) != before
+        assert node_fields(t) == before
+
+    @pytest.mark.parametrize("n_min", [1, 5, 20])
+    def test_early_exit_equals_the_full_check(self, n_min):
+        # on trees the chain can reach at n_min, every proposal equals the same
+        # draw made with no size limit and checked over the whole candidate
+        d, sd = make_dataset(n=200, p=3, seed=40 + n_min)
+        rng = np.random.default_rng(n_min)
+        probs = np.full(3, 1 / 3)
+        t = Tree()
+        current, splits = t.leaf_rows(d.features), {}
+        seen = set()
+        for _ in range(1500):
+            unlimited_rng = np.random.default_rng()
+            unlimited_rng.bit_generator.state = rng.bit_generator.state
+            prop = propose_move(t, d.features, sd, probs, rng, n_min=n_min,
+                                rows_by_leaf=current, rows_by_split=splits)
+            unlimited = propose_move(t, d.features, sd, probs, unlimited_rng, n_min=0,
+                                     rows_by_leaf=current, rows_by_split=splits)
+            valid, reason, rows = full_size_check(unlimited, d.features, n_min)
+            assert (prop.valid, prop.kind, prop.reason) == (valid, unlimited.kind, reason)
+            assert rng.bit_generator.state == unlimited_rng.bit_generator.state
+            if valid:
+                assert prop.rows_by_leaf.keys() == rows.keys()
+                for leaf, r in rows.items():
+                    assert_array_equal(prop.rows_by_leaf[leaf], r)
+            seen.add((prop.kind, reason))
+            if prop.valid and rng.uniform() < 0.5:
+                t, current, splits = prop.tree, prop.rows_by_leaf, prop.rows_by_split
+        assert {(kind, "") for kind in MOVE_KINDS} <= seen
+        if n_min > 1:
+            assert {(GROW, BELOW_N_MIN[GROW]), (CHANGE, BELOW_N_MIN[CHANGE]),
+                    (SWAP, BELOW_N_MIN[SWAP])} <= seen
 
     def test_grow_then_prune_restores_routing(self):
         d, sd = make_dataset(n=100, seed=13)
@@ -451,6 +521,20 @@ class TestRebuild:
     @given(stored_trees)
     def test_drawn_trees(self, d):
         assert_rebuilds_like_grow(d)
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_pinned_chains_carry_every_nodes_true_rows(name):
+    X = chain_data(name)[0].features
+    sweeps = []
+
+    def check(state):
+        for ts in state.trees:
+            assert_carried_routing(ts.tree, X, ts.rows_by_leaf, ts.rows_by_split)
+        sweeps.append(state.iteration)
+
+    run_chain(name, on_sweep=check)
+    assert len(sweeps) == 25
 
 
 def test_draw_rule_matches_generator_choice_draw_for_draw():
