@@ -10,7 +10,8 @@ from .leaves import (bart_log_marginal, bart_sample_mu, build_leaf_design,
 from .sampler import (Hyperparams, PosteriorDraws, PredictionSummary, predict,
                       predict_stored, run_classification, run_regression)
 from .trees import (MoveProposal, Partition, Tree, ancestor_covariates,
-                    log_tree_prior, partition, propose_move, split_covariates)
+                    log_tree_prior, partition, propose_move, split_cdf,
+                    split_covariates)
 
 __version__ = "0.1.0"
 
@@ -24,5 +25,5 @@ __all__ = [
     "Hyperparams", "PosteriorDraws", "PredictionSummary", "predict",
     "predict_stored", "run_classification", "run_regression", "MoveProposal",
     "Partition", "Tree", "ancestor_covariates", "log_tree_prior", "partition",
-    "propose_move", "split_covariates",
+    "propose_move", "split_cdf", "split_covariates",
 ]

@@ -147,6 +147,7 @@ class SplitDictionary:
     """Per-feature sorted distinct training values, the candidate split points."""
 
     values: list[np.ndarray] = field(default_factory=list)
+    _splittable: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for j, v in enumerate(self.values):
@@ -154,6 +155,9 @@ class SplitDictionary:
                 raise DataError(f"empty split dictionary for feature {j}")
             if np.any(np.diff(v) <= 0):
                 raise DataError(f"split dictionary for feature {j} not strictly increasing")
+        mask = np.array([v.size >= 2 for v in self.values], dtype=bool)
+        mask.flags.writeable = False
+        object.__setattr__(self, "_splittable", mask)   # the dataclass is frozen
 
     @property
     def p(self) -> int:
@@ -163,9 +167,10 @@ class SplitDictionary:
         """Boolean mask of features with at least two distinct values.
 
         A rule on a single-valued feature routes every row one way, so such
-        features are never proposed as split covariates.
+        features are never proposed as split covariates. The mask is built
+        once, with the dictionary, and is read-only.
         """
-        return np.array([v.size >= 2 for v in self.values], dtype=bool)
+        return self._splittable
 
 
 def parse_cell(path, row: int, column: str, cell: str) -> float:

@@ -5,7 +5,8 @@ constant model gives every terminal node a scalar mean with a N(0, sigma_mu^2)
 prior and stores it as {"mu": m}. The linear model gives every terminal node
 a coefficient vector beta (intercept first) on the leaf's covariates with a
 N_q(0, sigma^2 V) prior, V diagonal, and stores {"beta": [...], "covariates":
-[...]}. `leaf_design` and `leaf_values` evaluate a stored leaf. The model
+[...]}. `leaf_design` and `leaf_values` evaluate a stored leaf, `leaf_means`
+all of a tree's constant leaves at once. The model
 classes reach this module's functions through its globals, so wrapping those
 functions at run time sees every call.
 
@@ -301,10 +302,15 @@ def leaf_design(payload: dict, rows: np.ndarray, features: np.ndarray) -> np.nda
     """The design of a stored leaf on its rows; None for a constant leaf.
 
     For a linear leaf this is the design its stats were built on
-    (`LeafStats.design`).
+    (`LeafStats.design`). A payload that `stored_leaf_problem` refuses
+    raises ValueError, since a negative covariate would silently index
+    from the last column.
     """
     if "mu" in payload:
         return None
+    problem = stored_leaf_problem(payload, features.shape[1])
+    if problem is not None:
+        raise ValueError(problem)
     return build_leaf_design(rows, features, payload["covariates"])
 
 
@@ -318,9 +324,39 @@ def leaf_values(payload: dict, design: np.ndarray | None):
     return design @ payload["beta"]
 
 
+def leaf_means(payload: dict, size: int) -> np.ndarray | None:
+    """The means of a tree's stored leaves (leaf id -> payload) in an array of
+    `size` indexed by leaf id; None when any leaf is linear."""
+    means = None
+    for leaf, params in payload.items():
+        if "mu" not in params:
+            return None
+        if means is None:
+            means = np.zeros(size)
+        means[leaf] = params["mu"]
+    return means
+
+
 def same_design(a: dict, b: dict) -> bool:
     """Whether two stored leaves on the same rows have the same `leaf_design`."""
     return a.get("covariates") == b.get("covariates")
+
+
+def stored_leaf_problem(params: dict, p: int) -> str | None:
+    """What makes a stored leaf's payload unusable on p features; None if nothing."""
+    if "mu" in params:
+        mu = params["mu"]
+        if isinstance(mu, (int, float)) and not isinstance(mu, bool):
+            return None
+        return f"leaf mean {mu!r} is not a number"
+    if "beta" not in params or "covariates" not in params:
+        return "leaf has neither 'mu' nor 'beta' and 'covariates'"
+    covs, beta = params["covariates"], params["beta"]
+    if not isinstance(covs, list) or not all(type(c) is int and 0 <= c < p for c in covs):
+        return f"leaf covariates {covs!r} are not feature indices in [0, {p})"
+    if not isinstance(beta, list) or len(beta) != len(covs) + 1:
+        return f"leaf beta {beta!r} is not a list of {len(covs) + 1} coefficients"
+    return None
 
 
 def _reuse(rows_by_leaf: dict, covariates_by_leaf: dict, resid: np.ndarray,

@@ -292,7 +292,7 @@ def _tree_fit(leaf_params: dict, rows_by_leaf: dict, designs: dict, n: int) -> n
 
 
 def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
-                 split_dict: SplitDictionary, hp: Hyperparams,
+                 split_dict: SplitDictionary, cdf: np.ndarray | None, hp: Hyperparams,
                  model, rng: np.random.Generator) -> tuple[str, str]:
     """One tree update: structural MH step, then leaf-parameter redraw.
 
@@ -302,7 +302,8 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     likelihood and log tree prior, so the chain targets the tree prior
     truncated to trees with at least `n_min` rows per leaf. Leaf parameters
     are redrawn from their full conditionals in every case, acceptance or
-    not, from the leaf statistics of the kept tree.
+    not, from the leaf statistics of the kept tree. `cdf` is the split
+    feature cdf of the state's split probabilities (`trees.split_cdf`).
 
     The candidate reuses the current tree's leaf and split routing, and on
     acceptance its own routing replaces both. The current tree's
@@ -315,9 +316,8 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     resid = partial_residual(state, tree_index)
     stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, ts.stats)
 
-    proposal = tr.propose_move(ts.tree, features, split_dict, state.split_probs,
-                               rng, hp.n_min, rows_by_leaf=ts.rows_by_leaf,
-                               rows_by_split=ts.rows_by_split)
+    proposal = tr.propose_move(ts.tree, features, split_dict, cdf, rng, hp.n_min,
+                               rows_by_leaf=ts.rows_by_leaf, rows_by_split=ts.rows_by_split)
     if not proposal.valid:
         outcome = "invalid"
     else:
@@ -358,14 +358,15 @@ def sweep(state: SamplerState, X: np.ndarray, y: np.ndarray,
           split_dict: SplitDictionary, hp: Hyperparams, lam: float | None,
           rng: np.random.Generator) -> None:
     """One sweep of the chain, in place: the probit latent z given labels `y`,
-    the m tree steps under one `leaf_model` holding the sweep's taus, then
-    sigma^2 given `y` (regression; `lam` is its prior scale), the taus and the
-    split probabilities, each when the configuration draws it."""
+    the m tree steps under one `leaf_model` holding the sweep's taus and one
+    split cdf, then sigma^2 given `y` (regression; `lam` is its prior scale),
+    the taus and the split probabilities, each when the configuration draws it."""
     state.iteration += 1
     state.target = sample_latent_z(y, state.total_fit, rng) if state.probit else y
     model = leaf_model(hp, (state.tau_beta0, state.tau_beta))
+    cdf = tr.split_cdf(state.split_probs, split_dict.splittable())
     for t in range(hp.m):
-        mh_tree_step(state, t, X, split_dict, hp, model, rng)
+        mh_tree_step(state, t, X, split_dict, cdf, hp, model, rng)
     if not state.probit:
         resid = y - state.total_fit
         state.sigma2 = sample_sigma2(float(resid @ resid), y.size, hp.nu, lam, rng)
@@ -423,7 +424,16 @@ class _Replay:
     nodes: dict            # the rebuilt tree's arena; equal arenas route alike
     rows_by_leaf: dict     # leaf id -> rows it receives
     payload: dict          # leaf id -> stored leaf payload
-    designs: dict          # leaf id -> design its values were computed on
+    designs: dict | None = None       # leaf id -> design its values were computed on
+    index: np.ndarray | None = None   # row -> leaf id; only constant-leaf trees carry it
+
+
+def _leaf_index(rows_by_leaf: dict, n: int) -> np.ndarray:
+    """Row -> leaf id of a routing of n rows."""
+    index = np.empty(n, dtype=np.intp)
+    for leaf, rows in rows_by_leaf.items():
+        index[rows] = leaf
+    return index
 
 
 def _replay_tree(tree_dict: dict, features: np.ndarray,
@@ -433,20 +443,82 @@ def _replay_tree(tree_dict: dict, features: np.ndarray,
     `previous` is the replay of the same tree index in the previous draw.
     `Tree.from_dict` numbers nodes by the tree's shape, so a tree whose
     arena equals the previous one has the same splits: it reuses that
-    routing, and every linear leaf whose covariates are unchanged its design.
-    Any other tree is routed with `Tree.leaf_rows`.
+    routing. Any other tree has its split rules checked (`_split_problem`)
+    and is routed with `Tree.leaf_rows`.
+
+    A tree whose leaves are all constant (`leaves.leaf_means`) carries its
+    routing as one row -> leaf id index, built when the tree is routed: its
+    fit is its leaf means, indexed by leaf id, taken at that index. Any
+    other tree reuses, on a hit, the design of every linear leaf whose
+    covariates are unchanged, and fills its fit leaf by leaf.
     """
     tree, payload = tr.Tree.from_dict(tree_dict)
     hit = previous is not None and previous.nodes == tree.nodes
-    rows_by_leaf = previous.rows_by_leaf if hit else tree.leaf_rows(features)
+    if hit:
+        rows_by_leaf = previous.rows_by_leaf
+    else:
+        for nd in tree.nodes.values():
+            if nd.feature is not None:
+                problem = _split_problem(nd.feature, nd.threshold, features.shape[1])
+                if problem is not None:
+                    raise ValueError(problem)
+        rows_by_leaf = tree.leaf_rows(features)
+    means = lv.leaf_means(payload, len(tree.nodes))
+    if means is not None:
+        index = (previous.index if hit and previous.index is not None
+                 else _leaf_index(rows_by_leaf, features.shape[0]))
+        return means.take(index), _Replay(tree.nodes, rows_by_leaf, payload, index=index)
     designs = {}
     for leaf, rows in rows_by_leaf.items():
-        if hit and lv.same_design(payload[leaf], previous.payload[leaf]):
+        if (hit and previous.designs is not None
+                and lv.same_design(payload[leaf], previous.payload[leaf])):
             designs[leaf] = previous.designs[leaf]
         else:
             designs[leaf] = lv.leaf_design(payload[leaf], rows, features)
     fit = _tree_fit(payload, rows_by_leaf, designs, features.shape[0])
-    return fit, _Replay(tree.nodes, rows_by_leaf, payload, designs)
+    return fit, _Replay(tree.nodes, rows_by_leaf, payload, designs=designs)
+
+
+def _split_problem(feature, threshold, p: int) -> str | None:
+    """What makes a stored split rule unusable on p features; None if nothing.
+
+    A negative feature would index from the last column, and a NaN
+    threshold would send every row left, so both are refused here.
+    """
+    if type(feature) is not int or not 0 <= feature < p:
+        return f"split feature {feature!r} is not a feature index in [0, {p})"
+    if (not isinstance(threshold, (int, float)) or isinstance(threshold, bool)
+            or not math.isfinite(threshold)):
+        return f"split threshold {threshold!r} is not a finite number"
+    return None
+
+
+def _stored_tree_problem(tree_dict, p: int) -> str | None:
+    """What makes a stored tree unusable on p features; None if nothing.
+
+    Each node is a dict whose "kind" is "leaf", with a payload that
+    `leaves.stored_leaf_problem` accepts, or "internal", with a "feature"
+    and "threshold" that `_split_problem` accepts, a "left" and a "right".
+    """
+    stack = [tree_dict]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict):
+            return f"node {node!r} is not an object"
+        kind = node.get("kind")
+        if kind == "leaf":
+            problem = lv.stored_leaf_problem(node, p)
+        elif kind == "internal":
+            problem = _split_problem(node.get("feature"), node.get("threshold"), p)
+            if problem is None and ("left" not in node or "right" not in node):
+                problem = "split node without a 'left' and a 'right' child"
+        else:
+            problem = f"unknown node kind {kind!r}"
+        if problem is not None:
+            return problem
+        if kind == "internal":
+            stack += (node["right"], node["left"])
+    return None
 
 
 def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
@@ -615,7 +687,13 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     `X_new` is on the original feature scale and `scaling` is the training
     run's. Classification runs return probabilities. Each tree index carries
     its replay from one draw to the next, so a tree is routed again only
-    when its splits changed since the previous draw (see `_replay_tree`).
+    when its splits changed since the previous draw, and a constant-leaf
+    tree's fit is one `take` of its leaf means (see `_replay_tree`). Tree
+    fits are summed in place, in tree order.
+
+    A malformed stored tree raises ValueError naming its draw, its tree
+    index and the problem. Its splits are checked when it is routed, so a
+    tree that reuses the previous draw's routing has splits already checked.
     """
     if not trees:
         raise ValueError("no stored draws")
@@ -631,10 +709,14 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     out = np.zeros((len(trees), Xs.shape[0]))
     replays = {}                  # tree index -> its replay in the previous draw
     for k, tree_dicts in enumerate(trees):
-        fit = 0
+        fit = np.zeros(Xs.shape[0])
         for t, d in enumerate(tree_dicts):
-            tree_fit, replays[t] = _replay_tree(d, Xs, replays.get(t))
-            fit = fit + tree_fit
+            try:
+                tree_fit, replays[t] = _replay_tree(d, Xs, replays.get(t))
+            except (KeyError, TypeError, IndexError, ValueError) as exc:
+                problem = _stored_tree_problem(d, Xs.shape[1]) or exc
+                raise ValueError(f"draw {k}, tree {t}: {problem}") from exc
+            fit += tree_fit
         out[k] = ndtr(fit) if task == CLASSIFICATION else scaling.invert_response(fit)
     lower, upper = np.quantile(out, (0.05, 0.95), axis=0)
     return PredictionSummary(out.mean(axis=0), lower, upper, out)

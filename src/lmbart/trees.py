@@ -236,18 +236,22 @@ class Tree:
         the nodes in preorder: a split node's left child gets the next free
         id and its right child the one after, and the left subtree is
         numbered before the right. The arena is therefore a function of the
-        tree's shape, and the payload lists the leaves in preorder.
+        tree's shape, and the payload lists the leaves in preorder. A node
+        kind other than "leaf" or "internal" raises ValueError.
         """
         arena: list[Node | None] = [None]      # node id -> node, ids 0..n-1
         payload: dict[int, dict] = {}
         stack = [(d, 0, None, 0)]              # (spec, node id, parent, depth)
         while stack:
             spec, node_id, parent, depth = stack.pop()
-            if spec["kind"] == "leaf":
+            kind = spec["kind"]
+            if kind == "leaf":
                 arena[node_id] = Node(depth, parent)
                 leaf = payload[node_id] = dict(spec)
                 del leaf["kind"]
                 continue
+            if kind != "internal":
+                raise ValueError(f"unknown node kind {kind!r}")
             left = len(arena)
             arena += (None, None)
             arena[node_id] = Node(depth, parent, spec["feature"], float(spec["threshold"]),
@@ -350,22 +354,25 @@ class MoveProposal:
         return cls(kind=kind, tree=None, valid=False, reason=reason)
 
 
-def _masked_split_probs(split_probs: np.ndarray, splittable: np.ndarray) -> np.ndarray | None:
-    """Redistribute the probability mass of unsplittable features."""
+def split_cdf(split_probs: np.ndarray, splittable: np.ndarray) -> np.ndarray | None:
+    """The cdf of a rule's feature draw: `split_probs` with the mass of the
+    features that `splittable` excludes redistributed over the rest; None
+    when no feature is left. It depends on `split_probs` alone for a given
+    split dictionary, so the sampler builds it once per sweep and passes it
+    to every `propose_move` of that sweep."""
     probs = np.where(splittable, split_probs, 0.0)
     total = probs.sum()
     if total <= 0:
         return None
-    return probs / total
-
-
-def _draw_rule(split_dict, split_probs, splittable, rng) -> tuple[int, float] | None:
-    probs = _masked_split_probs(split_probs, splittable)
-    if probs is None:
-        return None
-    # what rng.choice(len(probs), p=probs) does, without its argument checks
-    cdf = probs.cumsum()
+    cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_rule(split_dict, cdf: np.ndarray | None, rng) -> tuple[int, float] | None:
+    if cdf is None:
+        return None
+    # what rng.choice(p, p=probs) does with the cdf of probs, without its argument checks
     feature = int(cdf.searchsorted(rng.random(), "right"))
     values = split_dict.values[feature]
     return feature, float(values[rng.integers(values.size)])
@@ -410,7 +417,7 @@ def _top_nodes(tree: Tree, a: int, b: int) -> list[int]:
     return [hi] if lo == hi else [a, b]
 
 
-def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.ndarray,
+def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray | None,
                  rng: np.random.Generator, n_min: int = 5, kind: str | None = None,
                  rows_by_leaf: dict[int, np.ndarray] | None = None,
                  rows_by_split: dict[int, np.ndarray] | None = None) -> MoveProposal:
@@ -420,7 +427,9 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
     than two internal nodes) or that leaves any terminal with fewer than
     `n_min` rows is returned marked invalid; the sampler counts it as an
     automatic rejection rather than redrawing. Passing `kind` skips the
-    uniform move draw (useful for forcing a particular move).
+    uniform move draw (useful for forcing a particular move). A grow or
+    change draws its rule's feature from `cdf` (`split_cdf`; None means no
+    feature can be split) and its threshold uniformly from `split_dict`.
 
     `rows_by_leaf` and `rows_by_split` are the current tree's leaf and split
     routing of `features` (None routes the missing one from the root here);
@@ -451,7 +460,7 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
     if kind == GROW:
         leaves = sorted(tree.leaves())
         leaf = leaves[rng.integers(len(leaves))]
-        rule = _draw_rule(split_dict, split_probs, split_dict.splittable(), rng)
+        rule = _draw_rule(split_dict, cdf, rng)
         if rule is None:
             return MoveProposal.invalid(kind, "no splittable feature")
         cand = tree._edit(leaf)
@@ -481,7 +490,7 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, split_probs: np.n
         if not targets:
             return MoveProposal.invalid(kind, "no internal node with two terminal children")
         target = targets[rng.integers(len(targets))]
-        rule = _draw_rule(split_dict, split_probs, split_dict.splittable(), rng)
+        rule = _draw_rule(split_dict, cdf, rng)
         if rule is None:
             return MoveProposal.invalid(kind, "no splittable feature")
         cand = tree._edit(target)

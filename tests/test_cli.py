@@ -282,6 +282,23 @@ class TestPredict:
         assert (f"error: {nan_csv}: row 4, column 'x2': non-finite value 'nan'"
                 in capsys.readouterr().err)
 
+    def test_malformed_stored_tree_is_a_one_line_error(self, tmp_path, friedman_csv,
+                                                       trained_run, capsys):
+        path = trained_run.parent / "run.draws.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[3])          # line 1 is the header: draw 2
+        record["trees"][1] = {"kind": "internal", "feature": 9, "threshold": 0.0,
+                              "left": {"kind": "leaf", "mu": 0.0},
+                              "right": {"kind": "leaf", "mu": 0.0}}
+        lines[3] = json.dumps(record) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        code = run_cli("predict", "--run", trained_run, "--data", friedman_csv,
+                       "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert capsys.readouterr().err == ("error: draw 2, tree 1: split feature 9 is not "
+                                           "a feature index in [0, 5)\n")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_truncated_draws_file_is_an_error(self, tmp_path, friedman_csv, trained_run,
                                               capsys):
         path = trained_run.parent / "run.draws.jsonl"

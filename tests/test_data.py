@@ -128,6 +128,14 @@ class TestSplitDictionary:
         assert_array_equal(sd.values[0], [4.0])
         assert not sd.splittable()[0]
 
+    def test_splittable_mask_is_built_once_and_read_only(self):
+        d = Dataset(np.array([[4.0, 1.0], [4.0, 2.0]]), np.zeros(2), ["a", "b"], REGRESSION)
+        sd = split_dictionary(d)
+        assert sd.splittable() is sd.splittable()
+        assert sd.splittable().tolist() == [False, True]
+        with pytest.raises(ValueError, match="read-only"):
+            sd.splittable()[0] = True
+
     def test_features_independent(self):
         d = Dataset(np.array([[1.0, 5.0], [2.0, 5.0], [1.0, 6.0]]), np.zeros(3),
                     ["a", "b"], REGRESSION)

@@ -43,7 +43,8 @@ from scipy.stats import chi2_contingency
 from lmbart import sampler
 from lmbart.data import CLASSIFICATION, Dataset, split_dictionary
 from lmbart.sampler import Hyperparams, SamplerState, TreeState, leaf_model, mh_tree_step
-from lmbart.trees import Tree, ancestor_covariates, log_tree_prior, split_covariates
+from lmbart.trees import (Tree, ancestor_covariates, log_tree_prior, split_cdf,
+                          split_covariates)
 from oracles import draw_prior_tree, draw_truncated_prior_tree, route_row
 
 LEAF_COUNT_CAP = 4        # leaf counts from 4 up share one chi-square cell
@@ -128,9 +129,10 @@ def test_flat_likelihood_chain_samples_the_truncated_tree_prior():
                       for _ in range(10_000)])
     state = chain_state([Tree.stump()], [{0: {"mu": 0.0}}], X, hp, sigma2=1e12)
     model = leaf_model(hp, (state.tau_beta0, state.tau_beta))
+    cdf = split_cdf(state.split_probs, sd.splittable())
     counts = np.empty(20_000)
     for k in range(counts.size):
-        mh_tree_step(state, 0, X, sd, hp, model, rng)
+        mh_tree_step(state, 0, X, sd, cdf, hp, model, rng)
         counts[k] = state.trees[0].tree.n_leaves()
     assert leaf_count_pvalue(prior, counts[::THIN]) > P_MIN
     assert abs(z_score(prior.astype(float), counts)) < Z_MAX

@@ -136,6 +136,57 @@ def test_changed_covariates_under_the_same_split_rebuild_that_design(counts):
                                         0.5 - 1.0]
 
 
+def test_the_carried_leaf_index_follows_every_split_change(counts):
+    # tree 0's splits go A, B, A, A and tree 1's B, B, A, B: a hit follows a
+    # miss, and B numbers its leaves 1, 3, 4 where A numbers them 1, 2, so a
+    # leaf index kept across a change would put rows in the wrong leaf
+    def shape_a(k):
+        return stump_split(0.0, const(1.0 + k), const(-1.0 - k))
+
+    def shape_b(k):
+        return {"kind": "internal", "feature": 1, "threshold": 1.0,
+                "left": const(10.0 * k), "right": stump_split(0.5, const(k), const(-k))}
+
+    shapes = [(shape_a, shape_b), (shape_b, shape_b), (shape_a, shape_a), (shape_a, shape_b)]
+    trees = [[first(k), second(k)] for k, (first, second) in enumerate(shapes)]
+    result, seen = replay_hand_made(trees, counts)
+    assert seen["leaf_rows"] == 3 + 3
+    assert seen["from_dict"] == 8
+    assert result.draws[3].tolist() == [-4.0 + 30.0, 4.0 - 3.0, 4.0 + 3.0, -4.0 + 30.0]
+
+
+NO_PAYLOAD = "leaf has neither 'mu' nor 'beta' and 'covariates'"
+
+
+@pytest.mark.parametrize("tree, problem", [
+    pytest.param({"kind": "leaf"}, NO_PAYLOAD, id="empty-leaf"),
+    pytest.param({"kind": "lef", "mu": 1.0}, "unknown node kind 'lef'", id="leaf-kind"),
+    pytest.param({"kind": "internl", "feature": 0, "threshold": 0.0, "left": const(1.0),
+                  "right": const(2.0)}, "unknown node kind 'internl'", id="split-kind"),
+    # the splits equal the previous draw's, so these leaves are read unrouted
+    pytest.param(stump_split(0.0, const(1.0), {"kind": "leaf", "beta": [1.0, 2.0]}),
+                 NO_PAYLOAD, id="carried-no-covariates"),
+    pytest.param(stump_split(0.0, const(1.0), {"kind": "leaf", "covariates": [0]}),
+                 NO_PAYLOAD, id="carried-no-beta"),
+    pytest.param(stump_split(0.0, const(1.0), linear([1.0, 2.0], [-1])),
+                 "leaf covariates [-1] are not feature indices in [0, 2)",
+                 id="carried-negative-covariate"),
+    pytest.param(dict(stump_split(0.0, const(1.0), const(2.0)), feature=7),
+                 "split feature 7 is not a feature index in [0, 2)", id="feature-7"),
+    pytest.param(dict(stump_split(0.0, const(1.0), const(2.0)), feature=-1),
+                 "split feature -1 is not a feature index in [0, 2)", id="feature-minus-1"),
+    pytest.param(stump_split(float("nan"), const(1.0), const(2.0)),
+                 "split threshold nan is not a finite number", id="nan-threshold"),
+    pytest.param(stump_split(float("inf"), const(1.0), const(2.0)),
+                 "split threshold inf is not a finite number", id="inf-threshold"),
+])
+def test_a_malformed_tree_is_named_by_draw_and_tree(tree, problem):
+    good = stump_split(0.0, const(1.0), const(-1.0))
+    with pytest.raises(ValueError) as info:
+        predict_stored([[good, good], [good, tree]], REGRESSION, IDENTITY, X_HAND)
+    assert str(info.value) == f"draw 1, tree 1: {problem}"
+
+
 def test_non_finite_feature_is_named():
     # nan fails every `x < threshold` test, so it would go left silently
     trees = [[stump_split(0.0, const(1.0), const(-1.0))]]

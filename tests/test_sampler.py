@@ -318,7 +318,7 @@ class TestRunRegression:
         # every step must leave the structure alone and only redraw the leaf
         from lmbart.data import split_dictionary
         from lmbart.sampler import SamplerState, TreeState, leaf_model, mh_tree_step
-        from lmbart.trees import Tree, log_tree_prior
+        from lmbart.trees import Tree, log_tree_prior, split_cdf
 
         rng = np.random.default_rng(33)
         X = rng.normal(size=(6, 2))
@@ -333,7 +333,8 @@ class TestRunRegression:
                              total_fit=np.zeros(6), target=d.response.copy())
         mus = []
         for _ in range(30):
-            kind, outcome = mh_tree_step(state, 0, d.features, sd, hp,
+            kind, outcome = mh_tree_step(state, 0, d.features, sd,
+                                         split_cdf(state.split_probs, sd.splittable()), hp,
                                          leaf_model(hp, (1.0, 1.0)), rng)
             assert outcome == "invalid"
             assert state.trees[0].tree.n_leaves() == 1
@@ -348,7 +349,7 @@ class TestRunRegression:
         from lmbart import leaves
         from lmbart.data import split_dictionary
         from lmbart.sampler import SamplerState, TreeState, leaf_model, mh_tree_step
-        from lmbart.trees import Tree, log_tree_prior
+        from lmbart.trees import Tree, log_tree_prior, split_cdf
 
         monkeypatch.setattr(leaves, "bart_log_marginal",
                             lambda stats, sigma2, sigma_mu2: math.nan)
@@ -365,7 +366,9 @@ class TestRunRegression:
             total_fit=np.zeros(20), target=d.response.copy())
         with pytest.raises(FloatingPointError, match="tree 1: grow move has a NaN"):
             for _ in range(50):
-                mh_tree_step(state, 1, d.features, sd, hp, leaf_model(hp, (1.0, 1.0)), rng)
+                mh_tree_step(state, 1, d.features, sd,
+                             split_cdf(state.split_probs, sd.splittable()), hp,
+                             leaf_model(hp, (1.0, 1.0)), rng)
         assert sum(rec["rejected"] for rec in state.acceptance.values()) == 0
 
     def test_fixed_precision_records_tau_b(self, tmp_path):
@@ -512,6 +515,28 @@ class TestIncrementalTreeStep:
         steps, calls = traced_chain(monkeypatch, hp)
         # one call for the stumps' shared prior, then one per valid candidate
         assert calls["log_tree_prior"] == 1 + sum(rec["proposal"].valid for rec in steps)
+
+    def test_split_cdf_is_built_once_per_sweep(self, monkeypatch):
+        from lmbart import trees
+
+        built, same = [], []
+        split_cdf, propose_move = trees.split_cdf, trees.propose_move
+
+        def building(split_probs, splittable):
+            built.append(split_cdf(split_probs, splittable))
+            return built[-1]
+
+        def proposing(tree, features, split_dict, cdf, *args, **kwargs):
+            same.append(cdf is built[-1])
+            return propose_move(tree, features, split_dict, cdf, *args, **kwargs)
+
+        monkeypatch.setattr(trees, "split_cdf", building)
+        monkeypatch.setattr(trees, "propose_move", proposing)
+        hp = hp_small(branching="dirichlet")
+        scaled, info = standardize(friedman_generate(FriedmanSpec(n=80, p=5, seed=8)))
+        run_regression(scaled, hp, info)
+        assert len(built) == hp.burn_in + hp.post_burn_in
+        assert len(same) == hp.m * len(built) and all(same)
 
     def test_linear_fit_reuses_the_stats_design(self, monkeypatch):
         from lmbart.leaves import leaf_covariate_sets

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from lmbart.data import REGRESSION, Dataset, split_dictionary
 from lmbart.trees import (CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, _draw_rule,
                           ancestor_covariates, log_tree_prior, partition,
-                          propose_move, split_covariates)
+                          propose_move, split_cdf, split_covariates)
 from oracles import (BELOW_N_MIN, changed_leaves, full_size_check, grow_from_dict, node_rows,
                      recursive_log_tree_prior, route_row)
 from test_pinned_chains import CHAINS, chain_data, run_chain
@@ -32,6 +32,11 @@ def make_dataset(n=60, p=3, seed=0):
     X = rng.normal(size=(n, p))
     d = Dataset(X, rng.normal(size=n), [f"x{j + 1}" for j in range(p)], REGRESSION)
     return d, split_dictionary(d)
+
+
+def uniform_cdf(sd):
+    """The split cdf of equal split probabilities over the features of `sd`."""
+    return split_cdf(np.full(sd.p, 1 / sd.p), sd.splittable())
 
 
 def node_fields(tree):
@@ -94,10 +99,10 @@ class TestLogTreePrior:
     def test_matches_recursive_evaluator_on_random_trees(self):
         d, sd = make_dataset(n=200, seed=3)
         rng = np.random.default_rng(5)
-        probs = np.full(d.p, 1.0 / d.p)
+        cdf = uniform_cdf(sd)
         t = Tree()
         for _ in range(300):
-            prop = propose_move(t, d.features, sd, probs, rng, n_min=2)
+            prop = propose_move(t, d.features, sd, cdf, rng, n_min=2)
             if prop.valid:
                 t = prop.tree
             assert_allclose(log_tree_prior(t, 0.95, 2.0),
@@ -106,12 +111,12 @@ class TestLogTreePrior:
     def test_grow_delta_equals_full_recomputation(self):
         d, sd = make_dataset(n=300, seed=9)
         rng = np.random.default_rng(1)
-        probs = np.full(d.p, 1.0 / d.p)
+        cdf = uniform_cdf(sd)
         t = Tree()
         checked = 0
         while checked < 50:
             current = t.leaf_rows(d.features)
-            prop = propose_move(t, d.features, sd, probs, rng, n_min=2, kind=GROW,
+            prop = propose_move(t, d.features, sd, cdf, rng, n_min=2, kind=GROW,
                                 rows_by_leaf=current)
             if not prop.valid:
                 continue
@@ -161,11 +166,11 @@ class TestPartition:
         for trial in range(25):
             n = int(rng.integers(5, 21))
             d, sd = make_dataset(n=n, p=3, seed=trial)
-            probs = np.full(3, 1 / 3)
+            cdf = uniform_cdf(sd)
             t = Tree()
             for _ in range(10):   # random trees of depth <= ~3
                 current = t.leaf_rows(d.features)
-                prop = propose_move(t, d.features, sd, probs, rng, n_min=1,
+                prop = propose_move(t, d.features, sd, cdf, rng, n_min=1,
                                     kind=GROW, rows_by_leaf=current)
                 if prop.valid and prop.tree.depth_of(
                         next(iter(changed_leaves(prop.rows_by_leaf, current)))) <= 3:
@@ -190,7 +195,7 @@ class TestProposeMove:
         d, sd = make_dataset()
         rng = np.random.default_rng(0)
         current = Tree().leaf_rows(d.features)
-        prop = propose_move(Tree(), d.features, sd, np.full(3, 1 / 3), rng,
+        prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng,
                             n_min=5, kind=GROW, rows_by_leaf=current)
         assert prop.valid
         assert len(prop.tree.internal_nodes()) == 1
@@ -200,7 +205,7 @@ class TestProposeMove:
     def test_forced_prune_on_stump_is_invalid(self):
         d, sd = make_dataset()
         rng = np.random.default_rng(0)
-        prop = propose_move(Tree(), d.features, sd, np.full(3, 1 / 3), rng,
+        prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng,
                             kind=PRUNE)
         assert not prop.valid
         assert prop.tree is None
@@ -211,7 +216,7 @@ class TestProposeMove:
         t = Tree()
         t.grow(t.root, 0, float(sd.values[0][len(sd.values[0]) // 2]))
         current = t.leaf_rows(d.features)
-        prop = propose_move(t, d.features, sd, np.full(3, 1 / 3), rng, kind=PRUNE,
+        prop = propose_move(t, d.features, sd, uniform_cdf(sd), rng, kind=PRUNE,
                             rows_by_leaf=current)
         assert prop.valid
         assert prop.tree.n_leaves() == 1
@@ -222,7 +227,7 @@ class TestProposeMove:
         rng = np.random.default_rng(0)
         t = Tree()
         t.grow(t.root, 0, 0.0)
-        prop = propose_move(t, d.features, sd, np.full(3, 1 / 3), rng, kind=SWAP)
+        prop = propose_move(t, d.features, sd, uniform_cdf(sd), rng, kind=SWAP)
         assert not prop.valid
 
     def test_change_redraws_rule_in_place(self):
@@ -231,7 +236,7 @@ class TestProposeMove:
         t = Tree()
         t.grow(t.root, 0, float(np.median(d.features[:, 0])))
         current = t.leaf_rows(d.features)
-        prop = propose_move(t, d.features, sd, np.full(3, 1 / 3), rng, kind=CHANGE,
+        prop = propose_move(t, d.features, sd, uniform_cdf(sd), rng, kind=CHANGE,
                             rows_by_leaf=current)
         assert prop.valid
         assert prop.tree.n_leaves() == 2
@@ -247,7 +252,7 @@ class TestProposeMove:
         # split (nothing strictly below the minimum), so invalid either way
         # once n_min exceeds the small side.
         for _ in range(20):
-            prop = propose_move(Tree(), d.features, sd, np.array([1.0]), rng,
+            prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng,
                                 n_min=10, kind=GROW)
             assert not prop.valid
 
@@ -258,7 +263,8 @@ class TestProposeMove:
         rng = np.random.default_rng(0)
         for _ in range(20):
             prop = propose_move(Tree(), d.features, sd,
-                                np.array([0.9, 0.1]), rng, n_min=5, kind=GROW)
+                                split_cdf(np.array([0.9, 0.1]), sd.splittable()), rng,
+                                n_min=5, kind=GROW)
             if prop.valid:
                 rule_feature = prop.tree.nodes[prop.tree.root].feature
                 assert rule_feature == 1
@@ -269,22 +275,22 @@ class TestProposeMove:
         # rule's proposal probability cancels against its prior probability
         d, sd = make_dataset(n=100, seed=30)
         rng = np.random.default_rng(6)
-        probs = np.full(3, 1 / 3)
+        cdf = uniform_cdf(sd)
         prop = None
         while prop is None or not prop.valid:
-            prop = propose_move(Tree(), d.features, sd, probs, rng, n_min=5,
+            prop = propose_move(Tree(), d.features, sd, cdf, rng, n_min=5,
                                 kind=GROW)
         assert prop.log_transition_correction == 0.0
 
     def test_grow_prune_corrections_are_antisymmetric(self):
         d, sd = make_dataset(n=300, seed=8)
         rng = np.random.default_rng(3)
-        probs = np.full(3, 1 / 3)
+        cdf = uniform_cdf(sd)
         checked = 0
         t = Tree()
         while checked < 20:
             current = t.leaf_rows(d.features)
-            grow = propose_move(t, d.features, sd, probs, rng, n_min=5, kind=GROW,
+            grow = propose_move(t, d.features, sd, cdf, rng, n_min=5, kind=GROW,
                                 rows_by_leaf=current)
             if not grow.valid:
                 continue
@@ -292,7 +298,7 @@ class TestProposeMove:
             grown = changed_leaves(grow.rows_by_leaf, current)
             parent = grow.tree.nodes[next(iter(grown))].parent
             for _ in range(200):
-                prune = propose_move(grow.tree, d.features, sd, probs, rng,
+                prune = propose_move(grow.tree, d.features, sd, cdf, rng,
                                      kind=PRUNE, rows_by_leaf=grow.rows_by_leaf)
                 if prune.valid and changed_leaves(prune.rows_by_leaf,
                                                   grow.rows_by_leaf) == {parent}:
@@ -311,7 +317,7 @@ class TestInvariantsUnderMoves:
     def test_ten_thousand_random_moves_preserve_invariants(self):
         d, sd = make_dataset(n=150, p=3, seed=21)
         rng = np.random.default_rng(7)
-        probs = np.full(3, 1 / 3)
+        cdf = uniform_cdf(sd)
         t = Tree()
         current, splits = t.leaf_rows(d.features), {}
         accepted = 0
@@ -319,7 +325,7 @@ class TestInvariantsUnderMoves:
         for _ in range(10_000):
             nodes = node_fields(t)
             snapshot = {i: rows.copy() for i, rows in {**current, **splits}.items()}
-            prop = propose_move(t, d.features, sd, probs, rng, n_min=5,
+            prop = propose_move(t, d.features, sd, cdf, rng, n_min=5,
                                 rows_by_leaf=current, rows_by_split=splits)
             # neither the current tree nor its routing is modified
             assert node_fields(t) == nodes
@@ -372,16 +378,16 @@ class TestInvariantsUnderMoves:
         # draw made with no size limit and checked over the whole candidate
         d, sd = make_dataset(n=200, p=3, seed=40 + n_min)
         rng = np.random.default_rng(n_min)
-        probs = np.full(3, 1 / 3)
+        cdf = uniform_cdf(sd)
         t = Tree()
         current, splits = t.leaf_rows(d.features), {}
         seen = set()
         for _ in range(1500):
             unlimited_rng = np.random.default_rng()
             unlimited_rng.bit_generator.state = rng.bit_generator.state
-            prop = propose_move(t, d.features, sd, probs, rng, n_min=n_min,
+            prop = propose_move(t, d.features, sd, cdf, rng, n_min=n_min,
                                 rows_by_leaf=current, rows_by_split=splits)
-            unlimited = propose_move(t, d.features, sd, probs, unlimited_rng, n_min=0,
+            unlimited = propose_move(t, d.features, sd, cdf, unlimited_rng, n_min=0,
                                      rows_by_leaf=current, rows_by_split=splits)
             valid, reason, rows = full_size_check(unlimited, d.features, n_min)
             assert (prop.valid, prop.kind, prop.reason) == (valid, unlimited.kind, reason)
@@ -401,17 +407,17 @@ class TestInvariantsUnderMoves:
     def test_grow_then_prune_restores_routing(self):
         d, sd = make_dataset(n=100, seed=13)
         rng = np.random.default_rng(17)
-        probs = np.full(3, 1 / 3)
+        cdf = uniform_cdf(sd)
         t = Tree()
         for _ in range(30):
-            prop = propose_move(t, d.features, sd, probs, rng, n_min=5)
+            prop = propose_move(t, d.features, sd, cdf, rng, n_min=5)
             if prop.valid:
                 t = prop.tree
         before = partition(t, d.features).assignment
         current = t.leaf_rows(d.features)
         grow = None
         while grow is None or not grow.valid:
-            grow = propose_move(t, d.features, sd, probs, rng, n_min=5, kind=GROW,
+            grow = propose_move(t, d.features, sd, cdf, rng, n_min=5, kind=GROW,
                                 rows_by_leaf=current)
         child = next(iter(changed_leaves(grow.rows_by_leaf, current)))
         parent = grow.tree.nodes[child].parent
@@ -558,6 +564,6 @@ def test_draw_rule_matches_generator_choice_draw_for_draw():
         masked = np.where(splittable, probs, 0.0)
         feature = int(ref.choice(p, p=masked / masked.sum()))
         expected = (feature, float(values[feature][ref.integers(values[feature].size)]))
-        assert _draw_rule(split_dict, probs, splittable, ours) == expected
+        assert _draw_rule(split_dict, split_cdf(probs, splittable), ours) == expected
         assert ours.bit_generator.state == ref.bit_generator.state
     assert tested >= 1000 and single >= 150
