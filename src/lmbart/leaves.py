@@ -25,13 +25,23 @@ one rule, since a leaf's statistics are a function of its rows, its
 covariates and the residuals. A stat on the same rows array object, the same
 covariates and the same residual array object is taken whole, prior and
 factor included (`_reuse`; the same residual array means the same tree step,
-so the same model). A linear stat on the same rows array and covariates but
+so the same model). The rule therefore needs every residual array to stay as
+it was built: the sampler makes a new one for each tree step and never
+writes into one. A linear stat on the same rows array and covariates but
 other residuals lends its `design` and `xtx` (`linear_leaf_stats`); `xtr`,
 `r_sum`, `r_sq_sum` and the factor are recomputed, since the taus move
 between sweeps. Every other leaf is built fresh. The sampler passes a tree's stats from its
 previous step to its current tree (a routing changes only when a move is
 accepted) and the current tree's stats to the candidate (whose untouched
 leaves keep the current routing's arrays).
+
+The sampler also passes the current tree's row -> leaf id index. The
+constant model sums the residuals of every leaf it builds with one
+`np.bincount` over that index (`constant_leaf_stats`); the candidate has no
+index, so its new leaves are summed leaf by leaf. A model's `fit` gives a
+tree's fitted values from its drawn leaves: a constant tree's leaf means
+taken at the index, a linear tree's stats designs times their coefficients,
+leaf by leaf.
 
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
@@ -49,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -96,7 +105,8 @@ class LeafStats:
     plus the leaf's `covariates` in ascending feature order) on `rows`,
     `xtx`/`xtr` are its Gram matrix and moment vector, and `prior` holds the
     terms of the leaf's coefficient prior covariance V. Set `prior` before
-    the first use of `posterior`, which is computed once and then kept.
+    the first use of `posterior`, which is computed then and kept in
+    `_posterior`.
     """
 
     leaf_id: int
@@ -110,6 +120,7 @@ class LeafStats:
     design: np.ndarray | None = None
     rows: np.ndarray | None = None
     resid: np.ndarray | None = None
+    _posterior: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -117,11 +128,14 @@ class LeafStats:
         count for a linear one."""
         return 1 if self.xtx is None else self.xtx.shape[0]
 
-    @cached_property
+    @property
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
         """(L, A^-1 X'r) for the posterior precision A = X'X + V^-1 = L L'."""
-        L = _posterior_factor(self)
-        return L, _lapack(_potrs, L, _finite(self.xtr), lower=1)
+        post = self._posterior
+        if post is None:
+            L = _posterior_factor(self)
+            post = self._posterior = L, _lapack(_potrs, L, _finite(self.xtr), lower=1)
+        return post
 
 
 def build_leaf_design(rows: np.ndarray, features: np.ndarray,
@@ -140,13 +154,24 @@ def build_leaf_design(rows: np.ndarray, features: np.ndarray,
     return X
 
 
-def constant_leaf_stats(rows_by_leaf: dict[int, np.ndarray],
-                        resid: np.ndarray) -> list[LeafStats]:
+def constant_leaf_stats(rows_by_leaf: dict[int, np.ndarray], resid: np.ndarray,
+                        index: np.ndarray | None = None) -> list[LeafStats]:
+    """Stats of every leaf, in ascending leaf order.
+
+    `index` is the row -> leaf id index of a routing that holds every leaf
+    of `rows_by_leaf`: the leaf sums then come from one `np.bincount` over
+    all rows. Without it each leaf's residuals are gathered and summed.
+    """
+    leaves = sorted(rows_by_leaf)
+    if index is not None and leaves:
+        sums = np.bincount(index, resid, leaves[-1] + 1)
+        return [LeafStats(leaf, rows_by_leaf[leaf].size, float(sums[leaf]),
+                          rows=rows_by_leaf[leaf], resid=resid) for leaf in leaves]
     out = []
-    for leaf in sorted(rows_by_leaf):
+    for leaf in leaves:
         rows = rows_by_leaf[leaf]
-        r = resid[rows]
-        out.append(LeafStats(leaf, r.size, float(r.sum()), rows=rows, resid=resid))
+        out.append(LeafStats(leaf, rows.size, float(np.add.reduce(resid.take(rows))),
+                             rows=rows, resid=resid))
     return out
 
 
@@ -167,7 +192,7 @@ def linear_leaf_stats(rows_by_leaf: dict[int, np.ndarray], features: np.ndarray,
         else:
             X = build_leaf_design(rows, features, covs)
             xtx = X.T @ X
-        out.append(LeafStats(leaf, r.size, float(r.sum()), float(r @ r),
+        out.append(LeafStats(leaf, r.size, float(np.add.reduce(r)), float(r @ r),
                              xtx=xtx, xtr=X.T @ r, covariates=covs, design=X, rows=rows,
                              resid=resid))
     return out
@@ -201,7 +226,9 @@ def bart_sample_mu(stats: list[LeafStats], sigma2: float, sigma_mu2: float,
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
+    """`a`, checked by one reduction: an inf or NaN anywhere makes its sum
+    non-finite (so does a sum that overflows, which no leaf algebra survives)."""
+    if not math.isfinite(np.add.reduce(a, None)):
         raise ValueError("array must not contain infs or NaNs")
     return a
 
@@ -379,10 +406,13 @@ class ConstantLeaves:
 
     sigma_mu2: float
 
-    def stats(self, tree, rows_by_leaf, features, resid, prev=None) -> list[LeafStats]:
-        """Stats of every leaf, reusing `prev` (leaf id -> stats) by `_reuse`'s rule."""
+    def stats(self, tree, rows_by_leaf, features, resid, prev=None,
+              index=None) -> list[LeafStats]:
+        """Stats of every leaf, reusing `prev` (leaf id -> stats) by `_reuse`'s
+        rule; `index`, the routing's row -> leaf id index, sums the others by
+        one `bincount` (`constant_leaf_stats`)."""
         return _reuse(rows_by_leaf, {}, resid, prev or {},
-                      lambda rows: constant_leaf_stats(rows, resid))
+                      lambda rows: constant_leaf_stats(rows, resid, index))
 
     def log_marginal(self, stats, sigma2) -> float:
         return bart_log_marginal(stats, sigma2, self.sigma_mu2)
@@ -390,6 +420,11 @@ class ConstantLeaves:
     def draw(self, stats, sigma2, rng) -> dict[int, dict]:
         mus = bart_sample_mu(stats, sigma2, self.sigma_mu2, rng)
         return {leaf: {"mu": mu} for leaf, mu in mus.items()}
+
+    def fit(self, params, stats, index) -> np.ndarray:
+        """The tree's fit: its leaf means (`params`, leaf id -> payload), in an
+        array indexed by leaf id, taken at the row -> leaf id `index`."""
+        return leaf_means(params, max(params) + 1).take(index)
 
 
 @dataclass(frozen=True)
@@ -409,9 +444,11 @@ class LinearLeaves:
             prior = self._priors[q] = LeafPrior(v_diag)
         return prior
 
-    def stats(self, tree, rows_by_leaf, features, resid, prev=None) -> list[LeafStats]:
+    def stats(self, tree, rows_by_leaf, features, resid, prev=None,
+              index=None) -> list[LeafStats]:
         """Stats of every leaf, reusing `prev` (leaf id -> stats) by the module
-        docstring's rule; the covariates come from `tree`."""
+        docstring's rule; the covariates come from `tree`, and `index` is
+        not used."""
         covs = leaf_covariate_sets(tree, self.covariate_rule)
         prev = prev or {}
 
@@ -430,3 +467,11 @@ class LinearLeaves:
         betas = linear_sample_beta(stats, sigma2, rng)
         return {st.leaf_id: {"beta": betas[st.leaf_id].tolist(),
                              "covariates": st.covariates} for st in stats}
+
+    def fit(self, params, stats, index) -> np.ndarray:
+        """The tree's fit on the `index.size` rows, leaf by leaf: each leaf's
+        stats design times its coefficients in `params`."""
+        fit = np.zeros(index.size)
+        for st in stats:
+            fit[st.rows] = st.design @ params[st.leaf_id]["beta"]
+        return fit

@@ -7,6 +7,13 @@ of all its leaf parameters. Global draws (error variance, coefficient
 precisions, split probabilities) close each sweep. `sweep` is the only
 implementation of a sweep; `_run_chain` and the joint-distribution test loop over it.
 
+The sweep carries the full residual, target - sum of every tree's fit,
+through its tree steps: a step adds its tree's fit back to get the partial
+residual and subtracts the redrawn fit to hand on the new full residual.
+Each tree carries its routing of the training rows, both as rows per node
+and as a row -> leaf id index, which gives a constant tree's leaf sums by
+one `bincount` and its fit by one `take`.
+
 Binary responses are handled by probit data augmentation: a latent Gaussian
 variable per observation, truncated to match the label's sign, replaces the
 response as the regression target and the error variance is pinned at 1.
@@ -240,6 +247,11 @@ class TreeState:
     `propose_move` re-routes from them only the rows its move changes.
     `rows_by_split` None routes the split nodes' rows from the root at each
     proposal until one is accepted (a stump's is empty).
+
+    `index` is the same leaf routing as one row -> leaf id array
+    (`_leaf_index`). A tree step builds it when it is None; on acceptance
+    it rewrites only the rows of the candidate leaves whose row arrays are
+    new. The index belongs to this state alone and is updated in place.
     """
 
     tree: tr.Tree
@@ -249,11 +261,20 @@ class TreeState:
     log_prior: float               # log_tree_prior(tree), updated on acceptance
     stats: dict = field(default_factory=dict)  # leaf id -> LeafStats of the kept tree
     rows_by_split: dict | None = None          # split node id -> training row indices
+    index: np.ndarray | None = None            # (n,) training row -> leaf id
 
 
 @dataclass
 class SamplerState:
-    """Everything a chain mutates while sweeping."""
+    """Everything a chain mutates while sweeping.
+
+    `resid` is the full residual, target - sum of every tree's fit, carried
+    from one tree step to the next: `sweep` forms it from `total_fit` when
+    the sweep starts, and each tree step replaces it with a new array (never
+    mutated in place, since `leaves._reuse` keys on residual-array identity).
+    `total_fit` is the sum of the tree fits as of the end of the last sweep,
+    rebuilt once per sweep; tree steps leave it alone.
+    """
 
     trees: list[TreeState]
     sigma2: float
@@ -262,6 +283,7 @@ class SamplerState:
     split_probs: np.ndarray
     total_fit: np.ndarray
     target: np.ndarray             # y (internal scale) or latent z
+    resid: np.ndarray | None = None   # target - sum of fits; None forms it from total_fit
     probit: bool = False           # target is latent z given labels; sigma2 pinned at 1
     iteration: int = 0             # sweeps completed
     acceptance: dict = field(default_factory=lambda: {
@@ -270,9 +292,11 @@ class SamplerState:
 
 
 def partial_residual(state: SamplerState, tree_index: int) -> np.ndarray:
-    """R_t = target - sum of every other tree's fit, via the running total."""
-    ts = state.trees[tree_index]
-    return state.target - state.total_fit + ts.fit
+    """R_t = target - sum of every other tree's fit: the carried full residual
+    plus the tree's own fit, a new array. A state without a carried residual
+    (`resid` None) forms it from `total_fit`."""
+    resid = state.resid if state.resid is not None else state.target - state.total_fit
+    return resid + state.trees[tree_index].fit
 
 
 def leaf_model(hp: Hyperparams, taus: tuple[float, float]):
@@ -281,14 +305,6 @@ def leaf_model(hp: Hyperparams, taus: tuple[float, float]):
     if hp.leaf_model == lv.CONSTANT:
         return lv.ConstantLeaves(hp.sigma_mu2)
     return lv.LinearLeaves(hp.covariate_rule, taus)
-
-
-def _tree_fit(leaf_params: dict, rows_by_leaf: dict, designs: dict, n: int) -> np.ndarray:
-    """One tree's fit on n rows; `designs` maps leaf id -> its `leaf_design`."""
-    fit = np.zeros(n)
-    for leaf, rows in rows_by_leaf.items():
-        fit[rows] = lv.leaf_values(leaf_params[leaf], designs[leaf])
-    return fit
 
 
 def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
@@ -306,15 +322,23 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     feature cdf of the state's split probabilities (`trees.split_cdf`).
 
     The candidate reuses the current tree's leaf and split routing, and on
-    acceptance its own routing replaces both. The current tree's
-    stats reuse `ts.stats`, the kept tree's stats from this tree's previous
-    step, and the candidate's reuse the current tree's, by the rule in
-    `leaves.py`. The log ratio still sums every leaf of both trees, so it is
-    the full-recompute value bit for bit.
+    acceptance its own routing replaces both, and the tree's row -> leaf id
+    index is rewritten for the leaves whose rows changed. The current
+    tree's stats reuse `ts.stats`, the kept tree's stats from this tree's
+    previous step, and are otherwise built with the index; the candidate's
+    reuse the current tree's, by the rule in `leaves.py`. The log ratio
+    still sums every leaf of both trees.
+
+    The step reads the carried full residual (`SamplerState.resid`), forms
+    the partial residual with one add, and hands back the new full residual
+    with one subtract of the redrawn fit, which the leaf model computes
+    (`fit`). `total_fit` is left to `sweep`.
     """
     ts = state.trees[tree_index]
+    if ts.index is None:
+        ts.index = _leaf_index(ts.rows_by_leaf, features.shape[0])
     resid = partial_residual(state, tree_index)
-    stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, ts.stats)
+    stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, ts.stats, ts.index)
 
     proposal = tr.propose_move(ts.tree, features, split_dict, cdf, rng, hp.n_min,
                                rows_by_leaf=ts.rows_by_leaf, rows_by_split=ts.rows_by_split)
@@ -335,6 +359,9 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
             raise FloatingPointError(f"tree {tree_index}: {proposal.kind} move has a "
                                      "NaN log acceptance ratio")
         if mh_accept(log_alpha, rng):
+            for leaf, rows in proposal.rows_by_leaf.items():
+                if ts.rows_by_leaf.get(leaf) is not rows:
+                    ts.index[rows] = leaf
             ts.tree = proposal.tree
             ts.rows_by_leaf = proposal.rows_by_leaf
             ts.rows_by_split = proposal.rows_by_split
@@ -347,10 +374,8 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
 
     ts.leaf_params = model.draw(stats, state.sigma2, rng)
     ts.stats = {st.leaf_id: st for st in stats}
-    new_fit = _tree_fit(ts.leaf_params, ts.rows_by_leaf,
-                        {st.leaf_id: st.design for st in stats}, features.shape[0])
-    state.total_fit += new_fit - ts.fit
-    ts.fit = new_fit
+    ts.fit = model.fit(ts.leaf_params, stats, ts.index)
+    state.resid = resid - ts.fit
     return proposal.kind, outcome
 
 
@@ -360,13 +385,21 @@ def sweep(state: SamplerState, X: np.ndarray, y: np.ndarray,
     """One sweep of the chain, in place: the probit latent z given labels `y`,
     the m tree steps under one `leaf_model` holding the sweep's taus and one
     split cdf, then sigma^2 given `y` (regression; `lam` is its prior scale),
-    the taus and the split probabilities, each when the configuration draws it."""
+    the taus and the split probabilities, each when the configuration draws it.
+
+    The full residual is formed once from `total_fit` and carried through the
+    tree steps; `total_fit` is rebuilt once, in tree order, after them."""
     state.iteration += 1
     state.target = sample_latent_z(y, state.total_fit, rng) if state.probit else y
+    state.resid = state.target - state.total_fit
     model = leaf_model(hp, (state.tau_beta0, state.tau_beta))
     cdf = tr.split_cdf(state.split_probs, split_dict.splittable())
     for t in range(hp.m):
         mh_tree_step(state, t, X, split_dict, cdf, hp, model, rng)
+    total = state.trees[0].fit.copy()
+    for ts in state.trees[1:]:
+        total += ts.fit
+    state.total_fit = total
     if not state.probit:
         resid = y - state.total_fit
         state.sigma2 = sample_sigma2(float(resid @ resid), y.size, hp.nu, lam, rng)
@@ -421,7 +454,7 @@ def _serialize_tree(ts: TreeState) -> dict:
 class _Replay:
     """One stored tree's replay on a feature matrix, kept to serve the next draw."""
 
-    nodes: dict            # the rebuilt tree's arena; equal arenas route alike
+    splits: list           # (feature, threshold) per arena node; equal lists route alike
     rows_by_leaf: dict     # leaf id -> rows it receives
     payload: dict          # leaf id -> stored leaf payload
     designs: dict | None = None       # leaf id -> design its values were computed on
@@ -441,9 +474,10 @@ def _replay_tree(tree_dict: dict, features: np.ndarray,
     """Fit of one serialized tree on standardized features, and its replay.
 
     `previous` is the replay of the same tree index in the previous draw.
-    `Tree.from_dict` numbers nodes by the tree's shape, so a tree whose
-    arena equals the previous one has the same splits: it reuses that
-    routing. Any other tree has its split rules checked (`_split_problem`)
+    `Tree.from_dict` numbers nodes by the tree's shape, and the shape
+    follows from which ids are split nodes, so a tree whose (feature,
+    threshold) per node id equals the previous one's has the same splits:
+    it reuses that routing. Any other tree has its split rules checked (`_split_problem`)
     and is routed with `Tree.leaf_rows`.
 
     A tree whose leaves are all constant (`leaves.leaf_means`) carries its
@@ -453,7 +487,8 @@ def _replay_tree(tree_dict: dict, features: np.ndarray,
     covariates are unchanged, and fills its fit leaf by leaf.
     """
     tree, payload = tr.Tree.from_dict(tree_dict)
-    hit = previous is not None and previous.nodes == tree.nodes
+    splits = [(nd.feature, nd.threshold) for nd in tree.nodes.values()]
+    hit = previous is not None and previous.splits == splits
     if hit:
         rows_by_leaf = previous.rows_by_leaf
     else:
@@ -467,7 +502,7 @@ def _replay_tree(tree_dict: dict, features: np.ndarray,
     if means is not None:
         index = (previous.index if hit and previous.index is not None
                  else _leaf_index(rows_by_leaf, features.shape[0]))
-        return means.take(index), _Replay(tree.nodes, rows_by_leaf, payload, index=index)
+        return means.take(index), _Replay(splits, rows_by_leaf, payload, index=index)
     designs = {}
     for leaf, rows in rows_by_leaf.items():
         if (hit and previous.designs is not None
@@ -475,8 +510,10 @@ def _replay_tree(tree_dict: dict, features: np.ndarray,
             designs[leaf] = previous.designs[leaf]
         else:
             designs[leaf] = lv.leaf_design(payload[leaf], rows, features)
-    fit = _tree_fit(payload, rows_by_leaf, designs, features.shape[0])
-    return fit, _Replay(tree.nodes, rows_by_leaf, payload, designs=designs)
+    fit = np.zeros(features.shape[0])
+    for leaf, rows in rows_by_leaf.items():
+        fit[rows] = lv.leaf_values(payload[leaf], designs[leaf])
+    return fit, _Replay(splits, rows_by_leaf, payload, designs=designs)
 
 
 def _split_problem(feature, threshold, p: int) -> str | None:

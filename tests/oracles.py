@@ -175,6 +175,16 @@ def explicit_partial_residual(state, tree_index):
     return state.target - total
 
 
+def leaf_index_of(rows_by_leaf, n):
+    """Row -> leaf id of a leaf routing of n rows, row by row; -1 where no leaf
+    holds the row."""
+    index = np.full(n, -1)
+    for leaf, rows in rows_by_leaf.items():
+        for row in rows.tolist():
+            index[row] = leaf
+    return index
+
+
 def draw_prior_tree(X, split_values, alpha, beta_depth, n_min, rng, split_probs=None):
     """One draw from the tree prior, or None if a node holds fewer than `n_min` rows.
 

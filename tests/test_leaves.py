@@ -256,6 +256,83 @@ class TestDirectLapack:
             linear_log_marginal([st], 1.0)
 
 
+class TestConstantLeafStatsByIndex:
+    @staticmethod
+    def routing(rng, n, leaf_ids):
+        """A random partition of n rows over `leaf_ids`, and its row -> leaf index."""
+        index = rng.choice(np.asarray(leaf_ids), size=n)
+        return {leaf: np.flatnonzero(index == leaf) for leaf in leaf_ids}, index
+
+    # ids at or above the leaf count, as a tree that grew and pruned has them
+    @pytest.mark.parametrize("leaf_ids", [[0], [1, 2], [3, 9, 14], [4, 17, 18, 40, 41]])
+    def test_sums_match_per_leaf_sums(self, leaf_ids):
+        rng = np.random.default_rng(len(leaf_ids))
+        rows, index = self.routing(rng, 5000, leaf_ids)
+        resid = rng.normal(0, 3, 5000)
+        by_index = constant_leaf_stats(rows, resid, index)
+        by_leaf = constant_leaf_stats(rows, resid)
+        assert [st.leaf_id for st in by_index] == [st.leaf_id for st in by_leaf] == leaf_ids
+        for st, ref in zip(by_index, by_leaf):
+            assert (st.n, st.rows, st.resid) == (ref.n, ref.rows, ref.resid)
+            assert st.n == rows[st.leaf_id].size
+            assert_allclose(st.r_sum, resid[rows[st.leaf_id]].sum(), rtol=1e-12,
+                            atol=1e-12 * np.abs(resid).sum())
+
+    def test_a_subset_of_the_routing_takes_its_sums_from_the_whole_index(self):
+        rng = np.random.default_rng(11)
+        rows, index = self.routing(rng, 300, [5, 6, 12])
+        resid = rng.normal(size=300)
+        got = constant_leaf_stats({12: rows[12], 5: rows[5]}, resid, index)
+        assert [st.leaf_id for st in got] == [5, 12]
+        for st in got:
+            assert_allclose(st.r_sum, resid[rows[st.leaf_id]].sum(), rtol=1e-12)
+        assert constant_leaf_stats({}, resid, index) == []
+
+    def test_the_constant_model_passes_the_index_through(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(60, 3))
+        t = TestLeafModels.grown_tree()
+        rows = t.leaf_rows(X)
+        index = np.empty(60, dtype=np.intp)
+        for leaf, r in rows.items():
+            index[r] = leaf
+        seen, build = [], leaves.constant_leaf_stats
+
+        def recording(rows, resid, index=None):
+            seen.append(index)
+            return build(rows, resid, index)
+
+        monkeypatch.setattr(leaves, "constant_leaf_stats", recording)
+        model = ConstantLeaves(0.1)
+        resid = rng.normal(size=60)
+        stats = model.stats(t, rows, X, resid, index=index)
+        assert seen == [index] and len(stats) == t.n_leaves()
+        fit = model.fit(model.draw(stats, 1.0, rng), stats, index)
+        for st in stats:
+            assert np.unique(fit[st.rows]).size == 1
+
+
+class TestFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(1,), (5,), (3, 3)])
+    def test_raises_on_any_non_finite_entry(self, bad, shape):
+        for position in range(math.prod(shape)):
+            a = np.ones(shape)
+            a.flat[position] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                leaves._finite(a)
+
+    def test_raises_when_infinities_of_both_signs_meet(self):
+        # their sum is NaN, which numpy reports with a RuntimeWarning first
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                leaves._finite(np.array([np.inf, 1.0, -np.inf]))
+
+    def test_returns_a_finite_array_itself(self):
+        a = np.array([[1e300, -1e300], [2.0, 0.0]])
+        assert leaves._finite(a) is a
+
+
 class TestFactorOnce:
     @pytest.fixture
     def factor_calls(self, monkeypatch):

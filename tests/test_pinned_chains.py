@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lmbart import sampler
 from lmbart.benchmark import (EngineConfig, FriedmanSpec, friedman_generate,
                               run_benchmark)
 from lmbart.data import CLASSIFICATION, Dataset, standardize
 from lmbart.sampler import Hyperparams, run_classification, run_regression
+from oracles import explicit_partial_residual, leaf_index_of
 
 PINNED = Path(__file__).parent / "data" / "pinned_chains.json"
 
@@ -84,6 +86,30 @@ def test_chain_matches_recorded_draws(name, pinned):
     assert draws.acceptance == expected["acceptance"]
     assert_allclose(draws.sigma2_chain, expected["sigma2_chain"], rtol=1e-12, atol=0)
     assert_allclose(draws.yhat_train, expected["yhat_train"], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_carried_index_and_residual_follow_every_tree_step(name, monkeypatch):
+    # after every step, each tree's row -> leaf index is its leaf routing, and
+    # the carried full residual plus a tree's fit is that tree's partial residual
+    step, checked = sampler.mh_tree_step, []
+
+    def checking_step(state, tree_index, *args):
+        out = step(state, tree_index, *args)
+        for t, ts in enumerate(state.trees):
+            n = state.target.size
+            assert ts.index is not None or t > tree_index
+            if ts.index is not None:
+                assert np.array_equal(ts.index, leaf_index_of(ts.rows_by_leaf, n))
+            gap = np.abs(state.resid + ts.fit - explicit_partial_residual(state, t)).max()
+            assert gap < 1e-10
+        checked.append(out)
+        return out
+
+    monkeypatch.setattr(sampler, "mh_tree_step", checking_step)
+    draws = run_chain(name)
+    assert len(checked) == 4 * (15 + 10)
+    assert sum(rec["accepted"] for rec in draws.acceptance.values()) > 0
 
 
 def test_benchmark_cell_rmse_matches_recorded(pinned):
