@@ -20,28 +20,37 @@ The sampler builds one `LinearLeaves` per sweep, holding that sweep's taus
 (tau0, tau1); it builds the prior terms that depend on V alone (`LeafPrior`:
 V^-1 and log|V|) once per q, shared by every leaf of that q in the sweep.
 
-A model's `stats` takes `prev`, earlier stats by leaf id, and reuses them by
-one rule, since a leaf's statistics are a function of its rows, its
-covariates and the residuals. A stat on the same rows array object, the same
-covariates and the same residual array object is taken whole, prior and
-factor included (`_reuse`; the same residual array means the same tree step,
-so the same model). The rule therefore needs every residual array to stay as
-it was built: the sampler makes a new one for each tree step and never
-writes into one. A linear stat on the same rows array and covariates but
-other residuals lends its `design` and `xtx` (`linear_leaf_stats`); `xtr`,
-`r_sum`, `r_sq_sum` and the factor are recomputed, since the taus move
-between sweeps. Every other leaf is built fresh. The sampler passes a tree's stats from its
-previous step to its current tree (a routing changes only when a move is
-accepted) and the current tree's stats to the candidate (whose untouched
-leaves keep the current routing's arrays).
+A model's `stats` takes `prev`, the stats it returned earlier, and reuses
+them by one rule, since a leaf's statistics are a function of its rows, its
+covariates and the residuals: a leaf of `prev` with the same id, the same
+rows array object, the same covariates and the same residual array object
+is taken whole (the same residual array means the same tree step, so the
+same model). The rule therefore needs every residual array to stay as it
+was built: the sampler makes a new one for each tree step and never writes
+into one. The sampler passes a tree's stats from its previous step to its
+current tree (a routing changes only when a move is accepted) and the
+current tree's stats to the candidate (whose untouched leaves keep the
+current routing's arrays).
+
+Each model applies the rule in its own `stats`. `ConstantLeaves` keeps one
+`ConstantStats` per tree, flat lists of leaf ids, rows arrays, row counts
+and residual sums beside the one residual array they were built on; it
+takes a kept leaf's entries and hands the other leaves to
+`constant_leaf_stats`. `LinearLeaves` keeps a `LinearStats`, one `LeafStats`
+per leaf (`LeafStats` is linear-only), and takes a kept leaf's stat, prior
+and factor included. A linear stat on the same rows array and covariates
+but other residuals lends its `design` and `xtx` (`linear_leaf_stats`);
+`xtr`, `r_sum`, `r_sq_sum` and the factor are recomputed, since the taus
+move between sweeps. Every other leaf is built fresh.
 
 The sampler also passes the current tree's row -> leaf id index. The
 constant model sums the residuals of every leaf it builds with one
 `np.bincount` over that index (`constant_leaf_stats`); the candidate has no
-index, so its new leaves are summed leaf by leaf. A model's `fit` gives a
-tree's fitted values from its drawn leaves: a constant tree's leaf means
-taken at the index, a linear tree's stats designs times their coefficients,
-leaf by leaf.
+index, so its new leaves are summed leaf by leaf. `bart_sample_mu` draws
+all of a tree's means from one `standard_normal` call. A model's `fit`
+gives a tree's fitted values from its drawn leaves: a constant tree's leaf
+means taken at the index, a linear tree's stats designs times their
+coefficients, leaf by leaf.
 
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
@@ -96,23 +105,41 @@ class LeafPrior:
         self.log_det = float(np.log(v_diag).sum())
 
 
+class ConstantStats:
+    """Sufficient statistics of a constant-leaf tree's leaves, built on the
+    residual array `resid`: the ascending leaf ids, and per leaf its rows
+    array, its row count and its residual sum (a Python float)."""
+
+    __slots__ = ("leaves", "rows", "n", "r_sum", "resid")
+
+    def __init__(self, leaves: list, rows: list, n: list, r_sum: list, resid):
+        self.leaves, self.rows, self.n, self.r_sum, self.resid = leaves, rows, n, r_sum, resid
+
+    def __len__(self) -> int:
+        return len(self.leaves)
+
+    @property
+    def parameter_count(self) -> int:
+        """One mean per leaf."""
+        return len(self.leaves)
+
+
 @dataclass
 class LeafStats:
-    """Sufficient statistics of one terminal node's training `rows` against
+    """Sufficient statistics of one linear leaf's training `rows` against
     the residual array `resid` they were built on.
 
-    For linear leaves `design` is the leaf design (intercept column of ones
-    plus the leaf's `covariates` in ascending feature order) on `rows`,
-    `xtx`/`xtr` are its Gram matrix and moment vector, and `prior` holds the
-    terms of the leaf's coefficient prior covariance V. Set `prior` before
-    the first use of `posterior`, which is computed then and kept in
-    `_posterior`.
+    `design` is the leaf design (intercept column of ones plus the leaf's
+    `covariates` in ascending feature order) on `rows`, `xtx`/`xtr` are its
+    Gram matrix and moment vector, and `prior` holds the terms of the
+    leaf's coefficient prior covariance V. Set `prior` before the first use
+    of `posterior`, which is computed then and kept in `_posterior`.
     """
 
     leaf_id: int
     n: int
     r_sum: float
-    r_sq_sum: float = 0.0     # linear leaves only; the constant marginal never reads it
+    r_sq_sum: float = 0.0
     xtx: np.ndarray | None = None
     xtr: np.ndarray | None = None
     covariates: list[int] | None = None
@@ -124,9 +151,8 @@ class LeafStats:
 
     @property
     def q(self) -> int:
-        """The leaf's parameter count: 1 for a constant leaf, the coefficient
-        count for a linear one."""
-        return 1 if self.xtx is None else self.xtx.shape[0]
+        """The leaf's parameter count, its coefficient count."""
+        return self.xtx.shape[0]
 
     @property
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +162,15 @@ class LeafStats:
             L = _posterior_factor(self)
             post = self._posterior = L, _lapack(_potrs, L, _finite(self.xtr), lower=1)
         return post
+
+
+class LinearStats(list):
+    """A linear tree's `LeafStats`, in ascending leaf order."""
+
+    @property
+    def parameter_count(self) -> int:
+        """The coefficient count summed over the leaves."""
+        return sum(st.q for st in self)
 
 
 def build_leaf_design(rows: np.ndarray, features: np.ndarray,
@@ -155,7 +190,7 @@ def build_leaf_design(rows: np.ndarray, features: np.ndarray,
 
 
 def constant_leaf_stats(rows_by_leaf: dict[int, np.ndarray], resid: np.ndarray,
-                        index: np.ndarray | None = None) -> list[LeafStats]:
+                        index: np.ndarray | None = None) -> ConstantStats:
     """Stats of every leaf, in ascending leaf order.
 
     `index` is the row -> leaf id index of a routing that holds every leaf
@@ -163,25 +198,21 @@ def constant_leaf_stats(rows_by_leaf: dict[int, np.ndarray], resid: np.ndarray,
     all rows. Without it each leaf's residuals are gathered and summed.
     """
     leaves = sorted(rows_by_leaf)
+    rows = [rows_by_leaf[leaf] for leaf in leaves]
     if index is not None and leaves:
-        sums = np.bincount(index, resid, leaves[-1] + 1)
-        return [LeafStats(leaf, rows_by_leaf[leaf].size, float(sums[leaf]),
-                          rows=rows_by_leaf[leaf], resid=resid) for leaf in leaves]
-    out = []
-    for leaf in leaves:
-        rows = rows_by_leaf[leaf]
-        out.append(LeafStats(leaf, rows.size, float(np.add.reduce(resid.take(rows))),
-                             rows=rows, resid=resid))
-    return out
+        r_sum = np.bincount(index, resid, leaves[-1] + 1).take(leaves).tolist()
+    else:
+        r_sum = [float(np.add.reduce(resid.take(r))) for r in rows]
+    return ConstantStats(leaves, rows, [r.size for r in rows], r_sum, resid)
 
 
 def linear_leaf_stats(rows_by_leaf: dict[int, np.ndarray], features: np.ndarray,
                       resid: np.ndarray, covariates_by_leaf: dict[int, list[int]],
-                      prev: dict[int, LeafStats] | None = None) -> list[LeafStats]:
+                      prev: dict[int, LeafStats] | None = None) -> LinearStats:
     """Stats of every leaf; a `prev` stat on the same rows array and covariates
     lends its design and X'X, which do not depend on the residuals."""
     prev = prev or {}
-    out = []
+    out = LinearStats()
     for leaf in sorted(rows_by_leaf):
         rows = rows_by_leaf[leaf]
         covs = covariates_by_leaf[leaf]
@@ -198,7 +229,7 @@ def linear_leaf_stats(rows_by_leaf: dict[int, np.ndarray], features: np.ndarray,
     return out
 
 
-def bart_log_marginal(stats: list[LeafStats], sigma2: float, sigma_mu2: float) -> float:
+def bart_log_marginal(stats: ConstantStats, sigma2: float, sigma_mu2: float) -> float:
     """Constant-leaf log marginal of the residuals given the tree, summed over leaves.
 
     Per leaf: 0.5*log(sigma^2 / (sigma_mu^2 n + sigma^2))
@@ -207,21 +238,24 @@ def bart_log_marginal(stats: list[LeafStats], sigma2: float, sigma_mu2: float) -
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     total = 0.0
-    for st in stats:
-        denom = sigma_mu2 * st.n + sigma2
+    for n, r_sum in zip(stats.n, stats.r_sum):
+        denom = sigma_mu2 * n + sigma2
         total += 0.5 * math.log(sigma2 / denom)
-        total += sigma_mu2 * st.r_sum ** 2 / (2.0 * sigma2 * denom)
+        total += sigma_mu2 * r_sum ** 2 / (2.0 * sigma2 * denom)
     return total
 
 
-def bart_sample_mu(stats: list[LeafStats], sigma2: float, sigma_mu2: float,
-                   rng: np.random.Generator) -> dict[int, float]:
-    """Gibbs draw of every leaf mean from its Normal full conditional."""
-    out = {}
-    for st in stats:
-        prec = st.n / sigma2 + 1.0 / sigma_mu2
-        mean = (st.r_sum / sigma2) / prec
-        out[st.leaf_id] = float(rng.normal(mean, math.sqrt(1.0 / prec)))
+def bart_sample_mu(stats: ConstantStats, sigma2: float, sigma_mu2: float,
+                   rng: np.random.Generator) -> list[float]:
+    """Gibbs draw of every leaf mean from its Normal full conditional, in leaf order.
+
+    Each mean is mean + sd * z, with the leaves' z from one `standard_normal`
+    call: the values and generator state of a per-leaf `rng.normal(mean, sd)`.
+    """
+    out = []
+    for n, r_sum, z in zip(stats.n, stats.r_sum, rng.standard_normal(len(stats)).tolist()):
+        prec = n / sigma2 + 1.0 / sigma_mu2
+        out.append((r_sum / sigma2) / prec + math.sqrt(1.0 / prec) * z)
     return out
 
 
@@ -386,20 +420,6 @@ def stored_leaf_problem(params: dict, p: int) -> str | None:
     return None
 
 
-def _reuse(rows_by_leaf: dict, covariates_by_leaf: dict, resid: np.ndarray,
-           prev: dict, build) -> list[LeafStats]:
-    """Stats in ascending leaf order: a `prev` stat on the same rows array,
-    covariates and residual array is taken whole, `build` makes the others."""
-    whole = {leaf: st for leaf, st in prev.items()
-             if st.resid is resid and st.rows is rows_by_leaf.get(leaf)
-             and st.covariates == covariates_by_leaf.get(leaf)}
-    if not whole:
-        return build(rows_by_leaf)
-    # build returns its leaves in ascending order, the order they are taken in
-    fresh = iter(build({leaf: rows for leaf, rows in rows_by_leaf.items() if leaf not in whole}))
-    return [whole[leaf] if leaf in whole else next(fresh) for leaf in sorted(rows_by_leaf)]
-
-
 @dataclass(frozen=True)
 class ConstantLeaves:
     """One mean per leaf with a N(0, sigma_mu^2) prior."""
@@ -407,24 +427,39 @@ class ConstantLeaves:
     sigma_mu2: float
 
     def stats(self, tree, rows_by_leaf, features, resid, prev=None,
-              index=None) -> list[LeafStats]:
-        """Stats of every leaf, reusing `prev` (leaf id -> stats) by `_reuse`'s
-        rule; `index`, the routing's row -> leaf id index, sums the others by
-        one `bincount` (`constant_leaf_stats`)."""
-        return _reuse(rows_by_leaf, {}, resid, prev or {},
-                      lambda rows: constant_leaf_stats(rows, resid, index))
+              index=None) -> ConstantStats:
+        """Stats of every leaf. A leaf of `prev` (this model's stats) with the
+        same id and rows array, built on the same residual array, is taken as
+        it is; `constant_leaf_stats` builds the others, by one `bincount` over
+        `index`, the routing's row -> leaf id index, when one is given."""
+        if prev is None or prev.resid is not resid:
+            return constant_leaf_stats(rows_by_leaf, resid, index)
+        kept = [e for e in zip(prev.leaves, prev.rows, prev.n, prev.r_sum)
+                if rows_by_leaf.get(e[0]) is e[1]]
+        same = {e[0] for e in kept}
+        fresh = constant_leaf_stats({leaf: rows for leaf, rows in rows_by_leaf.items()
+                                     if leaf not in same}, resid, index)
+        if not kept:
+            return fresh
+        # leaf ids are distinct, so the sort compares them alone
+        merged = sorted(kept + list(zip(fresh.leaves, fresh.rows, fresh.n, fresh.r_sum)))
+        return ConstantStats(*map(list, zip(*merged)), resid)
 
     def log_marginal(self, stats, sigma2) -> float:
         return bart_log_marginal(stats, sigma2, self.sigma_mu2)
 
     def draw(self, stats, sigma2, rng) -> dict[int, dict]:
         mus = bart_sample_mu(stats, sigma2, self.sigma_mu2, rng)
-        return {leaf: {"mu": mu} for leaf, mu in mus.items()}
+        return {leaf: {"mu": mu} for leaf, mu in zip(stats.leaves, mus)}
 
     def fit(self, params, stats, index) -> np.ndarray:
-        """The tree's fit: its leaf means (`params`, leaf id -> payload), in an
+        """The tree's fit: its leaf means (`params`, leaf id -> payload), set one
+        by one (faster than a fancy assignment at a tree's few leaves) in an
         array indexed by leaf id, taken at the row -> leaf id `index`."""
-        return leaf_means(params, max(params) + 1).take(index)
+        means = np.zeros(stats.leaves[-1] + 1)
+        for leaf in stats.leaves:
+            means[leaf] = params[leaf]["mu"]
+        return means.take(index)
 
 
 @dataclass(frozen=True)
@@ -445,20 +480,27 @@ class LinearLeaves:
         return prior
 
     def stats(self, tree, rows_by_leaf, features, resid, prev=None,
-              index=None) -> list[LeafStats]:
-        """Stats of every leaf, reusing `prev` (leaf id -> stats) by the module
-        docstring's rule; the covariates come from `tree`, and `index` is
-        not used."""
+              index=None) -> LinearStats:
+        """Stats of every leaf. A stat of `prev` (this model's stats) on the
+        same rows array, covariates and residual array is taken whole;
+        `linear_leaf_stats` builds the others, borrowing designs from `prev`.
+        The covariates come from `tree`, and `index` is not used."""
         covs = leaf_covariate_sets(tree, self.covariate_rule)
-        prev = prev or {}
-
-        def build(rows):
-            stats = linear_leaf_stats(rows, features, resid, covs, prev)
-            for st in stats:
-                st.prior = self.prior(st.q)
-            return stats
-
-        return _reuse(rows_by_leaf, covs, resid, prev, build)
+        prev = {st.leaf_id: st for st in prev} if prev else {}
+        whole = {leaf: st for leaf, st in prev.items()
+                 if st.resid is resid and st.rows is rows_by_leaf.get(leaf)
+                 and st.covariates == covs.get(leaf)}
+        built = linear_leaf_stats({leaf: rows for leaf, rows in rows_by_leaf.items()
+                                   if leaf not in whole} if whole else rows_by_leaf,
+                                  features, resid, covs, prev)
+        for st in built:
+            st.prior = self.prior(st.q)
+        if not whole:
+            return built
+        # built holds its leaves in ascending order, the order they are taken in
+        fresh = iter(built)
+        return LinearStats(whole[leaf] if leaf in whole else next(fresh)
+                           for leaf in sorted(rows_by_leaf))
 
     def log_marginal(self, stats, sigma2) -> float:
         return linear_log_marginal(stats, sigma2)

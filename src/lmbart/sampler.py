@@ -178,7 +178,7 @@ def calibrate_lambda(y: np.ndarray, nu: float, q: float = 0.90) -> float:
 
 def mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
     """Metropolis-Hastings coin flip: accept iff log U < log alpha."""
-    return math.log(rng.uniform()) < log_alpha
+    return math.log(rng.random()) < log_alpha
 
 
 def sample_sigma2(total_squared_resid: float, n: int, nu: float, lam: float,
@@ -259,7 +259,7 @@ class TreeState:
     rows_by_leaf: dict             # leaf id -> training row indices
     fit: np.ndarray                # (n,) current contribution
     log_prior: float               # log_tree_prior(tree), updated on acceptance
-    stats: dict = field(default_factory=dict)  # leaf id -> LeafStats of the kept tree
+    stats: object = None           # the leaf model's stats of the kept tree
     rows_by_split: dict | None = None          # split node id -> training row indices
     index: np.ndarray | None = None            # (n,) training row -> leaf id
 
@@ -271,7 +271,7 @@ class SamplerState:
     `resid` is the full residual, target - sum of every tree's fit, carried
     from one tree step to the next: `sweep` forms it from `total_fit` when
     the sweep starts, and each tree step replaces it with a new array (never
-    mutated in place, since `leaves._reuse` keys on residual-array identity).
+    mutated in place: the leaf models' reuse rule keys on its identity).
     `total_fit` is the sum of the tree fits as of the end of the last sweep,
     rebuilt once per sweep; tree steps leave it alone.
     """
@@ -345,8 +345,7 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     if not proposal.valid:
         outcome = "invalid"
     else:
-        cand_stats = model.stats(proposal.tree, proposal.rows_by_leaf, features, resid,
-                                 {st.leaf_id: st for st in stats})
+        cand_stats = model.stats(proposal.tree, proposal.rows_by_leaf, features, resid, stats)
         cand_prior = tr.log_tree_prior(proposal.tree, hp.alpha, hp.beta_depth)
         log_alpha = (
             model.log_marginal(cand_stats, state.sigma2)
@@ -373,7 +372,7 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     state.acceptance[proposal.kind][outcome] += 1
 
     ts.leaf_params = model.draw(stats, state.sigma2, rng)
-    ts.stats = {st.leaf_id: st for st in stats}
+    ts.stats = stats
     ts.fit = model.fit(ts.leaf_params, stats, ts.index)
     state.resid = resid - ts.fit
     return proposal.kind, outcome
@@ -640,8 +639,8 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
             yhat_draws[keep] = (ndtr(state.total_fit) if classification
                                 else scaling.invert_response(state.total_fit))
             for t, ts in enumerate(state.trees):
-                terminal_counts[keep, t] = ts.tree.n_leaves()
-                param_counts[keep, t] = sum(st.q for st in ts.stats.values())
+                terminal_counts[keep, t] = len(ts.rows_by_leaf)
+                param_counts[keep, t] = ts.stats.parameter_count
             if trees_out is not None:
                 trees_out.append([_serialize_tree(ts) for ts in state.trees])
             keep += 1

@@ -118,7 +118,7 @@ class Tree:
         self._next_id += 2
         self.nodes[left] = Node(depth=nd.depth + 1, parent=leaf_id)
         self.nodes[right] = Node(depth=nd.depth + 1, parent=leaf_id)
-        nd.feature = feature
+        nd.feature = int(feature)
         nd.threshold = float(threshold)
         nd.left = left
         nd.right = right
@@ -139,7 +139,7 @@ class Tree:
         nd = self.nodes[node_id]
         if nd.is_leaf:
             raise ValueError(f"node {node_id} is terminal")
-        nd.feature = feature
+        nd.feature = int(feature)
         nd.threshold = float(threshold)
 
     def leaf_rows(self, X: np.ndarray) -> dict[int, np.ndarray]:
@@ -211,21 +211,18 @@ class Tree:
         assert n_leaves == (len(seen) - n_leaves) + 1, "terminal count != internal + 1"
 
     def to_dict(self, leaf_payload: dict | None = None) -> dict:
-        """Nested JSON-ready form; `leaf_payload` maps leaf id -> extra fields."""
+        """Nested JSON-ready form; `leaf_payload` maps leaf id -> extra fields.
+
+        Split rules are written as stored: `grow` and `set_rule` store int, float.
+        """
+        nodes, payload = self.nodes, leaf_payload or {}
+
         def build(node_id):
-            nd = self.nodes[node_id]
-            if nd.is_leaf:
-                d = {"kind": "leaf"}
-                if leaf_payload is not None and node_id in leaf_payload:
-                    d.update(leaf_payload[node_id])
-                return d
-            return {
-                "kind": "internal",
-                "feature": int(nd.feature),
-                "threshold": float(nd.threshold),
-                "left": build(nd.left),
-                "right": build(nd.right),
-            }
+            nd = nodes[node_id]
+            if nd.feature is None:
+                return {"kind": "leaf", **payload.get(node_id, {})}
+            return {"kind": "internal", "feature": nd.feature, "threshold": nd.threshold,
+                    "left": build(nd.left), "right": build(nd.right)}
         return build(self.root)
 
     @classmethod

@@ -4,7 +4,8 @@ Everything here is deliberately brute force: quadrature instead of closed
 forms, per-row rule walking instead of vectorized routing, explicit sums
 instead of running totals. None of it shares code with the package, except
 `grow_from_dict` and `replay_every_tree`, which build trees with the
-package's `Tree.grow` (and route them with `Tree.leaf_rows`).
+package's `Tree.grow` (and route them with `Tree.leaf_rows`), and
+`recursive_to_dict`, which reads a package `Tree`.
 """
 
 import math
@@ -250,6 +251,29 @@ def grow_from_dict(d):
 
     build(tree.root, d)
     return tree, payload
+
+
+def recursive_to_dict(tree, leaf_payload=None):
+    """`Tree.to_dict` by recursion, converting every split rule to int and float.
+
+    A leaf is {"kind": "leaf"} updated with its payload, when it has one; a
+    split is {"kind", "feature", "threshold", "left", "right"}.
+    """
+    def build(node_id):
+        nd = tree.nodes[node_id]
+        if nd.is_leaf:
+            d = {"kind": "leaf"}
+            if leaf_payload is not None and node_id in leaf_payload:
+                d.update(leaf_payload[node_id])
+            return d
+        return {
+            "kind": "internal",
+            "feature": int(nd.feature),
+            "threshold": float(nd.threshold),
+            "left": build(nd.left),
+            "right": build(nd.right),
+        }
+    return build(tree.root)
 
 
 def replay_every_tree(trees, task, scaling, X_new):

@@ -17,8 +17,8 @@ from lmbart.benchmark import (EngineConfig, FriedmanSpec, friedman_generate,
                               run_benchmark)
 from lmbart.cli import main as cli_main
 from lmbart.data import CLASSIFICATION, Dataset, standardize
-from lmbart.leaves import (LeafPrior, LeafStats, bart_log_marginal, bart_sample_mu,
-                           leaf_parameter_count, linear_log_marginal,
+from lmbart.leaves import (ConstantStats, LeafPrior, LeafStats, bart_log_marginal,
+                           bart_sample_mu, leaf_parameter_count, linear_log_marginal,
                            linear_sample_beta)
 from lmbart.sampler import (Hyperparams, partial_residual, run_classification,
                             run_regression, sample_sigma2,
@@ -67,7 +67,7 @@ def test_criterion_1_marginal_likelihood_oracle_equivalence():
         sigma2 = rng.uniform(0.3, 2.0)
         sigma_mu2 = rng.uniform(0.3, 2.0)
         impl = bart_log_marginal(
-            [LeafStats(0, n, float(r.sum()), float(r @ r))], sigma2, sigma_mu2)
+            ConstantStats([0], [None], [n], [float(r.sum())], None), sigma2, sigma_mu2)
         restored = math.exp(bart_marginal_restore_constants(impl, r, sigma2))
         oracle = quad_constant_leaf(r, sigma2, sigma_mu2)
         worst = max(worst, abs(restored - oracle) / oracle)
@@ -104,9 +104,9 @@ def test_criterion_2_conjugate_sampler_moments():
         checks.append((name, mean_ok, var_ok))
 
     rng = np.random.default_rng(2002)
-    stats = [LeafStats(i, 2, 4.0, 8.0) for i in range(n_draws)]
-    mus = np.fromiter(bart_sample_mu(stats, 1.0, 1.0, rng).values(),
-                      dtype=float, count=n_draws)
+    stats = ConstantStats(list(range(n_draws)), [None] * n_draws, [2] * n_draws,
+                          [4.0] * n_draws, None)
+    mus = np.fromiter(bart_sample_mu(stats, 1.0, 1.0, rng), dtype=float, count=n_draws)
     moment_check("mu", mus, 4.0 / 3.0, 1.0 / 3.0)
 
     X = np.array([[1.0, 1.0], [1.0, -1.0]])

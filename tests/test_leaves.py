@@ -10,9 +10,9 @@ from lmbart import leaves
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from lmbart.data import standardize
 from lmbart.leaves import (ANCESTORS, CONSTANT, LINEAR, TREE_SPLITS,
-                           ConstantLeaves, LeafFactorizationError, LeafPrior, LeafStats,
-                           LinearLeaves, bart_log_marginal, bart_sample_mu,
-                           build_leaf_design, constant_leaf_stats,
+                           ConstantLeaves, ConstantStats, LeafFactorizationError,
+                           LeafPrior, LeafStats, LinearLeaves, bart_log_marginal,
+                           bart_sample_mu, build_leaf_design, constant_leaf_stats,
                            leaf_covariate_sets, leaf_parameter_count,
                            linear_leaf_stats, linear_log_marginal,
                            linear_sample_beta)
@@ -23,10 +23,21 @@ from oracles import (bart_marginal_restore_constants,
                      quad_linear_leaf)
 
 
-def stats_from_resid(r, X=None, v_diag=None):
+def constant_stats(*resids):
+    """Constant stats of one leaf per residual vector, leaf ids 0, 1, ..."""
+    resids = [np.asarray(r, dtype=float) for r in resids]
+    k = len(resids)
+    return ConstantStats(list(range(k)), [None] * k, [r.size for r in resids],
+                         [float(r.sum()) for r in resids], None)
+
+
+def repeated_constant_stats(k, n, r_sum):
+    """Constant stats of k leaves, each of n rows with residual sum r_sum."""
+    return ConstantStats(list(range(k)), [None] * k, [n] * k, [r_sum] * k, None)
+
+
+def stats_from_resid(r, X, v_diag=None):
     r = np.asarray(r, dtype=float)
-    if X is None:
-        return LeafStats(0, r.size, float(r.sum()), float(r @ r))
     return LeafStats(0, r.size, float(r.sum()), float(r @ r),
                      xtx=X.T @ X, xtr=X.T @ r,
                      prior=None if v_diag is None else LeafPrior(v_diag))
@@ -34,12 +45,12 @@ def stats_from_resid(r, X=None, v_diag=None):
 
 class TestBartLogMarginal:
     def test_single_observation_zero_residual(self):
-        got = bart_log_marginal([stats_from_resid([0.0])], 1.0, 1.0)
+        got = bart_log_marginal(constant_stats([0.0]), 1.0, 1.0)
         assert_allclose(got, 0.5 * math.log(0.5), rtol=1e-12)
         assert_allclose(got, -0.346574, atol=1e-6)
 
     def test_two_observations(self):
-        got = bart_log_marginal([stats_from_resid([2.0, 2.0])], 1.0, 1.0)
+        got = bart_log_marginal(constant_stats([2.0, 2.0]), 1.0, 1.0)
         assert_allclose(got, 0.5 * math.log(1 / 3) + 16.0 / 6.0, rtol=1e-12)
         assert_allclose(got, 2.117361, atol=1e-6)
 
@@ -50,7 +61,7 @@ class TestBartLogMarginal:
             r = rng.normal(0, 2, n)
             sigma2 = rng.uniform(0.3, 2.0)
             sigma_mu2 = rng.uniform(0.3, 2.0)
-            impl = bart_log_marginal([stats_from_resid(r)], sigma2, sigma_mu2)
+            impl = bart_log_marginal(constant_stats(r), sigma2, sigma_mu2)
             log_true = bart_marginal_restore_constants(impl, r, sigma2)
             oracle = quad_constant_leaf(r, sigma2, sigma_mu2)
             assert_allclose(math.exp(log_true), oracle, rtol=1e-6)
@@ -61,17 +72,16 @@ class TestBartLogMarginal:
         r = np.array([1.0, 3.0, 2.0, 2.0, 1.5, 2.5])
         sigma2 = 1.0
         sigma_mu2 = 1e8
-        merged = bart_log_marginal([stats_from_resid(r)], sigma2, sigma_mu2)
-        halves = bart_log_marginal(
-            [stats_from_resid(r[:3]), stats_from_resid(r[3:])], sigma2, sigma_mu2)
+        merged = bart_log_marginal(constant_stats(r), sigma2, sigma_mu2)
+        halves = bart_log_marginal(constant_stats(r[:3], r[3:]), sigma2, sigma_mu2)
 
-        def exponent(stats_list):
-            return sum(sigma_mu2 * st.r_sum ** 2
-                       / (2 * sigma2 * (sigma_mu2 * st.n + sigma2))
-                       for st in stats_list)
+        def exponent(stats):
+            return sum(sigma_mu2 * r_sum ** 2
+                       / (2 * sigma2 * (sigma_mu2 * n + sigma2))
+                       for n, r_sum in zip(stats.n, stats.r_sum))
 
-        exp_merged = exponent([stats_from_resid(r)])
-        exp_halves = exponent([stats_from_resid(r[:3]), stats_from_resid(r[3:])])
+        exp_merged = exponent(constant_stats(r))
+        exp_halves = exponent(constant_stats(r[:3], r[3:]))
         assert_allclose(exp_merged, exp_halves, rtol=1e-6)
         # quadrature agrees on both sides too
         for impl, grouping in ((merged, [r]), (halves, [r[:3], r[3:]])):
@@ -83,29 +93,54 @@ class TestBartLogMarginal:
 
     def test_rejects_bad_sigma2(self):
         with pytest.raises(ValueError):
-            bart_log_marginal([stats_from_resid([1.0])], 0.0, 1.0)
+            bart_log_marginal(constant_stats([1.0]), 0.0, 1.0)
 
 
 class TestBartSampleMu:
     def test_posterior_n1(self):
         rng = np.random.default_rng(0)
-        stats = [LeafStats(i, 1, 2.0, 4.0) for i in range(20_000)]
-        draws = np.array(list(bart_sample_mu(stats, 1.0, 1.0, rng).values()))
+        stats = repeated_constant_stats(20_000, 1, 2.0)
+        draws = np.array(bart_sample_mu(stats, 1.0, 1.0, rng))
         assert_allclose(draws.mean(), 1.0, atol=4 * math.sqrt(0.5 / draws.size))
         assert_allclose(draws.var(), 0.5, rtol=0.05)
 
     def test_posterior_n2(self):
         rng = np.random.default_rng(1)
-        stats = [LeafStats(i, 2, 4.0, 8.0) for i in range(20_000)]
-        draws = np.array(list(bart_sample_mu(stats, 1.0, 1.0, rng).values()))
+        stats = repeated_constant_stats(20_000, 2, 4.0)
+        draws = np.array(bart_sample_mu(stats, 1.0, 1.0, rng))
         assert_allclose(draws.mean(), 4.0 / 3.0, atol=4 * math.sqrt(draws.var() / draws.size))
         assert_allclose(draws.var(), 1.0 / 3.0, rtol=0.05)
 
     def test_flat_prior_limit_recovers_sample_mean(self):
         rng = np.random.default_rng(2)
-        stats = [LeafStats(0, 4, 10.0, 30.0)]
+        stats = repeated_constant_stats(1, 4, 10.0)
         draws = [bart_sample_mu(stats, 1.0, 1e12, rng)[0] for _ in range(4000)]
         assert_allclose(np.mean(draws), 2.5, atol=0.05)
+
+
+def test_mean_draw_matches_per_leaf_normal_draw_for_draw():
+    # bart_sample_mu draws every leaf's z from one standard_normal call; it
+    # must give the values of one rng.normal(mean, sd) per leaf and leave the
+    # generator where those calls leave it
+    setup = np.random.default_rng(2718)
+    sizes = set()
+    for seed in range(1200):
+        k = int(setup.integers(1, 13))
+        n = setup.integers(1, 5001, size=k).tolist()
+        r_sum = (setup.normal(0, 2, k) * np.sqrt(n)).tolist()
+        sigma2 = float(10.0 ** setup.uniform(-4, 3))
+        sigma_mu2 = float(10.0 ** setup.uniform(-5, 2))
+        sizes.add(k)
+        leaf_ids = sorted(setup.choice(60, size=k, replace=False).tolist())
+        stats = ConstantStats(leaf_ids, [None] * k, n, r_sum, None)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = []
+        for n_leaf, r_leaf in zip(n, r_sum):
+            prec = n_leaf / sigma2 + 1.0 / sigma_mu2
+            expected.append(float(ref.normal((r_leaf / sigma2) / prec, math.sqrt(1.0 / prec))))
+        assert bart_sample_mu(stats, sigma2, sigma_mu2, ours) == expected
+        assert ours.bit_generator.state == ref.bit_generator.state
+    assert sizes == set(range(1, 13))
 
 
 class TestBuildLeafDesign:
@@ -170,9 +205,8 @@ class TestLinearLogMarginal:
             sigma2 = rng.uniform(0.2, 3.0)
             v = rng.uniform(0.2, 3.0)
             st_lin = stats_from_resid(r, np.ones((n, 1)), np.array([v]))
-            st_con = stats_from_resid(r)
             lin = linear_log_marginal([st_lin], sigma2)
-            con = bart_log_marginal([st_con], sigma2, sigma2 * v)
+            con = bart_log_marginal(constant_stats(r), sigma2, sigma2 * v)
             offset = -0.5 * n * math.log(sigma2) - float(r @ r) / (2 * sigma2)
             assert_allclose(lin, con + offset, rtol=0, atol=1e-10 * max(1, abs(lin)))
 
@@ -271,11 +305,13 @@ class TestConstantLeafStatsByIndex:
         resid = rng.normal(0, 3, 5000)
         by_index = constant_leaf_stats(rows, resid, index)
         by_leaf = constant_leaf_stats(rows, resid)
-        assert [st.leaf_id for st in by_index] == [st.leaf_id for st in by_leaf] == leaf_ids
-        for st, ref in zip(by_index, by_leaf):
-            assert (st.n, st.rows, st.resid) == (ref.n, ref.rows, ref.resid)
-            assert st.n == rows[st.leaf_id].size
-            assert_allclose(st.r_sum, resid[rows[st.leaf_id]].sum(), rtol=1e-12,
+        assert by_index.leaves == by_leaf.leaves == leaf_ids
+        assert by_index.resid is by_leaf.resid is resid
+        for leaf, n, r, ref_n, ref_r, r_sum in zip(leaf_ids, by_index.n, by_index.rows,
+                                                   by_leaf.n, by_leaf.rows, by_index.r_sum):
+            assert (n, r) == (ref_n, ref_r)
+            assert n == rows[leaf].size
+            assert_allclose(r_sum, resid[rows[leaf]].sum(), rtol=1e-12,
                             atol=1e-12 * np.abs(resid).sum())
 
     def test_a_subset_of_the_routing_takes_its_sums_from_the_whole_index(self):
@@ -283,10 +319,10 @@ class TestConstantLeafStatsByIndex:
         rows, index = self.routing(rng, 300, [5, 6, 12])
         resid = rng.normal(size=300)
         got = constant_leaf_stats({12: rows[12], 5: rows[5]}, resid, index)
-        assert [st.leaf_id for st in got] == [5, 12]
-        for st in got:
-            assert_allclose(st.r_sum, resid[rows[st.leaf_id]].sum(), rtol=1e-12)
-        assert constant_leaf_stats({}, resid, index) == []
+        assert got.leaves == [5, 12]
+        for leaf, r_sum in zip(got.leaves, got.r_sum):
+            assert_allclose(r_sum, resid[rows[leaf]].sum(), rtol=1e-12)
+        assert len(constant_leaf_stats({}, resid, index)) == 0
 
     def test_the_constant_model_passes_the_index_through(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -308,8 +344,8 @@ class TestConstantLeafStatsByIndex:
         stats = model.stats(t, rows, X, resid, index=index)
         assert seen == [index] and len(stats) == t.n_leaves()
         fit = model.fit(model.draw(stats, 1.0, rng), stats, index)
-        for st in stats:
-            assert np.unique(fit[st.rows]).size == 1
+        for leaf_rows in stats.rows:
+            assert np.unique(fit[leaf_rows]).size == 1
 
 
 class TestFinite:
@@ -489,7 +525,8 @@ class TestLeafModels:
         rows = t.leaf_rows(X)
         resid = rng.normal(size=40)
         model = LinearLeaves(ANCESTORS, (1.0, 2.0))
-        prev = {st.leaf_id: st for st in model.stats(t, rows, X, resid)}
+        kept = model.stats(t, rows, X, resid)
+        prev = {st.leaf_id: st for st in kept}
         built, build = [], leaves.linear_leaf_stats
 
         def counting_build(rows, *args):
@@ -508,12 +545,12 @@ class TestLeafModels:
                 assert linear_log_marginal([st], 0.7) == linear_log_marginal([ref], 0.7)
 
         # same rows arrays, covariates and residual array: every stat taken whole
-        got = model.stats(t, rows, X, resid, prev)
+        got = model.stats(t, rows, X, resid, kept)
         assert all(st is prev[st.leaf_id] for st in got) and built == [[]]
 
         # another residual array: design and X'X lent, the rest built
         other = rng.normal(size=40)
-        got = model.stats(t, rows, X, other, prev)
+        got = model.stats(t, rows, X, other, kept)
         for st in got:
             old = prev[st.leaf_id]
             assert st is not old and st.design is old.design and st.xtx is old.xtx
@@ -527,7 +564,7 @@ class TestLeafModels:
         for tree, rows_now, rebuilt in [(t, {**rows, copied: rows[copied].copy()}, {copied}),
                                         (moved, rows, set(rows) - {split_off})]:
             built.clear()
-            got = model.stats(tree, rows_now, X, resid, prev)
+            got = model.stats(tree, rows_now, X, resid, kept)
             assert built == [sorted(rebuilt)]
             for st in got:
                 old = prev[st.leaf_id]
@@ -536,12 +573,31 @@ class TestLeafModels:
                     assert st.design is not old.design and st.xtx is not old.xtx
             check(got, model.stats(tree, rows_now, X, resid))
 
-        # a constant stat records its rows and residuals and follows the same rule
+        # constant stats record their rows and residuals and follow the same rule
         constant = ConstantLeaves(0.1)
-        prev = {st.leaf_id: st for st in constant.stats(t, rows, X, resid)}
-        assert all(st.rows is rows[st.leaf_id] and st.resid is resid for st in prev.values())
-        assert all(st is prev[st.leaf_id] for st in constant.stats(t, rows, X, resid, prev))
-        assert not any(st is prev[st.leaf_id] for st in constant.stats(t, rows, X, other, prev))
+        prev = constant.stats(t, rows, X, resid)
+        assert all(r is rows[leaf] for leaf, r in zip(prev.leaves, prev.rows))
+        assert prev.resid is resid
+        seen, build_constant = [], leaves.constant_leaf_stats
+
+        def recording(rows, *args):
+            seen.append(sorted(rows))
+            return build_constant(rows, *args)
+
+        monkeypatch.setattr(leaves, "constant_leaf_stats", recording)
+        got = constant.stats(t, rows, X, resid, prev)
+        assert seen == [[]] and (got.leaves, got.n, got.r_sum) == (prev.leaves, prev.n,
+                                                                   prev.r_sum)
+        assert all(a is b for a, b in zip(got.rows, prev.rows))
+        seen.clear()
+        got = constant.stats(t, rows, X, other, prev)
+        assert seen == [sorted(rows)] and got.resid is other
+        # an equal but distinct rows array: that leaf alone is built, in its place
+        seen.clear()
+        got = constant.stats(t, {**rows, copied: rows[copied].copy()}, X, resid, prev)
+        assert seen == [[copied]] and (got.leaves, got.n) == (prev.leaves, prev.n)
+        assert [a is b for a, b in zip(got.rows, prev.rows)] == [leaf != copied
+                                                                 for leaf in prev.leaves]
 
     def test_leaves_of_one_q_share_their_prior_terms(self):
         rng = np.random.default_rng(6)

@@ -20,7 +20,9 @@ from lmbart import sampler
 from lmbart.benchmark import (EngineConfig, FriedmanSpec, friedman_generate,
                               run_benchmark)
 from lmbart.data import CLASSIFICATION, Dataset, standardize
+from lmbart.leaves import leaf_parameter_count
 from lmbart.sampler import Hyperparams, run_classification, run_regression
+from lmbart.trees import Tree
 from oracles import explicit_partial_residual, leaf_index_of
 
 PINNED = Path(__file__).parent / "data" / "pinned_chains.json"
@@ -110,6 +112,21 @@ def test_carried_index_and_residual_follow_every_tree_step(name, monkeypatch):
     draws = run_chain(name)
     assert len(checked) == 4 * (15 + 10)
     assert sum(rec["accepted"] for rec in draws.acceptance.values()) > 0
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_recorded_counts_equal_the_reference_counters(name):
+    # the record step counts leaves from the routing and parameters from the
+    # leaf stats; the stored tree gives both by the tree-walking counters
+    draws = run_chain(name, store_trees=True)
+    hp = draws.hyperparams
+    for k, tree_dicts in enumerate(draws.trees):
+        for t, d in enumerate(tree_dicts):
+            tree, _ = Tree.from_dict(d)
+            assert draws.terminal_counts[k, t] == tree.n_leaves()
+            assert draws.param_counts[k, t] == leaf_parameter_count(tree, hp.leaf_model,
+                                                                    hp.covariate_rule)
+    assert draws.terminal_counts.max() > 1
 
 
 def test_benchmark_cell_rmse_matches_recorded(pinned):

@@ -130,6 +130,27 @@ class TestMhAccept:
         rng = np.random.default_rng(11)
         assert all(mh_accept(0.0, rng) for _ in range(1000))
 
+    def test_draws_what_uniform_draws(self):
+        # mh_accept reads rng.random(); it must draw the value rng.uniform()
+        # draws, decide as log(rng.uniform()) < log_alpha does, right at the
+        # boundary too, and leave the generator where uniform leaves it
+        def copy_of(rng):
+            copy = np.random.Generator(type(rng.bit_generator)())
+            copy.bit_generator.state = rng.bit_generator.state
+            return copy
+
+        setup = np.random.default_rng(31)
+        for seed in range(1200):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(int(setup.integers(1, 6))):
+                u = copy_of(ref).uniform()
+                assert copy_of(ours).random() == u
+                log_u = math.log(u)
+                log_alpha = [log_u, math.nextafter(log_u, math.inf),
+                             float(setup.normal(0, 2))][int(setup.integers(3))]
+                assert mh_accept(log_alpha, ours) == (math.log(ref.uniform()) < log_alpha)
+                assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_log_half_accepts_half_the_time(self):
         rng = np.random.default_rng(12)
         trials = 10_000
@@ -585,14 +606,15 @@ class TestIncrementalTreeStep:
                 accepted.add(kind)
             ts = state.trees[tree_index]
             covs = leaves.leaf_covariate_sets(ts.tree, hp.covariate_rule)
-            assert sorted(ts.stats) == sorted(ts.rows_by_leaf)
+            stats = {st.leaf_id: st for st in ts.stats}
+            assert sorted(stats) == sorted(ts.rows_by_leaf)
             for leaf, rows in ts.rows_by_leaf.items():
-                st = ts.stats[leaf]
+                st = stats[leaf]
                 fresh = leaves.build_leaf_design(rows, X, covs[leaf])
                 assert st.rows is rows and st.covariates == covs[leaf]
                 assert np.array_equal(st.design, fresh)
                 assert np.array_equal(st.xtx, fresh.T @ fresh)
-            designs = [st.design for st in ts.stats.values()]
+            designs = [st.design for st in ts.stats]
             carried_over += sum(any(d is p for p in previous.get(tree_index, ()))
                                 for d in designs)
             previous[tree_index] = designs

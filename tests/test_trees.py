@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from lmbart.trees import (CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, _draw_rul
                           ancestor_covariates, log_tree_prior, partition,
                           propose_move, split_cdf, split_covariates)
 from oracles import (BELOW_N_MIN, changed_leaves, full_size_check, grow_from_dict, node_rows,
-                     recursive_log_tree_prior, route_row)
+                     recursive_log_tree_prior, recursive_to_dict, route_row)
 from test_pinned_chains import CHAINS, chain_data, run_chain
 
 
@@ -472,6 +473,75 @@ class TestSerialization:
         assert_array_equal(
             sorted(np.unique(partition(t, X).assignment, return_counts=True)[1]),
             sorted(np.unique(partition(back, X).assignment, return_counts=True)[1]))
+
+
+def assert_serializes_like_reference(tree, payload):
+    """`to_dict` writes the reference serializer's JSON, with int features."""
+    got = tree.to_dict(payload)
+    assert json.dumps(got) == json.dumps(recursive_to_dict(tree, payload))
+    stack = [got]
+    while stack:
+        node = stack.pop()
+        if node["kind"] == "internal":
+            assert type(node["feature"]) is int and type(node["threshold"]) is float
+            stack += (node["left"], node["right"])
+    return got
+
+
+# (operation, node pick, integer type of the feature, feature, threshold)
+tree_edits = st.lists(st.tuples(st.sampled_from(["grow", "grow", "set_rule", "prune"]),
+                                st.integers(0, 10**6),
+                                st.sampled_from([int, np.int8, np.int32, np.int64, np.intp]),
+                                st.integers(0, 4), st.floats(-3, 3)),
+                      max_size=30)
+
+
+class TestSerializerReference:
+    @pytest.mark.parametrize("name", list(CHAINS))
+    def test_every_tree_of_the_pinned_chains(self, name):
+        sweeps = []
+
+        def check(state):
+            for ts in state.trees:
+                assert_serializes_like_reference(ts.tree, ts.leaf_params)
+            sweeps.append(state.iteration)
+
+        draws = run_chain(name, on_sweep=check, store_trees=True)
+        assert len(sweeps) == 25
+        for tree_dicts in draws.trees:
+            for d in tree_dicts:
+                tree, payload = Tree.from_dict(d)
+                assert json.dumps(assert_serializes_like_reference(tree, payload)) == json.dumps(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_edits, st.sampled_from(["none", "constant", "linear"]))
+    def test_drawn_trees_with_numpy_integer_features(self, edits, leaf_kind):
+        t = Tree()
+        for op, pick, int_type, feature, threshold in edits:
+            if op == "grow":
+                leaves = t.leaves()
+                t.grow(leaves[pick % len(leaves)], int_type(feature), np.float64(threshold))
+                continue
+            if op == "set_rule":
+                targets = t.internal_nodes()
+            else:
+                targets = [i for i in t.internal_nodes()
+                           if t.nodes[t.nodes[i].left].is_leaf
+                           and t.nodes[t.nodes[i].right].is_leaf]
+            if not targets:
+                continue
+            if op == "set_rule":
+                t.set_rule(targets[pick % len(targets)], int_type(feature), threshold)
+            else:
+                t.prune(targets[pick % len(targets)])
+        payload = None
+        if leaf_kind == "constant":
+            payload = {leaf: {"mu": 0.25 * leaf} for leaf in t.leaves()}
+        elif leaf_kind == "linear":
+            covs = sorted(split_covariates(t))
+            payload = {leaf: {"beta": [0.5] * (len(covs) + 1), "covariates": covs}
+                       for leaf in t.leaves()}
+        assert_serializes_like_reference(t, payload)
 
 
 def internal(feature, threshold, left, right):
