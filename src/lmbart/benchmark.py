@@ -98,25 +98,6 @@ def parameter_accounting(draws: PosteriorDraws) -> ParamAccounting:
     )
 
 
-def recount_parameters(draws: PosteriorDraws) -> np.ndarray:
-    """Recompute per-iteration per-tree parameter counts from stored trees.
-
-    Each serialized linear leaf carries its own coefficient vector, so the
-    count is the summed beta lengths; constant leaves count one parameter
-    each. Used to check the accounting identity on tree-storing runs.
-    """
-    if draws.trees is None:
-        raise ValueError("run was not tree-storing")
-
-    def count(tree_dict) -> int:
-        if tree_dict["kind"] == "leaf":
-            return len(tree_dict["beta"]) if "beta" in tree_dict else 1
-        return count(tree_dict["left"]) + count(tree_dict["right"])
-
-    return np.array([[count(d) for d in tree_dicts] for tree_dicts in draws.trees],
-                    dtype=int)
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     name: str

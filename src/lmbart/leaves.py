@@ -5,10 +5,8 @@ constant model gives every terminal node a scalar mean with a N(0, sigma_mu^2)
 prior and stores it as {"mu": m}. The linear model gives every terminal node
 a coefficient vector beta (intercept first) on the leaf's covariates with a
 N_q(0, sigma^2 V) prior, V diagonal, and stores {"beta": [...], "covariates":
-[...]}. `leaf_design` and `leaf_values` evaluate a stored leaf, `leaf_means`
-all of a tree's constant leaves at once. The model
-classes reach this module's functions through its globals, so wrapping those
-functions at run time sees every call.
+[...]}. The model classes reach this module's functions through its globals,
+so wrapping those functions at run time sees every call.
 
 A linear leaf's posterior precision X'X + V^-1 is factored once per
 `LeafStats` (`LeafStats.posterior`); the marginal and the draw share that
@@ -50,7 +48,9 @@ index, so its new leaves are summed leaf by leaf. `bart_sample_mu` draws
 all of a tree's means from one `standard_normal` call. A model's `fit`
 gives a tree's fitted values from its drawn leaves: a constant tree's leaf
 means taken at the index, a linear tree's stats designs times their
-coefficients, leaf by leaf.
+coefficients, leaf by leaf. The models serve the replay of stored trees
+too: `stored_leaf_model` picks one from the stored leaves, and its `replay`
+keeps what its `fit` needs of a routed tree.
 
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
@@ -359,64 +359,34 @@ def leaf_parameter_count(tree: Tree, leaf_model: str,
 # leaf models and the stored leaf format
 
 
-def leaf_design(payload: dict, rows: np.ndarray, features: np.ndarray) -> np.ndarray | None:
-    """The design of a stored leaf on its rows; None for a constant leaf.
-
-    For a linear leaf this is the design its stats were built on
-    (`LeafStats.design`). A payload that `stored_leaf_problem` refuses
-    raises ValueError, since a negative covariate would silently index
-    from the last column.
-    """
-    if "mu" in payload:
-        return None
-    problem = stored_leaf_problem(payload, features.shape[1])
-    if problem is not None:
-        raise ValueError(problem)
-    return build_leaf_design(rows, features, payload["covariates"])
+def stored_leaf_model(tree_dict: dict):
+    """The leaf model that replays stored trees, picked by the leftmost leaf of
+    `tree_dict`: constant if it has a "mu", else linear. A replay needs no
+    prior and no covariate rule, so the model holds NaN precisions and None."""
+    node = tree_dict
+    while node["kind"] == "internal":
+        node = node["left"]
+    return ConstantLeaves(math.nan) if "mu" in node else LinearLeaves(None, (math.nan,) * 2)
 
 
-def leaf_values(payload: dict, design: np.ndarray | None):
-    """Fitted values of one stored leaf on the rows of its `leaf_design`.
-
-    A constant leaf gives its scalar mean.
-    """
-    if "mu" in payload:
-        return payload["mu"]
-    return design @ payload["beta"]
-
-
-def leaf_means(payload: dict, size: int) -> np.ndarray | None:
-    """The means of a tree's stored leaves (leaf id -> payload) in an array of
-    `size` indexed by leaf id; None when any leaf is linear."""
-    means = None
-    for leaf, params in payload.items():
-        if "mu" not in params:
-            return None
-        if means is None:
-            means = np.zeros(size)
-        means[leaf] = params["mu"]
-    return means
-
-
-def same_design(a: dict, b: dict) -> bool:
-    """Whether two stored leaves on the same rows have the same `leaf_design`."""
-    return a.get("covariates") == b.get("covariates")
-
-
-def stored_leaf_problem(params: dict, p: int) -> str | None:
-    """What makes a stored leaf's payload unusable on p features; None if nothing."""
+def stored_leaf_problem(params: dict, p: int, leaf_model: str | None = None) -> str | None:
+    """What makes a stored leaf's payload unusable on p features, or a leaf of
+    another model than `leaf_model` (any, when None); None if nothing."""
     if "mu" in params:
         mu = params["mu"]
-        if isinstance(mu, (int, float)) and not isinstance(mu, bool):
-            return None
-        return f"leaf mean {mu!r} is not a number"
-    if "beta" not in params or "covariates" not in params:
+        if not isinstance(mu, (int, float)) or isinstance(mu, bool):
+            return f"leaf mean {mu!r} is not a number"
+    elif "beta" not in params or "covariates" not in params:
         return "leaf has neither 'mu' nor 'beta' and 'covariates'"
-    covs, beta = params["covariates"], params["beta"]
-    if not isinstance(covs, list) or not all(type(c) is int and 0 <= c < p for c in covs):
-        return f"leaf covariates {covs!r} are not feature indices in [0, {p})"
-    if not isinstance(beta, list) or len(beta) != len(covs) + 1:
-        return f"leaf beta {beta!r} is not a list of {len(covs) + 1} coefficients"
+    else:
+        covs, beta = params["covariates"], params["beta"]
+        if not isinstance(covs, list) or not all(type(c) is int and 0 <= c < p for c in covs):
+            return f"leaf covariates {covs!r} are not feature indices in [0, {p})"
+        if not isinstance(beta, list) or len(beta) != len(covs) + 1:
+            return f"leaf beta {beta!r} is not a list of {len(covs) + 1} coefficients"
+    own = CONSTANT if "mu" in params else LINEAR
+    if leaf_model not in (None, own):
+        return f"{own} leaf among stored trees whose leaves are {leaf_model}"
     return None
 
 
@@ -425,6 +395,7 @@ class ConstantLeaves:
     """One mean per leaf with a N(0, sigma_mu^2) prior."""
 
     sigma_mu2: float
+    kind = CONSTANT
 
     def stats(self, tree, rows_by_leaf, features, resid, prev=None,
               index=None) -> ConstantStats:
@@ -461,6 +432,12 @@ class ConstantLeaves:
             means[leaf] = params[leaf]["mu"]
         return means.take(index)
 
+    def replay(self, rows_by_leaf, payload, features, previous=None) -> ConstantStats:
+        """What `fit` needs of a stored tree routed to `rows_by_leaf`: its leaf
+        ids, as stats without rows or residuals, or the same routing's `previous`."""
+        return (previous if previous is not None
+                else ConstantStats(sorted(rows_by_leaf), None, None, None, None))
+
 
 @dataclass(frozen=True)
 class LinearLeaves:
@@ -469,6 +446,7 @@ class LinearLeaves:
     covariate_rule: str
     taus: tuple[float, float]
     _priors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    kind = LINEAR
 
     def prior(self, q: int) -> LeafPrior:
         """The `LeafPrior` of q coefficients under the taus, built once per q."""
@@ -517,3 +495,24 @@ class LinearLeaves:
         for st in stats:
             fit[st.rows] = st.design @ params[st.leaf_id]["beta"]
         return fit
+
+    def replay(self, rows_by_leaf, payload, features, previous=None) -> LinearStats:
+        """What `fit` needs of a stored tree routed to `rows_by_leaf`: per leaf, a
+        stat without residuals holding its design on its stored covariates. A
+        `previous` record, of the same routing, lends the stats of the leaves
+        whose covariates are unchanged."""
+        kept = {st.leaf_id: st for st in previous or ()
+                if st.covariates == payload[st.leaf_id]["covariates"]}
+        out = LinearStats()
+        for leaf in sorted(rows_by_leaf):
+            st = kept.get(leaf)
+            if st is None:
+                # refused payloads raise: a negative covariate would index from the end
+                problem = stored_leaf_problem(payload[leaf], features.shape[1], LINEAR)
+                if problem is not None:
+                    raise ValueError(problem)
+                rows, covs = rows_by_leaf[leaf], payload[leaf]["covariates"]
+                st = LeafStats(leaf, rows.size, None, covariates=covs, rows=rows,
+                               design=build_leaf_design(rows, features, covs))
+            out.append(st)
+        return out

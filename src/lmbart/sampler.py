@@ -449,17 +449,6 @@ def _serialize_tree(ts: TreeState) -> dict:
     return ts.tree.to_dict(ts.leaf_params)
 
 
-@dataclass
-class _Replay:
-    """One stored tree's replay on a feature matrix, kept to serve the next draw."""
-
-    splits: list           # (feature, threshold) per arena node; equal lists route alike
-    rows_by_leaf: dict     # leaf id -> rows it receives
-    payload: dict          # leaf id -> stored leaf payload
-    designs: dict | None = None       # leaf id -> design its values were computed on
-    index: np.ndarray | None = None   # row -> leaf id; only constant-leaf trees carry it
-
-
 def _leaf_index(rows_by_leaf: dict, n: int) -> np.ndarray:
     """Row -> leaf id of a routing of n rows."""
     index = np.empty(n, dtype=np.intp)
@@ -468,28 +457,23 @@ def _leaf_index(rows_by_leaf: dict, n: int) -> np.ndarray:
     return index
 
 
-def _replay_tree(tree_dict: dict, features: np.ndarray,
-                 previous: _Replay | None = None) -> tuple[np.ndarray, _Replay]:
-    """Fit of one serialized tree on standardized features, and its replay.
+def _replay_tree(tree_dict: dict, features: np.ndarray, model,
+                 previous: tuple | None = None) -> tuple[np.ndarray, tuple]:
+    """Fit of one serialized tree on standardized features by the leaf
+    `model`'s own `fit`, and its replay: (splits, rows by leaf, row -> leaf
+    id index, the model's `replay` record).
 
     `previous` is the replay of the same tree index in the previous draw.
     `Tree.from_dict` numbers nodes by the tree's shape, and the shape
     follows from which ids are split nodes, so a tree whose (feature,
     threshold) per node id equals the previous one's has the same splits:
-    it reuses that routing. Any other tree has its split rules checked (`_split_problem`)
-    and is routed with `Tree.leaf_rows`.
-
-    A tree whose leaves are all constant (`leaves.leaf_means`) carries its
-    routing as one row -> leaf id index, built when the tree is routed: its
-    fit is its leaf means, indexed by leaf id, taken at that index. Any
-    other tree reuses, on a hit, the design of every linear leaf whose
-    covariates are unchanged, and fills its fit leaf by leaf.
+    it reuses that routing, index and record. Any other tree has its split
+    rules checked (`_split_problem`) and is routed with `Tree.leaf_rows`.
     """
     tree, payload = tr.Tree.from_dict(tree_dict)
     splits = [(nd.feature, nd.threshold) for nd in tree.nodes.values()]
-    hit = previous is not None and previous.splits == splits
-    if hit:
-        rows_by_leaf = previous.rows_by_leaf
+    if previous is not None and previous[0] == splits:
+        _, rows_by_leaf, index, record = previous
     else:
         for nd in tree.nodes.values():
             if nd.feature is not None:
@@ -497,22 +481,9 @@ def _replay_tree(tree_dict: dict, features: np.ndarray,
                 if problem is not None:
                     raise ValueError(problem)
         rows_by_leaf = tree.leaf_rows(features)
-    means = lv.leaf_means(payload, len(tree.nodes))
-    if means is not None:
-        index = (previous.index if hit and previous.index is not None
-                 else _leaf_index(rows_by_leaf, features.shape[0]))
-        return means.take(index), _Replay(splits, rows_by_leaf, payload, index=index)
-    designs = {}
-    for leaf, rows in rows_by_leaf.items():
-        if (hit and previous.designs is not None
-                and lv.same_design(payload[leaf], previous.payload[leaf])):
-            designs[leaf] = previous.designs[leaf]
-        else:
-            designs[leaf] = lv.leaf_design(payload[leaf], rows, features)
-    fit = np.zeros(features.shape[0])
-    for leaf, rows in rows_by_leaf.items():
-        fit[rows] = lv.leaf_values(payload[leaf], designs[leaf])
-    return fit, _Replay(splits, rows_by_leaf, payload, designs=designs)
+        index, record = _leaf_index(rows_by_leaf, features.shape[0]), None
+    record = model.replay(rows_by_leaf, payload, features, record)
+    return model.fit(payload, record, index), (splits, rows_by_leaf, index, record)
 
 
 def _split_problem(feature, threshold, p: int) -> str | None:
@@ -529,8 +500,9 @@ def _split_problem(feature, threshold, p: int) -> str | None:
     return None
 
 
-def _stored_tree_problem(tree_dict, p: int) -> str | None:
-    """What makes a stored tree unusable on p features; None if nothing.
+def _stored_tree_problem(tree_dict, p: int, leaf_model: str | None = None) -> str | None:
+    """What makes a stored tree unusable on p features under `leaf_model`
+    (any, when None); None if nothing.
 
     Each node is a dict whose "kind" is "leaf", with a payload that
     `leaves.stored_leaf_problem` accepts, or "internal", with a "feature"
@@ -543,7 +515,7 @@ def _stored_tree_problem(tree_dict, p: int) -> str | None:
             return f"node {node!r} is not an object"
         kind = node.get("kind")
         if kind == "leaf":
-            problem = lv.stored_leaf_problem(node, p)
+            problem = lv.stored_leaf_problem(node, p, leaf_model)
         elif kind == "internal":
             problem = _split_problem(node.get("feature"), node.get("threshold"), p)
             if problem is None and ("left" not in node or "right" not in node):
@@ -559,7 +531,7 @@ def _stored_tree_problem(tree_dict, p: int) -> str | None:
 
 def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
     """Evaluate one serialized tree on standardized features."""
-    return _replay_tree(tree_dict, features)[0]
+    return _replay_tree(tree_dict, features, lv.stored_leaf_model(tree_dict))[0]
 
 
 def _split_usage_counts(state: SamplerState, p: int) -> np.ndarray:
@@ -721,15 +693,17 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     """Replay stored trees (one list of tree dicts per draw) on new rows.
 
     `X_new` is on the original feature scale and `scaling` is the training
-    run's. Classification runs return probabilities. Each tree index carries
-    its replay from one draw to the next, so a tree is routed again only
-    when its splits changed since the previous draw, and a constant-leaf
-    tree's fit is one `take` of its leaf means (see `_replay_tree`). Tree
-    fits are summed in place, in tree order.
+    run's. Classification runs return probabilities. One leaf model,
+    picked from the first stored tree (`leaves.stored_leaf_model`), replays
+    every tree. Each tree index carries its replay from one draw to the
+    next, so a tree is routed again only when its splits changed since the
+    previous draw (see `_replay_tree`). Tree fits are summed in place, in
+    tree order.
 
-    A malformed stored tree raises ValueError naming its draw, its tree
-    index and the problem. Its splits are checked when it is routed, so a
-    tree that reuses the previous draw's routing has splits already checked.
+    A malformed stored tree, or a leaf of the other leaf model (the chain
+    never mixes them), raises ValueError naming its draw, its tree index
+    and the problem. Its splits are checked when it is routed, so a tree
+    that reuses the previous draw's routing has splits already checked.
     """
     if not trees:
         raise ValueError("no stored draws")
@@ -743,14 +717,16 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
         raise ValueError(f"non-finite feature value {X_new[row, col]} at X_new[{row}, {col}]")
     Xs = np.asfortranarray(scaling.transform_features(X_new))   # column-major for routing
     out = np.zeros((len(trees), Xs.shape[0]))
+    model = None                  # picked from the first stored tree
     replays = {}                  # tree index -> its replay in the previous draw
     for k, tree_dicts in enumerate(trees):
         fit = np.zeros(Xs.shape[0])
         for t, d in enumerate(tree_dicts):
             try:
-                tree_fit, replays[t] = _replay_tree(d, Xs, replays.get(t))
+                model = model or lv.stored_leaf_model(d)
+                tree_fit, replays[t] = _replay_tree(d, Xs, model, replays.get(t))
             except (KeyError, TypeError, IndexError, ValueError) as exc:
-                problem = _stored_tree_problem(d, Xs.shape[1]) or exc
+                problem = _stored_tree_problem(d, Xs.shape[1], model and model.kind) or exc
                 raise ValueError(f"draw {k}, tree {t}: {problem}") from exc
             fit += tree_fit
         out[k] = ndtr(fit) if task == CLASSIFICATION else scaling.invert_response(fit)

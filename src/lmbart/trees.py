@@ -86,9 +86,6 @@ class Tree:
         t._next_id = self._next_id
         return t
 
-    def is_leaf(self, node_id: int) -> bool:
-        return self.nodes[node_id].is_leaf
-
     def depth_of(self, node_id: int) -> int:
         return self.nodes[node_id].depth
 
@@ -185,9 +182,6 @@ class Tree:
             if nd.feature is not None:
                 stack.extend((nd.left, nd.right))
         return out
-
-    def subtree_leaves(self, node_id: int) -> list[int]:
-        return [i for i in self.subtree(node_id) if self.nodes[i].feature is None]
 
     def validate(self) -> None:
         """Assert the structural invariants; used by property tests."""

@@ -129,6 +129,14 @@ def node_rows(tree, X):
     return out
 
 
+def subtree_leaves(tree, node_id):
+    """The leaves at or below `node_id`, by recursion over the child links."""
+    nd = tree.nodes[node_id]
+    if nd.feature is None:
+        return [node_id]
+    return subtree_leaves(tree, nd.left) + subtree_leaves(tree, nd.right)
+
+
 BELOW_N_MIN = {"grow": "child below minimum node size",
                "change": "terminal below minimum node size",
                "swap": "terminal below minimum node size"}
@@ -305,3 +313,22 @@ def replay_every_tree(trees, task, scaling, X_new):
             out[k] = scaling.invert_response(fit)
     lower, upper = np.quantile(out, (0.05, 0.95), axis=0)
     return out, out.mean(axis=0), lower, upper
+
+
+def recount_parameters(draws):
+    """Per-iteration per-tree leaf parameter counts, recounted from stored trees.
+
+    Each serialized linear leaf carries its own coefficient vector, so the
+    count is the summed beta lengths; constant leaves count one parameter
+    each. Used to check the accounting identity on tree-storing runs.
+    """
+    if draws.trees is None:
+        raise ValueError("run was not tree-storing")
+
+    def count(tree_dict) -> int:
+        if tree_dict["kind"] == "leaf":
+            return len(tree_dict["beta"]) if "beta" in tree_dict else 1
+        return count(tree_dict["left"]) + count(tree_dict["right"])
+
+    return np.array([[count(d) for d in tree_dicts] for tree_dicts in draws.trees],
+                    dtype=int)

@@ -13,8 +13,7 @@ import pytest
 from scipy.stats import norm, spearmanr
 
 from lmbart.benchmark import (EngineConfig, FriedmanSpec, friedman_generate,
-                              parameter_accounting, recount_parameters,
-                              run_benchmark)
+                              parameter_accounting, run_benchmark)
 from lmbart.cli import main as cli_main
 from lmbart.data import CLASSIFICATION, Dataset, standardize
 from lmbart.leaves import (ConstantStats, LeafPrior, LeafStats, bart_log_marginal,
@@ -26,7 +25,7 @@ from lmbart.sampler import (Hyperparams, partial_residual, run_classification,
 from lmbart.trees import Tree
 from oracles import (bart_marginal_restore_constants,
                      linear_marginal_restore_constants, quad_constant_leaf,
-                     quad_linear_leaf)
+                     quad_linear_leaf, recount_parameters)
 
 LINEAR_CONFIG = EngineConfig(
     "linear-10",

@@ -4,11 +4,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from lmbart.benchmark import (EngineConfig, FriedmanSpec, friedman_generate,
                               friedman_signal, load_grid_config, parameter_accounting,
-                              recount_parameters, rmse, run_benchmark,
-                              write_param_table, write_rmse_table)
+                              rmse, run_benchmark, write_param_table, write_rmse_table)
 from lmbart.data import standardize
 from lmbart.sampler import Hyperparams, PosteriorDraws, run_regression
 from lmbart.data import ScalingInfo
+from oracles import recount_parameters
 
 
 class TestFriedmanGenerate:

@@ -20,7 +20,7 @@ from lmbart.sampler import Hyperparams, run_regression
 from lmbart.trees import Tree, ancestor_covariates
 from oracles import (bart_marginal_restore_constants,
                      linear_marginal_restore_constants, quad_constant_leaf,
-                     quad_linear_leaf)
+                     quad_linear_leaf, subtree_leaves)
 
 
 def constant_stats(*resids):
@@ -428,7 +428,7 @@ class TestMhRatioSufficiency:
         rows_grown = grown.leaf_rows(X)
         full = (bart_log_marginal(constant_leaf_stats(rows_grown, resid), 1.0, 0.3)
                 - bart_log_marginal(constant_leaf_stats(rows_base, resid), 1.0, 0.3))
-        affected_new = {leaf: rows_grown[leaf] for leaf in grown.subtree_leaves(changed)}
+        affected_new = {leaf: rows_grown[leaf] for leaf in subtree_leaves(grown, changed)}
         affected_old = {changed: rows_base[changed]}
         local = (bart_log_marginal(constant_leaf_stats(affected_new, resid), 1.0, 0.3)
                  - bart_log_marginal(constant_leaf_stats(affected_old, resid), 1.0, 0.3))
@@ -454,7 +454,7 @@ class TestMhRatioSufficiency:
 
             full = marg(rows_grown, covs_grown) - marg(rows_base, covs_base)
             local = (marg({leaf: rows_grown[leaf]
-                           for leaf in grown.subtree_leaves(changed)}, covs_grown)
+                           for leaf in subtree_leaves(grown, changed)}, covs_grown)
                      - marg({changed: rows_base[changed]}, covs_base))
             assert_allclose(full, local, rtol=0, atol=1e-10)
 

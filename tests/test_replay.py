@@ -54,6 +54,28 @@ def split_changes(trees) -> int:
                for k in range(1, len(trees)) for d, prev in zip(trees[k], trees[k - 1]))
 
 
+def leaf_covariates(d):
+    """The covariates of a stored tree's linear leaves, in preorder."""
+    if d["kind"] == "leaf":
+        return [d["covariates"]] if "covariates" in d else []
+    return leaf_covariates(d["left"]) + leaf_covariates(d["right"])
+
+
+def design_builds(trees) -> int:
+    """Linear leaf designs built by a replay that keeps a leaf's design while
+    its tree's splits and its covariates stay: every leaf of a tree routed
+    afresh, and every leaf whose covariates changed under unchanged splits."""
+    builds = sum(len(leaf_covariates(d)) for d in trees[0])
+    for k in range(1, len(trees)):
+        for d, prev in zip(trees[k], trees[k - 1]):
+            covs = leaf_covariates(d)
+            if splits(d) != splits(prev):
+                builds += len(covs)
+            else:
+                builds += sum(a != b for a, b in zip(covs, leaf_covariates(prev)))
+    return builds
+
+
 @pytest.mark.parametrize("name", list(CHAINS))
 def test_pinned_chains_replay_like_the_reference(name):
     draws = run_chain(name, store_trees=True)
@@ -78,6 +100,8 @@ def test_long_chain_routes_a_tree_only_when_its_splits_change(leaf_model, counts
     assert counts["leaf_rows"] == hp.m + changes
     # every stored tree is still parsed once, for its leaf payloads
     assert counts["from_dict"] == draws.retained * hp.m
+    assert counts["build_leaf_design"] == design_builds(draws.trees)
+    assert (counts["build_leaf_design"] > 0) == (leaf_model == "linear")
 
 
 def stump_split(threshold, left, right):
@@ -185,6 +209,55 @@ def test_a_malformed_tree_is_named_by_draw_and_tree(tree, problem):
     with pytest.raises(ValueError) as info:
         predict_stored([[good, good], [good, tree]], REGRESSION, IDENTITY, X_HAND)
     assert str(info.value) == f"draw 1, tree 1: {problem}"
+
+
+LINEAR_AMONG_CONSTANT = "linear leaf among stored trees whose leaves are constant"
+CONSTANT_AMONG_LINEAR = "constant leaf among stored trees whose leaves are linear"
+
+
+def linear_stump(threshold, right):
+    return stump_split(threshold, linear([1.0, 2.0], [0]), right)
+
+
+@pytest.mark.parametrize("trees, where, problem", [
+    # the stored leaves are constant: the first tree's leftmost leaf says so
+    pytest.param([[stump_split(0.0, const(1.0), linear([1.0, 2.0], [0]))]],
+                 "draw 0, tree 0", LINEAR_AMONG_CONSTANT, id="within-the-first-tree"),
+    pytest.param([[stump_split(0.0, const(1.0), const(2.0))],
+                  [stump_split(0.0, const(1.0), linear([1.0, 2.0], [0]))]],
+                 "draw 1, tree 0", LINEAR_AMONG_CONSTANT, id="carried-routing"),
+    pytest.param([[const(1.0), stump_split(0.0, const(1.0), const(2.0))],
+                  [const(1.0), stump_split(0.5, const(1.0), linear([1.0, 2.0], [1]))]],
+                 "draw 1, tree 1", LINEAR_AMONG_CONSTANT, id="new-routing"),
+    # and the reverse: the stored leaves are linear
+    pytest.param([[linear_stump(0.0, const(2.0))]],
+                 "draw 0, tree 0", CONSTANT_AMONG_LINEAR, id="reverse-within-the-first-tree"),
+    pytest.param([[linear_stump(0.0, linear([0.5], []))], [linear_stump(0.0, const(2.0))]],
+                 "draw 1, tree 0", CONSTANT_AMONG_LINEAR, id="reverse-carried-routing"),
+    pytest.param([[linear([1.0], []), linear_stump(0.0, linear([0.5], []))],
+                  [linear([1.0], []), linear_stump(0.5, const(2.0))]],
+                 "draw 1, tree 1", CONSTANT_AMONG_LINEAR, id="reverse-new-routing"),
+])
+def test_a_leaf_of_the_other_leaf_model_is_named_by_draw_and_tree(trees, where, problem):
+    with pytest.raises(ValueError) as info:
+        predict_stored(trees, REGRESSION, IDENTITY, X_HAND)
+    assert str(info.value) == f"{where}: {problem}"
+
+
+@pytest.mark.parametrize("tree, problem", [
+    pytest.param({"kind": "internal", "feature": 0, "threshold": 0.0, "right": const(1.0)},
+                 "split node without a 'left' and a 'right' child", id="no-left"),
+    pytest.param({"mu": 1.0}, "unknown node kind None", id="no-kind"),
+    pytest.param([const(1.0)], "node [{'kind': 'leaf', 'mu': 1.0}] is not an object",
+                 id="not-an-object"),
+    pytest.param(stump_split(0.0, {"kind": "leaf"}, const(1.0)), NO_PAYLOAD,
+                 id="empty-leftmost-leaf"),
+])
+def test_a_malformed_first_tree_is_named_as_draw_0_tree_0(tree, problem):
+    good = stump_split(0.0, const(1.0), const(-1.0))
+    with pytest.raises(ValueError) as info:
+        predict_stored([[tree, good], [good, good]], REGRESSION, IDENTITY, X_HAND)
+    assert str(info.value) == f"draw 0, tree 0: {problem}"
 
 
 def test_non_finite_feature_is_named():
