@@ -10,9 +10,12 @@ so wrapping those functions at run time sees every call.
 
 A linear leaf's posterior precision X'X + V^-1 is factored once per
 `LeafStats` (`LeafStats.posterior`); the marginal and the draw share that
-factor and the posterior mean. They call LAPACK `potrf`/`potrs`/`trtrs`
-directly, the routines behind `scipy.linalg`'s `cholesky`/`cho_solve`/
-`solve_triangular`, so results match those wrappers bit for bit.
+factor and the posterior mean, and the marginal's two sigma^2-free terms are
+worked out once per `LeafStats` too (`LeafStats.marginal_terms`), so a leaf
+that a candidate takes whole costs the marginal two adds. They call LAPACK
+`potrf`/`potrs`/`trtrs` directly, the routines behind `scipy.linalg`'s
+`cholesky`/`cho_solve`/`solve_triangular`, so results match those wrappers
+bit for bit.
 
 The sampler builds one `LinearLeaves` per sweep, holding that sweep's taus
 (tau0, tau1); it builds the prior terms that depend on V alone (`LeafPrior`:
@@ -30,6 +33,14 @@ current tree (a routing changes only when a move is accepted) and the
 current tree's stats to the candidate (whose untouched leaves keep the
 current routing's arrays).
 
+A linear tree's stats also carry its covariate sets and the tree they were
+computed from (`LinearStats`), and a `prev` built on the same tree object
+under the same covariate rule lends them, so `leaf_covariate_sets` runs once
+per tree a step builds stats on, not once per step. Lending them needs
+every tree to stay as it was when stats were built on it: the chain never
+mutates a tree after building stats on it, since a proposal's candidate is
+an edited copy (`Tree._edit`) and an accepted candidate replaces the tree.
+
 Each model applies the rule in its own `stats`. `ConstantLeaves` keeps one
 `ConstantStats` per tree, flat lists of leaf ids, rows arrays, row counts
 and residual sums beside the one residual array they were built on; it
@@ -38,14 +49,16 @@ takes a kept leaf's entries and hands the other leaves to
 per leaf (`LeafStats` is linear-only), and takes a kept leaf's stat, prior
 and factor included. A linear stat on the same rows array and covariates
 but other residuals lends its `design` and `xtx` (`linear_leaf_stats`);
-`xtr`, `r_sum`, `r_sq_sum` and the factor are recomputed, since the taus
-move between sweeps. Every other leaf is built fresh.
+`xtr`, `r_sq_sum`, the factor and the marginal terms are recomputed, since
+the residuals and the taus move between sweeps. Every other leaf is built
+fresh.
 
 The sampler also passes the current tree's row -> leaf id index. The
 constant model sums the residuals of every leaf it builds with one
 `np.bincount` over that index (`constant_leaf_stats`); the candidate has no
 index, so its new leaves are summed leaf by leaf. `bart_sample_mu` draws
-all of a tree's means from one `standard_normal` call. A model's `fit`
+all of a tree's means from one `standard_normal` call, and
+`linear_sample_beta` all of its coefficients. A model's `fit`
 gives a tree's fitted values from its drawn leaves: a constant tree's leaf
 means taken at the index, a linear tree's stats designs times their
 coefficients, leaf by leaf. The models serve the replay of stored trees
@@ -131,14 +144,14 @@ class LeafStats:
 
     `design` is the leaf design (intercept column of ones plus the leaf's
     `covariates` in ascending feature order) on `rows`, `xtx`/`xtr` are its
-    Gram matrix and moment vector, and `prior` holds the terms of the
-    leaf's coefficient prior covariance V. Set `prior` before the first use
-    of `posterior`, which is computed then and kept in `_posterior`.
+    Gram matrix and moment vector, `r_sq_sum` is r'r, and `prior` holds the
+    terms of the leaf's coefficient prior covariance V. Set `prior` before
+    the first use of `posterior` or `marginal_terms`: each is computed at its
+    first use and kept, in `_posterior` and `_terms`.
     """
 
     leaf_id: int
     n: int
-    r_sum: float
     r_sq_sum: float = 0.0
     xtx: np.ndarray | None = None
     xtr: np.ndarray | None = None
@@ -148,6 +161,7 @@ class LeafStats:
     rows: np.ndarray | None = None
     resid: np.ndarray | None = None
     _posterior: tuple | None = field(default=None, repr=False, compare=False)
+    _terms: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -163,9 +177,30 @@ class LeafStats:
             post = self._posterior = L, _lapack(_potrs, L, _finite(self.xtr), lower=1)
         return post
 
+    @property
+    def marginal_terms(self) -> tuple[float, float]:
+        """The sigma^2-free terms of the leaf's log marginal: -0.5 log|V| -
+        0.5 log|A| and r'r - mu' Lambda^-1 mu (see `linear_log_marginal`)."""
+        terms = self._terms
+        if terms is None:
+            L, mu = self.posterior
+            # log|A| = 2 sum log diag(L); mu' Lambda^-1 mu = X'r . mu
+            log_det_A = 2.0 * float(np.log(L.diagonal()).sum())
+            terms = self._terms = (-0.5 * self.prior.log_det - 0.5 * log_det_A,
+                                   self.r_sq_sum - float(self.xtr @ mu))
+        return terms
+
 
 class LinearStats(list):
-    """A linear tree's `LeafStats`, in ascending leaf order."""
+    """A linear tree's `LeafStats`, in ascending leaf order.
+
+    The chain's stats also hold the `tree` they were built on, the
+    `covariate_rule` and the per-leaf `covariate_sets` it gave on that tree,
+    which `LinearLeaves.stats` lends to later stats of the same tree; a
+    replay's hold None.
+    """
+
+    tree = covariate_rule = covariate_sets = None
 
     @property
     def parameter_count(self) -> int:
@@ -223,9 +258,8 @@ def linear_leaf_stats(rows_by_leaf: dict[int, np.ndarray], features: np.ndarray,
         else:
             X = build_leaf_design(rows, features, covs)
             xtx = X.T @ X
-        out.append(LeafStats(leaf, r.size, float(np.add.reduce(r)), float(r @ r),
-                             xtx=xtx, xtr=X.T @ r, covariates=covs, design=X, rows=rows,
-                             resid=resid))
+        out.append(LeafStats(leaf, r.size, float(r @ r), xtx=xtx, xtr=X.T @ r,
+                             covariates=covs, design=X, rows=rows, resid=resid))
     return out
 
 
@@ -301,7 +335,9 @@ def linear_log_marginal(stats: list[LeafStats], sigma2: float) -> float:
 
     -(n/2) log sigma^2 plus, per leaf,
     -0.5 log|V| + 0.5 log|Lambda| - (r'r - mu' Lambda^-1 mu) / (2 sigma^2)
-    with Lambda = (X'X + V^-1)^-1 and mu = Lambda X'r.
+    with Lambda = (X'X + V^-1)^-1 = A^-1 and mu = Lambda X'r. The two
+    sigma^2-free terms are each leaf's `marginal_terms`, worked out once per
+    leaf, so a leaf seen before costs two adds.
     """
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
@@ -309,24 +345,29 @@ def linear_log_marginal(stats: list[LeafStats], sigma2: float) -> float:
     total = 0.0
     for st in stats:
         n_total += st.n
-        L, mu = st.posterior
-        # log|Lambda| = -log|A|, log|A| = 2 sum log diag(L)
-        log_det_A = 2.0 * float(np.log(L.diagonal()).sum())
-        quad = float(st.xtr @ mu)     # mu' Lambda^-1 mu
-        total += -0.5 * st.prior.log_det - 0.5 * log_det_A
-        total += -(st.r_sq_sum - quad) / (2.0 * sigma2)
+        log_dets, rss = st.marginal_terms
+        total += log_dets
+        total += -rss / (2.0 * sigma2)
     return total - 0.5 * n_total * math.log(sigma2)
 
 
 def linear_sample_beta(stats: list[LeafStats], sigma2: float,
                        rng: np.random.Generator) -> dict[int, np.ndarray]:
-    """Gibbs draw of every leaf coefficient vector from N_q(Lambda X'r, sigma^2 Lambda)."""
+    """Gibbs draw of every leaf coefficient vector from N_q(Lambda X'r, sigma^2 Lambda).
+
+    The leaves' z come from one `standard_normal` call, in leaf order: the
+    values and generator state of one `standard_normal(q)` call per leaf.
+    """
+    sd = math.sqrt(sigma2)
+    z = rng.standard_normal(sum(st.q for st in stats))
     out = {}
+    start = 0
     for st in stats:
         L, mu = st.posterior
-        z = rng.standard_normal(st.q)
+        end = start + st.q
         # cov(L^-T z) = A^-1 = Lambda
-        out[st.leaf_id] = mu + math.sqrt(sigma2) * _lapack(_trtrs, L, z, lower=1, trans=1)
+        out[st.leaf_id] = mu + sd * _lapack(_trtrs, L, z[start:end], lower=1, trans=1)
+        start = end
     return out
 
 
@@ -369,13 +410,24 @@ def stored_leaf_model(tree_dict: dict):
     return ConstantLeaves(math.nan) if "mu" in node else LinearLeaves(None, (math.nan,) * 2)
 
 
+def is_finite_number(value) -> bool:
+    """Whether a stored value is a finite int or float; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:         # an int beyond the float range
+        return False
+
+
 def stored_leaf_problem(params: dict, p: int, leaf_model: str | None = None) -> str | None:
     """What makes a stored leaf's payload unusable on p features, or a leaf of
-    another model than `leaf_model` (any, when None); None if nothing."""
+    another model than `leaf_model` (any, when None); None if nothing. A
+    mean and every coefficient must be finite numbers (`is_finite_number`)."""
     if "mu" in params:
         mu = params["mu"]
-        if not isinstance(mu, (int, float)) or isinstance(mu, bool):
-            return f"leaf mean {mu!r} is not a number"
+        if not is_finite_number(mu):
+            return f"leaf mean {mu!r} is not a finite number"
     elif "beta" not in params or "covariates" not in params:
         return "leaf has neither 'mu' nor 'beta' and 'covariates'"
     else:
@@ -384,6 +436,9 @@ def stored_leaf_problem(params: dict, p: int, leaf_model: str | None = None) -> 
             return f"leaf covariates {covs!r} are not feature indices in [0, {p})"
         if not isinstance(beta, list) or len(beta) != len(covs) + 1:
             return f"leaf beta {beta!r} is not a list of {len(covs) + 1} coefficients"
+        for coef in beta:
+            if not is_finite_number(coef):
+                return f"leaf coefficient {coef!r} is not a finite number"
     own = CONSTANT if "mu" in params else LINEAR
     if leaf_model not in (None, own):
         return f"{own} leaf among stored trees whose leaves are {leaf_model}"
@@ -462,23 +517,33 @@ class LinearLeaves:
         """Stats of every leaf. A stat of `prev` (this model's stats) on the
         same rows array, covariates and residual array is taken whole;
         `linear_leaf_stats` builds the others, borrowing designs from `prev`.
-        The covariates come from `tree`, and `index` is not used."""
-        covs = leaf_covariate_sets(tree, self.covariate_rule)
+        The covariate sets are those of `prev` when it was built on this very
+        `tree` under this covariate rule, else `leaf_covariate_sets` of
+        `tree`; `index` is not used."""
+        rule = self.covariate_rule
+        if prev is not None and prev.tree is tree and prev.covariate_rule == rule:
+            covs = prev.covariate_sets
+        else:
+            covs = leaf_covariate_sets(tree, rule)
         prev = {st.leaf_id: st for st in prev} if prev else {}
-        whole = {leaf: st for leaf, st in prev.items()
-                 if st.resid is resid and st.rows is rows_by_leaf.get(leaf)
-                 and st.covariates == covs.get(leaf)}
-        built = linear_leaf_stats({leaf: rows for leaf, rows in rows_by_leaf.items()
-                                   if leaf not in whole} if whole else rows_by_leaf,
-                                  features, resid, covs, prev)
-        for st in built:
-            st.prior = self.prior(st.q)
-        if not whole:
-            return built
-        # built holds its leaves in ascending order, the order they are taken in
-        fresh = iter(built)
-        return LinearStats(whole[leaf] if leaf in whole else next(fresh)
-                           for leaf in sorted(rows_by_leaf))
+        taken, fresh = [], {}
+        for leaf in sorted(rows_by_leaf):
+            st, rows = prev.get(leaf), rows_by_leaf[leaf]
+            if (st is None or st.resid is not resid or st.rows is not rows
+                    or st.covariates != covs[leaf]):
+                fresh[leaf] = rows
+                st = None
+            taken.append(st)
+        built = iter(linear_leaf_stats(fresh, features, resid, covs, prev))
+        out = LinearStats()
+        for st in taken:
+            if st is None:
+                # built holds its leaves in ascending order, the order they are taken in
+                st = next(built)
+                st.prior = self.prior(st.q)
+            out.append(st)
+        out.tree, out.covariate_rule, out.covariate_sets = tree, rule, covs
+        return out
 
     def log_marginal(self, stats, sigma2) -> float:
         return linear_log_marginal(stats, sigma2)
@@ -512,7 +577,7 @@ class LinearLeaves:
                 if problem is not None:
                     raise ValueError(problem)
                 rows, covs = rows_by_leaf[leaf], payload[leaf]["covariates"]
-                st = LeafStats(leaf, rows.size, None, covariates=covs, rows=rows,
+                st = LeafStats(leaf, rows.size, covariates=covs, rows=rows,
                                design=build_leaf_design(rows, features, covs))
             out.append(st)
         return out

@@ -494,8 +494,7 @@ def _split_problem(feature, threshold, p: int) -> str | None:
     """
     if type(feature) is not int or not 0 <= feature < p:
         return f"split feature {feature!r} is not a feature index in [0, {p})"
-    if (not isinstance(threshold, (int, float)) or isinstance(threshold, bool)
-            or not math.isfinite(threshold)):
+    if not lv.is_finite_number(threshold):
         return f"split threshold {threshold!r} is not a finite number"
     return None
 
@@ -793,7 +792,10 @@ def read_run(path) -> tuple[dict, list[dict]]:
     number), the header is not an object, is a draw record (a run written
     before the header, with a separate metadata file), lacks a required key or
     has another `VERSION`, or when the draw count is not the header's
-    `retained`.
+    `retained`. Stored trees are checked here, once per file: a draw record
+    that is not an object, or a malformed stored tree (`_stored_tree_problem`
+    on the header's feature count, with the leaf model of the first stored
+    tree), raises ValueError naming the file, the draw and the tree index.
     """
     values = []
     with open(path, encoding="utf-8") as fh:
@@ -824,6 +826,16 @@ def read_run(path) -> tuple[dict, list[dict]]:
                          f"{header['retained']}; the file may be truncated")
     if not records:
         raise ValueError(f"{path}: no retained draws")
+    p, kind = len(header["feature_names"]), None
+    for k, record in enumerate(records):
+        trees = record.get("trees", []) if isinstance(record, dict) else None
+        if not isinstance(trees, list):
+            raise ValueError(f"{path}: draw {k} is not an object with a list of trees")
+        for t, tree_dict in enumerate(trees):
+            problem = _stored_tree_problem(tree_dict, p, kind)
+            if problem is not None:
+                raise ValueError(f"{path}: draw {k}, tree {t}: {problem}")
+            kind = kind or lv.stored_leaf_model(tree_dict).kind
     return header, records
 
 

@@ -78,7 +78,7 @@ def test_criterion_1_marginal_likelihood_oracle_equivalence():
         r = rng.normal(0, 2, n)
         sigma2 = rng.uniform(0.3, 2.0)
         v = rng.uniform(0.3, 2.0, q)
-        st = LeafStats(0, n, float(r.sum()), float(r @ r), xtx=X.T @ X,
+        st = LeafStats(0, n, float(r @ r), xtx=X.T @ X,
                        xtr=X.T @ r, prior=LeafPrior(v))
         impl = linear_log_marginal([st], sigma2)
         restored = math.exp(linear_marginal_restore_constants(impl, n))
@@ -109,7 +109,7 @@ def test_criterion_2_conjugate_sampler_moments():
     moment_check("mu", mus, 4.0 / 3.0, 1.0 / 3.0)
 
     X = np.array([[1.0, 1.0], [1.0, -1.0]])
-    beta_stats = [LeafStats(0, 2, 2.0, 4.0, xtx=X.T @ X,
+    beta_stats = [LeafStats(0, 2, 4.0, xtx=X.T @ X,
                             xtr=X.T @ np.array([2.0, 0.0]), prior=LeafPrior(np.ones(2)))]
     betas = np.array([linear_sample_beta(beta_stats, 1.0, rng)[0]
                       for _ in range(n_draws)])

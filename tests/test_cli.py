@@ -70,6 +70,27 @@ def trained_run(tmp_path, friedman_csv):
     return prefix
 
 
+@pytest.fixture(scope="module", params=["constant", "linear"])
+def stored_run(request, tmp_path_factory):
+    """(leaf model, training CSV, text of the draws file) of a small run with
+    stored trees, one per leaf model."""
+    base = tmp_path_factory.mktemp(f"stored-{request.param}")
+    data = base / "sim.csv"
+    assert run_cli("simulate", "--n", 120, "--p", 5, "--seed", 4, "--out", data) == 0
+    assert run_cli("train", "--data", data, "--target", "y", "--leaf", request.param,
+                   "--trees", 4, "--burnin", 15, "--iters", 25, "--seed", 7,
+                   "--store-trees", "--out", base / "run") == 0
+    return request.param, data, (base / "run.draws.jsonl").read_text(encoding="utf-8")
+
+
+def splits_of(tree_dict):
+    """The split rules of a stored tree in preorder, with None for a leaf."""
+    if tree_dict["kind"] == "leaf":
+        return [None]
+    return ([(tree_dict["feature"], tree_dict["threshold"])]
+            + splits_of(tree_dict["left"]) + splits_of(tree_dict["right"]))
+
+
 class TestSimulate:
     def test_writes_expected_shape(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -295,8 +316,42 @@ class TestPredict:
         code = run_cli("predict", "--run", trained_run, "--data", friedman_csv,
                        "--out", tmp_path / "p.csv")
         assert code == 1
-        assert capsys.readouterr().err == ("error: draw 2, tree 1: split feature 9 is not "
-                                           "a feature index in [0, 5)\n")
+        assert capsys.readouterr().err == (f"error: {path}: draw 2, tree 1: split feature 9 "
+                                           "is not a feature index in [0, 5)\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("value", [True, "0.5", float("nan"), float("inf")],
+                             ids=["bool", "string", "nan", "inf"])
+    @pytest.mark.parametrize("where", ["first-tree", "carried-splits"])
+    def test_non_numeric_leaf_value_is_named(self, tmp_path, stored_run, capsys, value,
+                                             where):
+        leaf_model, data, text = stored_run
+        lines = text.splitlines(keepends=True)
+        records = [json.loads(line) for line in lines[1:]]
+        if where == "first-tree":
+            k, t = 0, 0
+        else:
+            # a split tree whose splits equal the previous draw's, so the
+            # in-memory replay would reuse its routing
+            k, t = next((k, t) for k in range(1, len(records))
+                        for t, d in enumerate(records[k]["trees"])
+                        if d["kind"] == "internal"
+                        and splits_of(d) == splits_of(records[k - 1]["trees"][t]))
+        node = records[k]["trees"][t]
+        while node["kind"] == "internal":
+            node = node["left"]
+        if leaf_model == "constant":
+            node["mu"], problem = value, f"leaf mean {value!r}"
+        else:
+            node["beta"][-1], problem = value, f"leaf coefficient {value!r}"
+        lines[k + 1] = json.dumps(records[k]) + "\n"
+        path = tmp_path / "run.draws.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        code = run_cli("predict", "--run", tmp_path / "run", "--data", data,
+                       "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {path}: draw {k}, tree {t}: "
+                                           f"{problem} is not a finite number\n")
         assert not (tmp_path / "p.csv").exists()
 
     def test_truncated_draws_file_is_an_error(self, tmp_path, friedman_csv, trained_run,

@@ -38,8 +38,7 @@ def repeated_constant_stats(k, n, r_sum):
 
 def stats_from_resid(r, X, v_diag=None):
     r = np.asarray(r, dtype=float)
-    return LeafStats(0, r.size, float(r.sum()), float(r @ r),
-                     xtx=X.T @ X, xtr=X.T @ r,
+    return LeafStats(0, r.size, float(r @ r), xtx=X.T @ X, xtr=X.T @ r,
                      prior=None if v_diag is None else LeafPrior(v_diag))
 
 
@@ -143,6 +142,38 @@ def test_mean_draw_matches_per_leaf_normal_draw_for_draw():
     assert sizes == set(range(1, 13))
 
 
+def test_coefficient_draw_matches_per_leaf_normal_draw_for_draw():
+    # linear_sample_beta draws every leaf's z from one standard_normal call; it
+    # must give the values of one standard_normal(q) call per leaf and leave
+    # the generator where those calls leave it
+    setup = np.random.default_rng(3141)
+    sizes = set()
+    for seed in range(300):
+        stats = []
+        for leaf in sorted(setup.choice(60, size=int(setup.integers(1, 8)),
+                                        replace=False).tolist()):
+            q = int(setup.integers(1, 6))
+            n = int(setup.integers(1, 40))
+            X = np.column_stack([np.ones(n), setup.normal(size=(n, q - 1))])
+            st = stats_from_resid(setup.normal(0, 2, n), X, setup.uniform(0.2, 3.0, q))
+            st.leaf_id = leaf
+            stats.append(st)
+            sizes.add(q)
+        sigma2 = float(10.0 ** setup.uniform(-3, 2))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = {}
+        for st in stats:
+            L, mu = st.posterior
+            z = ref.standard_normal(st.q)
+            expected[st.leaf_id] = mu + math.sqrt(sigma2) * scipy.linalg.solve_triangular(
+                L, z, lower=True, trans="T")
+        got = linear_sample_beta(stats, sigma2, ours)
+        assert list(got) == list(expected)
+        assert all(np.array_equal(got[leaf], expected[leaf]) for leaf in expected)
+        assert ours.bit_generator.state == ref.bit_generator.state
+    assert sizes == set(range(1, 6))
+
+
 class TestBuildLeafDesign:
     def test_single_covariate(self):
         features = np.arange(12.0).reshape(4, 3)
@@ -211,7 +242,7 @@ class TestLinearLogMarginal:
             assert_allclose(lin, con + offset, rtol=0, atol=1e-10 * max(1, abs(lin)))
 
     def test_factorization_error_carries_leaf_id(self):
-        st = LeafStats(17, 1, 1.0, 1.0, xtx=np.array([[-1e12]]),
+        st = LeafStats(17, 1, 1.0, xtx=np.array([[-1e12]]),
                        xtr=np.array([1.0]), prior=LeafPrior(np.array([1.0])))
         with pytest.raises(LeafFactorizationError) as err:
             linear_log_marginal([st], 1.0)
@@ -540,8 +571,7 @@ class TestLeafModels:
                 for name in ("design", "xtx", "xtr"):
                     assert np.array_equal(getattr(st, name), getattr(ref, name))
                 assert np.array_equal(st.prior.v_diag, ref.prior.v_diag)
-                assert (st.r_sum, st.r_sq_sum, st.covariates) == (ref.r_sum, ref.r_sq_sum,
-                                                                  ref.covariates)
+                assert (st.r_sq_sum, st.covariates) == (ref.r_sq_sum, ref.covariates)
                 assert linear_log_marginal([st], 0.7) == linear_log_marginal([ref], 0.7)
 
         # same rows arrays, covariates and residual array: every stat taken whole

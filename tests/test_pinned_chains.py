@@ -114,6 +114,37 @@ def test_carried_index_and_residual_follow_every_tree_step(name, monkeypatch):
     assert sum(rec["accepted"] for rec in draws.acceptance.values()) > 0
 
 
+@pytest.mark.parametrize("name", ["linear-tree-splits", "linear-ancestors"])
+def test_covariate_sets_are_computed_once_per_tree(name, monkeypatch, pinned):
+    # a tree's stats carry its covariate sets to the tree's next step, so they
+    # are computed for each of the m stumps and then once per valid candidate,
+    # not once per tree step
+    from lmbart import leaves, trees
+
+    calls = {"covariate_sets": 0, "valid": 0}
+    covariate_sets, propose_move = leaves.leaf_covariate_sets, trees.propose_move
+
+    def counting_sets(*args):
+        calls["covariate_sets"] += 1
+        return covariate_sets(*args)
+
+    def counting_proposals(*args, **kwargs):
+        proposal = propose_move(*args, **kwargs)
+        calls["valid"] += proposal.valid
+        return proposal
+
+    monkeypatch.setattr(leaves, "leaf_covariate_sets", counting_sets)
+    monkeypatch.setattr(trees, "propose_move", counting_proposals)
+    draws = run_chain(name)
+    hp = draws.hyperparams
+    assert 0 < calls["valid"] < hp.m * (hp.burn_in + hp.post_burn_in)
+    assert calls["covariate_sets"] == hp.m + calls["valid"]
+    expected = pinned[name]
+    assert draws.acceptance == expected["acceptance"]
+    assert_allclose(draws.sigma2_chain, expected["sigma2_chain"], rtol=1e-12, atol=0)
+    assert_allclose(draws.yhat_train, expected["yhat_train"], rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("name", list(CHAINS))
 def test_recorded_counts_equal_the_reference_counters(name):
     # the record step counts leaves from the routing and parameters from the

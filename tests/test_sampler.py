@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import subprocess
@@ -909,3 +910,27 @@ class TestReadDraws:
             assert record["terminal_counts"] == draws.terminal_counts[k].tolist()
             assert record["param_counts"] == draws.param_counts[k].tolist()
             assert record["trees"] == draws.trees[k]
+
+    def test_stored_trees_are_checked_once_per_file(self, tmp_path):
+        data = friedman_generate(FriedmanSpec(n=40, p=5, seed=6))
+        scaled, info = standardize(data)
+        draws = run_regression(scaled, hp_small(m=2, burn_in=3, post_burn_in=3,
+                                                store_trees=True), info)
+        path = tmp_path / "run.draws.jsonl"
+
+        def rewrite(k, record):
+            write_run(draws, path)
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[k + 1] = json.dumps(record) + "\n"
+            path.write_text("".join(lines), encoding="utf-8")
+
+        # a linear leaf among constant ones, named by the first tree's leaf model
+        linear_tree = {"kind": "leaf", "beta": [0.5], "covariates": []}
+        rewrite(2, {"iteration": 6, "trees": [draws.trees[2][0], linear_tree]})
+        with pytest.raises(ValueError, match=r"draws\.jsonl: draw 2, tree 1: linear leaf "
+                                             "among stored trees whose leaves are constant"):
+            read_run(path)
+        rewrite(1, [1.0])
+        with pytest.raises(ValueError, match=r"draws\.jsonl: draw 1 is not an object "
+                                             "with a list of trees"):
+            read_run(path)
