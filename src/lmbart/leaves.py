@@ -21,47 +21,23 @@ The sampler builds one `LinearLeaves` per sweep, holding that sweep's taus
 (tau0, tau1); it builds the prior terms that depend on V alone (`LeafPrior`:
 V^-1 and log|V|) once per q, shared by every leaf of that q in the sweep.
 
-A model's `stats` takes `prev`, the stats it returned earlier, and reuses
-them by one rule, since a leaf's statistics are a function of its rows, its
-covariates and the residuals: a leaf of `prev` with the same id, the same
-rows array object, the same covariates and the same residual array object
-is taken whole (the same residual array means the same tree step, so the
-same model). The rule therefore needs every residual array to stay as it
-was built: the sampler makes a new one for each tree step and never writes
-into one. The sampler passes a tree's stats from its previous step to its
-current tree (a routing changes only when a move is accepted) and the
-current tree's stats to the candidate (whose untouched leaves keep the
-current routing's arrays).
+A model's `stats` hands `prev`, the stats it returned earlier, to its
+builder (`constant_leaf_stats`, `linear_leaf_stats`), which applies one rule
+in one ascending pass over the leaves: a leaf of `prev` with the same id, rows
+array object and covariates is taken whole if it was built on the same
+residual array object, and a linear one otherwise lends its design and X'X.
+The rule needs every residual array and tree to stay as built: the sampler
+makes a new residual array for each tree step and never writes into one, and
+a candidate is an edited copy (`Tree._edit`), so a linear `prev` built on the
+same tree object lends its covariate sets too.
 
-A linear tree's stats also carry its covariate sets and the tree they were
-computed from (`LinearStats`), and a `prev` built on the same tree object
-under the same covariate rule lends them, so `leaf_covariate_sets` runs once
-per tree a step builds stats on, not once per step. Lending them needs
-every tree to stay as it was when stats were built on it: the chain never
-mutates a tree after building stats on it, since a proposal's candidate is
-an edited copy (`Tree._edit`) and an accepted candidate replaces the tree.
-
-Each model applies the rule in its own `stats`. `ConstantLeaves` keeps one
-`ConstantStats` per tree, flat lists of leaf ids, rows arrays, row counts
-and residual sums beside the one residual array they were built on; it
-takes a kept leaf's entries and hands the other leaves to
-`constant_leaf_stats`. `LinearLeaves` keeps a `LinearStats`, one `LeafStats`
-per leaf (`LeafStats` is linear-only), and takes a kept leaf's stat, prior
-and factor included. A linear stat on the same rows array and covariates
-but other residuals lends its `design` and `xtx` (`linear_leaf_stats`);
-`xtr`, `r_sq_sum`, the factor and the marginal terms are recomputed, since
-the residuals and the taus move between sweeps. Every other leaf is built
-fresh.
-
-The sampler also passes the current tree's row -> leaf id index. The
-constant model sums the residuals of every leaf it builds with one
-`np.bincount` over that index (`constant_leaf_stats`); the candidate has no
-index, so its new leaves are summed leaf by leaf. `bart_sample_mu` draws
-all of a tree's means from one `standard_normal` call, and
-`linear_sample_beta` all of its coefficients. A model's `fit`
-gives a tree's fitted values from its drawn leaves: a constant tree's leaf
-means taken at the index, a linear tree's stats designs times their
-coefficients, leaf by leaf. The models serve the replay of stored trees
+The sampler also passes the current tree's row -> leaf id index, over which
+the constant builder sums every leaf with one `np.bincount`; the candidate has
+no index. `bart_sample_mu` draws all of a tree's means from one
+`standard_normal` call, and `linear_sample_beta` all of its coefficients. A
+model's `fit` gives a tree's fitted values from its drawn leaves: a constant
+tree's leaf means taken at the index, a linear tree's stats designs times
+their coefficients, leaf by leaf. The models serve the replay of stored trees
 too: `stored_leaf_model` picks one from the stored leaves, and its `replay`
 keeps what its `fit` needs of a routed tree.
 
@@ -194,13 +170,12 @@ class LeafStats:
 class LinearStats(list):
     """A linear tree's `LeafStats`, in ascending leaf order.
 
-    The chain's stats also hold the `tree` they were built on, the
-    `covariate_rule` and the per-leaf `covariate_sets` it gave on that tree,
-    which `LinearLeaves.stats` lends to later stats of the same tree; a
-    replay's hold None.
+    The chain's stats also hold the `tree` they were built on and its
+    per-leaf `covariate_sets`, which `LinearLeaves.stats` lends to later
+    stats of the same tree; a replay's hold None.
     """
 
-    tree = covariate_rule = covariate_sets = None
+    tree = covariate_sets = None
 
     @property
     def parameter_count(self) -> int:
@@ -225,39 +200,53 @@ def build_leaf_design(rows: np.ndarray, features: np.ndarray,
 
 
 def constant_leaf_stats(rows_by_leaf: dict[int, np.ndarray], resid: np.ndarray,
-                        index: np.ndarray | None = None) -> ConstantStats:
+                        index: np.ndarray | None = None,
+                        prev: ConstantStats | None = None) -> ConstantStats:
     """Stats of every leaf, in ascending leaf order.
 
     `index` is the row -> leaf id index of a routing that holds every leaf
     of `rows_by_leaf`: the leaf sums then come from one `np.bincount` over
-    all rows. Without it each leaf's residuals are gathered and summed.
+    all rows. Without it a leaf of `prev` with the same id and rows array,
+    built on `resid`, keeps its sum, and each other leaf's residuals are
+    gathered and summed.
     """
     leaves = sorted(rows_by_leaf)
     rows = [rows_by_leaf[leaf] for leaf in leaves]
     if index is not None and leaves:
         r_sum = np.bincount(index, resid, leaves[-1] + 1).take(leaves).tolist()
     else:
-        r_sum = [float(np.add.reduce(resid.take(r))) for r in rows]
+        kept = ({} if prev is None or prev.resid is not resid
+                else dict(zip(prev.leaves, zip(prev.rows, prev.r_sum))))
+        r_sum = []
+        for leaf, r in zip(leaves, rows):
+            old = kept.get(leaf)
+            r_sum.append(old[1] if old is not None and old[0] is r
+                         else float(np.add.reduce(resid.take(r))))
     return ConstantStats(leaves, rows, [r.size for r in rows], r_sum, resid)
 
 
 def linear_leaf_stats(rows_by_leaf: dict[int, np.ndarray], features: np.ndarray,
                       resid: np.ndarray, covariates_by_leaf: dict[int, list[int]],
-                      prev: dict[int, LeafStats] | None = None) -> LinearStats:
-    """Stats of every leaf; a `prev` stat on the same rows array and covariates
-    lends its design and X'X, which do not depend on the residuals."""
-    prev = prev or {}
+                      prev: LinearStats | None = None) -> LinearStats:
+    """Stats of every leaf, in ascending leaf order. A stat of `prev` on the
+    same rows array and covariates is taken whole when it was built on
+    `resid`, and otherwise lends its design and X'X, which do not depend on
+    the residuals. A stat this builds has no `prior` yet."""
+    prev = {st.leaf_id: st for st in prev} if prev else {}
     out = LinearStats()
     for leaf in sorted(rows_by_leaf):
         rows = rows_by_leaf[leaf]
         covs = covariates_by_leaf[leaf]
-        r = resid[rows]
         old = prev.get(leaf)
         if old is not None and old.rows is rows and old.covariates == covs:
+            if old.resid is resid:
+                out.append(old)
+                continue
             X, xtx = old.design, old.xtx
         else:
             X = build_leaf_design(rows, features, covs)
             xtx = X.T @ X
+        r = resid[rows]
         out.append(LeafStats(leaf, r.size, float(r @ r), xtx=xtx, xtr=X.T @ r,
                              covariates=covs, design=X, rows=rows, resid=resid))
     return out
@@ -454,22 +443,9 @@ class ConstantLeaves:
 
     def stats(self, tree, rows_by_leaf, features, resid, prev=None,
               index=None) -> ConstantStats:
-        """Stats of every leaf. A leaf of `prev` (this model's stats) with the
-        same id and rows array, built on the same residual array, is taken as
-        it is; `constant_leaf_stats` builds the others, by one `bincount` over
-        `index`, the routing's row -> leaf id index, when one is given."""
-        if prev is None or prev.resid is not resid:
-            return constant_leaf_stats(rows_by_leaf, resid, index)
-        kept = [e for e in zip(prev.leaves, prev.rows, prev.n, prev.r_sum)
-                if rows_by_leaf.get(e[0]) is e[1]]
-        same = {e[0] for e in kept}
-        fresh = constant_leaf_stats({leaf: rows for leaf, rows in rows_by_leaf.items()
-                                     if leaf not in same}, resid, index)
-        if not kept:
-            return fresh
-        # leaf ids are distinct, so the sort compares them alone
-        merged = sorted(kept + list(zip(fresh.leaves, fresh.rows, fresh.n, fresh.r_sum)))
-        return ConstantStats(*map(list, zip(*merged)), resid)
+        """Stats of every leaf by `constant_leaf_stats`, from `prev` (this
+        model's stats) or over `index`, the routing's row -> leaf id index."""
+        return constant_leaf_stats(rows_by_leaf, resid, index, prev)
 
     def log_marginal(self, stats, sigma2) -> float:
         return bart_log_marginal(stats, sigma2, self.sigma_mu2)
@@ -514,35 +490,19 @@ class LinearLeaves:
 
     def stats(self, tree, rows_by_leaf, features, resid, prev=None,
               index=None) -> LinearStats:
-        """Stats of every leaf. A stat of `prev` (this model's stats) on the
-        same rows array, covariates and residual array is taken whole;
-        `linear_leaf_stats` builds the others, borrowing designs from `prev`.
-        The covariate sets are those of `prev` when it was built on this very
-        `tree` under this covariate rule, else `leaf_covariate_sets` of
-        `tree`; `index` is not used."""
-        rule = self.covariate_rule
-        if prev is not None and prev.tree is tree and prev.covariate_rule == rule:
+        """Stats of every leaf by `linear_leaf_stats`, from `prev` (this
+        model's stats), on the covariate sets of `prev` when it was built on
+        this very `tree`, else on `leaf_covariate_sets` of `tree`; `index` is
+        not used."""
+        if prev is not None and prev.tree is tree:
             covs = prev.covariate_sets
         else:
-            covs = leaf_covariate_sets(tree, rule)
-        prev = {st.leaf_id: st for st in prev} if prev else {}
-        taken, fresh = [], {}
-        for leaf in sorted(rows_by_leaf):
-            st, rows = prev.get(leaf), rows_by_leaf[leaf]
-            if (st is None or st.resid is not resid or st.rows is not rows
-                    or st.covariates != covs[leaf]):
-                fresh[leaf] = rows
-                st = None
-            taken.append(st)
-        built = iter(linear_leaf_stats(fresh, features, resid, covs, prev))
-        out = LinearStats()
-        for st in taken:
-            if st is None:
-                # built holds its leaves in ascending order, the order they are taken in
-                st = next(built)
+            covs = leaf_covariate_sets(tree, self.covariate_rule)
+        out = linear_leaf_stats(rows_by_leaf, features, resid, covs, prev)
+        for st in out:
+            if st.prior is None:
                 st.prior = self.prior(st.q)
-            out.append(st)
-        out.tree, out.covariate_rule, out.covariate_sets = tree, rule, covs
+        out.tree, out.covariate_sets = tree, covs
         return out
 
     def log_marginal(self, stats, sigma2) -> float:

@@ -36,9 +36,10 @@ from .data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
                    SplitDictionary, split_dictionary)
 
 VERSION = "lmbart 0.1.0"
-# keys that `read_run` requires of a run's header line
+# keys that `read_run` requires of a run's header line and of each draw record
 _HEADER_KEYS = ("version", "task", "feature_names", "scaling", "acceptance", "retained",
                 "sigma2_chain")
+_DRAW_KEYS = ("iteration", "sigma2", "terminal_counts", "param_counts")
 
 UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
@@ -86,6 +87,13 @@ class Hyperparams:
     estimated intercept/slope precisions, constant leaves get uniform
     branching. `tau_b` (the fixed coefficient precision used when
     `vars_inter_slope` is off) defaults to the number of trees.
+
+    Under Dirichlet branching the model is the joint truncation
+    p(s) p(T | s) 1[T valid] of the split probabilities s and the trees T,
+    not "s ~ Dirichlet, then T from the tree prior truncated given s": the
+    conjugate update of s leaves out the truncation constant Z(s), the
+    prior probability that a tree drawn given s is valid (0.654-0.699 over
+    s on the posterior-validity gate's data).
     """
 
     m: int = 10
@@ -249,7 +257,7 @@ class TreeState:
     proposal until one is accepted (a stump's is empty).
 
     `index` is the same leaf routing as one row -> leaf id array
-    (`_leaf_index`). A tree step builds it when it is None; on acceptance
+    (`trees.leaf_index`). A tree step builds it when it is None; on acceptance
     it rewrites only the rows of the candidate leaves whose row arrays are
     new. The index belongs to this state alone and is updated in place.
     """
@@ -336,7 +344,7 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     """
     ts = state.trees[tree_index]
     if ts.index is None:
-        ts.index = _leaf_index(ts.rows_by_leaf, features.shape[0])
+        ts.index = tr.leaf_index(ts.rows_by_leaf, features.shape[0])
     resid = partial_residual(state, tree_index)
     stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, ts.stats, ts.index)
 
@@ -449,14 +457,6 @@ def _serialize_tree(ts: TreeState) -> dict:
     return ts.tree.to_dict(ts.leaf_params)
 
 
-def _leaf_index(rows_by_leaf: dict, n: int) -> np.ndarray:
-    """Row -> leaf id of a routing of n rows."""
-    index = np.empty(n, dtype=np.intp)
-    for leaf, rows in rows_by_leaf.items():
-        index[rows] = leaf
-    return index
-
-
 def _replay_tree(tree_dict: dict, features: np.ndarray, model,
                  previous: tuple | None = None) -> tuple[np.ndarray, tuple]:
     """Fit of one serialized tree on standardized features by the leaf
@@ -481,7 +481,7 @@ def _replay_tree(tree_dict: dict, features: np.ndarray, model,
                 if problem is not None:
                     raise ValueError(problem)
         rows_by_leaf = tree.leaf_rows(features)
-        index, record = _leaf_index(rows_by_leaf, features.shape[0]), None
+        index, record = tr.leaf_index(rows_by_leaf, features.shape[0]), None
     record = model.replay(rows_by_leaf, payload, features, record)
     return model.fit(payload, record, index), (splits, rows_by_leaf, index, record)
 
@@ -792,10 +792,13 @@ def read_run(path) -> tuple[dict, list[dict]]:
     number), the header is not an object, is a draw record (a run written
     before the header, with a separate metadata file), lacks a required key or
     has another `VERSION`, or when the draw count is not the header's
-    `retained`. Stored trees are checked here, once per file: a draw record
-    that is not an object, or a malformed stored tree (`_stored_tree_problem`
-    on the header's feature count, with the leaf model of the first stored
-    tree), raises ValueError naming the file, the draw and the tree index.
+    `retained`. Draw records are checked here, once per file, with
+    ValueError naming the file and the draw: a record that is not an object,
+    lacks a key of `_DRAW_KEYS` or stores another number of trees than draw
+    0 (none counting as a number), an empty list of trees, and a malformed
+    stored tree
+    (`_stored_tree_problem` on the header's feature count, with the leaf
+    model of the first stored tree), named by its index too.
     """
     values = []
     with open(path, encoding="utf-8") as fh:
@@ -828,14 +831,24 @@ def read_run(path) -> tuple[dict, list[dict]]:
         raise ValueError(f"{path}: no retained draws")
     p, kind = len(header["feature_names"]), None
     for k, record in enumerate(records):
-        trees = record.get("trees", []) if isinstance(record, dict) else None
-        if not isinstance(trees, list):
+        trees = record.get("trees") if isinstance(record, dict) else ()
+        if not isinstance(trees, (list, type(None))):
             raise ValueError(f"{path}: draw {k} is not an object with a list of trees")
-        for t, tree_dict in enumerate(trees):
+        stored = "no stored trees" if trees is None else f"{len(trees)} stored trees"
+        if k == 0:
+            if trees == []:
+                raise ValueError(f"{path}: draw 0: an empty list of stored trees")
+            first = stored
+        elif stored != first:
+            raise ValueError(f"{path}: draw {k}: {stored}, but draw 0 has {first}")
+        for t, tree_dict in enumerate(trees or ()):
             problem = _stored_tree_problem(tree_dict, p, kind)
             if problem is not None:
                 raise ValueError(f"{path}: draw {k}, tree {t}: {problem}")
             kind = kind or lv.stored_leaf_model(tree_dict).kind
+        missing = [key for key in _DRAW_KEYS if key not in record]
+        if missing:
+            raise ValueError(f"{path}: draw {k}: missing key(s) {', '.join(missing)}")
     return header, records
 
 

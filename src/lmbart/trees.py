@@ -271,13 +271,18 @@ class Partition:
         return min(rows.size for rows in self.rows_by_leaf.values())
 
 
+def leaf_index(rows_by_leaf: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Row -> leaf id of a routing of n rows."""
+    index = np.empty(n, dtype=np.intp)
+    for leaf, rows in rows_by_leaf.items():
+        index[rows] = leaf
+    return index
+
+
 def partition(tree: Tree, features: np.ndarray) -> Partition:
     """Route all rows through the tree's split rules, with a per-row leaf id view."""
     rows_by_leaf = tree.leaf_rows(features)
-    assignment = np.empty(np.asarray(features).shape[0], dtype=np.int64)
-    for leaf, rows in rows_by_leaf.items():
-        assignment[rows] = leaf
-    return Partition(assignment, rows_by_leaf)
+    return Partition(leaf_index(rows_by_leaf, np.asarray(features).shape[0]), rows_by_leaf)
 
 
 def log_tree_prior(tree: Tree, alpha: float, beta_depth: float) -> float:

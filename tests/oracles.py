@@ -4,8 +4,9 @@ Everything here is deliberately brute force: quadrature instead of closed
 forms, per-row rule walking instead of vectorized routing, explicit sums
 instead of running totals. None of it shares code with the package, except
 `grow_from_dict` and `replay_every_tree`, which build trees with the
-package's `Tree.grow` (and route them with `Tree.leaf_rows`), and
-`recursive_to_dict`, which reads a package `Tree`.
+package's `Tree.grow` (and route them with `Tree.leaf_rows`),
+`recursive_to_dict`, which reads a package `Tree`, and `with_sentinel_sums`,
+which copies a package `ConstantStats`.
 """
 
 import math
@@ -159,6 +160,17 @@ def changed_leaves(rows_by_leaf, current):
     """Leaves of a candidate routing whose rows array is not the current
     routing's own object: the leaves a move gave other rows."""
     return {leaf for leaf, rows in rows_by_leaf.items() if current.get(leaf) is not rows}
+
+
+# a residual sum no test data reaches: a constant stats build that returns it
+# for a leaf has kept that leaf from a `with_sentinel_sums` prev
+SENTINEL_SUM = 1e300
+
+
+def with_sentinel_sums(stats):
+    """A copy of constant-leaf `stats` with every residual sum `SENTINEL_SUM`."""
+    return type(stats)(stats.leaves, stats.rows, stats.n, [SENTINEL_SUM] * len(stats),
+                       stats.resid)
 
 
 def recursive_log_tree_prior(tree, alpha, beta_depth):

@@ -716,6 +716,59 @@ class TestRunMetadata:
                    "written with a separate metadata file must be trained again\n")
 
 
+@pytest.mark.parametrize("command", ["predict", "diagnostics"])
+class TestDrawRecords:
+    """A draw record that a command would crash on or misread fails with the
+    draws file and the draw named, and no predictions are written."""
+
+    def edit_draw(self, prefix, k, edit):
+        """Apply `edit` to draw k of the run at `prefix`; returns the file's path."""
+        path = prefix.parent / f"{prefix.name}.draws.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[k + 1])
+        edit(record)
+        lines[k + 1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return path
+
+    def refused(self, command, run, friedman_csv, tmp_path, capsys):
+        """The one-line error of `command` on `run`, after checking it exits 1."""
+        argv = (["predict", "--run", run, "--data", friedman_csv, "--out", tmp_path / "p.csv"]
+                if command == "predict" else ["diagnostics", "--run", run])
+        assert run_cli(*argv) == 1
+        assert not (tmp_path / "p.csv").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["iteration", "sigma2", "terminal_counts",
+                                     "param_counts"])
+    def test_missing_key(self, command, key, tmp_path, friedman_csv, trained_run, capsys):
+        path = self.edit_draw(trained_run, 2, lambda record: record.pop(key))
+        assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
+                == f"error: {path}: draw 2: missing key(s) {key}\n")
+
+    def test_missing_trees(self, command, tmp_path, friedman_csv, trained_run, capsys):
+        path = self.edit_draw(trained_run, 2, lambda record: record.pop("trees"))
+        assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
+                == f"error: {path}: draw 2: no stored trees, but draw 0 has 4 stored trees\n")
+
+    def test_a_tree_short(self, command, tmp_path, friedman_csv, trained_run, capsys):
+        path = self.edit_draw(trained_run, 2, lambda record: record["trees"].pop())
+        assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
+                == f"error: {path}: draw 2: 3 stored trees, but draw 0 has 4 stored trees\n")
+
+    def test_empty_tree_lists(self, command, tmp_path, friedman_csv, trained_run, capsys):
+        for k in range(25):
+            path = self.edit_draw(trained_run, k, lambda record: record["trees"].clear())
+        assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
+                == f"error: {path}: draw 0: an empty list of stored trees\n")
+
+    def test_trees_where_draw_0_has_none(self, command, tmp_path, friedman_csv,
+                                         trained_run, capsys):
+        path = self.edit_draw(trained_run, 0, lambda record: record.pop("trees"))
+        assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
+                == f"error: {path}: draw 1: 4 stored trees, but draw 0 has no stored trees\n")
+
+
 class TestDiagnostics:
     def test_regression_summary(self, trained_run, capsys):
         assert run_cli("diagnostics", "--run", trained_run) == 0

@@ -18,9 +18,9 @@ from lmbart.leaves import (ANCESTORS, CONSTANT, LINEAR, TREE_SPLITS,
                            linear_sample_beta)
 from lmbart.sampler import Hyperparams, run_regression
 from lmbart.trees import Tree, ancestor_covariates
-from oracles import (bart_marginal_restore_constants,
+from oracles import (SENTINEL_SUM, bart_marginal_restore_constants,
                      linear_marginal_restore_constants, quad_constant_leaf,
-                     quad_linear_leaf, subtree_leaves)
+                     quad_linear_leaf, subtree_leaves, with_sentinel_sums)
 
 
 def constant_stats(*resids):
@@ -355,7 +355,7 @@ class TestConstantLeafStatsByIndex:
             assert_allclose(r_sum, resid[rows[leaf]].sum(), rtol=1e-12)
         assert len(constant_leaf_stats({}, resid, index)) == 0
 
-    def test_the_constant_model_passes_the_index_through(self, monkeypatch):
+    def test_the_constant_model_passes_the_index_through(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(60, 3))
         t = TestLeafModels.grown_tree()
@@ -363,17 +363,16 @@ class TestConstantLeafStatsByIndex:
         index = np.empty(60, dtype=np.intp)
         for leaf, r in rows.items():
             index[r] = leaf
-        seen, build = [], leaves.constant_leaf_stats
-
-        def recording(rows, resid, index=None):
-            seen.append(index)
-            return build(rows, resid, index)
-
-        monkeypatch.setattr(leaves, "constant_leaf_stats", recording)
         model = ConstantLeaves(0.1)
         resid = rng.normal(size=60)
+        # sums over a shuffled index are not the leaves' own sums: they show
+        # that the model summed over the index it was given
+        shuffled = rng.permutation(index)
+        stats = model.stats(t, rows, X, resid, index=shuffled)
+        assert stats.r_sum == np.bincount(shuffled, resid).take(stats.leaves).tolist()
+        assert stats.r_sum != constant_leaf_stats(rows, resid).r_sum
         stats = model.stats(t, rows, X, resid, index=index)
-        assert seen == [index] and len(stats) == t.n_leaves()
+        assert len(stats) == t.n_leaves()
         fit = model.fit(model.draw(stats, 1.0, rng), stats, index)
         for leaf_rows in stats.rows:
             assert np.unique(fit[leaf_rows]).size == 1
@@ -428,9 +427,10 @@ class TestFactorOnce:
         built = []
         original = leaves.linear_leaf_stats
 
-        def counting(*args):
-            stats = original(*args)
-            built.append(len(stats))
+        def counting(rows, features, resid, covs, prev=None):
+            stats = original(rows, features, resid, covs, prev)
+            # the stats this build made, not taken from `prev`
+            built.append(sum(all(st is not old for old in prev or ()) for st in stats))
             return stats
 
         monkeypatch.setattr(leaves, "linear_leaf_stats", counting)
@@ -549,7 +549,7 @@ class TestLeafModels:
         assert leaf_parameter_count(t, kind, TREE_SPLITS) == sum(
             len(p.get("beta", [None])) for p in payload.values())
 
-    def test_prev_stats_are_taken_whole_lent_or_rebuilt(self, monkeypatch):
+    def test_prev_stats_are_taken_whole_lent_or_rebuilt(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         t = self.grown_tree()
@@ -558,13 +558,6 @@ class TestLeafModels:
         model = LinearLeaves(ANCESTORS, (1.0, 2.0))
         kept = model.stats(t, rows, X, resid)
         prev = {st.leaf_id: st for st in kept}
-        built, build = [], leaves.linear_leaf_stats
-
-        def counting_build(rows, *args):
-            built.append(sorted(rows))
-            return build(rows, *args)
-
-        monkeypatch.setattr(leaves, "linear_leaf_stats", counting_build)
 
         def check(got, fresh):
             for st, ref in zip(got, fresh):
@@ -576,7 +569,8 @@ class TestLeafModels:
 
         # same rows arrays, covariates and residual array: every stat taken whole
         got = model.stats(t, rows, X, resid, kept)
-        assert all(st is prev[st.leaf_id] for st in got) and built == [[]]
+        assert [st.leaf_id for st in got] == sorted(rows)
+        assert all(st is prev[st.leaf_id] for st in got)
 
         # another residual array: design and X'X lent, the rest built
         other = rng.normal(size=40)
@@ -584,6 +578,7 @@ class TestLeafModels:
         for st in got:
             old = prev[st.leaf_id]
             assert st is not old and st.design is old.design and st.xtx is old.xtx
+            assert st.resid is other and st.prior is model.prior(st.q)
         check(got, model.stats(t, rows, X, other))
 
         # an equal but distinct rows array, or other covariates: built fresh
@@ -593,9 +588,8 @@ class TestLeafModels:
         moved.set_rule(moved.nodes[copied].parent, 2, 0.5)   # path features {0, 1} -> {0, 2}
         for tree, rows_now, rebuilt in [(t, {**rows, copied: rows[copied].copy()}, {copied}),
                                         (moved, rows, set(rows) - {split_off})]:
-            built.clear()
             got = model.stats(tree, rows_now, X, resid, kept)
-            assert built == [sorted(rebuilt)]
+            assert {st.leaf_id for st in got if st is not prev[st.leaf_id]} == rebuilt
             for st in got:
                 old = prev[st.leaf_id]
                 assert (st is old) == (st.leaf_id not in rebuilt)
@@ -603,29 +597,32 @@ class TestLeafModels:
                     assert st.design is not old.design and st.xtx is not old.xtx
             check(got, model.stats(tree, rows_now, X, resid))
 
-        # constant stats record their rows and residuals and follow the same rule
+        # constant stats record their rows and residuals and follow the same
+        # rule; a prev whose sums are sentinels shows the leaves kept
         constant = ConstantLeaves(0.1)
         prev = constant.stats(t, rows, X, resid)
         assert all(r is rows[leaf] for leaf, r in zip(prev.leaves, prev.rows))
         assert prev.resid is resid
-        seen, build_constant = [], leaves.constant_leaf_stats
-
-        def recording(rows, *args):
-            seen.append(sorted(rows))
-            return build_constant(rows, *args)
-
-        monkeypatch.setattr(leaves, "constant_leaf_stats", recording)
-        got = constant.stats(t, rows, X, resid, prev)
-        assert seen == [[]] and (got.leaves, got.n, got.r_sum) == (prev.leaves, prev.n,
-                                                                   prev.r_sum)
+        sentinel = with_sentinel_sums(prev)
+        got = constant.stats(t, rows, X, resid, sentinel)
+        assert got.r_sum == [SENTINEL_SUM] * len(prev)
+        assert (got.leaves, got.n) == (prev.leaves, prev.n)
         assert all(a is b for a, b in zip(got.rows, prev.rows))
-        seen.clear()
-        got = constant.stats(t, rows, X, other, prev)
-        assert seen == [sorted(rows)] and got.resid is other
+        got = constant.stats(t, rows, X, other, sentinel)
+        assert SENTINEL_SUM not in got.r_sum and got.resid is other
+        assert got.r_sum == constant.stats(t, rows, X, other).r_sum
+        # summed over an index, every leaf is built
+        index = np.empty(40, dtype=np.intp)
+        for leaf, r in rows.items():
+            index[r] = leaf
+        got = constant.stats(t, rows, X, resid, sentinel, index)
+        assert SENTINEL_SUM not in got.r_sum
         # an equal but distinct rows array: that leaf alone is built, in its place
-        seen.clear()
-        got = constant.stats(t, {**rows, copied: rows[copied].copy()}, X, resid, prev)
-        assert seen == [[copied]] and (got.leaves, got.n) == (prev.leaves, prev.n)
+        got = constant.stats(t, {**rows, copied: rows[copied].copy()}, X, resid, sentinel)
+        assert (got.leaves, got.n) == (prev.leaves, prev.n)
+        assert [s == SENTINEL_SUM for s in got.r_sum] == [leaf != copied
+                                                          for leaf in prev.leaves]
+        assert got.r_sum[prev.leaves.index(copied)] == prev.r_sum[prev.leaves.index(copied)]
         assert [a is b for a, b in zip(got.rows, prev.rows)] == [leaf != copied
                                                                  for leaf in prev.leaves]
 

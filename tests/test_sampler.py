@@ -23,7 +23,8 @@ from lmbart.sampler import (Hyperparams, PosteriorDraws, calibrate_lambda,
                             sample_latent_z, sample_sigma2,
                             sample_tau_intercept, sample_tau_slopes, write_run)
 from lmbart.benchmark import FriedmanSpec, friedman_generate
-from oracles import changed_leaves, explicit_partial_residual
+from oracles import (SENTINEL_SUM, changed_leaves, explicit_partial_residual,
+                     with_sentinel_sums)
 
 
 def hp_small(**kwargs):
@@ -443,7 +444,10 @@ STEP_CONFIGS = {
 
 def traced_chain(monkeypatch, hp):
     """Run a small chain; record per tree step the tree, its routing, the
-    proposal, its outcome and the stats builds.
+    proposal, its outcome and, per stats build, how many stats it built
+    rather than took from its `prev`: for linear leaves the stats that are
+    no `prev` stat object, for constant leaves the leaves whose sum a second
+    build, from the same `prev` with sentinel sums, does not keep.
 
     Also returns the number of calls of `log_tree_prior` and `build_leaf_design`.
     """
@@ -476,8 +480,21 @@ def traced_chain(monkeypatch, hp):
     step = sampler.mh_tree_step
     monkeypatch.setattr(sampler, "mh_tree_step", recording_step)
     wrap(trees, "propose_move", lambda prop: steps[-1].update(proposal=prop))
-    for name in ("constant_leaf_stats", "linear_leaf_stats"):
-        wrap(leaves, name, lambda out: steps[-1]["built"].append(len(out)))
+    build_constant, build_linear = leaves.constant_leaf_stats, leaves.linear_leaf_stats
+
+    def constant_build(rows, resid, index=None, prev=None):
+        probe = build_constant(rows, resid, index,
+                               None if prev is None else with_sentinel_sums(prev))
+        steps[-1]["built"].append(sum(r != SENTINEL_SUM for r in probe.r_sum))
+        return build_constant(rows, resid, index, prev)
+
+    def linear_build(rows, features, resid, covs, prev=None):
+        out = build_linear(rows, features, resid, covs, prev)
+        steps[-1]["built"].append(sum(all(st is not old for old in prev or ()) for st in out))
+        return out
+
+    monkeypatch.setattr(leaves, "constant_leaf_stats", constant_build)
+    monkeypatch.setattr(leaves, "linear_leaf_stats", linear_build)
     wrap(trees, "log_tree_prior", count("log_tree_prior"))
     wrap(leaves, "build_leaf_design", count("build_leaf_design"))
     data = friedman_generate(FriedmanSpec(n=80, p=5, seed=8))
