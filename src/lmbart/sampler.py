@@ -460,30 +460,40 @@ def _serialize_tree(ts: TreeState) -> dict:
 def _replay_tree(tree_dict: dict, features: np.ndarray, model,
                  previous: tuple | None = None) -> tuple[np.ndarray, tuple]:
     """Fit of one serialized tree on standardized features by the leaf
-    `model`'s own `fit`, and its replay: (splits, rows by leaf, row -> leaf
-    id index, the model's `replay` record).
+    `model`'s own `fit`, and its replay: (splits, tree, rows by leaf, rows by
+    split node, row -> leaf id index, the model's `replay` record).
 
     `previous` is the replay of the same tree index in the previous draw.
     `Tree.from_dict` numbers nodes by the tree's shape, and the shape
     follows from which ids are split nodes, so a tree whose (feature,
     threshold) per node id equals the previous one's has the same splits:
     it reuses that routing, index and record. Any other tree has its split
-    rules checked (`_split_problem`) and is routed with `Tree.leaf_rows`.
+    rules checked (`_split_problem`) and is routed: from the root with
+    `Tree.route` in the first draw, else by `trees.carry_routing`, which
+    routes again only the rows of the topmost nodes whose rules differ from
+    the previous tree's. Its leaves are renumbered, so its index and record
+    are built afresh.
     """
     tree, payload = tr.Tree.from_dict(tree_dict)
     splits = [(nd.feature, nd.threshold) for nd in tree.nodes.values()]
     if previous is not None and previous[0] == splits:
-        _, rows_by_leaf, index, record = previous
+        _, tree, rows_by_leaf, rows_by_split, index, record = previous
     else:
         for nd in tree.nodes.values():
             if nd.feature is not None:
                 problem = _split_problem(nd.feature, nd.threshold, features.shape[1])
                 if problem is not None:
                     raise ValueError(problem)
-        rows_by_leaf = tree.leaf_rows(features)
+        if previous is None:
+            rows_by_split = {}
+            rows_by_leaf = tree.route(features, tree.root, np.arange(features.shape[0]),
+                                      rows_by_split)
+        else:
+            rows_by_leaf, rows_by_split = tr.carry_routing(tree, features, *previous[1:4])
         index, record = tr.leaf_index(rows_by_leaf, features.shape[0]), None
     record = model.replay(rows_by_leaf, payload, features, record)
-    return model.fit(payload, record, index), (splits, rows_by_leaf, index, record)
+    return model.fit(payload, record, index), (splits, tree, rows_by_leaf, rows_by_split,
+                                               index, record)
 
 
 def _split_problem(feature, threshold, p: int) -> str | None:
@@ -696,8 +706,11 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     picked from the first stored tree (`leaves.stored_leaf_model`), replays
     every tree. Each tree index carries its replay from one draw to the
     next, so a tree is routed again only when its splits changed since the
-    previous draw (see `_replay_tree`). Tree fits are summed in place, in
-    tree order.
+    previous draw, and then only below the topmost nodes whose rules
+    differ; its renumbered leaves get a new index and record (see
+    `_replay_tree`). Tree fits are summed in place into the draw's row, in
+    tree order, and the link maps all draws at once. The band equals
+    `np.quantile`'s linear method bit for bit (`quantile_band`).
 
     A malformed stored tree, or a leaf of the other leaf model (the chain
     never mixes them), raises ValueError naming its draw, its tree index
@@ -719,7 +732,7 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     model = None                  # picked from the first stored tree
     replays = {}                  # tree index -> its replay in the previous draw
     for k, tree_dicts in enumerate(trees):
-        fit = np.zeros(Xs.shape[0])
+        fit = out[k]
         for t, d in enumerate(tree_dicts):
             try:
                 model = model or lv.stored_leaf_model(d)
@@ -728,9 +741,34 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
                 problem = _stored_tree_problem(d, Xs.shape[1], model and model.kind) or exc
                 raise ValueError(f"draw {k}, tree {t}: {problem}") from exc
             fit += tree_fit
-        out[k] = ndtr(fit) if task == CLASSIFICATION else scaling.invert_response(fit)
-    lower, upper = np.quantile(out, (0.05, 0.95), axis=0)
+    out = ndtr(out) if task == CLASSIFICATION else scaling.invert_response(out)
+    lower, upper = quantile_band(out, (0.05, 0.95))
     return PredictionSummary(out.mean(axis=0), lower, upper, out)
+
+
+def quantile_band(draws: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
+    """Per column of the (K, n) `draws`, the quantiles `qs`, from one sort.
+
+    Each quantile interpolates between two order statistics by the rule of
+    numpy's default `method="linear"`, in the same float operations, so the
+    result equals `np.quantile(draws, qs, axis=0)` bit for bit; a column
+    holding a NaN gets the NaN that sorts last, as there.
+    """
+    ordered = np.sort(draws, axis=0)
+    last = ordered.shape[0] - 1
+    nan_columns = np.isnan(ordered[-1])
+    band = []
+    for q in qs:
+        at = last * q                    # numpy's virtual index
+        below = math.floor(at) if at < last else -1   # numpy's index of the maximum
+        above = below + 1 if below >= 0 else -1
+        gamma = at - below
+        a, b = ordered[below], ordered[above]
+        diff = b - a
+        value = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+        np.copyto(value, ordered[-1], where=nan_columns)
+        band.append(value)
+    return band
 
 
 def predict(draws: PosteriorDraws, X_new: np.ndarray) -> PredictionSummary:
@@ -794,11 +832,12 @@ def read_run(path) -> tuple[dict, list[dict]]:
     has another `VERSION`, or when the draw count is not the header's
     `retained`. Draw records are checked here, once per file, with
     ValueError naming the file and the draw: a record that is not an object,
-    lacks a key of `_DRAW_KEYS` or stores another number of trees than draw
-    0 (none counting as a number), an empty list of trees, and a malformed
-    stored tree
-    (`_stored_tree_problem` on the header's feature count, with the leaf
-    model of the first stored tree), named by its index too.
+    lacks a key of `_DRAW_KEYS`, holds a value there that
+    `_draw_value_problem` refuses, or stores another number of trees than
+    draw 0 (none counting as a number), an empty list of trees, and a
+    malformed stored tree (`_stored_tree_problem` on the header's feature
+    count, with the leaf model of the first stored tree), named by its index
+    too.
     """
     values = []
     with open(path, encoding="utf-8") as fh:
@@ -829,7 +868,7 @@ def read_run(path) -> tuple[dict, list[dict]]:
                          f"{header['retained']}; the file may be truncated")
     if not records:
         raise ValueError(f"{path}: no retained draws")
-    p, kind = len(header["feature_names"]), None
+    p, kind, m = len(header["feature_names"]), None, None
     for k, record in enumerate(records):
         trees = record.get("trees") if isinstance(record, dict) else ()
         if not isinstance(trees, (list, type(None))):
@@ -849,7 +888,29 @@ def read_run(path) -> tuple[dict, list[dict]]:
         missing = [key for key in _DRAW_KEYS if key not in record]
         if missing:
             raise ValueError(f"{path}: draw {k}: missing key(s) {', '.join(missing)}")
+        problem = _draw_value_problem(record, m)
+        if problem is not None:
+            raise ValueError(f"{path}: draw {k}: {problem}")
+        m = len(record["terminal_counts"])
     return header, records
+
+
+def _draw_value_problem(record: dict, m: int | None) -> str | None:
+    """What makes the values of a draw record's `_DRAW_KEYS` unusable; None
+    if nothing. Each count list holds one int per tree: `m` of them, the
+    length of draw 0's terminal counts (None when `record` is draw 0)."""
+    if type(record["iteration"]) is not int:
+        return f"iteration {record['iteration']!r} is not an int"
+    if not lv.is_finite_number(record["sigma2"]):
+        return f"sigma2 {record['sigma2']!r} is not a finite number"
+    for key in ("terminal_counts", "param_counts"):
+        counts = record[key]
+        if not (isinstance(counts, list) and counts and all(type(c) is int for c in counts)):
+            return f"{key} is not a non-empty list of ints"
+        m = m or len(counts)
+        if len(counts) != m:
+            return f"{key} holds {len(counts)} counts, but draw 0's terminal_counts holds {m}"
+    return None
 
 
 def write_sigma2_trace(sigma2_chain, path) -> None:

@@ -20,6 +20,13 @@ rows of the node its move changes, read straight from that node's entry,
 and stops as soon as a re-routed terminal falls below the minimum node size.
 A candidate tree copies only the nodes its move changes and shares the rest
 with the current tree.
+
+The replay of stored draws carries routing the same way (`carry_routing`).
+A stored tree whose splits changed since the previous draw is walked
+together with that draw's tree, node by node from the roots, and only the
+rows of the topmost nodes whose rules differ are routed again; the other
+nodes keep the previous draw's row arrays. `Tree.from_dict` numbers nodes by
+shape, so such a tree's leaves are renumbered.
 """
 
 from __future__ import annotations
@@ -402,6 +409,37 @@ def _reroute(tree: Tree, cand: Tree, features: np.ndarray, rows_by_leaf: dict,
             if old is not None and old.size == r.size and (old == r).all():
                 r = old
             leaves[leaf] = r
+    return leaves, splits
+
+
+def carry_routing(tree: Tree, features: np.ndarray, prev: Tree, prev_leaves: dict,
+                  prev_splits: dict) -> tuple[dict, dict]:
+    """`tree`'s (leaf, split) routing of `features`, carried from `prev`'s.
+
+    `prev_leaves` and `prev_splits` are `prev`'s leaf and split routing of
+    the same rows. The walk pairs nodes by position from the two roots: a
+    leaf paired with a leaf keeps the previous leaf's rows array, a split
+    node paired with a split node of equal (feature, threshold) keeps that
+    node's rows and pairs left with left and right with right, and any other
+    pair routes the previous node's rows through `tree`'s subtree with
+    `Tree.route`. Neither input routing is modified.
+    """
+    leaves, splits = {}, {}
+    nodes, prev_nodes = tree.nodes, prev.nodes
+    stack = [(tree.root, prev.root)]
+    while stack:
+        i, j = stack.pop()
+        nd, pd = nodes[i], prev_nodes[j]
+        if nd.feature is None and pd.feature is None:
+            leaves[i] = prev_leaves[j]
+        elif (nd.feature is not None and nd.feature == pd.feature
+              and nd.threshold == pd.threshold):
+            splits[i] = prev_splits[j]
+            stack.append((nd.right, pd.right))
+            stack.append((nd.left, pd.left))
+        else:
+            rows = prev_leaves[j] if pd.feature is None else prev_splits[j]
+            leaves.update(tree.route(features, i, rows, splits))
     return leaves, splits
 
 

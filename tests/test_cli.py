@@ -768,6 +768,43 @@ class TestDrawRecords:
         assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
                 == f"error: {path}: draw 1: 4 stored trees, but draw 0 has no stored trees\n")
 
+    @pytest.mark.parametrize("key, value, problem", [
+        pytest.param("sigma2", "0.5", "sigma2 '0.5' is not a finite number", id="sigma2-string"),
+        pytest.param("sigma2", True, "sigma2 True is not a finite number", id="sigma2-bool"),
+        pytest.param("sigma2", float("nan"), "sigma2 nan is not a finite number",
+                     id="sigma2-nan"),
+        pytest.param("sigma2", None, "sigma2 None is not a finite number", id="sigma2-null"),
+        pytest.param("iteration", 17.0, "iteration 17.0 is not an int", id="iteration-float"),
+        pytest.param("iteration", "17", "iteration '17' is not an int", id="iteration-string"),
+        pytest.param("terminal_counts", "4", "terminal_counts is not a non-empty list of ints",
+                     id="terminal-counts-string"),
+        pytest.param("terminal_counts", [], "terminal_counts is not a non-empty list of ints",
+                     id="terminal-counts-empty"),
+        pytest.param("terminal_counts", [2, 2.5, 1, 1],
+                     "terminal_counts is not a non-empty list of ints",
+                     id="terminal-counts-float"),
+        pytest.param("param_counts", [2, True, 1, 1],
+                     "param_counts is not a non-empty list of ints", id="param-counts-bool"),
+        pytest.param("param_counts", [2, 2, 1],
+                     "param_counts holds 3 counts, but draw 0's terminal_counts holds 4",
+                     id="param-counts-short"),
+        pytest.param("terminal_counts", [1, 1, 1, 1, 1],
+                     "terminal_counts holds 5 counts, but draw 0's terminal_counts holds 4",
+                     id="terminal-counts-long"),
+    ])
+    def test_a_value_of_the_wrong_type(self, command, key, value, problem, tmp_path,
+                                       friedman_csv, trained_run, capsys):
+        path = self.edit_draw(trained_run, 2, lambda record: record.update({key: value}))
+        assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
+                == f"error: {path}: draw 2: {problem}\n")
+
+    def test_draw_0_sets_the_tree_count(self, command, tmp_path, friedman_csv, trained_run,
+                                        capsys):
+        path = self.edit_draw(trained_run, 0, lambda record: record["param_counts"].pop())
+        assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
+                == f"error: {path}: draw 0: param_counts holds 3 counts, but draw 0's "
+                   "terminal_counts holds 4\n")
+
 
 class TestDiagnostics:
     def test_regression_summary(self, trained_run, capsys):

@@ -1,21 +1,24 @@
 """Replay of stored draws: the routing carried from one draw to the next.
 
 `predict_stored` routes a tree again only when its splits differ from the
-same tree's in the previous draw. These tests pin its output to a replay
-that rebuilds and routes every tree (`oracles.replay_every_tree`) and count
-the routing it does.
+same tree's in the previous draw, and then only the rows under the topmost
+nodes whose rules differ. These tests pin its output to a replay that
+rebuilds and routes every tree (`oracles.replay_every_tree`) and count the
+routing it does.
 """
 
 import numpy as np
 import pytest
 
 from lmbart import leaves as lv
+from lmbart import sampler
 from lmbart.benchmark import FriedmanSpec, friedman_generate
-from lmbart.data import REGRESSION, ScalingInfo, standardize
+from lmbart.data import REGRESSION, ScalingInfo, SplitDictionary, standardize
 from lmbart.sampler import Hyperparams, predict, predict_stored, run_regression
-from lmbart.trees import Tree
+from lmbart.trees import CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, propose_move, split_cdf
 from oracles import replay_every_tree
 from test_pinned_chains import CHAINS, run_chain
+from test_trees import assert_carried_routing
 
 
 def assert_same_summary(result, expected):
@@ -25,9 +28,10 @@ def assert_same_summary(result, expected):
 
 @pytest.fixture()
 def counts(monkeypatch):
-    """Calls of Tree.from_dict, Tree.leaf_rows and leaves.build_leaf_design."""
-    tally = {"from_dict": 0, "leaf_rows": 0, "build_leaf_design": 0}
-    from_dict, leaf_rows, build = Tree.from_dict, Tree.leaf_rows, lv.build_leaf_design
+    """Calls of Tree.from_dict and leaves.build_leaf_design, and the rows
+    entering Tree.route."""
+    tally = {"from_dict": 0, "routed_rows": 0, "build_leaf_design": 0}
+    from_dict, route, build = Tree.from_dict, Tree.route, lv.build_leaf_design
 
     def counting(name, fn):
         def wrapper(*args):
@@ -35,8 +39,12 @@ def counts(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def counting_rows(tree, X, node_id, rows, *rest):
+        tally["routed_rows"] += rows.size
+        return route(tree, X, node_id, rows, *rest)
+
     monkeypatch.setattr(Tree, "from_dict", staticmethod(counting("from_dict", from_dict)))
-    monkeypatch.setattr(Tree, "leaf_rows", counting("leaf_rows", leaf_rows))
+    monkeypatch.setattr(Tree, "route", counting_rows)
     monkeypatch.setattr(lv, "build_leaf_design", counting("build_leaf_design", build))
     return tally
 
@@ -52,6 +60,30 @@ def split_changes(trees) -> int:
     """Tree indices whose splits differ from the previous draw's, over all draws."""
     return sum(splits(d) != splits(prev)
                for k in range(1, len(trees)) for d, prev in zip(trees[k], trees[k - 1]))
+
+
+def rows_under_changes(d, prev, rows, X) -> int:
+    """Rows of `rows` (reaching the roots of stored trees `d` and `prev`)
+    under the topmost nodes whose rules differ between the two."""
+    if d["kind"] == prev["kind"] == "leaf":
+        return 0
+    if (d["kind"] == prev["kind"] == "internal"
+            and (d["feature"], d["threshold"]) == (prev["feature"], prev["threshold"])):
+        right = X[rows, d["feature"]] < d["threshold"]
+        return (rows_under_changes(d["left"], prev["left"], rows[~right], X)
+                + rows_under_changes(d["right"], prev["right"], rows[right], X))
+    return rows.size
+
+
+def routed_rows(trees, scaling, X_new) -> int:
+    """Rows entering routing in a replay that routes every row of each tree
+    index in the first draw, and in each later draw the rows under the
+    topmost nodes whose rules differ from the previous draw's tree."""
+    Xs = scaling.transform_features(np.asarray(X_new, dtype=float))
+    rows = np.arange(Xs.shape[0])
+    return Xs.shape[0] * len(trees[0]) + sum(
+        rows_under_changes(d, prev, rows, Xs)
+        for k in range(1, len(trees)) for d, prev in zip(trees[k], trees[k - 1]))
 
 
 def leaf_covariates(d):
@@ -97,7 +129,8 @@ def test_long_chain_routes_a_tree_only_when_its_splits_change(leaf_model, counts
     for key in counts:
         counts[key] = 0
     assert_same_summary(predict(draws, data.features), expected)
-    assert counts["leaf_rows"] == hp.m + changes
+    assert counts["routed_rows"] == routed_rows(draws.trees, draws.scaling, data.features)
+    assert counts["routed_rows"] < data.n * (hp.m + changes)   # kept subtrees are not routed
     # every stored tree is still parsed once, for its leaf payloads
     assert counts["from_dict"] == draws.retained * hp.m
     assert counts["build_leaf_design"] == design_builds(draws.trees)
@@ -132,7 +165,7 @@ def replay_hand_made(trees, counts):
 def test_leaf_values_alone_change_so_each_tree_is_routed_once(counts):
     trees = [[stump_split(0.0, const(k), const(-k)), const(10.0 * k)] for k in range(3)]
     result, seen = replay_hand_made(trees, counts)
-    assert seen["leaf_rows"] == 2
+    assert seen["routed_rows"] == routed_rows(trees, IDENTITY, X_HAND) == 2 * 4
     assert seen["from_dict"] == 6
     # x0 < 0 goes right: rows 0 and 3 get -k, rows 1 and 2 get k
     assert result.draws[2].tolist() == [18.0, 22.0, 22.0, 18.0]
@@ -143,7 +176,8 @@ def test_a_changed_threshold_reroutes_that_tree_only(counts):
     trees = [[stump_split(thr, const(1.0), const(-1.0)),
               stump_split(0.0, const(2.0), const(-2.0))] for thr in thresholds]
     result, seen = replay_hand_made(trees, counts)
-    assert seen["leaf_rows"] == 2 + 1
+    # both trees' 4 rows, then tree 0's 4 rows under its changed root
+    assert seen["routed_rows"] == routed_rows(trees, IDENTITY, X_HAND) == 2 * 4 + 4
     assert result.draws[0].tolist() == [-3.0, 3.0, 3.0, -3.0]
     assert result.draws[1].tolist() == [-3.0, 1.0, 3.0, -3.0]   # 0.25 < 0.5 now
 
@@ -153,7 +187,7 @@ def test_changed_covariates_under_the_same_split_rebuild_that_design(counts):
     trees = [[stump_split(0.0, linear([1.0] * (len(c) + 1), c), linear([0.5, 2.0], [0]))]
              for c in covariate_sets]
     result, seen = replay_hand_made(trees, counts)
-    assert seen["leaf_rows"] == 1
+    assert seen["routed_rows"] == routed_rows(trees, IDENTITY, X_HAND) == 4
     # both designs once, then only the left leaf's when its covariates change
     assert seen["build_leaf_design"] == 2 + 1
     assert result.draws[1].tolist() == [0.5 - 2.0, 1.0 + 0.25 - 3.0, 1.0 + 1.0 + 0.5,
@@ -174,9 +208,82 @@ def test_the_carried_leaf_index_follows_every_split_change(counts):
     shapes = [(shape_a, shape_b), (shape_b, shape_b), (shape_a, shape_a), (shape_a, shape_b)]
     trees = [[first(k), second(k)] for k, (first, second) in enumerate(shapes)]
     result, seen = replay_hand_made(trees, counts)
-    assert seen["leaf_rows"] == 3 + 3
+    # both trees' 4 rows, then 4 rows at each of the 4 changed roots
+    assert seen["routed_rows"] == routed_rows(trees, IDENTITY, X_HAND) == 2 * 4 + 4 * 4
     assert seen["from_dict"] == 8
     assert result.draws[3].tolist() == [-4.0 + 30.0, 4.0 - 3.0, 4.0 + 3.0, -4.0 + 30.0]
+
+
+def moved_chain(X, kinds, rng, n_min=2):
+    """(stored trees, applied kinds) of one tree index: draw 0 is a stump, and
+    draw k the tree of draw k - 1 after a valid move of `kinds[k - 1]`, or the
+    same tree when 20 proposals of that kind are invalid (kind None); every
+    draw has fresh random leaf means."""
+    split_dict = SplitDictionary([np.unique(X[:, j]) for j in range(X.shape[1])])
+    cdf = split_cdf(np.full(X.shape[1], 1 / X.shape[1]), split_dict.splittable())
+    tree, stored, applied = Tree.stump(), [], []
+    for kind in [None, *kinds]:
+        if kind is not None:
+            moves = (propose_move(tree, X, split_dict, cdf, rng, n_min, kind)
+                     for _ in range(20))
+            proposal = next((prop for prop in moves if prop.valid), None)
+            if proposal is None:
+                kind = None
+            else:
+                tree = proposal.tree
+            applied.append(kind)
+        stored.append(tree.to_dict({leaf: {"mu": float(rng.normal())}
+                                    for leaf in tree.leaves()}))
+    return stored, applied
+
+
+# root changes on a one-split tree, grows, swaps, prunes back to a stump
+# and a stump growing again; random moves follow
+SCHEDULE = [GROW, CHANGE, CHANGE, GROW, GROW, GROW, SWAP, CHANGE, SWAP, GROW, SWAP,
+            *[PRUNE] * 7, GROW, CHANGE, GROW, GROW, SWAP]
+
+
+def right_subtree_renumbered(d, prev):
+    """Whether the root's right subtree is a split that kept its rules while
+    its children's node ids moved (a grow or prune in the left subtree)."""
+    if "right" not in d or "right" not in prev or d["right"]["kind"] == "leaf":
+        return False
+    new, old = Tree.from_dict(d)[0], Tree.from_dict(prev)[0]
+    return (splits(d["right"]) == splits(prev["right"])
+            and new.nodes[new.nodes[0].right].left != old.nodes[old.nodes[0].right].left)
+
+
+def test_carried_routing_follows_random_move_sequences(monkeypatch):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(40, 3))
+    chains = [moved_chain(X, SCHEDULE + list(rng.choice(MOVE_KINDS, 40)), rng)
+              for _ in range(3)]
+    trees = [list(draw) for draw in zip(*(stored for stored, _ in chains))]
+    pairs = [(d, prev) for k in range(1, len(trees)) for d, prev in zip(trees[k], trees[k - 1])]
+    # the sequences hold every case the walk must pair correctly
+    assert any(d["kind"] == prev["kind"] == "internal"
+               and (d["feature"], d["threshold"]) != (prev["feature"], prev["threshold"])
+               for d, prev in pairs)
+    assert any(right_subtree_renumbered(d, prev) for d, prev in pairs)
+    assert any(d["kind"] == "leaf" and prev["kind"] == "internal" for d, prev in pairs)
+    assert any(d["kind"] == "internal" and prev["kind"] == "leaf" for d, prev in pairs)
+    assert all(SWAP in applied and PRUNE in applied for _, applied in chains)
+
+    replays = []
+    replay = sampler._replay_tree
+
+    def recording(*args):
+        fit, record = replay(*args)
+        replays.append(record)
+        return fit, record
+
+    monkeypatch.setattr(sampler, "_replay_tree", recording)
+    identity = ScalingInfo.identity(X.shape[1])
+    result = predict_stored(trees, REGRESSION, identity, X)
+    assert len(replays) == len(trees) * len(chains)
+    for _, tree, rows_by_leaf, rows_by_split, _, _ in replays:
+        assert_carried_routing(tree, X, rows_by_leaf, rows_by_split)
+    assert_same_summary(result, replay_every_tree(trees, REGRESSION, identity, X))
 
 
 NO_PAYLOAD = "leaf has neither 'mu' nor 'beta' and 'covariates'"
@@ -270,6 +377,30 @@ def test_non_finite_feature_is_named():
     X[1, 1] = -np.inf
     with pytest.raises(ValueError, match=r"-inf at X_new\[1, 1\]"):
         predict_stored(trees, REGRESSION, IDENTITY, X)
+
+
+@pytest.mark.parametrize("draws", [1, 2, 3, 4, 19, 20, 21, 150, 1000, 1001])
+@pytest.mark.parametrize("ties", [False, True])
+def test_the_band_equals_numpy_quantile(draws, ties):
+    # the band mirrors numpy's interpolation rule, so it is checked on every
+    # numpy version the package accepts
+    rng = np.random.default_rng(draws)
+    out = rng.normal(size=(draws, 12))
+    if ties:
+        out = np.round(out, 1)
+        out[:, :3] = 0.5                       # whole columns of one value
+    band = np.array(sampler.quantile_band(out, (0.05, 0.95)))
+    expected = np.quantile(out, (0.05, 0.95), axis=0)
+    assert np.array_equal(band, expected)
+    assert np.array_equal(band.view(np.int64), expected.view(np.int64))
+
+
+def test_the_band_of_a_column_with_nan_is_nan():
+    out = np.random.default_rng(3).normal(size=(30, 4))
+    out[7, 2] = np.nan
+    band = np.array(sampler.quantile_band(out, (0.05, 0.95)))
+    assert np.array_equal(band, np.quantile(out, (0.05, 0.95), axis=0), equal_nan=True)
+    assert np.isnan(band[:, 2]).all() and not np.isnan(band[:, [0, 1, 3]]).any()
 
 
 def test_no_stored_draws_is_an_error():
