@@ -716,6 +716,10 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     never mixes them), raises ValueError naming its draw, its tree index
     and the problem. Its splits are checked when it is routed, so a tree
     that reuses the previous draw's routing has splits already checked.
+    Leaf values are checked by one `np.isfinite` pass over the summed fits:
+    a NaN or infinite mean or coefficient names the first draw it reaches
+    and that draw's first tree `_stored_tree_problem` refuses. Finite leaf
+    values whose fits sum past the float range name the draw alone.
     """
     if not trees:
         raise ValueError("no stored draws")
@@ -741,6 +745,14 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
                 problem = _stored_tree_problem(d, Xs.shape[1], model and model.kind) or exc
                 raise ValueError(f"draw {k}, tree {t}: {problem}") from exc
             fit += tree_fit
+    if not np.isfinite(out).all():
+        # leaf values are not checked one by one, so a non-finite one shows here
+        k = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
+        for t, d in enumerate(trees[k]):
+            problem = _stored_tree_problem(d, Xs.shape[1], model.kind)
+            if problem is not None:
+                raise ValueError(f"draw {k}, tree {t}: {problem}")
+        raise ValueError(f"draw {k}: its tree fits sum to a non-finite value")
     out = ndtr(out) if task == CLASSIFICATION else scaling.invert_response(out)
     lower, upper = quantile_band(out, (0.05, 0.95))
     return PredictionSummary(out.mean(axis=0), lower, upper, out)

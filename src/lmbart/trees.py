@@ -15,18 +15,15 @@ standardized features, on which each split's column is contiguous.
 
 Carried routing: the chain keeps, for each tree, the rows of every node: a
 leaf routing (terminal id -> rows) and a split routing (split node id ->
-rows), both filled by one `Tree.route` pass. A proposal re-routes only the
-rows of the node its move changes, read straight from that node's entry,
-and stops as soon as a re-routed terminal falls below the minimum node size.
-A candidate tree copies only the nodes its move changes and shares the rest
-with the current tree.
-
-The replay of stored draws carries routing the same way (`carry_routing`).
-A stored tree whose splits changed since the previous draw is walked
-together with that draw's tree, node by node from the roots, and only the
-rows of the topmost nodes whose rules differ are routed again; the other
-nodes keep the previous draw's row arrays. `Tree.from_dict` numbers nodes by
-shape, so such a tree's leaves are renumbered.
+rows), both filled by one `Tree.route` pass. `carry_routing` moves a routing
+onto another tree: it walks the two trees together from their roots, keeps
+the row arrays of the nodes whose rules agree, and routes again only the
+rows of the topmost nodes whose rules differ. A proposal carries the current
+tree's routing onto its candidate, which copies only the nodes its move
+changes and shares the rest, and stops as soon as a re-routed terminal falls
+below the minimum node size. The replay of stored draws carries the previous
+draw's routing onto a tree whose splits changed; `Tree.from_dict` numbers
+nodes by shape, so such a tree's leaves are renumbered.
 """
 
 from __future__ import annotations
@@ -92,9 +89,6 @@ class Tree:
         t.root = self.root
         t._next_id = self._next_id
         return t
-
-    def depth_of(self, node_id: int) -> int:
-        return self.nodes[node_id].depth
 
     def leaves(self) -> list[int]:
         return [i for i, nd in self.nodes.items() if nd.feature is None]
@@ -177,39 +171,6 @@ class Tree:
             stack.append((nd.right, rows.compress(go_right)))
             stack.append((nd.left, rows.compress(~go_right)))
         return out
-
-    def subtree(self, node_id: int) -> list[int]:
-        """`node_id` and every node below it."""
-        out = []
-        stack = [node_id]
-        while stack:
-            i = stack.pop()
-            out.append(i)
-            nd = self.nodes[i]
-            if nd.feature is not None:
-                stack.extend((nd.left, nd.right))
-        return out
-
-    def validate(self) -> None:
-        """Assert the structural invariants; used by property tests."""
-        seen = set()
-        stack = [(self.root, None, 0)]
-        while stack:
-            node_id, parent, depth = stack.pop()
-            assert node_id not in seen, "node reachable twice"
-            seen.add(node_id)
-            nd = self.nodes[node_id]
-            assert nd.parent == parent, f"bad parent link at {node_id}"
-            assert nd.depth == depth, f"bad depth at {node_id}"
-            if nd.is_leaf:
-                assert nd.left is None and nd.right is None and nd.threshold is None
-            else:
-                assert nd.left is not None and nd.right is not None
-                stack.append((nd.left, node_id, depth + 1))
-                stack.append((nd.right, node_id, depth + 1))
-        assert seen == set(self.nodes), "orphan nodes in arena"
-        n_leaves = sum(1 for i in seen if self.nodes[i].is_leaf)
-        assert n_leaves == (len(seen) - n_leaves) + 1, "terminal count != internal + 1"
 
     def to_dict(self, leaf_payload: dict | None = None) -> dict:
         """Nested JSON-ready form; `leaf_payload` maps leaf id -> extra fields.
@@ -381,48 +342,30 @@ def _draw_rule(split_dict, cdf: np.ndarray | None, rng) -> tuple[int, float] | N
     return feature, float(values[rng.integers(values.size)])
 
 
-def _reroute(tree: Tree, cand: Tree, features: np.ndarray, rows_by_leaf: dict,
-             rows_by_split: dict, nodes: list[int], n_min: int = 0) -> tuple[dict, dict] | None:
-    """The candidate's (leaf, split) routing, re-routing only the rows under `nodes`.
-
-    Each node exists in both trees and no node lies under another. The
-    current tree's entries for a node and everything below it are dropped,
-    and the node's own rows are routed through the candidate's subtree.
-    Returns None as soon as a re-routed terminal gets fewer than `n_min`
-    rows. Every other entry keeps its array object, and so does a re-routed
-    leaf whose rows come out unchanged.
-    """
-    leaves, splits = dict(rows_by_leaf), dict(rows_by_split)
-    routed = []
-    for node in nodes:
-        rows = rows_by_leaf[node] if node in rows_by_leaf else rows_by_split[node]
-        for i in tree.subtree(node):
-            leaves.pop(i, None)
-            splits.pop(i, None)
-        out = cand.route(features, node, rows, splits, n_min)
-        if out is None:
-            return None
-        routed.append(out)
-    for out in routed:
-        for leaf, r in out.items():
-            old = rows_by_leaf.get(leaf)
-            if old is not None and old.size == r.size and (old == r).all():
-                r = old
-            leaves[leaf] = r
-    return leaves, splits
-
-
 def carry_routing(tree: Tree, features: np.ndarray, prev: Tree, prev_leaves: dict,
-                  prev_splits: dict) -> tuple[dict, dict]:
-    """`tree`'s (leaf, split) routing of `features`, carried from `prev`'s.
+                  prev_splits: dict, n_min: int = 0) -> tuple[dict, dict] | None:
+    """`tree`'s (leaf, split) routing of `features`, carried from `prev`'s;
+    None as soon as a re-routed terminal gets fewer than `n_min` rows.
 
     `prev_leaves` and `prev_splits` are `prev`'s leaf and split routing of
-    the same rows. The walk pairs nodes by position from the two roots: a
-    leaf paired with a leaf keeps the previous leaf's rows array, a split
-    node paired with a split node of equal (feature, threshold) keeps that
-    node's rows and pairs left with left and right with right, and any other
-    pair routes the previous node's rows through `tree`'s subtree with
-    `Tree.route`. Neither input routing is modified.
+    the same rows; neither is modified. The walk pairs nodes by position
+    from the two roots. A pair of leaves, or of split nodes with equal
+    (feature, threshold), keeps the previous node's rows array, and a split
+    pair goes on to pair left with left and right with right. Any other pair
+    is a topmost node whose rule differs, and its previous rows are routed
+    through `tree`'s subtree with `Tree.route`. A re-routed leaf that is
+    the same `Node` object as `prev`'s leaf of its id, and whose rows equal
+    that leaf's, keeps that leaf's array object, so array identity tells
+    which leaves got other rows.
+
+    A proposal's candidate is an `_edit` of `prev`, so the walk pairs nodes
+    of equal id and stops at the nodes the move changed: a grow's leaf, a
+    prune's node (whose rows array the new leaf keeps), a change's node, and
+    the higher of a swap's two nodes, or both when neither is an ancestor of
+    the other. An `_edit` copies only those nodes, so every leaf under them
+    but a grow's two new ones is `prev`'s own node. A stored tree rebuilt
+    by `Tree.from_dict` shares no node with the previous draw's, so the
+    replay compares no arrays.
     """
     leaves, splits = {}, {}
     nodes, prev_nodes = tree.nodes, prev.nodes
@@ -439,16 +382,16 @@ def carry_routing(tree: Tree, features: np.ndarray, prev: Tree, prev_leaves: dic
             stack.append((nd.left, pd.left))
         else:
             rows = prev_leaves[j] if pd.feature is None else prev_splits[j]
-            leaves.update(tree.route(features, i, rows, splits))
+            routed = tree.route(features, i, rows, splits, n_min)
+            if routed is None:
+                return None
+            for leaf, r in routed.items():
+                if nodes[leaf] is prev_nodes.get(leaf):
+                    old = prev_leaves[leaf]
+                    if old.size == r.size and (old == r).all():
+                        r = old
+                leaves[leaf] = r
     return leaves, splits
-
-
-def _top_nodes(tree: Tree, a: int, b: int) -> list[int]:
-    """[a, b], or only the higher one when it is an ancestor of the other."""
-    hi, lo = sorted((a, b), key=tree.depth_of)
-    while tree.depth_of(lo) > tree.depth_of(hi):
-        lo = tree.nodes[lo].parent
-    return [hi] if lo == hi else [a, b]
 
 
 def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray | None,
@@ -467,11 +410,10 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray |
 
     `rows_by_leaf` and `rows_by_split` are the current tree's leaf and split
     routing of `features` (None routes the missing one from the root here);
-    neither is modified. The candidate's routing is built from them by
-    routing only the rows a move touches: a grow splits its leaf's rows, a
-    prune gives its node's rows to the new leaf, a change re-routes the rows
-    of its node and a swap those of the higher of its two nodes (of both
-    when neither is an ancestor of the other).
+    neither is modified. Each move builds only its candidate tree and log
+    transition correction; one `carry_routing` call then carries the routing
+    onto the candidate, routing again only the rows under the nodes the move
+    changed.
 
     Only re-routed terminals are checked against `n_min`, and routing stops
     at the first one below it. This equals checking every terminal under
@@ -491,35 +433,29 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray |
         routed = tree.route(features, tree.root, np.arange(features.shape[0]), rows_by_split)
         rows_by_leaf = routed if rows_by_leaf is None else rows_by_leaf
 
+    correction = 0.0              # change and swap moves are symmetric
     if kind == GROW:
-        leaves = sorted(tree.leaves())
+        leaves = sorted(rows_by_leaf)
         leaf = leaves[rng.integers(len(leaves))]
         rule = _draw_rule(split_dict, cdf, rng)
         if rule is None:
             return MoveProposal.invalid(kind, "no splittable feature")
         cand = tree._edit(leaf)
         cand.grow(leaf, *rule)
-        routing = _reroute(tree, cand, features, rows_by_leaf, rows_by_split, [leaf], n_min)
-        if routing is None:
-            return MoveProposal.invalid(kind, "child below minimum node size")
         # forward picks one of the current leaves, the reverse prune one of
         # the candidate's prunable nodes; the rule's proposal probability
         # equals its prior probability, so the two cancel out of the ratio
         correction = math.log(len(leaves)) - math.log(len(cand.prunable_nodes()))
-        return MoveProposal(kind, cand, *routing, correction)
-
-    if kind == PRUNE:
+    elif kind == PRUNE:
         prunable = sorted(tree.prunable_nodes())
         if not prunable:
             return MoveProposal.invalid(kind, "no prunable node")
         target = prunable[rng.integers(len(prunable))]
         cand = tree._edit(target)
         cand.prune(target)
-        correction = math.log(len(prunable)) - math.log(cand.n_leaves())
-        routing = _reroute(tree, cand, features, rows_by_leaf, rows_by_split, [target])
-        return MoveProposal(kind, cand, *routing, correction)
-
-    if kind == CHANGE:
+        # the reverse grow picks one of the candidate's leaves, one fewer than the current's
+        correction = math.log(len(prunable)) - math.log(len(rows_by_leaf) - 1)
+    elif kind == CHANGE:
         targets = sorted(tree.prunable_nodes())
         if not targets:
             return MoveProposal.invalid(kind, "no internal node with two terminal children")
@@ -529,26 +465,23 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray |
             return MoveProposal.invalid(kind, "no splittable feature")
         cand = tree._edit(target)
         cand.set_rule(target, *rule)
-        routing = _reroute(tree, cand, features, rows_by_leaf, rows_by_split, [target], n_min)
-        if routing is None:
-            return MoveProposal.invalid(kind, "terminal below minimum node size")
-        return MoveProposal(kind, cand, *routing)
+    else:
+        # swap: exchange the rules of two distinct internal nodes
+        internal = sorted(tree.internal_nodes())
+        if len(internal) < 2:
+            return MoveProposal.invalid(kind, "fewer than two internal nodes")
+        pick = rng.choice(len(internal), size=2, replace=False)
+        a, b = internal[int(pick[0])], internal[int(pick[1])]
+        cand = tree._edit(a, b)
+        na, nb = cand.nodes[a], cand.nodes[b]
+        na.feature, nb.feature = nb.feature, na.feature
+        na.threshold, nb.threshold = nb.threshold, na.threshold
 
-    # swap: exchange the rules of two distinct internal nodes
-    internal = sorted(tree.internal_nodes())
-    if len(internal) < 2:
-        return MoveProposal.invalid(kind, "fewer than two internal nodes")
-    pick = rng.choice(len(internal), size=2, replace=False)
-    a, b = internal[int(pick[0])], internal[int(pick[1])]
-    cand = tree._edit(a, b)
-    na, nb = cand.nodes[a], cand.nodes[b]
-    na.feature, nb.feature = nb.feature, na.feature
-    na.threshold, nb.threshold = nb.threshold, na.threshold
-    routing = _reroute(tree, cand, features, rows_by_leaf, rows_by_split,
-                       _top_nodes(tree, a, b), n_min)
+    routing = carry_routing(cand, features, tree, rows_by_leaf, rows_by_split, n_min)
     if routing is None:
-        return MoveProposal.invalid(SWAP, "terminal below minimum node size")
-    return MoveProposal(SWAP, cand, *routing)
+        return MoveProposal.invalid(kind, "child below minimum node size" if kind == GROW
+                                    else "terminal below minimum node size")
+    return MoveProposal(kind, cand, *routing, correction)
 
 
 def split_covariates(tree: Tree) -> set[int]:

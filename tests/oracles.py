@@ -5,8 +5,8 @@ forms, per-row rule walking instead of vectorized routing, explicit sums
 instead of running totals. None of it shares code with the package, except
 `grow_from_dict` and `replay_every_tree`, which build trees with the
 package's `Tree.grow` (and route them with `Tree.leaf_rows`),
-`recursive_to_dict`, which reads a package `Tree`, and `with_sentinel_sums`,
-which copies a package `ConstantStats`.
+`recursive_to_dict` and `validate_tree`, which read a package `Tree`, and
+`with_sentinel_sums`, which copies a package `ConstantStats`.
 """
 
 import math
@@ -128,6 +128,44 @@ def node_rows(tree, X):
 
     visit(tree.root, np.arange(X.shape[0]))
     return out
+
+
+def validate_tree(tree):
+    """Assert a tree's structural invariants: every node reachable once from
+    the root, with its parent link and depth, leaves with no children or
+    threshold, split nodes with two children, and one more terminal than
+    internal node."""
+    seen = set()
+    stack = [(tree.root, None, 0)]
+    while stack:
+        node_id, parent, depth = stack.pop()
+        assert node_id not in seen, "node reachable twice"
+        seen.add(node_id)
+        nd = tree.nodes[node_id]
+        assert nd.parent == parent, f"bad parent link at {node_id}"
+        assert nd.depth == depth, f"bad depth at {node_id}"
+        if nd.is_leaf:
+            assert nd.left is None and nd.right is None and nd.threshold is None
+        else:
+            assert nd.left is not None and nd.right is not None
+            stack.append((nd.left, node_id, depth + 1))
+            stack.append((nd.right, node_id, depth + 1))
+    assert seen == set(tree.nodes), "orphan nodes in arena"
+    n_leaves = sum(1 for i in seen if tree.nodes[i].is_leaf)
+    assert n_leaves == (len(seen) - n_leaves) + 1, "terminal count != internal + 1"
+
+
+def rows_under_changes(d, prev, rows, X) -> int:
+    """Rows of `rows` (reaching the roots of stored trees `d` and `prev`)
+    under the topmost nodes whose rules differ between the two."""
+    if d["kind"] == prev["kind"] == "leaf":
+        return 0
+    if (d["kind"] == prev["kind"] == "internal"
+            and (d["feature"], d["threshold"]) == (prev["feature"], prev["threshold"])):
+        right = X[rows, d["feature"]] < d["threshold"]
+        return (rows_under_changes(d["left"], prev["left"], rows[~right], X)
+                + rows_under_changes(d["right"], prev["right"], rows[right], X))
+    return rows.size
 
 
 def subtree_leaves(tree, node_id):

@@ -16,7 +16,7 @@ from lmbart.benchmark import FriedmanSpec, friedman_generate
 from lmbart.data import REGRESSION, ScalingInfo, SplitDictionary, standardize
 from lmbart.sampler import Hyperparams, predict, predict_stored, run_regression
 from lmbart.trees import CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, propose_move, split_cdf
-from oracles import replay_every_tree
+from oracles import replay_every_tree, rows_under_changes
 from test_pinned_chains import CHAINS, run_chain
 from test_trees import assert_carried_routing
 
@@ -60,19 +60,6 @@ def split_changes(trees) -> int:
     """Tree indices whose splits differ from the previous draw's, over all draws."""
     return sum(splits(d) != splits(prev)
                for k in range(1, len(trees)) for d, prev in zip(trees[k], trees[k - 1]))
-
-
-def rows_under_changes(d, prev, rows, X) -> int:
-    """Rows of `rows` (reaching the roots of stored trees `d` and `prev`)
-    under the topmost nodes whose rules differ between the two."""
-    if d["kind"] == prev["kind"] == "leaf":
-        return 0
-    if (d["kind"] == prev["kind"] == "internal"
-            and (d["feature"], d["threshold"]) == (prev["feature"], prev["threshold"])):
-        right = X[rows, d["feature"]] < d["threshold"]
-        return (rows_under_changes(d["left"], prev["left"], rows[~right], X)
-                + rows_under_changes(d["right"], prev["right"], rows[right], X))
-    return rows.size
 
 
 def routed_rows(trees, scaling, X_new) -> int:
@@ -349,6 +336,32 @@ def test_a_leaf_of_the_other_leaf_model_is_named_by_draw_and_tree(trees, where, 
     with pytest.raises(ValueError) as info:
         predict_stored(trees, REGRESSION, IDENTITY, X_HAND)
     assert str(info.value) == f"{where}: {problem}"
+
+
+@pytest.mark.parametrize("trees, where, problem", [
+    pytest.param([[stump_split(0.0, const(1.0), const(float("nan")))]],
+                 "draw 0, tree 0", "leaf mean nan is not a finite number", id="constant-mean"),
+    # the splits equal the previous draw's, so the tree is not routed again
+    pytest.param([[const(1.0), stump_split(0.0, const(1.0), const(2.0))],
+                  [const(1.0), stump_split(0.0, const(1.0), const(-float("inf")))]],
+                 "draw 1, tree 1", "leaf mean -inf is not a finite number", id="kept-splits"),
+    # the covariates equal the previous draw's too, so the leaf's design is kept
+    pytest.param([[linear_stump(0.0, linear([0.5], []))],
+                  [stump_split(0.0, linear([1.0, float("nan")], [0]), linear([0.5], []))]],
+                 "draw 1, tree 0", "leaf coefficient nan is not a finite number",
+                 id="carried-linear-leaf"),
+])
+def test_a_non_finite_leaf_value_is_named_by_draw_and_tree(trees, where, problem):
+    with pytest.raises(ValueError) as info:
+        predict_stored(trees, REGRESSION, IDENTITY, X_HAND)
+    assert str(info.value) == f"{where}: {problem}"
+
+
+def test_finite_leaf_values_whose_fits_overflow_name_the_draw():
+    trees = [[const(1.0), const(1.0)], [const(1e308), const(1e308)]]
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        predict_stored(trees, REGRESSION, IDENTITY, X_HAND)
+    assert str(info.value) == "draw 1: its tree fits sum to a non-finite value"
 
 
 @pytest.mark.parametrize("tree, problem", [

@@ -13,7 +13,8 @@ from lmbart.trees import (CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, _draw_rul
                           ancestor_covariates, log_tree_prior, partition,
                           propose_move, split_cdf, split_covariates)
 from oracles import (BELOW_N_MIN, changed_leaves, full_size_check, grow_from_dict, node_rows,
-                     recursive_log_tree_prior, recursive_to_dict, route_row)
+                     recursive_log_tree_prior, recursive_to_dict, route_row, rows_under_changes,
+                     validate_tree)
 from test_pinned_chains import CHAINS, chain_data, run_chain
 
 
@@ -61,6 +62,21 @@ def assert_carried_routing(tree, X, rows_by_leaf, rows_by_split):
         nd = tree.nodes[node_id]
         children = np.concatenate((carried[nd.left], carried[nd.right]))
         assert_array_equal(np.sort(children), rows)
+
+
+def rule(tree, node_id):
+    nd = tree.nodes[node_id]
+    return nd.feature, nd.threshold
+
+
+def nested(tree, a, b):
+    """Whether one of the nodes `a` and `b` lies under the other."""
+    for node_id, other in ((a, b), (b, a)):
+        while node_id is not None:
+            if node_id == other:
+                return True
+            node_id = tree.nodes[node_id].parent
+    return False
 
 
 def figure_tree():
@@ -122,7 +138,7 @@ class TestLogTreePrior:
             if not prop.valid:
                 continue
             child = next(iter(changed_leaves(prop.rows_by_leaf, current)))
-            grown_leaf_depth = prop.tree.depth_of(child) - 1
+            grown_leaf_depth = prop.tree.nodes[child].depth - 1
             full = (log_tree_prior(prop.tree, 0.95, 2.0)
                     - log_tree_prior(t, 0.95, 2.0))
             assert_allclose(grow_delta(grown_leaf_depth, 0.95, 2.0), full,
@@ -173,8 +189,8 @@ class TestPartition:
                 current = t.leaf_rows(d.features)
                 prop = propose_move(t, d.features, sd, cdf, rng, n_min=1,
                                     kind=GROW, rows_by_leaf=current)
-                if prop.valid and prop.tree.depth_of(
-                        next(iter(changed_leaves(prop.rows_by_leaf, current)))) <= 3:
+                if prop.valid and prop.tree.nodes[
+                        next(iter(changed_leaves(prop.rows_by_leaf, current)))].depth <= 3:
                     t = prop.tree
             part = partition(t, d.features)
             for i in range(n):
@@ -352,7 +368,7 @@ class TestInvariantsUnderMoves:
                 t = prop.tree
                 current, splits = prop.rows_by_leaf, prop.rows_by_split
                 accepted += 1
-                t.validate()
+                validate_tree(t)
                 assert_carried_routing(t, d.features, current, splits)
                 part = partition(t, d.features)
                 assert sum(part.counts.values()) == d.n
@@ -404,6 +420,43 @@ class TestInvariantsUnderMoves:
         if n_min > 1:
             assert {(GROW, BELOW_N_MIN[GROW]), (CHANGE, BELOW_N_MIN[CHANGE]),
                     (SWAP, BELOW_N_MIN[SWAP])} <= seen
+
+    def test_a_proposal_routes_only_the_rows_under_its_topmost_changed_nodes(self, monkeypatch):
+        d, sd = make_dataset(n=200, p=3, seed=5)
+        rng = np.random.default_rng(29)
+        cdf = uniform_cdf(sd)
+        routed = []
+        route = Tree.route
+
+        def counting(tree, X, node_id, rows, *rest):
+            routed.append(rows.size)
+            return route(tree, X, node_id, rows, *rest)
+
+        monkeypatch.setattr(Tree, "route", counting)
+        t = Tree()
+        current, splits = t.leaf_rows(d.features), {}
+        checked = {kind: 0 for kind in MOVE_KINDS}
+        unnested_swaps = 0
+        for _ in range(3000):
+            routed.clear()
+            prop = propose_move(t, d.features, sd, cdf, rng, n_min=5,
+                                rows_by_leaf=current, rows_by_split=splits)
+            if not prop.valid:
+                continue
+            assert sum(routed) == rows_under_changes(prop.tree.to_dict(), t.to_dict(),
+                                                     np.arange(d.n), d.features)
+            checked[prop.kind] += 1
+            if prop.kind == SWAP:
+                # empty when the two swapped rules are equal
+                swapped = [i for i in t.internal_nodes() if rule(t, i) != rule(prop.tree, i)]
+                if len(swapped) == 2 and not nested(t, *swapped):
+                    # neither node is the other's ancestor: both are re-routed
+                    assert sum(routed) == sum(splits[i].size for i in swapped)
+                    unnested_swaps += 1
+            if rng.uniform() < 0.5:
+                t, current, splits = prop.tree, prop.rows_by_leaf, prop.rows_by_split
+        assert min(checked.values()) > 0
+        assert unnested_swaps > 0
 
     def test_grow_then_prune_restores_routing(self):
         d, sd = make_dataset(n=100, seed=13)
@@ -573,7 +626,7 @@ def assert_rebuilds_like_grow(d):
     assert (tree.root, tree._next_id) == (ref.root, ref._next_id)
     assert list(payload.items()) == list(ref_payload.items())
     assert [list(v) for v in payload.values()] == [list(v) for v in ref_payload.values()]
-    tree.validate()
+    validate_tree(tree)
 
 
 class TestRebuild:
