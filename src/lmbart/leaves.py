@@ -14,8 +14,10 @@ factor and the posterior mean, and the marginal's two sigma^2-free terms are
 worked out once per `LeafStats` too (`LeafStats.marginal_terms`), so a leaf
 that a candidate takes whole costs the marginal two adds. They call LAPACK
 `potrf`/`potrs`/`trtrs` directly, the routines behind `scipy.linalg`'s
-`cholesky`/`cho_solve`/`solve_triangular`, so results match those wrappers
-bit for bit.
+`cholesky`/`cho_solve`/`solve_triangular`, so their results match those
+wrappers bit for bit. The q-sized work around them (q <= p + 1) runs on Python
+floats: the finiteness checks, the two marginal terms (last bits may differ from
+numpy's) and the draw's coefficients (numpy's roundings, so the same draws).
 
 The sampler builds one `LinearLeaves` per sweep, holding that sweep's taus
 (tau0, tau1); it builds the prior terms that depend on V alone (`LeafPrior`:
@@ -56,6 +58,7 @@ comparing against brute-force integration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,20 +153,22 @@ class LeafStats:
         post = self._posterior
         if post is None:
             L = _posterior_factor(self)
-            post = self._posterior = L, _lapack(_potrs, L, _finite(self.xtr), lower=1)
+            post = self._posterior = L, _lapack(_potrs, L, _finite(self.xtr), 1)
         return post
 
     @property
     def marginal_terms(self) -> tuple[float, float]:
         """The sigma^2-free terms of the leaf's log marginal: -0.5 log|V| -
-        0.5 log|A| and r'r - mu' Lambda^-1 mu (see `linear_log_marginal`)."""
+        0.5 log|A| and r'r - mu' Lambda^-1 mu (see `linear_log_marginal`),
+        summed on Python floats, which may differ from numpy in the last bit."""
         terms = self._terms
         if terms is None:
             L, mu = self.posterior
             # log|A| = 2 sum log diag(L); mu' Lambda^-1 mu = X'r . mu
-            log_det_A = 2.0 * float(np.log(L.diagonal()).sum())
+            log_det_A = 2.0 * sum(map(math.log, L.diagonal().tolist()))
+            quad = sum(map(operator.mul, self.xtr.tolist(), mu.tolist()))
             terms = self._terms = (-0.5 * self.prior.log_det - 0.5 * log_det_A,
-                                   self.r_sq_sum - float(self.xtr @ mu))
+                                   self.r_sq_sum - quad)
         return terms
 
 
@@ -283,16 +288,16 @@ def bart_sample_mu(stats: ConstantStats, sigma2: float, sigma_mu2: float,
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
-    """`a`, checked by one reduction: an inf or NaN anywhere makes its sum
-    non-finite (so does a sum that overflows, which no leaf algebra survives)."""
-    if not math.isfinite(np.add.reduce(a, None)):
+    """`a`, checked by one warning-free sum of its entries as Python floats: an inf or
+    NaN makes it non-finite (so does an overflow, which no leaf algebra survives)."""
+    if not math.isfinite(sum(a.ravel().tolist())):
         raise ValueError("array must not contain infs or NaNs")
     return a
 
 
-def _lapack(routine, *args, **kwargs) -> np.ndarray:
-    """Call a LAPACK routine and raise on its info code, as scipy.linalg does."""
-    out, info = routine(*args, **kwargs)
+def _lapack(routine, *args) -> np.ndarray:
+    """Call a LAPACK routine, flags by position, and raise on its info code as scipy does."""
+    out, info = routine(*args)
     if info > 0:
         raise np.linalg.LinAlgError(f"{routine.__name__} failed with info {info}")
     if info < 0:
@@ -302,7 +307,7 @@ def _lapack(routine, *args, **kwargs) -> np.ndarray:
 
 def cholesky(A: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of A, equal to scipy.linalg.cholesky(A, lower=True)."""
-    return _lapack(_potrf, _finite(A), lower=1, clean=1)
+    return _lapack(_potrf, _finite(A), 1, 1)        # lower, clean
 
 
 def _posterior_factor(st: LeafStats) -> np.ndarray:
@@ -341,11 +346,13 @@ def linear_log_marginal(stats: list[LeafStats], sigma2: float) -> float:
 
 
 def linear_sample_beta(stats: list[LeafStats], sigma2: float,
-                       rng: np.random.Generator) -> dict[int, np.ndarray]:
+                       rng: np.random.Generator) -> dict[int, list[float]]:
     """Gibbs draw of every leaf coefficient vector from N_q(Lambda X'r, sigma^2 Lambda).
 
     The leaves' z come from one `standard_normal` call, in leaf order: the
     values and generator state of one `standard_normal(q)` call per leaf.
+    Each leaf gets a list of Python floats m + sd * x, with the two roundings
+    per coefficient of numpy's `mu + sd * x`, so it equals that bit for bit.
     """
     sd = math.sqrt(sigma2)
     z = rng.standard_normal(sum(st.q for st in stats))
@@ -355,7 +362,8 @@ def linear_sample_beta(stats: list[LeafStats], sigma2: float,
         L, mu = st.posterior
         end = start + st.q
         # cov(L^-T z) = A^-1 = Lambda
-        out[st.leaf_id] = mu + sd * _lapack(_trtrs, L, z[start:end], lower=1, trans=1)
+        x = _lapack(_trtrs, L, z[start:end], 1, 1)        # lower, transposed
+        out[st.leaf_id] = [m + sd * v for m, v in zip(mu.tolist(), x.tolist())]
         start = end
     return out
 
@@ -510,7 +518,7 @@ class LinearLeaves:
 
     def draw(self, stats, sigma2, rng) -> dict[int, dict]:
         betas = linear_sample_beta(stats, sigma2, rng)
-        return {st.leaf_id: {"beta": betas[st.leaf_id].tolist(),
+        return {st.leaf_id: {"beta": betas[st.leaf_id],
                              "covariates": st.covariates} for st in stats}
 
     def fit(self, params, stats, index) -> np.ndarray:

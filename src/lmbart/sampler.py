@@ -735,16 +735,17 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     out = np.zeros((len(trees), Xs.shape[0]))
     model = None                  # picked from the first stored tree
     replays = {}                  # tree index -> its replay in the previous draw
-    for k, tree_dicts in enumerate(trees):
-        fit = out[k]
-        for t, d in enumerate(tree_dicts):
-            try:
-                model = model or lv.stored_leaf_model(d)
-                tree_fit, replays[t] = _replay_tree(d, Xs, model, replays.get(t))
-            except (KeyError, TypeError, IndexError, ValueError) as exc:
-                problem = _stored_tree_problem(d, Xs.shape[1], model and model.kind) or exc
-                raise ValueError(f"draw {k}, tree {t}: {problem}") from exc
-            fit += tree_fit
+    with np.errstate(over="ignore", invalid="ignore"):    # the finite check names these
+        for k, tree_dicts in enumerate(trees):
+            fit = out[k]
+            for t, d in enumerate(tree_dicts):
+                try:
+                    model = model or lv.stored_leaf_model(d)
+                    tree_fit, replays[t] = _replay_tree(d, Xs, model, replays.get(t))
+                except (KeyError, TypeError, IndexError, ValueError) as exc:
+                    problem = _stored_tree_problem(d, Xs.shape[1], model and model.kind) or exc
+                    raise ValueError(f"draw {k}, tree {t}: {problem}") from exc
+                fit += tree_fit
     if not np.isfinite(out).all():
         # leaf values are not checked one by one, so a non-finite one shows here
         k = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])

@@ -442,10 +442,6 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray |
             return MoveProposal.invalid(kind, "no splittable feature")
         cand = tree._edit(leaf)
         cand.grow(leaf, *rule)
-        # forward picks one of the current leaves, the reverse prune one of
-        # the candidate's prunable nodes; the rule's proposal probability
-        # equals its prior probability, so the two cancel out of the ratio
-        correction = math.log(len(leaves)) - math.log(len(cand.prunable_nodes()))
     elif kind == PRUNE:
         prunable = sorted(tree.prunable_nodes())
         if not prunable:
@@ -481,6 +477,11 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray |
     if routing is None:
         return MoveProposal.invalid(kind, "child below minimum node size" if kind == GROW
                                     else "terminal below minimum node size")
+    if kind == GROW:
+        # forward picks one of the current leaves, the reverse prune one of the
+        # (valid) candidate's prunable nodes; the rule's proposal probability
+        # equals its prior probability, so the two cancel out of the ratio
+        correction = math.log(len(rows_by_leaf)) - math.log(len(cand.prunable_nodes()))
     return MoveProposal(kind, cand, *routing, correction)
 
 

@@ -359,7 +359,7 @@ def test_a_non_finite_leaf_value_is_named_by_draw_and_tree(trees, where, problem
 
 def test_finite_leaf_values_whose_fits_overflow_name_the_draw():
     trees = [[const(1.0), const(1.0)], [const(1e308), const(1e308)]]
-    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError) as info:
         predict_stored(trees, REGRESSION, IDENTITY, X_HAND)
     assert str(info.value) == "draw 1: its tree fits sum to a non-finite value"
 

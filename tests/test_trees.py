@@ -273,6 +273,26 @@ class TestProposeMove:
                                 n_min=10, kind=GROW)
             assert not prop.valid
 
+    def test_a_grow_below_minimum_node_size_counts_no_prunable_nodes(self, monkeypatch):
+        # the reverse prune's count enters only a valid grow's correction
+        X = np.array([[0.0]] * 9 + [[100.0]] * 41)
+        d = Dataset(X, np.zeros(50), ["a"], REGRESSION)
+        sd = split_dictionary(d)
+        calls = []
+        scan = Tree.prunable_nodes
+        monkeypatch.setattr(Tree, "prunable_nodes",
+                            lambda tree: calls.append(tree) or scan(tree))
+        rng = np.random.default_rng(0)
+        seen = set()
+        for n_min in (10, 5):     # every grow fails 10; threshold 100 passes 5
+            for _ in range(20):
+                calls.clear()
+                prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng,
+                                    n_min=n_min, kind=GROW)
+                assert calls == ([prop.tree] if prop.valid else [])
+                seen.add((n_min, prop.valid))
+        assert seen == {(10, False), (5, False), (5, True)}
+
     def test_unsplittable_features_excluded(self):
         X = np.column_stack([np.full(30, 3.0), np.arange(30.0)])
         d = Dataset(X, np.zeros(30), ["a", "b"], REGRESSION)
