@@ -75,8 +75,6 @@ class ParamAccounting:
     """Parameter spend of one run: leaf parameters summed over trees and iterations."""
 
     total: int
-    mean_per_iteration: float
-    std_per_iteration: float
     mean_params_per_tree: float
     mean_terminal_per_tree: float
 
@@ -87,13 +85,11 @@ def parameter_accounting(draws: PosteriorDraws) -> ParamAccounting:
     The per-tree means divide the run total by iterations x trees, so the
     identity total == mean_params_per_tree * K * m holds exactly.
     """
-    per_iter = draws.param_counts.sum(axis=1)
     k, m = draws.param_counts.shape
+    total = int(draws.param_counts.sum())
     return ParamAccounting(
-        total=int(per_iter.sum()),
-        mean_per_iteration=float(per_iter.mean()),
-        std_per_iteration=float(per_iter.std(ddof=1)) if k > 1 else 0.0,
-        mean_params_per_tree=float(per_iter.sum()) / (k * m),
+        total=total,
+        mean_params_per_tree=total / (k * m),
         mean_terminal_per_tree=float(draws.terminal_counts.sum()) / (k * m),
     )
 

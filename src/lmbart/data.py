@@ -88,7 +88,8 @@ class ScalingInfo:
     columns get scale 1 and center equal to the constant, so they map to
     zero and invert exactly. The response map (regression only, when
     `response_scaled`) is (y - center) / scale with center the midrange
-    and scale the range, so min -> -0.5 and max -> +0.5.
+    and scale the range, so min -> -0.5 and max -> +0.5. Every center and
+    scale must be finite and every scale positive, else DataError.
     """
 
     feature_centers: np.ndarray
@@ -102,6 +103,9 @@ class ScalingInfo:
         s = np.asarray(self.feature_scales, dtype=float)
         object.__setattr__(self, "feature_centers", c)
         object.__setattr__(self, "feature_scales", s)
+        for name in ("feature_centers", "feature_scales", "response_center", "response_scale"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if np.any(s <= 0) or self.response_scale <= 0:
             raise DataError("scales must be positive")
 

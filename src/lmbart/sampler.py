@@ -253,13 +253,11 @@ class TreeState:
     `rows_by_leaf` and `rows_by_split` are the tree's routing of the
     training rows, every node's ascending rows, as `Tree.route` fills them;
     `propose_move` re-routes from them only the rows its move changes.
-    `rows_by_split` None routes the split nodes' rows from the root at each
-    proposal until one is accepted (a stump's is empty).
 
     `index` is the same leaf routing as one row -> leaf id array
-    (`trees.leaf_index`). A tree step builds it when it is None; on acceptance
-    it rewrites only the rows of the candidate leaves whose row arrays are
-    new. The index belongs to this state alone and is updated in place.
+    (`trees.leaf_index`). On acceptance a tree step rewrites only the rows of
+    the candidate leaves whose row arrays are new. The index belongs to this
+    state alone and is updated in place.
     """
 
     tree: tr.Tree
@@ -267,9 +265,9 @@ class TreeState:
     rows_by_leaf: dict             # leaf id -> training row indices
     fit: np.ndarray                # (n,) current contribution
     log_prior: float               # log_tree_prior(tree), updated on acceptance
+    rows_by_split: dict            # split node id -> training row indices
+    index: np.ndarray              # (n,) training row -> leaf id
     stats: object = None           # the leaf model's stats of the kept tree
-    rows_by_split: dict | None = None          # split node id -> training row indices
-    index: np.ndarray | None = None            # (n,) training row -> leaf id
 
 
 @dataclass
@@ -291,7 +289,7 @@ class SamplerState:
     split_probs: np.ndarray
     total_fit: np.ndarray
     target: np.ndarray             # y (internal scale) or latent z
-    resid: np.ndarray | None = None   # target - sum of fits; None forms it from total_fit
+    resid: np.ndarray              # target - sum of every tree's fit
     probit: bool = False           # target is latent z given labels; sigma2 pinned at 1
     iteration: int = 0             # sweeps completed
     acceptance: dict = field(default_factory=lambda: {
@@ -301,10 +299,8 @@ class SamplerState:
 
 def partial_residual(state: SamplerState, tree_index: int) -> np.ndarray:
     """R_t = target - sum of every other tree's fit: the carried full residual
-    plus the tree's own fit, a new array. A state without a carried residual
-    (`resid` None) forms it from `total_fit`."""
-    resid = state.resid if state.resid is not None else state.target - state.total_fit
-    return resid + state.trees[tree_index].fit
+    plus the tree's own fit, a new array."""
+    return state.resid + state.trees[tree_index].fit
 
 
 def leaf_model(hp: Hyperparams, taus: tuple[float, float]):
@@ -343,8 +339,6 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     (`fit`). `total_fit` is left to `sweep`.
     """
     ts = state.trees[tree_index]
-    if ts.index is None:
-        ts.index = tr.leaf_index(ts.rows_by_leaf, features.shape[0])
     resid = partial_residual(state, tree_index)
     stats = model.stats(ts.tree, ts.rows_by_leaf, features, resid, ts.stats, ts.index)
 
@@ -457,26 +451,30 @@ def _serialize_tree(ts: TreeState) -> dict:
     return ts.tree.to_dict(ts.leaf_params)
 
 
+def _stump_replay(n: int) -> tuple:
+    """The replay of a stump on n rows, no record yet, that draw 0 carries every tree from."""
+    return [(None, None)], tr.Tree.stump(), {0: np.arange(n)}, {}, np.zeros(n, np.intp), None
+
+
 def _replay_tree(tree_dict: dict, features: np.ndarray, model,
-                 previous: tuple | None = None) -> tuple[np.ndarray, tuple]:
+                 previous: tuple) -> tuple[np.ndarray, tuple]:
     """Fit of one serialized tree on standardized features by the leaf
     `model`'s own `fit`, and its replay: (splits, tree, rows by leaf, rows by
     split node, row -> leaf id index, the model's `replay` record).
 
-    `previous` is the replay of the same tree index in the previous draw.
-    `Tree.from_dict` numbers nodes by the tree's shape, and the shape
-    follows from which ids are split nodes, so a tree whose (feature,
-    threshold) per node id equals the previous one's has the same splits:
-    it reuses that routing, index and record. Any other tree has its split
-    rules checked (`_split_problem`) and is routed: from the root with
-    `Tree.route` in the first draw, else by `trees.carry_routing`, which
-    routes again only the rows of the topmost nodes whose rules differ from
-    the previous tree's. Its leaves are renumbered, so its index and record
-    are built afresh.
+    `previous` is the replay of the same tree index in the previous draw,
+    or `_stump_replay` in the first. `Tree.from_dict` numbers nodes by the
+    tree's shape, and the shape follows from which ids are split nodes, so a
+    tree whose (feature, threshold) per node id equals the previous one's
+    has the same splits: it reuses that routing, index and record. Any other
+    tree has its split rules checked (`_split_problem`) and is routed by
+    `trees.carry_routing`, which routes again only the rows of the topmost
+    nodes whose rules differ from the previous tree's. Its leaves are
+    renumbered, so its index and record are built afresh.
     """
     tree, payload = tr.Tree.from_dict(tree_dict)
     splits = [(nd.feature, nd.threshold) for nd in tree.nodes.values()]
-    if previous is not None and previous[0] == splits:
+    if previous[0] == splits:
         _, tree, rows_by_leaf, rows_by_split, index, record = previous
     else:
         for nd in tree.nodes.values():
@@ -484,12 +482,7 @@ def _replay_tree(tree_dict: dict, features: np.ndarray, model,
                 problem = _split_problem(nd.feature, nd.threshold, features.shape[1])
                 if problem is not None:
                     raise ValueError(problem)
-        if previous is None:
-            rows_by_split = {}
-            rows_by_leaf = tree.route(features, tree.root, np.arange(features.shape[0]),
-                                      rows_by_split)
-        else:
-            rows_by_leaf, rows_by_split = tr.carry_routing(tree, features, *previous[1:4])
+        rows_by_leaf, rows_by_split = tr.carry_routing(tree, features, *previous[1:4])
         index, record = tr.leaf_index(rows_by_leaf, features.shape[0]), None
     record = model.replay(rows_by_leaf, payload, features, record)
     return model.fit(payload, record, index), (splits, tree, rows_by_leaf, rows_by_split,
@@ -540,7 +533,8 @@ def _stored_tree_problem(tree_dict, p: int, leaf_model: str | None = None) -> st
 
 def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
     """Evaluate one serialized tree on standardized features."""
-    return _replay_tree(tree_dict, features, lv.stored_leaf_model(tree_dict))[0]
+    return _replay_tree(tree_dict, features, lv.stored_leaf_model(tree_dict),
+                        _stump_replay(features.shape[0]))[0]
 
 
 def _split_usage_counts(state: SamplerState, p: int) -> np.ndarray:
@@ -561,13 +555,14 @@ def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
     return SamplerState(
         # leaf parameters are first drawn by the first tree step
         trees=[TreeState(t, {}, {t.root: np.arange(n)}, np.zeros(n), stump_prior,
-                         rows_by_split={}) for t in stumps],
+                         rows_by_split={}, index=np.zeros(n, np.intp)) for t in stumps],
         sigma2=sigma2,
         tau_beta0=tau,
         tau_beta=tau,
         split_probs=np.full(p, 1.0 / p),
         total_fit=np.zeros(n),
         target=target,
+        resid=target.copy(),           # target - total_fit, every fit being 0
         probit=train.task == CLASSIFICATION,
     )
 
@@ -705,17 +700,20 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     run's. Classification runs return probabilities. One leaf model,
     picked from the first stored tree (`leaves.stored_leaf_model`), replays
     every tree. Each tree index carries its replay from one draw to the
-    next, so a tree is routed again only when its splits changed since the
-    previous draw, and then only below the topmost nodes whose rules
-    differ; its renumbered leaves get a new index and record (see
-    `_replay_tree`). Tree fits are summed in place into the draw's row, in
-    tree order, and the link maps all draws at once. The band equals
-    `np.quantile`'s linear method bit for bit (`quantile_band`).
+    next, and into draw 0 from a stump's (`_stump_replay`), so a tree is
+    routed again only when its splits changed since the previous draw, and
+    then only below the topmost nodes whose rules differ; its renumbered
+    leaves get a new index and record (see `_replay_tree`). Tree fits are
+    summed in place into the draw's row, in tree order, and the link maps
+    all draws at once. The band equals `np.quantile`'s linear method bit
+    for bit (`quantile_band`).
 
-    A malformed stored tree, or a leaf of the other leaf model (the chain
-    never mixes them), raises ValueError naming its draw, its tree index
-    and the problem. Its splits are checked when it is routed, so a tree
-    that reuses the previous draw's routing has splits already checked.
+    Before any replay, an empty draw 0, or a draw holding another number of
+    trees than draw 0, raises ValueError naming the draw, in `read_run`'s
+    words. A malformed stored tree, or a leaf of the other leaf model (the
+    chain never mixes them), raises ValueError naming its draw, its tree
+    index and the problem. Its splits are checked when it is routed, so a
+    tree that reuses the previous draw's routing has splits already checked.
     Leaf values are checked by one `np.isfinite` pass over the summed fits:
     a NaN or infinite mean or coefficient names the first draw it reaches
     and that draw's first tree `_stored_tree_problem` refuses. Finite leaf
@@ -723,6 +721,13 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     """
     if not trees:
         raise ValueError("no stored draws")
+    m = len(trees[0])
+    if not m:
+        raise ValueError("draw 0: an empty list of stored trees")
+    for k, tree_dicts in enumerate(trees):
+        if len(tree_dicts) != m:
+            raise ValueError(f"draw {k}: {len(tree_dicts)} stored trees, "
+                             f"but draw 0 has {m} stored trees")
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2 or X_new.shape[1] != scaling.feature_centers.size:
         raise ValueError(f"expected {scaling.feature_centers.size} feature columns, "
@@ -734,14 +739,14 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     Xs = np.asfortranarray(scaling.transform_features(X_new))   # column-major for routing
     out = np.zeros((len(trees), Xs.shape[0]))
     model = None                  # picked from the first stored tree
-    replays = {}                  # tree index -> its replay in the previous draw
+    replays = [_stump_replay(Xs.shape[0])] * m   # tree index -> its previous replay
     with np.errstate(over="ignore", invalid="ignore"):    # the finite check names these
         for k, tree_dicts in enumerate(trees):
             fit = out[k]
             for t, d in enumerate(tree_dicts):
                 try:
                     model = model or lv.stored_leaf_model(d)
-                    tree_fit, replays[t] = _replay_tree(d, Xs, model, replays.get(t))
+                    tree_fit, replays[t] = _replay_tree(d, Xs, model, replays[t])
                 except (KeyError, TypeError, IndexError, ValueError) as exc:
                     problem = _stored_tree_problem(d, Xs.shape[1], model and model.kind) or exc
                     raise ValueError(f"draw {k}, tree {t}: {problem}") from exc

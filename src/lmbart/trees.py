@@ -15,15 +15,16 @@ standardized features, on which each split's column is contiguous.
 
 Carried routing: the chain keeps, for each tree, the rows of every node: a
 leaf routing (terminal id -> rows) and a split routing (split node id ->
-rows), both filled by one `Tree.route` pass. `carry_routing` moves a routing
-onto another tree: it walks the two trees together from their roots, keeps
-the row arrays of the nodes whose rules agree, and routes again only the
-rows of the topmost nodes whose rules differ. A proposal carries the current
-tree's routing onto its candidate, which copies only the nodes its move
-changes and shares the rest, and stops as soon as a re-routed terminal falls
-below the minimum node size. The replay of stored draws carries the previous
-draw's routing onto a tree whose splits changed; `Tree.from_dict` numbers
-nodes by shape, so such a tree's leaves are renumbered.
+rows). Each starts as a stump's, every row in the root leaf, and is carried
+from there. `carry_routing` moves a routing onto another tree: it walks the
+two trees together from their roots, keeps the row arrays of the nodes whose
+rules agree, and routes again only the rows of the topmost nodes whose rules
+differ. A proposal carries the current tree's routing onto its candidate,
+which copies only the nodes its move changes and shares the rest, and stops
+as soon as a re-routed terminal falls below the minimum node size. The
+replay of stored draws carries the previous draw's routing, a stump's into
+draw 0, onto a tree whose splits changed; `Tree.from_dict` numbers nodes by
+shape, so such a tree's leaves are renumbered.
 """
 
 from __future__ import annotations
@@ -143,17 +144,17 @@ class Tree:
     def leaf_rows(self, X: np.ndarray) -> dict[int, np.ndarray]:
         """Map each terminal node id to the row indices it receives."""
         X = np.asarray(X, dtype=float)
-        return self.route(X, self.root, np.arange(X.shape[0]))
+        return self.route(X, self.root, np.arange(X.shape[0]), {})
 
-    def route(self, X: np.ndarray, node_id: int, rows: np.ndarray, splits: dict | None = None,
+    def route(self, X: np.ndarray, node_id: int, rows: np.ndarray, splits: dict,
               n_min: int = 0) -> dict[int, np.ndarray] | None:
         """Route `rows` from `node_id` down to each terminal of its subtree.
 
         Returns terminal id -> rows. Ascending `rows` give ascending row
-        indices at every node. When `splits` is a dict, each split node's
-        rows are stored in it (`node_id` keeps the `rows` object itself).
-        Returns None as soon as a terminal receives fewer than `n_min` rows,
-        leaving the rest of the subtree unrouted.
+        indices at every node. Each split node's rows are stored in `splits`
+        (`node_id` keeps the `rows` object itself). Returns None as soon as a
+        terminal receives fewer than `n_min` rows, leaving the rest of the
+        subtree unrouted.
         """
         out = {}
         stack = [(node_id, rows)]
@@ -165,8 +166,7 @@ class Tree:
                     return None
                 out[node_id] = rows
                 continue
-            if splits is not None:
-                splits[node_id] = rows
+            splits[node_id] = rows
             go_right = X[:, nd.feature].take(rows) < nd.threshold
             stack.append((nd.right, rows.compress(go_right)))
             stack.append((nd.left, rows.compress(~go_right)))
@@ -395,9 +395,9 @@ def carry_routing(tree: Tree, features: np.ndarray, prev: Tree, prev_leaves: dic
 
 
 def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray | None,
-                 rng: np.random.Generator, n_min: int = 5, kind: str | None = None,
-                 rows_by_leaf: dict[int, np.ndarray] | None = None,
-                 rows_by_split: dict[int, np.ndarray] | None = None) -> MoveProposal:
+                 rng: np.random.Generator, n_min: int = 5, kind: str | None = None, *,
+                 rows_by_leaf: dict[int, np.ndarray],
+                 rows_by_split: dict[int, np.ndarray]) -> MoveProposal:
     """Draw one of grow/prune/change/swap uniformly and apply it to a copy.
 
     A proposal that has no valid target (prune on a stump, swap with fewer
@@ -409,11 +409,10 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray |
     feature can be split) and its threshold uniformly from `split_dict`.
 
     `rows_by_leaf` and `rows_by_split` are the current tree's leaf and split
-    routing of `features` (None routes the missing one from the root here);
-    neither is modified. Each move builds only its candidate tree and log
-    transition correction; one `carry_routing` call then carries the routing
-    onto the candidate, routing again only the rows under the nodes the move
-    changed.
+    routing of `features`; neither is modified. Each move builds only its
+    candidate tree and log transition correction; one `carry_routing` call
+    then carries the routing onto the candidate, routing again only the rows
+    under the nodes the move changed.
 
     Only re-routed terminals are checked against `n_min`, and routing stops
     at the first one below it. This equals checking every terminal under
@@ -428,11 +427,6 @@ def propose_move(tree: Tree, features: np.ndarray, split_dict, cdf: np.ndarray |
     elif kind not in MOVE_KINDS:
         raise ValueError(f"unknown move kind {kind!r}")
     features = np.asarray(features, dtype=float)
-    if rows_by_leaf is None or rows_by_split is None:
-        rows_by_split = {}
-        routed = tree.route(features, tree.root, np.arange(features.shape[0]), rows_by_split)
-        rows_by_leaf = routed if rows_by_leaf is None else rows_by_leaf
-
     correction = 0.0              # change and swap moves are symmetric
     if kind == GROW:
         leaves = sorted(rows_by_leaf)

@@ -5,8 +5,9 @@ forms, per-row rule walking instead of vectorized routing, explicit sums
 instead of running totals. None of it shares code with the package, except
 `grow_from_dict` and `replay_every_tree`, which build trees with the
 package's `Tree.grow` (and route them with `Tree.leaf_rows`),
-`recursive_to_dict` and `validate_tree`, which read a package `Tree`, and
-`with_sentinel_sums`, which copies a package `ConstantStats`.
+`recursive_to_dict` and `validate_tree`, which read a package `Tree`,
+`with_sentinel_sums`, which copies a package `ConstantStats`, and
+`routing`, which routes a package `Tree` with its `Tree.route`.
 """
 
 import math
@@ -128,6 +129,13 @@ def node_rows(tree, X):
 
     visit(tree.root, np.arange(X.shape[0]))
     return out
+
+
+def routing(tree, X):
+    """(rows by leaf, rows by split node) of every row of `X` in `tree`, the
+    routing `propose_move` is handed, both filled by one `Tree.route`."""
+    rows_by_split = {}
+    return tree.route(X, tree.root, np.arange(X.shape[0]), rows_by_split), rows_by_split
 
 
 def validate_tree(tree):

@@ -296,6 +296,29 @@ class TestPredict:
         got = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(got, np.column_stack([mean, lower, upper]))
 
+    @pytest.mark.parametrize("field, index", [("feature_centers", 2), ("feature_scales", 1),
+                                              ("response_center", None),
+                                              ("response_scale", None)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_non_finite_scaling_in_the_header_is_an_error(self, field, index, value,
+                                                            tmp_path, friedman_csv,
+                                                            trained_run, capsys):
+        # json writes and reads NaN and Infinity, so only the check stops them
+        def edit(line):
+            header = json.loads(line)
+            if index is None:
+                header["scaling"][field] = value
+            else:
+                header["scaling"][field][index] = value
+            return json.dumps(header) + "\n"
+
+        rewrite_header(trained_run, edit)
+        out = tmp_path / "p.csv"
+        assert run_cli("predict", "--run", trained_run, "--data", friedman_csv,
+                       "--out", out) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+
     def test_non_finite_cell_is_an_error(self, tmp_path, nan_csv, trained_run, capsys):
         code = run_cli("predict", "--run", trained_run, "--data", nan_csv,
                        "--out", tmp_path / "p.csv")

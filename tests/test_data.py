@@ -115,6 +115,28 @@ class TestStandardize:
         assert loaded.response_scale == 6.0 and loaded.response_scaled
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("feature_centers", [1.0, np.nan]), ("feature_centers", [np.inf, 2.0]),
+        ("feature_scales", [3.0, np.nan]), ("feature_scales", [-np.inf, 4.0]),
+        ("response_center", np.nan), ("response_center", -np.inf),
+        ("response_scale", np.nan), ("response_scale", np.inf),
+    ])
+    def test_a_non_finite_center_or_scale_is_refused_by_name(self, field, value):
+        # NaN > 0 is False, so a positivity check alone lets a NaN scale through
+        fields = dict(feature_centers=[1.0, 2.0], feature_scales=[3.0, 4.0],
+                      response_center=5.0, response_scale=6.0, response_scaled=True)
+        fields[field] = value
+        with pytest.raises(DataError, match=f"^{field} must be finite"):
+            ScalingInfo(**fields)
+        with pytest.raises(DataError, match=f"^{field} must be finite"):
+            ScalingInfo.from_dict(json.loads(json.dumps(fields)))
+
+    def test_a_non_positive_scale_is_refused(self):
+        for centers, scales, response_scale in (([0.0], [0.0], 1.0), ([0.0], [1.0], -2.0)):
+            with pytest.raises(DataError, match="scales must be positive"):
+                ScalingInfo(np.array(centers), np.array(scales), 0.0, response_scale, True)
+
+
 class TestSplitDictionary:
     def test_dedup_and_sort(self):
         d = Dataset(np.array([[-1.0], [0.0], [1.0], [0.0]]), np.zeros(4),

@@ -99,10 +99,7 @@ def test_carried_index_and_residual_follow_every_tree_step(name, monkeypatch):
     def checking_step(state, tree_index, *args):
         out = step(state, tree_index, *args)
         for t, ts in enumerate(state.trees):
-            n = state.target.size
-            assert ts.index is not None or t > tree_index
-            if ts.index is not None:
-                assert np.array_equal(ts.index, leaf_index_of(ts.rows_by_leaf, n))
+            assert np.array_equal(ts.index, leaf_index_of(ts.rows_by_leaf, state.target.size))
             gap = np.abs(state.resid + ts.fit - explicit_partial_residual(state, t)).max()
             assert gap < 1e-10
         checked.append(out)

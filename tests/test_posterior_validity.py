@@ -45,7 +45,8 @@ from lmbart.data import CLASSIFICATION, Dataset, split_dictionary
 from lmbart.sampler import Hyperparams, SamplerState, TreeState, leaf_model, mh_tree_step
 from lmbart.trees import (Tree, ancestor_covariates, log_tree_prior, split_cdf,
                           split_covariates)
-from oracles import draw_prior_tree, draw_truncated_prior_tree, route_row
+from oracles import (draw_prior_tree, draw_truncated_prior_tree, leaf_index_of, route_row,
+                     routing)
 
 LEAF_COUNT_CAP = 4        # leaf counts from 4 up share one chi-square cell
 THIN = 20                 # sweeps between the chain's leaf counts in the chi-square
@@ -95,22 +96,25 @@ def chain_state(trees, payloads, X, hp, probit=False, **globals_) -> SamplerStat
     """A chain state holding `trees` with leaf `payloads` (one dict per tree).
 
     The taus start at `tau_b`, sigma^2 at 1 and the split probabilities
-    uniform; `globals_` sets any of these state fields instead.
+    uniform; `globals_` sets any of these state fields instead. The target
+    is 0, and the carried residual is target - the trees' summed fit.
     """
-    states, total_fit = [], np.zeros(X.shape[0])
+    n = X.shape[0]
+    states, total_fit = [], np.zeros(n)
     for tree, leaf_params in zip(trees, payloads):
-        splits = {}
-        rows = tree.route(X, tree.root, np.arange(X.shape[0]), splits)
-        fit = np.zeros(X.shape[0])
+        rows, splits = routing(tree, X)
+        fit = np.zeros(n)
         for leaf, r in rows.items():
             fit[r] = [leaf_value(leaf_params[leaf], x) for x in X[r]]
         states.append(TreeState(tree, leaf_params, rows, fit,
                                 log_tree_prior(tree, hp.alpha, hp.beta_depth),
-                                rows_by_split=splits))
+                                rows_by_split=splits, index=leaf_index_of(rows, n)))
         total_fit += fit
+    target = np.zeros(n)
     state = SamplerState(trees=states, sigma2=1.0, tau_beta0=hp.tau_b, tau_beta=hp.tau_b,
                          split_probs=np.full(X.shape[1], 1.0 / X.shape[1]),
-                         total_fit=total_fit, target=np.zeros(X.shape[0]), probit=probit)
+                         total_fit=total_fit, target=target, resid=target - total_fit,
+                         probit=probit)
     for name, value in globals_.items():
         setattr(state, name, value)
     return state

@@ -16,7 +16,7 @@ from lmbart.benchmark import FriedmanSpec, friedman_generate
 from lmbart.data import REGRESSION, ScalingInfo, SplitDictionary, standardize
 from lmbart.sampler import Hyperparams, predict, predict_stored, run_regression
 from lmbart.trees import CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, propose_move, split_cdf
-from oracles import replay_every_tree, rows_under_changes
+from oracles import replay_every_tree, routing, rows_under_changes
 from test_pinned_chains import CHAINS, run_chain
 from test_trees import assert_carried_routing
 
@@ -28,9 +28,9 @@ def assert_same_summary(result, expected):
 
 @pytest.fixture()
 def counts(monkeypatch):
-    """Calls of Tree.from_dict and leaves.build_leaf_design, and the rows
-    entering Tree.route."""
-    tally = {"from_dict": 0, "routed_rows": 0, "build_leaf_design": 0}
+    """Calls of Tree.from_dict, Tree.route and leaves.build_leaf_design, and
+    the rows entering Tree.route."""
+    tally = {"from_dict": 0, "route": 0, "routed_rows": 0, "build_leaf_design": 0}
     from_dict, route, build = Tree.from_dict, Tree.route, lv.build_leaf_design
 
     def counting(name, fn):
@@ -40,6 +40,7 @@ def counts(monkeypatch):
         return wrapper
 
     def counting_rows(tree, X, node_id, rows, *rest):
+        tally["route"] += 1
         tally["routed_rows"] += rows.size
         return route(tree, X, node_id, rows, *rest)
 
@@ -62,15 +63,19 @@ def split_changes(trees) -> int:
                for k in range(1, len(trees)) for d, prev in zip(trees[k], trees[k - 1]))
 
 
+STUMP = {"kind": "leaf"}
+
+
 def routed_rows(trees, scaling, X_new) -> int:
-    """Rows entering routing in a replay that routes every row of each tree
-    index in the first draw, and in each later draw the rows under the
-    topmost nodes whose rules differ from the previous draw's tree."""
+    """Rows entering routing in a replay that routes, in each draw, the rows
+    under the topmost nodes whose rules differ from the previous draw's tree,
+    a stump's before the first: every row of a first-draw tree with a split,
+    none of a first-draw stump."""
     Xs = scaling.transform_features(np.asarray(X_new, dtype=float))
     rows = np.arange(Xs.shape[0])
-    return Xs.shape[0] * len(trees[0]) + sum(
-        rows_under_changes(d, prev, rows, Xs)
-        for k in range(1, len(trees)) for d, prev in zip(trees[k], trees[k - 1]))
+    previous = [[STUMP] * len(trees[0])] + trees[:-1]
+    return sum(rows_under_changes(d, prev, rows, Xs)
+               for draw, prev_draw in zip(trees, previous) for d, prev in zip(draw, prev_draw))
 
 
 def leaf_covariates(d):
@@ -152,10 +157,19 @@ def replay_hand_made(trees, counts):
 def test_leaf_values_alone_change_so_each_tree_is_routed_once(counts):
     trees = [[stump_split(0.0, const(k), const(-k)), const(10.0 * k)] for k in range(3)]
     result, seen = replay_hand_made(trees, counts)
-    assert seen["routed_rows"] == routed_rows(trees, IDENTITY, X_HAND) == 2 * 4
+    # tree 1 is a stump, carried from the stump replay without routing
+    assert seen["routed_rows"] == routed_rows(trees, IDENTITY, X_HAND) == 4
     assert seen["from_dict"] == 6
     # x0 < 0 goes right: rows 0 and 3 get -k, rows 1 and 2 get k
     assert result.draws[2].tolist() == [18.0, 22.0, 22.0, 18.0]
+
+
+@pytest.mark.parametrize("leaf", [const, lambda k: linear([k, 2.0], [1])],
+                         ids=["constant", "linear"])
+def test_a_first_draw_stump_is_never_routed(leaf, counts):
+    trees = [[leaf(1.0), leaf(-2.0)], [leaf(3.0), leaf(0.5)]]
+    _, seen = replay_hand_made(trees, counts)
+    assert seen["route"] == routed_rows(trees, IDENTITY, X_HAND) == 0
 
 
 def test_a_changed_threshold_reroutes_that_tree_only(counts):
@@ -211,7 +225,9 @@ def moved_chain(X, kinds, rng, n_min=2):
     tree, stored, applied = Tree.stump(), [], []
     for kind in [None, *kinds]:
         if kind is not None:
-            moves = (propose_move(tree, X, split_dict, cdf, rng, n_min, kind)
+            leaves, splits = routing(tree, X)
+            moves = (propose_move(tree, X, split_dict, cdf, rng, n_min, kind,
+                                  rows_by_leaf=leaves, rows_by_split=splits)
                      for _ in range(20))
             proposal = next((prop for prop in moves if prop.valid), None)
             if proposal is None:
@@ -420,3 +436,20 @@ def test_no_stored_draws_is_an_error():
     with pytest.raises(ValueError, match="no stored draws"):
         predict_stored([], REGRESSION, IDENTITY, X_HAND)
 
+
+@pytest.mark.parametrize("trees, problem", [
+    pytest.param([[const(1.0), const(2.0)], [const(3.0)]],
+                 "draw 1: 1 stored trees, but draw 0 has 2 stored trees", id="one-short"),
+    pytest.param([[const(1.0)], [const(2.0)], [const(3.0), const(4.0)]],
+                 "draw 2: 2 stored trees, but draw 0 has 1 stored trees", id="one-over"),
+    pytest.param([[const(1.0)], []],
+                 "draw 1: 0 stored trees, but draw 0 has 1 stored trees", id="later-empty"),
+    pytest.param([[]], "draw 0: an empty list of stored trees", id="first-empty"),
+    pytest.param([[], [const(1.0)]], "draw 0: an empty list of stored trees",
+                 id="first-empty-then-one"),
+])
+def test_ragged_or_empty_draws_are_refused_before_any_replay(trees, problem, counts):
+    with pytest.raises(ValueError) as info:
+        predict_stored(trees, REGRESSION, IDENTITY, X_HAND)
+    assert str(info.value) == problem
+    assert counts == {"from_dict": 0, "route": 0, "routed_rows": 0, "build_leaf_design": 0}

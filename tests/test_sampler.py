@@ -211,11 +211,13 @@ def handmade_state(fits, target):
     for fit in fits:
         t = Tree()
         trees.append(TreeState(t, {t.root: 0.0}, {t.root: np.arange(len(fit))},
-                               np.asarray(fit, dtype=float), log_tree_prior(t, 0.95, 2.0)))
+                               np.asarray(fit, dtype=float), log_tree_prior(t, 0.95, 2.0),
+                               rows_by_split={}, index=np.zeros(len(fit), dtype=int)))
+    total_fit = np.sum(fits, axis=0).astype(float)
+    target = np.asarray(target, dtype=float)
     return SamplerState(trees=trees, sigma2=1.0, tau_beta0=1.0, tau_beta=1.0,
-                        split_probs=np.array([1.0]),
-                        total_fit=np.sum(fits, axis=0).astype(float),
-                        target=np.asarray(target, dtype=float))
+                        split_probs=np.array([1.0]), total_fit=total_fit, target=target,
+                        resid=target - total_fit)
 
 
 class TestPartialResiduals:
@@ -244,6 +246,26 @@ class TestPartialResiduals:
         hp = hp_small(m=5, burn_in=50, post_burn_in=50, leaf_model="linear")
         run_regression(scaled, hp, info, on_sweep=check)
         assert worst[0] < 1e-10
+
+
+@pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+def test_the_first_state_carries_each_stumps_routing_index_and_residual(task):
+    from lmbart.sampler import _init_state
+    from lmbart.trees import leaf_index
+
+    rng = np.random.default_rng(12)
+    y = rng.normal(size=30) if task == REGRESSION else (rng.random(30) < 0.5).astype(float)
+    train = Dataset(rng.normal(size=(30, 3)), y, ["a", "b", "c"], task)
+    hp = hp_small(m=4)
+    state = _init_state(train, hp, y - 0.25, 1.0)
+    for ts in state.trees:
+        assert ts.tree.n_leaves() == 1
+        assert ts.rows_by_leaf.keys() == {ts.tree.root} and ts.rows_by_split == {}
+        assert ts.index.dtype == np.intp
+        assert np.array_equal(ts.index, leaf_index(ts.rows_by_leaf, train.n))
+    # each tree step rewrites its own tree's index in place
+    assert len({id(ts.index) for ts in state.trees}) == hp.m
+    assert np.array_equal(state.resid, state.target - state.total_fit)
 
 
 class TestRunRegression:
@@ -350,10 +372,12 @@ class TestRunRegression:
         hp = Hyperparams(m=1, n_min=5, burn_in=1, post_burn_in=1)
         t = Tree()
         ts = TreeState(t, {t.root: 0.0}, {t.root: np.arange(6)}, np.zeros(6),
-                       log_tree_prior(t, hp.alpha, hp.beta_depth))
+                       log_tree_prior(t, hp.alpha, hp.beta_depth), rows_by_split={},
+                       index=np.zeros(6, dtype=int))
         state = SamplerState(trees=[ts], sigma2=1.0, tau_beta0=1.0,
                              tau_beta=1.0, split_probs=np.full(2, 0.5),
-                             total_fit=np.zeros(6), target=d.response.copy())
+                             total_fit=np.zeros(6), target=d.response.copy(),
+                             resid=d.response.copy())
         mus = []
         for _ in range(30):
             kind, outcome = mh_tree_step(state, 0, d.features, sd,
@@ -384,9 +408,10 @@ class TestRunRegression:
         stumps = [Tree(), Tree()]
         state = SamplerState(
             trees=[TreeState(t, {t.root: {"mu": 0.0}}, {t.root: np.arange(20)}, np.zeros(20),
-                             log_tree_prior(t, hp.alpha, hp.beta_depth)) for t in stumps],
+                             log_tree_prior(t, hp.alpha, hp.beta_depth), rows_by_split={},
+                             index=np.zeros(20, dtype=int)) for t in stumps],
             sigma2=1.0, tau_beta0=1.0, tau_beta=1.0, split_probs=np.full(2, 0.5),
-            total_fit=np.zeros(20), target=d.response.copy())
+            total_fit=np.zeros(20), target=d.response.copy(), resid=d.response.copy())
         with pytest.raises(FloatingPointError, match="tree 1: grow move has a NaN"):
             for _ in range(50):
                 mh_tree_step(state, 1, d.features, sd,

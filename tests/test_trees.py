@@ -13,8 +13,8 @@ from lmbart.trees import (CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, _draw_rul
                           ancestor_covariates, log_tree_prior, partition,
                           propose_move, split_cdf, split_covariates)
 from oracles import (BELOW_N_MIN, changed_leaves, full_size_check, grow_from_dict, node_rows,
-                     recursive_log_tree_prior, recursive_to_dict, route_row, rows_under_changes,
-                     validate_tree)
+                     recursive_log_tree_prior, recursive_to_dict, route_row, routing,
+                     rows_under_changes, validate_tree)
 from test_pinned_chains import CHAINS, chain_data, run_chain
 
 
@@ -119,7 +119,9 @@ class TestLogTreePrior:
         cdf = uniform_cdf(sd)
         t = Tree()
         for _ in range(300):
-            prop = propose_move(t, d.features, sd, cdf, rng, n_min=2)
+            leaves, splits = routing(t, d.features)
+            prop = propose_move(t, d.features, sd, cdf, rng, n_min=2,
+                                rows_by_leaf=leaves, rows_by_split=splits)
             if prop.valid:
                 t = prop.tree
             assert_allclose(log_tree_prior(t, 0.95, 2.0),
@@ -132,9 +134,9 @@ class TestLogTreePrior:
         t = Tree()
         checked = 0
         while checked < 50:
-            current = t.leaf_rows(d.features)
+            current, splits = routing(t, d.features)
             prop = propose_move(t, d.features, sd, cdf, rng, n_min=2, kind=GROW,
-                                rows_by_leaf=current)
+                                rows_by_leaf=current, rows_by_split=splits)
             if not prop.valid:
                 continue
             child = next(iter(changed_leaves(prop.rows_by_leaf, current)))
@@ -186,9 +188,9 @@ class TestPartition:
             cdf = uniform_cdf(sd)
             t = Tree()
             for _ in range(10):   # random trees of depth <= ~3
-                current = t.leaf_rows(d.features)
+                current, splits = routing(t, d.features)
                 prop = propose_move(t, d.features, sd, cdf, rng, n_min=1,
-                                    kind=GROW, rows_by_leaf=current)
+                                    kind=GROW, rows_by_leaf=current, rows_by_split=splits)
                 if prop.valid and prop.tree.nodes[
                         next(iter(changed_leaves(prop.rows_by_leaf, current)))].depth <= 3:
                     t = prop.tree
@@ -211,9 +213,9 @@ class TestProposeMove:
     def test_forced_grow_on_stump(self):
         d, sd = make_dataset()
         rng = np.random.default_rng(0)
-        current = Tree().leaf_rows(d.features)
+        current, splits = routing(Tree(), d.features)
         prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng,
-                            n_min=5, kind=GROW, rows_by_leaf=current)
+                            n_min=5, kind=GROW, rows_by_leaf=current, rows_by_split=splits)
         assert prop.valid
         assert len(prop.tree.internal_nodes()) == 1
         assert prop.tree.n_leaves() == 2
@@ -222,8 +224,9 @@ class TestProposeMove:
     def test_forced_prune_on_stump_is_invalid(self):
         d, sd = make_dataset()
         rng = np.random.default_rng(0)
-        prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng,
-                            kind=PRUNE)
+        leaves, splits = routing(Tree(), d.features)
+        prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng, kind=PRUNE,
+                            rows_by_leaf=leaves, rows_by_split=splits)
         assert not prop.valid
         assert prop.tree is None
 
@@ -232,9 +235,9 @@ class TestProposeMove:
         rng = np.random.default_rng(0)
         t = Tree()
         t.grow(t.root, 0, float(sd.values[0][len(sd.values[0]) // 2]))
-        current = t.leaf_rows(d.features)
+        current, splits = routing(t, d.features)
         prop = propose_move(t, d.features, sd, uniform_cdf(sd), rng, kind=PRUNE,
-                            rows_by_leaf=current)
+                            rows_by_leaf=current, rows_by_split=splits)
         assert prop.valid
         assert prop.tree.n_leaves() == 1
         assert changed_leaves(prop.rows_by_leaf, current) == {t.root}
@@ -244,7 +247,9 @@ class TestProposeMove:
         rng = np.random.default_rng(0)
         t = Tree()
         t.grow(t.root, 0, 0.0)
-        prop = propose_move(t, d.features, sd, uniform_cdf(sd), rng, kind=SWAP)
+        leaves, splits = routing(t, d.features)
+        prop = propose_move(t, d.features, sd, uniform_cdf(sd), rng, kind=SWAP,
+                            rows_by_leaf=leaves, rows_by_split=splits)
         assert not prop.valid
 
     def test_change_redraws_rule_in_place(self):
@@ -252,9 +257,9 @@ class TestProposeMove:
         rng = np.random.default_rng(2)
         t = Tree()
         t.grow(t.root, 0, float(np.median(d.features[:, 0])))
-        current = t.leaf_rows(d.features)
+        current, splits = routing(t, d.features)
         prop = propose_move(t, d.features, sd, uniform_cdf(sd), rng, kind=CHANGE,
-                            rows_by_leaf=current)
+                            rows_by_leaf=current, rows_by_split=splits)
         assert prop.valid
         assert prop.tree.n_leaves() == 2
         nd = prop.tree.nodes[prop.tree.root]
@@ -268,9 +273,10 @@ class TestProposeMove:
         # threshold 100 puts 9 rows right, 41 left; threshold 0 is a no-op
         # split (nothing strictly below the minimum), so invalid either way
         # once n_min exceeds the small side.
+        leaves, splits = routing(Tree(), d.features)
         for _ in range(20):
-            prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng,
-                                n_min=10, kind=GROW)
+            prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng, n_min=10,
+                                kind=GROW, rows_by_leaf=leaves, rows_by_split=splits)
             assert not prop.valid
 
     def test_a_grow_below_minimum_node_size_counts_no_prunable_nodes(self, monkeypatch):
@@ -284,11 +290,12 @@ class TestProposeMove:
                             lambda tree: calls.append(tree) or scan(tree))
         rng = np.random.default_rng(0)
         seen = set()
+        leaves, splits = routing(Tree(), d.features)
         for n_min in (10, 5):     # every grow fails 10; threshold 100 passes 5
             for _ in range(20):
                 calls.clear()
-                prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng,
-                                    n_min=n_min, kind=GROW)
+                prop = propose_move(Tree(), d.features, sd, uniform_cdf(sd), rng, n_min=n_min,
+                                    kind=GROW, rows_by_leaf=leaves, rows_by_split=splits)
                 assert calls == ([prop.tree] if prop.valid else [])
                 seen.add((n_min, prop.valid))
         assert seen == {(10, False), (5, False), (5, True)}
@@ -298,10 +305,11 @@ class TestProposeMove:
         d = Dataset(X, np.zeros(30), ["a", "b"], REGRESSION)
         sd = split_dictionary(d)
         rng = np.random.default_rng(0)
+        leaves, splits = routing(Tree(), d.features)
         for _ in range(20):
             prop = propose_move(Tree(), d.features, sd,
                                 split_cdf(np.array([0.9, 0.1]), sd.splittable()), rng,
-                                n_min=5, kind=GROW)
+                                n_min=5, kind=GROW, rows_by_leaf=leaves, rows_by_split=splits)
             if prop.valid:
                 rule_feature = prop.tree.nodes[prop.tree.root].feature
                 assert rule_feature == 1
@@ -314,9 +322,10 @@ class TestProposeMove:
         rng = np.random.default_rng(6)
         cdf = uniform_cdf(sd)
         prop = None
+        leaves, splits = routing(Tree(), d.features)
         while prop is None or not prop.valid:
             prop = propose_move(Tree(), d.features, sd, cdf, rng, n_min=5,
-                                kind=GROW)
+                                kind=GROW, rows_by_leaf=leaves, rows_by_split=splits)
         assert prop.log_transition_correction == 0.0
 
     def test_grow_prune_corrections_are_antisymmetric(self):
@@ -326,17 +335,18 @@ class TestProposeMove:
         checked = 0
         t = Tree()
         while checked < 20:
-            current = t.leaf_rows(d.features)
+            current, splits = routing(t, d.features)
             grow = propose_move(t, d.features, sd, cdf, rng, n_min=5, kind=GROW,
-                                rows_by_leaf=current)
+                                rows_by_leaf=current, rows_by_split=splits)
             if not grow.valid:
                 continue
             # find the prune that undoes this grow; corrections must cancel
             grown = changed_leaves(grow.rows_by_leaf, current)
             parent = grow.tree.nodes[next(iter(grown))].parent
             for _ in range(200):
-                prune = propose_move(grow.tree, d.features, sd, cdf, rng,
-                                     kind=PRUNE, rows_by_leaf=grow.rows_by_leaf)
+                prune = propose_move(grow.tree, d.features, sd, cdf, rng, kind=PRUNE,
+                                     rows_by_leaf=grow.rows_by_leaf,
+                                     rows_by_split=grow.rows_by_split)
                 if prune.valid and changed_leaves(prune.rows_by_leaf,
                                                   grow.rows_by_leaf) == {parent}:
                     assert_allclose(grow.log_transition_correction,
@@ -356,7 +366,7 @@ class TestInvariantsUnderMoves:
         rng = np.random.default_rng(7)
         cdf = uniform_cdf(sd)
         t = Tree()
-        current, splits = t.leaf_rows(d.features), {}
+        current, splits = routing(t, d.features)
         accepted = 0
         carried = {kind: 0 for kind in (GROW, PRUNE, CHANGE, SWAP)}
         for _ in range(10_000):
@@ -417,7 +427,7 @@ class TestInvariantsUnderMoves:
         rng = np.random.default_rng(n_min)
         cdf = uniform_cdf(sd)
         t = Tree()
-        current, splits = t.leaf_rows(d.features), {}
+        current, splits = routing(t, d.features)
         seen = set()
         for _ in range(1500):
             unlimited_rng = np.random.default_rng()
@@ -454,7 +464,7 @@ class TestInvariantsUnderMoves:
 
         monkeypatch.setattr(Tree, "route", counting)
         t = Tree()
-        current, splits = t.leaf_rows(d.features), {}
+        current, splits = routing(t, d.features)
         checked = {kind: 0 for kind in MOVE_KINDS}
         unnested_swaps = 0
         for _ in range(3000):
@@ -484,15 +494,17 @@ class TestInvariantsUnderMoves:
         cdf = uniform_cdf(sd)
         t = Tree()
         for _ in range(30):
-            prop = propose_move(t, d.features, sd, cdf, rng, n_min=5)
+            leaves, splits = routing(t, d.features)
+            prop = propose_move(t, d.features, sd, cdf, rng, n_min=5,
+                                rows_by_leaf=leaves, rows_by_split=splits)
             if prop.valid:
                 t = prop.tree
         before = partition(t, d.features).assignment
-        current = t.leaf_rows(d.features)
+        current, splits = routing(t, d.features)
         grow = None
         while grow is None or not grow.valid:
             grow = propose_move(t, d.features, sd, cdf, rng, n_min=5, kind=GROW,
-                                rows_by_leaf=current)
+                                rows_by_leaf=current, rows_by_split=splits)
         child = next(iter(changed_leaves(grow.rows_by_leaf, current)))
         parent = grow.tree.nodes[child].parent
         undone = grow.tree.copy()
