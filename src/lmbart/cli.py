@@ -128,8 +128,8 @@ def cmd_predict(args) -> int:
         print(f"{path}: no stored trees; rerun train with --store-trees", file=sys.stderr)
         return 1
     X = load_features(args.data, header["feature_names"], header.get("target_column"))
-    result = sp.predict_stored([r["trees"] for r in records], header["task"],
-                               ScalingInfo.from_dict(header["scaling"]), X)
+    result = sp.replay_trees([r["trees"] for r in records], header["task"],
+                             ScalingInfo.from_dict(header["scaling"]), X)
     is_classification = header["task"] == CLASSIFICATION
     label = "probability" if is_classification else "mean"
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

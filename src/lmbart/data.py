@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -133,6 +133,12 @@ class ScalingInfo:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingInfo":
+        """Inverse of `to_dict`. A `d` that is not a dict, or lacks a key, raises DataError."""
+        if not isinstance(d, dict):
+            raise DataError(f"scaling {d!r} is not an object")
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise DataError(f"scaling missing key(s) {', '.join(missing)}")
         return cls(
             feature_centers=np.asarray(d["feature_centers"], dtype=float),
             feature_scales=np.asarray(d["feature_scales"], dtype=float),

@@ -400,11 +400,13 @@ def leaf_parameter_count(tree: Tree, leaf_model: str,
 def stored_leaf_model(tree_dict: dict):
     """The leaf model that replays stored trees, picked by the leftmost leaf of
     `tree_dict`: constant if it has a "mu", else linear. A replay needs no
-    prior and no covariate rule, so the model holds NaN precisions and None."""
+    prior and no covariate rule, so the model holds NaN precisions and None.
+    A malformed tree gets one too; its preorder check fails before a leaf's model matters."""
     node = tree_dict
-    while node["kind"] == "internal":
-        node = node["left"]
-    return ConstantLeaves(math.nan) if "mu" in node else LinearLeaves(None, (math.nan,) * 2)
+    while isinstance(node, dict) and node.get("kind") == "internal":
+        node = node.get("left")
+    return (ConstantLeaves(math.nan) if isinstance(node, dict) and "mu" in node
+            else LinearLeaves(None, (math.nan,) * 2))
 
 
 def is_finite_number(value) -> bool:
@@ -533,17 +535,14 @@ class LinearLeaves:
         """What `fit` needs of a stored tree routed to `rows_by_leaf`: per leaf, a
         stat without residuals holding its design on its stored covariates. A
         `previous` record, of the same routing, lends the stats of the leaves
-        whose covariates are unchanged."""
+        whose covariates are unchanged. The payloads are not checked: they are
+        the chain's own or passed `stored_leaf_problem` where they entered."""
         kept = {st.leaf_id: st for st in previous or ()
                 if st.covariates == payload[st.leaf_id]["covariates"]}
         out = LinearStats()
         for leaf in sorted(rows_by_leaf):
             st = kept.get(leaf)
             if st is None:
-                # refused payloads raise: a negative covariate would index from the end
-                problem = stored_leaf_problem(payload[leaf], features.shape[1], LINEAR)
-                if problem is not None:
-                    raise ValueError(problem)
                 rows, covs = rows_by_leaf[leaf], payload[leaf]["covariates"]
                 st = LeafStats(leaf, rows.size, covariates=covs, rows=rows,
                                design=build_leaf_design(rows, features, covs))

@@ -44,13 +44,20 @@ _DRAW_KEYS = ("iteration", "sigma2", "terminal_counts", "param_counts")
 UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
 
+
+def _is_finite_real(v) -> bool:
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:         # an int beyond the float range
+        return False
+
+
 # annotation of a `Hyperparams` field -> (accepts a value, what it expects);
 # numpy integers are integers, and a bool is neither an integer nor a real
 _FIELD_TYPES = {
     "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
             "an integer"),
-    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-              and math.isfinite(v), "a finite real"),
+    "float": (_is_finite_real, "a finite real"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
@@ -195,6 +202,21 @@ def sample_sigma2(total_squared_resid: float, n: int, nu: float, lam: float,
     shape = (n + nu) / 2.0
     rate = (total_squared_resid + nu * lam) / 2.0
     return 1.0 / rng.gamma(shape, 1.0 / rate)
+
+
+def draw_sigma2(resid: np.ndarray, coefs: tuple | None, taus: tuple[float, float],
+                nu: float, lam: float, rng: np.random.Generator) -> float:
+    """sigma^2 from its full conditional given the residuals `resid` and, under
+    linear leaves, `coefs` = (every leaf intercept, every leaf slope) as
+    arrays (None under constant leaves). Their prior beta ~ N(0, sigma^2 V),
+    V^-1 = diag(tau0, tau1, ...) with `taus` = (tau0, tau1), adds the
+    coefficient count to n and beta'V^-1 beta to the squared residuals."""
+    n, total = resid.size, float(resid @ resid)
+    if coefs is not None:
+        intercepts, slopes = coefs
+        n += intercepts.size + slopes.size
+        total += taus[0] * float(intercepts @ intercepts) + taus[1] * float(slopes @ slopes)
+    return sample_sigma2(total, n, nu, lam, rng)
 
 
 def _sample_precision(coefs: np.ndarray, sigma2: float, a: float, b: float,
@@ -385,8 +407,9 @@ def sweep(state: SamplerState, X: np.ndarray, y: np.ndarray,
           rng: np.random.Generator) -> None:
     """One sweep of the chain, in place: the probit latent z given labels `y`,
     the m tree steps under one `leaf_model` holding the sweep's taus and one
-    split cdf, then sigma^2 given `y` (regression; `lam` is its prior scale),
-    the taus and the split probabilities, each when the configuration draws it.
+    split cdf, then sigma^2 given `y` and any linear leaves' coefficients
+    (regression, `draw_sigma2`; `lam` is its prior scale), the taus and the
+    split probabilities, each when the configuration draws it.
 
     The full residual is formed once from `total_fit` and carried through the
     tree steps; `total_fit` is rebuilt once, in tree order, after them."""
@@ -401,11 +424,12 @@ def sweep(state: SamplerState, X: np.ndarray, y: np.ndarray,
     for ts in state.trees[1:]:
         total += ts.fit
     state.total_fit = total
+    coefs = _gather_coefficients(state) if hp.leaf_model == lv.LINEAR else None
     if not state.probit:
-        resid = y - state.total_fit
-        state.sigma2 = sample_sigma2(float(resid @ resid), y.size, hp.nu, lam, rng)
+        state.sigma2 = draw_sigma2(y - state.total_fit, coefs,
+                                   (state.tau_beta0, state.tau_beta), hp.nu, lam, rng)
     if hp.vars_inter_slope:
-        intercepts, slopes = _gather_coefficients(state)
+        intercepts, slopes = coefs
         state.tau_beta0 = sample_tau_intercept(intercepts, state.sigma2, hp.a0, hp.b0, rng)
         state.tau_beta = sample_tau_slopes(slopes, state.sigma2, hp.a1, hp.b1, rng)
     if hp.branching == DIRICHLET:
@@ -467,21 +491,16 @@ def _replay_tree(tree_dict: dict, features: np.ndarray, model,
     tree's shape, and the shape follows from which ids are split nodes, so a
     tree whose (feature, threshold) per node id equals the previous one's
     has the same splits: it reuses that routing, index and record. Any other
-    tree has its split rules checked (`_split_problem`) and is routed by
-    `trees.carry_routing`, which routes again only the rows of the topmost
-    nodes whose rules differ from the previous tree's. Its leaves are
-    renumbered, so its index and record are built afresh.
+    tree is routed by `trees.carry_routing`, which routes again only the
+    rows of the topmost nodes whose rules differ from the previous tree's.
+    Its leaves are renumbered, so its index and record are built afresh.
+    The tree is not checked: it is the chain's own or passed `_stored_draws_problem`.
     """
     tree, payload = tr.Tree.from_dict(tree_dict)
     splits = [(nd.feature, nd.threshold) for nd in tree.nodes.values()]
     if previous[0] == splits:
         _, tree, rows_by_leaf, rows_by_split, index, record = previous
     else:
-        for nd in tree.nodes.values():
-            if nd.feature is not None:
-                problem = _split_problem(nd.feature, nd.threshold, features.shape[1])
-                if problem is not None:
-                    raise ValueError(problem)
         rows_by_leaf, rows_by_split = tr.carry_routing(tree, features, *previous[1:4])
         index, record = tr.leaf_index(rows_by_leaf, features.shape[0]), None
     record = model.replay(rows_by_leaf, payload, features, record)
@@ -489,26 +508,14 @@ def _replay_tree(tree_dict: dict, features: np.ndarray, model,
                                                index, record)
 
 
-def _split_problem(feature, threshold, p: int) -> str | None:
-    """What makes a stored split rule unusable on p features; None if nothing.
-
-    A negative feature would index from the last column, and a NaN
-    threshold would send every row left, so both are refused here.
-    """
-    if type(feature) is not int or not 0 <= feature < p:
-        return f"split feature {feature!r} is not a feature index in [0, {p})"
-    if not lv.is_finite_number(threshold):
-        return f"split threshold {threshold!r} is not a finite number"
-    return None
-
-
 def _stored_tree_problem(tree_dict, p: int, leaf_model: str | None = None) -> str | None:
     """What makes a stored tree unusable on p features under `leaf_model`
     (any, when None); None if nothing.
 
     Each node is a dict whose "kind" is "leaf", with a payload that
-    `leaves.stored_leaf_problem` accepts, or "internal", with a "feature"
-    and "threshold" that `_split_problem` accepts, a "left" and a "right".
+    `leaves.stored_leaf_problem` accepts, or "internal", with a "left", a
+    "right", a "feature" in [0, p) (a negative one would index from the last
+    column) and a finite "threshold" (a NaN one would send every row left).
     """
     stack = [tree_dict]
     while stack:
@@ -518,16 +525,46 @@ def _stored_tree_problem(tree_dict, p: int, leaf_model: str | None = None) -> st
         kind = node.get("kind")
         if kind == "leaf":
             problem = lv.stored_leaf_problem(node, p, leaf_model)
-        elif kind == "internal":
-            problem = _split_problem(node.get("feature"), node.get("threshold"), p)
-            if problem is None and ("left" not in node or "right" not in node):
-                problem = "split node without a 'left' and a 'right' child"
+            if problem is not None:
+                return problem
+        elif kind != "internal":
+            return f"unknown node kind {kind!r}"
+        elif type(node.get("feature")) is not int or not 0 <= node["feature"] < p:
+            return f"split feature {node.get('feature')!r} is not a feature index in [0, {p})"
+        elif not lv.is_finite_number(node.get("threshold")):
+            return f"split threshold {node.get('threshold')!r} is not a finite number"
+        elif "left" not in node or "right" not in node:
+            return "split node without a 'left' and a 'right' child"
         else:
-            problem = f"unknown node kind {kind!r}"
-        if problem is not None:
-            return problem
-        if kind == "internal":
             stack += (node["right"], node["left"])
+    return None
+
+
+def _stored_draws_problem(draws, p: int) -> str | None:
+    """What makes a run's stored draws unusable on p features; None if nothing.
+
+    `draws` holds per draw its list of tree dicts, or None. Each draw holds a
+    list, or every draw None; draw 0's list is not empty and every draw holds
+    as many trees as draw 0; every tree, the first included, passes
+    `_stored_tree_problem` under the leaf model of the first tree
+    (`leaves.stored_leaf_model`). The problem names the draw, and the tree.
+    """
+    first = kind = None
+    for k, trees in enumerate(draws):
+        if not isinstance(trees, (list, type(None))):
+            return f"draw {k} is not an object with a list of trees"
+        stored = "no stored trees" if trees is None else f"{len(trees)} stored trees"
+        if k == 0:
+            if trees == []:
+                return "draw 0: an empty list of stored trees"
+            first = stored
+        elif stored != first:
+            return f"draw {k}: {stored}, but draw 0 has {first}"
+        for t, tree_dict in enumerate(trees or ()):
+            kind = kind or lv.stored_leaf_model(tree_dict).kind
+            problem = _stored_tree_problem(tree_dict, p, kind)
+            if problem is not None:
+                return f"draw {k}, tree {t}: {problem}"
     return None
 
 
@@ -697,37 +734,33 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
     """Replay stored trees (one list of tree dicts per draw) on new rows.
 
     `X_new` is on the original feature scale and `scaling` is the training
-    run's. Classification runs return probabilities. One leaf model,
-    picked from the first stored tree (`leaves.stored_leaf_model`), replays
-    every tree. Each tree index carries its replay from one draw to the
-    next, and into draw 0 from a stump's (`_stump_replay`), so a tree is
-    routed again only when its splits changed since the previous draw, and
-    then only below the topmost nodes whose rules differ; its renumbered
-    leaves get a new index and record (see `_replay_tree`). Tree fits are
-    summed in place into the draw's row, in tree order, and the link maps
-    all draws at once. The band equals `np.quantile`'s linear method bit
-    for bit (`quantile_band`).
-
-    Before any replay, an empty draw 0, or a draw holding another number of
-    trees than draw 0, raises ValueError naming the draw, in `read_run`'s
-    words. A malformed stored tree, or a leaf of the other leaf model (the
-    chain never mixes them), raises ValueError naming its draw, its tree
-    index and the problem. Its splits are checked when it is routed, so a
-    tree that reuses the previous draw's routing has splits already checked.
-    Leaf values are checked by one `np.isfinite` pass over the summed fits:
-    a NaN or infinite mean or coefficient names the first draw it reaches
-    and that draw's first tree `_stored_tree_problem` refuses. Finite leaf
-    values whose fits sum past the float range name the draw alone.
+    run's. Classification runs return probabilities. The trees are first
+    checked by `read_run`'s rule, `_stored_draws_problem` on the scaling's
+    feature count, which walks every tree: a problem raises ValueError in
+    `read_run`'s words. `replay_trees` then replays them unchecked.
     """
-    if not trees:
-        raise ValueError("no stored draws")
-    m = len(trees[0])
-    if not m:
-        raise ValueError("draw 0: an empty list of stored trees")
-    for k, tree_dicts in enumerate(trees):
-        if len(tree_dicts) != m:
-            raise ValueError(f"draw {k}: {len(tree_dicts)} stored trees, "
-                             f"but draw 0 has {m} stored trees")
+    problem = (_stored_draws_problem(trees, scaling.feature_centers.size)
+               if trees and trees[0] is not None else "no stored draws")
+    if problem is not None:
+        raise ValueError(problem)
+    return replay_trees(trees, task, scaling, X_new)
+
+
+def replay_trees(trees: list, task: str, scaling: ScalingInfo,
+                 X_new: np.ndarray) -> PredictionSummary:
+    """Replay stored trees that need no check, a chain's own or those that
+    passed `_stored_draws_problem`, on new rows; arguments as `predict_stored`.
+
+    One leaf model, picked from the first stored tree
+    (`leaves.stored_leaf_model`), replays every tree. Each tree index
+    carries its replay from one draw to the next, and into draw 0 from a
+    stump's (`_stump_replay`), so a tree is routed again only when its
+    splits changed since the previous draw, and then only below the topmost
+    nodes whose rules differ; its renumbered leaves get a new index and
+    record (see `_replay_tree`). Tree fits are summed in place into the
+    draw's row, in tree order, and the link maps all draws at once. The band
+    equals `np.quantile`'s linear method bit for bit (`quantile_band`).
+    """
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2 or X_new.shape[1] != scaling.feature_centers.size:
         raise ValueError(f"expected {scaling.feature_centers.size} feature columns, "
@@ -738,26 +771,16 @@ def predict_stored(trees: list, task: str, scaling: ScalingInfo,
         raise ValueError(f"non-finite feature value {X_new[row, col]} at X_new[{row}, {col}]")
     Xs = np.asfortranarray(scaling.transform_features(X_new))   # column-major for routing
     out = np.zeros((len(trees), Xs.shape[0]))
-    model = None                  # picked from the first stored tree
-    replays = [_stump_replay(Xs.shape[0])] * m   # tree index -> its previous replay
+    model = lv.stored_leaf_model(trees[0][0])
+    replays = [_stump_replay(Xs.shape[0])] * len(trees[0])   # tree index -> previous replay
     with np.errstate(over="ignore", invalid="ignore"):    # the finite check names these
         for k, tree_dicts in enumerate(trees):
             fit = out[k]
             for t, d in enumerate(tree_dicts):
-                try:
-                    model = model or lv.stored_leaf_model(d)
-                    tree_fit, replays[t] = _replay_tree(d, Xs, model, replays[t])
-                except (KeyError, TypeError, IndexError, ValueError) as exc:
-                    problem = _stored_tree_problem(d, Xs.shape[1], model and model.kind) or exc
-                    raise ValueError(f"draw {k}, tree {t}: {problem}") from exc
+                tree_fit, replays[t] = _replay_tree(d, Xs, model, replays[t])
                 fit += tree_fit
     if not np.isfinite(out).all():
-        # leaf values are not checked one by one, so a non-finite one shows here
         k = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
-        for t, d in enumerate(trees[k]):
-            problem = _stored_tree_problem(d, Xs.shape[1], model.kind)
-            if problem is not None:
-                raise ValueError(f"draw {k}, tree {t}: {problem}")
         raise ValueError(f"draw {k}: its tree fits sum to a non-finite value")
     out = ndtr(out) if task == CLASSIFICATION else scaling.invert_response(out)
     lower, upper = quantile_band(out, (0.05, 0.95))
@@ -792,11 +815,12 @@ def quantile_band(draws: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
 def predict(draws: PosteriorDraws, X_new: np.ndarray) -> PredictionSummary:
     """Replay a run's stored trees on new rows (original feature scale).
 
-    Requires a run with `store_trees`; see `predict_stored`.
+    Requires a run with `store_trees`. The trees are the chain's own, so they
+    are replayed unchecked (`replay_trees`); see `predict_stored`.
     """
     if draws.trees is None:
         raise ValueError("draws contain no stored trees; rerun with store_trees")
-    return predict_stored(draws.trees, draws.task, draws.scaling, X_new)
+    return replay_trees(draws.trees, draws.task, draws.scaling, X_new)
 
 
 # ---------------------------------------------------------------------------
@@ -846,16 +870,17 @@ def read_run(path) -> tuple[dict, list[dict]]:
 
     Raises ValueError naming the file when a line is not valid JSON (by line
     number), the header is not an object, is a draw record (a run written
-    before the header, with a separate metadata file), lacks a required key or
-    has another `VERSION`, or when the draw count is not the header's
-    `retained`. Draw records are checked here, once per file, with
-    ValueError naming the file and the draw: a record that is not an object,
-    lacks a key of `_DRAW_KEYS`, holds a value there that
-    `_draw_value_problem` refuses, or stores another number of trees than
-    draw 0 (none counting as a number), an empty list of trees, and a
-    malformed stored tree (`_stored_tree_problem` on the header's feature
-    count, with the leaf model of the first stored tree), named by its index
-    too.
+    before the header, with a separate metadata file), lacks a required key,
+    has another `VERSION`, or has a `scaling` that `ScalingInfo.from_dict`
+    refuses or that does not hold one center and scale per feature name, or
+    when the draw count is not the header's `retained`. Draw records are
+    checked here, once per file, with ValueError naming the file and the
+    draw: first their stored trees, by the one rule for stored draws
+    (`_stored_draws_problem` on the header's feature count; a record that is
+    not an object fails it), then each record's keys: a key of `_DRAW_KEYS`
+    missing, or a value there that `_draw_value_problem` refuses. The stored
+    trees of a file that passes need no further check, so `lmbart predict`
+    replays them unchecked.
     """
     values = []
     with open(path, encoding="utf-8") as fh:
@@ -881,28 +906,27 @@ def read_run(path) -> tuple[dict, list[dict]]:
     if header["version"] != VERSION:
         raise ValueError(f"{path}: written by {header['version']!r}, "
                          f"expected {VERSION!r}")
+    p = len(header["feature_names"])
+    try:
+        scaling = ScalingInfo.from_dict(header["scaling"])
+    except (TypeError, ValueError) as exc:       # DataError is a ValueError
+        raise ValueError(f"{path}: {exc}") from None
+    if scaling.feature_centers.shape != (p,) or scaling.feature_scales.shape != (p,):
+        raise ValueError(f"{path}: scaling holds {scaling.feature_centers.size} feature centers "
+                         f"and {scaling.feature_scales.size} scales, but the header names "
+                         f"{p} features")
     if len(records) != header["retained"]:
         raise ValueError(f"{path}: {len(records)} draws, but the header records "
                          f"{header['retained']}; the file may be truncated")
     if not records:
         raise ValueError(f"{path}: no retained draws")
-    p, kind, m = len(header["feature_names"]), None, None
+    # a record that is not an object holds no list of trees
+    problem = _stored_draws_problem([record.get("trees") if isinstance(record, dict) else ()
+                                     for record in records], p)
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
+    m = None
     for k, record in enumerate(records):
-        trees = record.get("trees") if isinstance(record, dict) else ()
-        if not isinstance(trees, (list, type(None))):
-            raise ValueError(f"{path}: draw {k} is not an object with a list of trees")
-        stored = "no stored trees" if trees is None else f"{len(trees)} stored trees"
-        if k == 0:
-            if trees == []:
-                raise ValueError(f"{path}: draw 0: an empty list of stored trees")
-            first = stored
-        elif stored != first:
-            raise ValueError(f"{path}: draw {k}: {stored}, but draw 0 has {first}")
-        for t, tree_dict in enumerate(trees or ()):
-            problem = _stored_tree_problem(tree_dict, p, kind)
-            if problem is not None:
-                raise ValueError(f"{path}: draw {k}, tree {t}: {problem}")
-            kind = kind or lv.stored_leaf_model(tree_dict).kind
         missing = [key for key in _DRAW_KEYS if key not in record]
         if missing:
             raise ValueError(f"{path}: draw {k}: missing key(s) {', '.join(missing)}")

@@ -312,12 +312,13 @@ class TestPredict:
                 header["scaling"][field][index] = value
             return json.dumps(header) + "\n"
 
-        rewrite_header(trained_run, edit)
+        path = rewrite_header(trained_run, edit)
         out = tmp_path / "p.csv"
         assert run_cli("predict", "--run", trained_run, "--data", friedman_csv,
                        "--out", out) == 1
         assert not out.exists()
-        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+        # read_run builds the scaling, so the file is named
+        assert capsys.readouterr().err.startswith(f"error: {path}: {field} must be finite")
 
     def test_non_finite_cell_is_an_error(self, tmp_path, nan_csv, trained_run, capsys):
         code = run_cli("predict", "--run", trained_run, "--data", nan_csv,
@@ -561,6 +562,14 @@ class TestBenchmarkCommand:
         assert (capsys.readouterr().err
                 == "error: vars_inter_slope must be a bool, got 'false'\n")
 
+    def test_a_huge_int_real_is_an_error(self, tmp_path, capsys):
+        # a 400-digit int overflows math.isfinite, so it is refused as NaN is
+        grid = self.make_grid(tmp_path, nu=10**400)
+        code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: nu must be a finite real, got {10**400!r}\n"
+        assert not (tmp_path / "bench").exists()
+
     def test_unknown_algorithm_key_is_an_error(self, tmp_path, capsys):
         grid = self.make_grid(tmp_path, proposal_correction=True)
         code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
@@ -589,6 +598,8 @@ class TestBenchmarkCommand:
         ("scenario", "p", True, "an integer"),
         ("scenario", "noise_sd", float("nan"), "a finite real"),
         ("scenario", "noise_sd", float("inf"), "a finite real"),
+        pytest.param("scenario", "noise_sd", 10**400, "a finite real",
+                     id="scenario-noise_sd-huge-int"),
         ("grid", "replicates", 1.7, "an integer"),
         ("grid", "master_seed", "3", "an integer"),
         ("grid", "test_fraction", float("nan"), "a finite real"),
@@ -699,6 +710,33 @@ class TestRunMetadata:
         assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
         assert f"error: {path}: header missing key(s) {key}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scaling, problem", [
+        pytest.param({}, "scaling missing key(s) feature_centers, feature_scales, "
+                     "response_center, response_scale, response_scaled", id="empty"),
+        pytest.param([0.0, 1.0], "scaling [0.0, 1.0] is not an object", id="list"),
+        pytest.param("short", "scaling holds 3 feature centers and 3 scales, but the "
+                     "header names 5 features", id="short"),
+        pytest.param("nan", "feature_scales must be finite, got ", id="nan-scale"),
+    ])
+    def test_a_malformed_scaling(self, command, scaling, problem, tmp_path, friedman_csv,
+                                 trained_run, capsys):
+        def edit(line):
+            header = json.loads(line)
+            if scaling == "short":
+                for key in ("feature_centers", "feature_scales"):
+                    del header["scaling"][key][3:]
+            elif scaling == "nan":
+                header["scaling"]["feature_scales"] = [1.0, float("nan"), 1.0, 1.0, 1.0]
+            else:
+                header["scaling"] = scaling
+            return json.dumps(header) + "\n"
+
+        path = rewrite_header(trained_run, edit)
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert not (tmp_path / "p.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {problem}") and err.count("\n") == 1
+
     def test_foreign_version(self, command, tmp_path, friedman_csv, trained_run,
                              capsys):
         path = rewrite_header(trained_run, lambda line: json.dumps(
@@ -784,6 +822,22 @@ class TestDrawRecords:
             path = self.edit_draw(trained_run, k, lambda record: record["trees"].clear())
         assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
                 == f"error: {path}: draw 0: an empty list of stored trees\n")
+
+    def test_a_first_tree_that_mixes_leaf_models(self, command, tmp_path, friedman_csv,
+                                                 trained_run, capsys):
+        # the leftmost leaf of the first tree sets the leaf model, for that tree too
+        def mix(record):
+            linear_leaf = {"kind": "leaf", "beta": [0.5, 1.0], "covariates": [2]}
+            record["trees"][0] = {"kind": "internal", "feature": 0, "threshold": 0.0,
+                                  "left": linear_leaf, "right": {"kind": "leaf", "mu": 0.5}}
+
+        path = self.edit_draw(trained_run, 0, mix)
+        problem = "draw 0, tree 0: constant leaf among stored trees whose leaves are linear"
+        with pytest.raises(ValueError) as info:
+            read_run(path)
+        assert str(info.value) == f"{path}: {problem}"
+        assert (self.refused(command, trained_run, friedman_csv, tmp_path, capsys)
+                == f"error: {path}: {problem}\n")
 
     def test_trees_where_draw_0_has_none(self, command, tmp_path, friedman_csv,
                                          trained_run, capsys):

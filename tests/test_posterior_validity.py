@@ -38,8 +38,9 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtr
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, invgamma, kstest
 
+from lmbart import leaves as lv
 from lmbart import sampler
 from lmbart.data import CLASSIFICATION, Dataset, split_dictionary
 from lmbart.sampler import Hyperparams, SamplerState, TreeState, leaf_model, mh_tree_step
@@ -359,3 +360,30 @@ def test_dirichlet_probit_chain_preserves_the_joint_distribution(draws, sweeps):
 @pytest.mark.parametrize("draws, sweeps", SLOW_SIZES)
 def test_three_tree_regression_chain_preserves_the_joint_distribution(draws, sweeps):
     assert_gate_passes(joint_gate(draws, sweeps, regression=True, m=3))
+
+
+def test_sigma2_under_a_fixed_linear_leaf_matches_its_closed_form():
+    # one linear leaf holding every row, its tree never moving: a Gibbs chain
+    # of the package's coefficient draw and the sweep's sigma^2 draw. With
+    # beta ~ N(0, sigma^2 V), integrating beta out gives sigma^2 | y ~
+    # IG((n + nu) / 2, (nu lam + y'y - m'Am) / 2), A = X'X + V^-1, m = A^-1 X'y;
+    # leaving the coefficients out of the sigma^2 step gives KS p = 6e-48 here
+    n, nu, lam = 10, 3.0, 1.0
+    rng = np.random.default_rng(0)
+    X = np.asfortranarray(rng.normal(size=(n, 2)))
+    y = X @ [1.0, -0.5] + rng.normal(size=n)
+    (stat,) = lv.linear_leaf_stats({0: np.arange(n)}, X, y, {0: [0, 1]})
+    stat.prior = lv.LinearLeaves(lv.TREE_SPLITS, (1.0, 1.0)).prior(3)        # V = I
+    A = stat.xtx + np.eye(3)
+    m = np.linalg.solve(A, stat.xtr)
+    closed_form = invgamma((n + nu) / 2, scale=(nu * lam + y @ y - m @ A @ m) / 2)
+
+    sigma2, chain = 1.0, []
+    for _ in range(100_000):
+        beta = np.array(lv.linear_sample_beta([stat], sigma2, rng)[0])
+        sigma2 = sampler.draw_sigma2(y - stat.design @ beta, (beta[:1], beta[1:]),
+                                     (1.0, 1.0), nu, lam, rng)
+        chain.append(sigma2)
+    kept = np.array(chain[1000::20])
+    assert kstest(kept, closed_form.cdf).pvalue > P_MIN
+    assert abs(np.median(kept) / closed_form.median() - 1) < 0.03

@@ -366,6 +366,14 @@ def test_a_leaf_of_the_other_leaf_model_is_named_by_draw_and_tree(trees, where, 
                   [stump_split(0.0, linear([1.0, float("nan")], [0]), linear([0.5], []))]],
                  "draw 1, tree 0", "leaf coefficient nan is not a finite number",
                  id="carried-linear-leaf"),
+    # numpy would turn these two into numbers
+    pytest.param([[stump_split(0.0, const(1.0), const(True))]],
+                 "draw 0, tree 0", "leaf mean True is not a finite number", id="bool-mean"),
+    pytest.param([[stump_split(0.0, const(1.0), const("1.5"))]],
+                 "draw 0, tree 0", "leaf mean '1.5' is not a finite number", id="string-mean"),
+    # no x0 lies below -5, so no row reaches the right leaf
+    pytest.param([[const(1.0), stump_split(-5.0, const(1.0), const(float("nan")))]],
+                 "draw 0, tree 1", "leaf mean nan is not a finite number", id="unreached-leaf"),
 ])
 def test_a_non_finite_leaf_value_is_named_by_draw_and_tree(trees, where, problem):
     with pytest.raises(ValueError) as info:
@@ -447,6 +455,11 @@ def test_no_stored_draws_is_an_error():
     pytest.param([[]], "draw 0: an empty list of stored trees", id="first-empty"),
     pytest.param([[], [const(1.0)]], "draw 0: an empty list of stored trees",
                  id="first-empty-then-one"),
+    pytest.param([[const(1.0)], None],
+                 "draw 1: no stored trees, but draw 0 has 1 stored trees", id="later-none"),
+    pytest.param([[const(1.0)], {"trees": [const(2.0)]}],
+                 "draw 1 is not an object with a list of trees", id="dict-draw"),
+    pytest.param([None, None], "no stored draws", id="all-none"),
 ])
 def test_ragged_or_empty_draws_are_refused_before_any_replay(trees, problem, counts):
     with pytest.raises(ValueError) as info:

@@ -882,6 +882,11 @@ class TestHyperparams:
         ("tau_b", math.nan, "tau_b must be a finite real, got nan"),
         ("a0", math.nan, "a0 must be a finite real, got nan"),
         ("dirichlet_mass", math.nan, "dirichlet_mass must be a finite real, got nan"),
+        # an int past the float range overflows math.isfinite
+        pytest.param("lam", 10**400, f"lam must be a finite real, got {10**400!r}",
+                     id="lam-huge-int"),
+        pytest.param("nu", -10**400, f"nu must be a finite real, got {-10**400!r}",
+                     id="nu-huge-negative-int"),
         ("seed", -1, "seed must be >= 0, got -1"),
     ])
     def test_wrong_type_or_value_is_named(self, name, value, message):
