@@ -272,7 +272,8 @@ def load_grid_config(path) -> dict:
 
     Invalid JSON, a missing required key or a value of the wrong type (a
     non-integer count or seed, a non-finite real) raises ValueError naming
-    the file.
+    the file; an algorithm's engine settings that `Hyperparams.from_dict`
+    refuses raise it naming the file and the algorithm.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -284,9 +285,14 @@ def load_grid_config(path) -> dict:
                               noise_sd=_typed(s, "noise_sd", "float", path, 1.0),
                               seed=_typed(s, "seed", "int", path, i))
                  for i, s in enumerate(_require(cfg, "scenarios", path))]
-    algorithms = [EngineConfig(_require(a, "name", path), Hyperparams.from_dict(
-                      {k: v for k, v in a.items() if k != "name"}))
-                  for a in _require(cfg, "algorithms", path)]
+    algorithms = []
+    for a in _require(cfg, "algorithms", path):
+        name = _require(a, "name", path)
+        try:
+            algorithms.append(EngineConfig(name, Hyperparams.from_dict(
+                {k: v for k, v in a.items() if k != "name"})))
+        except ValueError as exc:
+            raise ValueError(f"{path}: algorithm {name!r}: {exc}") from None
     replicates = _typed(cfg, "replicates", "int", path, 10)
     if replicates < 1:
         raise ValueError(f"{path}: replicates must be >= 1, got {replicates}")

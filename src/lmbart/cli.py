@@ -19,8 +19,7 @@ import numpy as np
 from . import benchmark as bm
 from . import leaves as lv
 from . import sampler as sp
-from .data import (CLASSIFICATION, REGRESSION, DataError, ScalingInfo, load_csv,
-                   load_features, standardize)
+from .data import CLASSIFICATION, REGRESSION, DataError, load_csv, load_features, standardize
 
 
 def _bool_flag(value: str) -> bool:
@@ -128,10 +127,8 @@ def cmd_predict(args) -> int:
         print(f"{path}: no stored trees; rerun train with --store-trees", file=sys.stderr)
         return 1
     X = load_features(args.data, header["feature_names"], header.get("target_column"))
-    result = sp.replay_trees([r["trees"] for r in records], header["task"],
-                             ScalingInfo.from_dict(header["scaling"]), X)
-    is_classification = header["task"] == CLASSIFICATION
-    label = "probability" if is_classification else "mean"
+    result = sp.replay_trees([r["trees"] for r in records], header["task"], header["scaling"], X)
+    label = "probability" if header["task"] == CLASSIFICATION else "mean"
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([label, "q05", "q95"])

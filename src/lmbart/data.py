@@ -291,8 +291,7 @@ def standardize(dataset: Dataset, scale_response: bool = True) -> tuple[Dataset,
     X = dataset.features
     centers = X.mean(axis=0)
     scales = X.std(axis=0, ddof=1)
-    constant = scales <= 0
-    scales = np.where(constant, 1.0, scales)
+    scales = np.where(scales <= 0, 1.0, scales)     # a constant column keeps scale 1
 
     y = dataset.response
     if scale_response and dataset.task == REGRESSION:

@@ -2,11 +2,13 @@
 
 Two leaf models are supported, `ConstantLeaves` and `LinearLeaves`. The
 constant model gives every terminal node a scalar mean with a N(0, sigma_mu^2)
-prior and stores it as {"mu": m}. The linear model gives every terminal node
-a coefficient vector beta (intercept first) on the leaf's covariates with a
-N_q(0, sigma^2 V) prior, V diagonal, and stores {"beta": [...], "covariates":
-[...]}. The model classes reach this module's functions through its globals,
-so wrapping those functions at run time sees every call.
+prior, the linear model a coefficient vector beta (intercept first) on the
+leaf's covariates with a N_q(0, sigma^2 V) prior, V diagonal. A model's `draw`
+returns these values in its stats' leaf order, a list of means or of coefficient
+lists, which its `fit` takes; only a stored tree holds them by leaf id, as
+{"mu": m} or {"beta": [...], "covariates": [...]}, which the stats' `payloads`
+write and the model's `replay` reads. The model classes reach this module's
+functions through its globals, so wrapping those functions at run time sees every call.
 
 A linear leaf's posterior precision X'X + V^-1 is factored once per
 `LeafStats` (`LeafStats.posterior`); the marginal and the draw share that
@@ -41,7 +43,7 @@ model's `fit` gives a tree's fitted values from its drawn leaves: a constant
 tree's leaf means taken at the index, a linear tree's stats designs times
 their coefficients, leaf by leaf. The models serve the replay of stored trees
 too: `stored_leaf_model` picks one from the stored leaves, and its `replay`
-keeps what its `fit` needs of a routed tree.
+reads a routed tree's stored leaves into the values its `fit` takes.
 
 Both log marginals are implemented exactly as used inside the
 Metropolis-Hastings ratio, i.e. with data-only factors dropped:
@@ -100,20 +102,21 @@ class LeafPrior:
 class ConstantStats:
     """Sufficient statistics of a constant-leaf tree's leaves, built on the
     residual array `resid`: the ascending leaf ids, and per leaf its rows
-    array, its row count and its residual sum (a Python float)."""
+    array, its row count and its residual sum (a Python float); a replay's hold the ids alone."""
 
     __slots__ = ("leaves", "rows", "n", "r_sum", "resid")
 
-    def __init__(self, leaves: list, rows: list, n: list, r_sum: list, resid):
+    def __init__(self, leaves: list, rows=None, n=None, r_sum=None, resid=None):
         self.leaves, self.rows, self.n, self.r_sum, self.resid = leaves, rows, n, r_sum, resid
 
     def __len__(self) -> int:
         return len(self.leaves)
 
-    @property
-    def parameter_count(self) -> int:
-        """One mean per leaf."""
-        return len(self.leaves)
+    parameter_count = property(__len__)     # one mean per leaf
+
+    def payloads(self, values: list) -> dict[int, dict]:
+        """Leaf id -> stored leaf {"mu": m} of the means `values`, in leaf order."""
+        return {leaf: {"mu": mu} for leaf, mu in zip(self.leaves, values)}
 
 
 @dataclass
@@ -186,6 +189,11 @@ class LinearStats(list):
     def parameter_count(self) -> int:
         """The coefficient count summed over the leaves."""
         return sum(st.q for st in self)
+
+    def payloads(self, values: list) -> dict[int, dict]:
+        """Leaf id -> {"beta": [...], "covariates": [...]} of the coefficient lists `values`."""
+        return {st.leaf_id: {"beta": beta, "covariates": st.covariates}
+                for st, beta in zip(self, values)}
 
 
 def build_leaf_design(rows: np.ndarray, features: np.ndarray,
@@ -419,14 +427,13 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def stored_leaf_problem(params: dict, p: int, leaf_model: str | None = None) -> str | None:
+def stored_leaf_problem(params: dict, p: int, leaf_model: str) -> str | None:
     """What makes a stored leaf's payload unusable on p features, or a leaf of
-    another model than `leaf_model` (any, when None); None if nothing. A
-    mean and every coefficient must be finite numbers (`is_finite_number`)."""
+    another model than `leaf_model`; None if nothing. A mean and every
+    coefficient must be finite numbers (`is_finite_number`)."""
     if "mu" in params:
-        mu = params["mu"]
-        if not is_finite_number(mu):
-            return f"leaf mean {mu!r} is not a finite number"
+        if not is_finite_number(params["mu"]):
+            return f"leaf mean {params['mu']!r} is not a finite number"
     elif "beta" not in params or "covariates" not in params:
         return "leaf has neither 'mu' nor 'beta' and 'covariates'"
     else:
@@ -439,7 +446,7 @@ def stored_leaf_problem(params: dict, p: int, leaf_model: str | None = None) -> 
             if not is_finite_number(coef):
                 return f"leaf coefficient {coef!r} is not a finite number"
     own = CONSTANT if "mu" in params else LINEAR
-    if leaf_model not in (None, own):
+    if own != leaf_model:
         return f"{own} leaf among stored trees whose leaves are {leaf_model}"
     return None
 
@@ -460,24 +467,25 @@ class ConstantLeaves:
     def log_marginal(self, stats, sigma2) -> float:
         return bart_log_marginal(stats, sigma2, self.sigma_mu2)
 
-    def draw(self, stats, sigma2, rng) -> dict[int, dict]:
-        mus = bart_sample_mu(stats, sigma2, self.sigma_mu2, rng)
-        return {leaf: {"mu": mu} for leaf, mu in zip(stats.leaves, mus)}
+    def draw(self, stats, sigma2, rng) -> list[float]:
+        """The leaf means, in the leaf order of `stats`."""
+        return bart_sample_mu(stats, sigma2, self.sigma_mu2, rng)
 
-    def fit(self, params, stats, index) -> np.ndarray:
-        """The tree's fit: its leaf means (`params`, leaf id -> payload), set one
-        by one (faster than a fancy assignment at a tree's few leaves) in an
-        array indexed by leaf id, taken at the row -> leaf id `index`."""
+    def fit(self, values, stats, index) -> np.ndarray:
+        """The tree's fit: the leaf means `values` (leaf order of `stats`), set
+        one by one (faster than a fancy assignment at a tree's few leaves) in
+        an array indexed by leaf id, taken at the row -> leaf id `index`."""
         means = np.zeros(stats.leaves[-1] + 1)
-        for leaf in stats.leaves:
-            means[leaf] = params[leaf]["mu"]
+        for leaf, mu in zip(stats.leaves, values):
+            means[leaf] = mu
         return means.take(index)
 
-    def replay(self, rows_by_leaf, payload, features, previous=None) -> ConstantStats:
-        """What `fit` needs of a stored tree routed to `rows_by_leaf`: its leaf
-        ids, as stats without rows or residuals, or the same routing's `previous`."""
-        return (previous if previous is not None
-                else ConstantStats(sorted(rows_by_leaf), None, None, None, None))
+    def replay(self, rows_by_leaf, stored, features, index, previous=None) -> tuple:
+        """(`fit` of a stored tree routed to `rows_by_leaf`, the stats it took):
+        the means read from `stored`, leaf id -> stored leaf, on the tree's leaf
+        ids as stats without rows or residuals, or on the same routing's `previous`."""
+        stats = previous if previous is not None else ConstantStats(sorted(rows_by_leaf))
+        return self.fit([stored[leaf]["mu"] for leaf in stats.leaves], stats, index), stats
 
 
 @dataclass(frozen=True)
@@ -518,33 +526,33 @@ class LinearLeaves:
     def log_marginal(self, stats, sigma2) -> float:
         return linear_log_marginal(stats, sigma2)
 
-    def draw(self, stats, sigma2, rng) -> dict[int, dict]:
-        betas = linear_sample_beta(stats, sigma2, rng)
-        return {st.leaf_id: {"beta": betas[st.leaf_id],
-                             "covariates": st.covariates} for st in stats}
+    def draw(self, stats, sigma2, rng) -> list[list[float]]:
+        """The leaf coefficient lists, in the leaf order of `stats`."""
+        return list(linear_sample_beta(stats, sigma2, rng).values())
 
-    def fit(self, params, stats, index) -> np.ndarray:
+    def fit(self, values, stats, index) -> np.ndarray:
         """The tree's fit on the `index.size` rows, leaf by leaf: each leaf's
-        stats design times its coefficients in `params`."""
+        stats design times its coefficients in `values` (leaf order of `stats`)."""
         fit = np.zeros(index.size)
-        for st in stats:
-            fit[st.rows] = st.design @ params[st.leaf_id]["beta"]
+        for st, beta in zip(stats, values):
+            fit[st.rows] = st.design @ beta
         return fit
 
-    def replay(self, rows_by_leaf, payload, features, previous=None) -> LinearStats:
-        """What `fit` needs of a stored tree routed to `rows_by_leaf`: per leaf, a
-        stat without residuals holding its design on its stored covariates. A
-        `previous` record, of the same routing, lends the stats of the leaves
-        whose covariates are unchanged. The payloads are not checked: they are
-        the chain's own or passed `stored_leaf_problem` where they entered."""
+    def replay(self, rows_by_leaf, stored, features, index, previous=None) -> tuple:
+        """(`fit` of a stored tree routed to `rows_by_leaf`, the stats it took):
+        the coefficients read from `stored`, leaf id -> stored leaf, on per leaf a
+        stat without residuals holding its design on its stored covariates, or
+        that of the same routing's `previous` if its covariates are unchanged.
+        Unchecked: the leaves are the chain's own or passed `stored_leaf_problem`."""
         kept = {st.leaf_id: st for st in previous or ()
-                if st.covariates == payload[st.leaf_id]["covariates"]}
-        out = LinearStats()
+                if st.covariates == stored[st.leaf_id]["covariates"]}
+        stats, betas = LinearStats(), []
         for leaf in sorted(rows_by_leaf):
             st = kept.get(leaf)
             if st is None:
-                rows, covs = rows_by_leaf[leaf], payload[leaf]["covariates"]
+                rows, covs = rows_by_leaf[leaf], stored[leaf]["covariates"]
                 st = LeafStats(leaf, rows.size, covariates=covs, rows=rows,
                                design=build_leaf_design(rows, features, covs))
-            out.append(st)
-        return out
+            stats.append(st)
+            betas.append(stored[leaf]["beta"])
+        return self.fit(betas, stats, index), stats

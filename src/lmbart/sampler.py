@@ -181,9 +181,7 @@ def calibrate_lambda(y: np.ndarray, nu: float, q: float = 0.90) -> float:
     The chi2_nu quantile is 2 * gammaincinv(nu/2, .), as `scipy.stats.chi2.ppf`
     computes it.
     """
-    s2 = float(np.var(y, ddof=1))
-    if s2 <= 0:
-        s2 = 1e-12
+    s2 = max(float(np.var(y, ddof=1)), 1e-12)
     return 2.0 * gammaincinv(nu / 2.0, 1.0 - q) * s2 / nu
 
 
@@ -283,7 +281,7 @@ class TreeState:
     """
 
     tree: tr.Tree
-    leaf_params: dict              # leaf id -> stored leaf payload (see leaves.py)
+    leaf_params: list              # the leaf model's drawn values, in its stats' leaf order
     rows_by_leaf: dict             # leaf id -> training row indices
     fit: np.ndarray                # (n,) current contribution
     log_prior: float               # log_tree_prior(tree), updated on acceptance
@@ -472,7 +470,8 @@ class PosteriorDraws:
 
 
 def _serialize_tree(ts: TreeState) -> dict:
-    return ts.tree.to_dict(ts.leaf_params)
+    """A tree in its stored form, its drawn values written by its stats' `payloads`."""
+    return ts.tree.to_dict(ts.stats.payloads(ts.leaf_params))
 
 
 def _stump_replay(n: int) -> tuple:
@@ -482,9 +481,9 @@ def _stump_replay(n: int) -> tuple:
 
 def _replay_tree(tree_dict: dict, features: np.ndarray, model,
                  previous: tuple) -> tuple[np.ndarray, tuple]:
-    """Fit of one serialized tree on standardized features by the leaf
-    `model`'s own `fit`, and its replay: (splits, tree, rows by leaf, rows by
-    split node, row -> leaf id index, the model's `replay` record).
+    """Fit of one serialized tree on standardized features, by the leaf
+    `model`'s `replay`, and the tree's replay: (splits, tree, rows by leaf,
+    rows by split node, row -> leaf id index, record: the stats its `fit` took).
 
     `previous` is the replay of the same tree index in the previous draw,
     or `_stump_replay` in the first. `Tree.from_dict` numbers nodes by the
@@ -496,21 +495,20 @@ def _replay_tree(tree_dict: dict, features: np.ndarray, model,
     Its leaves are renumbered, so its index and record are built afresh.
     The tree is not checked: it is the chain's own or passed `_stored_draws_problem`.
     """
-    tree, payload = tr.Tree.from_dict(tree_dict)
+    tree, stored = tr.Tree.from_dict(tree_dict)
     splits = [(nd.feature, nd.threshold) for nd in tree.nodes.values()]
     if previous[0] == splits:
         _, tree, rows_by_leaf, rows_by_split, index, record = previous
     else:
         rows_by_leaf, rows_by_split = tr.carry_routing(tree, features, *previous[1:4])
         index, record = tr.leaf_index(rows_by_leaf, features.shape[0]), None
-    record = model.replay(rows_by_leaf, payload, features, record)
-    return model.fit(payload, record, index), (splits, tree, rows_by_leaf, rows_by_split,
-                                               index, record)
+    fit, record = model.replay(rows_by_leaf, stored, features, index, record)
+    return fit, (splits, tree, rows_by_leaf, rows_by_split, index, record)
 
 
-def _stored_tree_problem(tree_dict, p: int, leaf_model: str | None = None) -> str | None:
-    """What makes a stored tree unusable on p features under `leaf_model`
-    (any, when None); None if nothing.
+def _stored_tree_problem(tree_dict, p: int, leaf_model: str) -> str | None:
+    """What makes a stored tree unusable on p features under `leaf_model`;
+    None if nothing.
 
     Each node is a dict whose "kind" is "leaf", with a payload that
     `leaves.stored_leaf_problem` accepts, or "internal", with a "left", a
@@ -575,12 +573,9 @@ def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
 
 
 def _split_usage_counts(state: SamplerState, p: int) -> np.ndarray:
-    counts = np.zeros(p)
-    for ts in state.trees:
-        for nd in ts.tree.nodes.values():
-            if not nd.is_leaf:
-                counts[nd.feature] += 1
-    return counts
+    """The count of split nodes on each of the p features, over every tree."""
+    return np.bincount([nd.feature for ts in state.trees for nd in ts.tree.nodes.values()
+                        if not nd.is_leaf], minlength=p).astype(float)
 
 
 def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
@@ -591,7 +586,7 @@ def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
     tau = 1.0 if hp.vars_inter_slope else hp.tau_b   # fixed precisions stay at tau_b
     return SamplerState(
         # leaf parameters are first drawn by the first tree step
-        trees=[TreeState(t, {}, {t.root: np.arange(n)}, np.zeros(n), stump_prior,
+        trees=[TreeState(t, [], {t.root: np.arange(n)}, np.zeros(n), stump_prior,
                          rows_by_split={}, index=np.zeros(n, np.intp)) for t in stumps],
         sigma2=sigma2,
         tau_beta0=tau,
@@ -651,9 +646,8 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
                 tau1_draws[keep] = state.tau_beta
             yhat_draws[keep] = (ndtr(state.total_fit) if classification
                                 else scaling.invert_response(state.total_fit))
-            for t, ts in enumerate(state.trees):
-                terminal_counts[keep, t] = len(ts.rows_by_leaf)
-                param_counts[keep, t] = ts.stats.parameter_count
+            terminal_counts[keep] = [len(ts.rows_by_leaf) for ts in state.trees]
+            param_counts[keep] = [ts.stats.parameter_count for ts in state.trees]
             if trees_out is not None:
                 trees_out.append([_serialize_tree(ts) for ts in state.trees])
             keep += 1
@@ -680,13 +674,9 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
 
 
 def _gather_coefficients(state: SamplerState) -> tuple[np.ndarray, np.ndarray]:
-    intercepts, slopes = [], []
-    for ts in state.trees:
-        for leaf in ts.tree.leaves():
-            beta = ts.leaf_params[leaf]["beta"]
-            intercepts.append(beta[0])
-            slopes.extend(beta[1:])
-    return np.asarray(intercepts), np.asarray(slopes)
+    """(every leaf intercept, every leaf slope) of the trees' coefficient lists, in order."""
+    betas = [beta for ts in state.trees for beta in ts.leaf_params]
+    return np.asarray([b[0] for b in betas]), np.asarray([c for b in betas for c in b[1:]])
 
 
 def run_regression(train: Dataset, hp: Hyperparams,
@@ -866,7 +856,8 @@ def write_run(draws: PosteriorDraws, path, extra: dict | None = None) -> None:
 
 
 def read_run(path) -> tuple[dict, list[dict]]:
-    """(header, draw records) of a `write_run` file.
+    """(header, draw records) of a `write_run` file, the header's `scaling`
+    built as a `ScalingInfo`.
 
     Raises ValueError naming the file when a line is not valid JSON (by line
     number), the header is not an object, is a draw record (a run written
@@ -874,13 +865,11 @@ def read_run(path) -> tuple[dict, list[dict]]:
     has another `VERSION`, or has a `scaling` that `ScalingInfo.from_dict`
     refuses or that does not hold one center and scale per feature name, or
     when the draw count is not the header's `retained`. Draw records are
-    checked here, once per file, with ValueError naming the file and the
-    draw: first their stored trees, by the one rule for stored draws
-    (`_stored_draws_problem` on the header's feature count; a record that is
-    not an object fails it), then each record's keys: a key of `_DRAW_KEYS`
-    missing, or a value there that `_draw_value_problem` refuses. The stored
-    trees of a file that passes need no further check, so `lmbart predict`
-    replays them unchecked.
+    checked here, once per file, naming the draw: first their stored trees,
+    by `_stored_draws_problem` on the header's feature count (a record that
+    is not an object fails it), then each record's `_DRAW_KEYS`, present and
+    accepted by `_draw_value_problem`. The stored trees of a file that passes
+    need no further check, so `lmbart predict` replays them unchecked.
     """
     values = []
     with open(path, encoding="utf-8") as fh:
@@ -915,6 +904,7 @@ def read_run(path) -> tuple[dict, list[dict]]:
         raise ValueError(f"{path}: scaling holds {scaling.feature_centers.size} feature centers "
                          f"and {scaling.feature_scales.size} scales, but the header names "
                          f"{p} features")
+    header["scaling"] = scaling
     if len(records) != header["retained"]:
         raise ValueError(f"{path}: {len(records)} draws, but the header records "
                          f"{header['retained']}; the file may be truncated")

@@ -189,7 +189,8 @@ class Tree:
 
     @classmethod
     def from_dict(cls, d: dict) -> tuple["Tree", dict[int, dict]]:
-        """Inverse of `to_dict`; returns the tree and per-leaf payload dicts.
+        """Inverse of `to_dict`; returns the tree and leaf id -> leaf node of
+        `d`, the stored dict itself (its payload and its "kind"), not a copy.
 
         Node ids are allocated as `grow` would allocate them when splitting
         the nodes in preorder: a split node's left child gets the next free
@@ -206,8 +207,7 @@ class Tree:
             kind = spec["kind"]
             if kind == "leaf":
                 arena[node_id] = Node(depth, parent)
-                leaf = payload[node_id] = dict(spec)
-                del leaf["kind"]
+                payload[node_id] = spec
                 continue
             if kind != "internal":
                 raise ValueError(f"unknown node kind {kind!r}")

@@ -299,8 +299,8 @@ def grow_from_dict(d):
     """`Tree.from_dict` by recursion: one `Tree.grow` per internal node.
 
     Splits the stored tree's nodes in preorder, left subtree first, so the
-    node ids are the ones `grow` allocates. Returns the tree and the per-leaf
-    payload dicts.
+    node ids are the ones `grow` allocates. Returns the tree and leaf id ->
+    leaf node of `d`, as `Tree.from_dict` does.
     """
     from lmbart.trees import Tree
 
@@ -309,7 +309,7 @@ def grow_from_dict(d):
 
     def build(node_id, spec):
         if spec["kind"] == "leaf":
-            payload[node_id] = {k: v for k, v in spec.items() if k != "kind"}
+            payload[node_id] = spec
             return
         left, right = tree.grow(node_id, spec["feature"], spec["threshold"])
         build(left, spec["left"])

@@ -259,6 +259,20 @@ class TestPredict:
         got = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
         assert_allclose(got, recorded, atol=1e-8)
 
+    def test_the_header_scaling_is_built_once(self, tmp_path, friedman_csv, trained_run,
+                                              monkeypatch):
+        # read_run builds and checks the scaling; the replay takes that object
+        built, from_dict = [], ScalingInfo.from_dict.__func__
+
+        def counting(cls, d):
+            built.append(d)
+            return from_dict(cls, d)
+
+        monkeypatch.setattr(ScalingInfo, "from_dict", classmethod(counting))
+        assert run_cli("predict", "--run", trained_run, "--data", friedman_csv,
+                       "--out", tmp_path / "preds.csv") == 0
+        assert len(built) == 1
+
     def test_matches_in_memory_predict_exactly(self, tmp_path, friedman_csv,
                                                trained_run):
         # same fit in memory as the trained_run fixture; JSON and repr floats
@@ -283,7 +297,7 @@ class TestPredict:
                                                     trained_run):
         header, records = read_run(trained_run.parent / "run.draws.jsonl")
         trees = [r["trees"] for r in records]
-        scaling = ScalingInfo.from_dict(header["scaling"])
+        scaling = header["scaling"]          # built and checked by read_run
         X = load_csv(friedman_csv, "y", REGRESSION).features
         draws, mean, lower, upper = replay_every_tree(trees, header["task"], scaling, X)
         result = predict_stored(trees, header["task"], scaling, X)
@@ -559,15 +573,16 @@ class TestBenchmarkCommand:
         grid = self.make_grid(tmp_path, vars_inter_slope="false")
         code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
         assert code == 1
-        assert (capsys.readouterr().err
-                == "error: vars_inter_slope must be a bool, got 'false'\n")
+        assert (capsys.readouterr().err == f"error: {grid}: algorithm 'l2': "
+                                           "vars_inter_slope must be a bool, got 'false'\n")
 
     def test_a_huge_int_real_is_an_error(self, tmp_path, capsys):
         # a 400-digit int overflows math.isfinite, so it is refused as NaN is
         grid = self.make_grid(tmp_path, nu=10**400)
         code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
         assert code == 1
-        assert capsys.readouterr().err == f"error: nu must be a finite real, got {10**400!r}\n"
+        assert (capsys.readouterr().err
+                == f"error: {grid}: algorithm 'l2': nu must be a finite real, got {10**400!r}\n")
         assert not (tmp_path / "bench").exists()
 
     def test_unknown_algorithm_key_is_an_error(self, tmp_path, capsys):
@@ -575,7 +590,8 @@ class TestBenchmarkCommand:
         code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown hyperparameter(s): proposal_correction")
+        assert err.startswith(f"error: {grid}: algorithm 'l2': unknown hyperparameter(s): "
+                              "proposal_correction")
 
     @pytest.mark.parametrize("key", ["scenarios", "algorithms", "n", "name"])
     def test_missing_key_is_named(self, tmp_path, capsys, key):
@@ -603,17 +619,21 @@ class TestBenchmarkCommand:
         ("grid", "replicates", 1.7, "an integer"),
         ("grid", "master_seed", "3", "an integer"),
         ("grid", "test_fraction", float("nan"), "a finite real"),
+        ("algorithm", "nu", -1, "> 0"),
     ])
     def test_wrongly_typed_grid_value_is_named(self, tmp_path, capsys, where, key, value,
                                                expected):
         grid = self.make_grid(tmp_path)
         cfg = json.loads(grid.read_text())
-        (cfg["scenarios"][0] if where == "scenario" else cfg)[key] = value
+        {"scenario": cfg["scenarios"][0], "algorithm": cfg["algorithms"][1]}.get(
+            where, cfg)[key] = value
         grid.write_text(json.dumps(cfg), encoding="utf-8")   # nan and inf as NaN, Infinity
         code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
         assert code == 1
+        # an engine value is refused by Hyperparams, in its words, after the algorithm's name
+        named = f"algorithm 'l2': {key}" if where == "algorithm" else repr(key)
         assert (capsys.readouterr().err
-                == f"error: {grid}: {key!r} must be {expected}, got {value!r}\n")
+                == f"error: {grid}: {named} must be {expected}, got {value!r}\n")
         assert not (tmp_path / "bench").exists()
 
     @pytest.mark.parametrize("flag, value", [("--replicates", 0), ("--replicates", -2),

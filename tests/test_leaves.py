@@ -571,7 +571,8 @@ class TestLeafModels:
         X = rng.normal(size=(40, 3))
         t = self.grown_tree()
         stats = model.stats(t, t.leaf_rows(X), X, rng.normal(size=40))
-        payload = model.draw(stats, 1.0, rng)
+        # the draw is the model's values in leaf order; the stats store them
+        payload = stats.payloads(model.draw(stats, 1.0, rng))
         assert sorted(payload) == sorted(t.leaves())
         assert json.loads(json.dumps(t.to_dict(payload))) == t.to_dict(payload)
         assert leaf_parameter_count(t, kind, TREE_SPLITS) == sum(

@@ -4,8 +4,10 @@ A refactor of the sampler that is meant to leave the draws unchanged must
 reproduce these numbers: the acceptance counts exactly, the sigma^2 trace and
 the retained training fits to 1e-12 relative, and the RMSE of one benchmark
 cell. The values in `data/pinned_chains.json` were written by
-`python tests/test_pinned_chains.py` (with `src` on the path); regenerate them
-only for a change that is meant to alter the draws, and say so.
+`python tests/test_pinned_chains.py [name ...]` (with `src` on the path), which
+re-records the named entries (chain names and "benchmark_cell_rmse") and keeps
+every other entry as committed, or re-records every entry when given no name.
+Regenerate them only for a change that is meant to alter the draws, and say so.
 """
 
 import json
@@ -26,6 +28,7 @@ from lmbart.trees import Tree
 from oracles import explicit_partial_residual, leaf_index_of
 
 PINNED = Path(__file__).parent / "data" / "pinned_chains.json"
+DATA = FriedmanSpec(n=50, p=5, seed=31)
 
 CHAINS = {
     "constant": dict(leaf_model="constant"),
@@ -38,7 +41,7 @@ CHAINS = {
 
 def chain_data(name: str):
     """The standardized training set of a pinned chain and its scaling."""
-    data = friedman_generate(FriedmanSpec(n=50, p=5, seed=31))
+    data = friedman_generate(DATA)
     if name == "probit":
         labels = (data.response > np.median(data.response)).astype(float)
         binary = Dataset(data.features, labels, data.feature_names, CLASSIFICATION)
@@ -63,16 +66,24 @@ def benchmark_cell_rmse() -> float:
     return cell.rmses[0]
 
 
-def record() -> dict:
-    out = {}
-    for name in CHAINS:
+def record(names=()) -> dict:
+    """The pinned entries: those in `names` recorded afresh and the rest as
+    committed, or every entry recorded afresh when `names` is empty."""
+    entries = [*CHAINS, "benchmark_cell_rmse"]
+    unknown = sorted(set(names) - set(entries))
+    if unknown:
+        raise ValueError(f"unknown entries {unknown}; the entries are {entries}")
+    out = json.loads(PINNED.read_text(encoding="utf-8")) if names else {}
+    for name in names or entries:
+        if name == "benchmark_cell_rmse":
+            out[name] = benchmark_cell_rmse()
+            continue
         draws = run_chain(name)
         out[name] = {
             "acceptance": draws.acceptance,
             "sigma2_chain": draws.sigma2_chain.tolist(),
             "yhat_train": draws.yhat_train.tolist(),
         }
-    out["benchmark_cell_rmse"] = benchmark_cell_rmse()
     return out
 
 
@@ -157,6 +168,27 @@ def test_recorded_counts_equal_the_reference_counters(name):
     assert draws.terminal_counts.max() > 1
 
 
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_stored_trees_replay_to_the_chain_fits(name):
+    # the chain keeps its drawn leaf values and stores them as payloads: the
+    # stored trees, replayed on the training rows, give its retained fits exactly
+    draws = run_chain(name, store_trees=True)
+    replayed = sampler.predict(draws, friedman_generate(DATA).features)
+    assert np.array_equal(replayed.draws, draws.yhat_train)
+
+
+def test_recorder_rewrites_only_the_named_entries(pinned):
+    recorded = record(["probit"])
+    assert list(recorded) == list(pinned)
+    assert all(recorded[name] == pinned[name] for name in pinned if name != "probit")
+    draws = run_chain("probit")
+    assert recorded["probit"] == {"acceptance": draws.acceptance,
+                                  "sigma2_chain": draws.sigma2_chain.tolist(),
+                                  "yhat_train": draws.yhat_train.tolist()}
+    with pytest.raises(ValueError, match="unknown entries"):
+        record(["constant", "nope"])
+
+
 def test_benchmark_cell_rmse_matches_recorded(pinned):
     assert_allclose(benchmark_cell_rmse(), pinned["benchmark_cell_rmse"],
                     rtol=1e-12, atol=0)
@@ -164,5 +196,5 @@ def test_benchmark_cell_rmse_matches_recorded(pinned):
 
 if __name__ == "__main__":
     PINNED.parent.mkdir(exist_ok=True)
-    PINNED.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+    PINNED.write_text(json.dumps(record(sys.argv[1:]), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {PINNED}", file=sys.stderr)

@@ -94,7 +94,8 @@ def leaf_intercept(payload: dict) -> float:
 
 
 def chain_state(trees, payloads, X, hp, probit=False, **globals_) -> SamplerState:
-    """A chain state holding `trees` with leaf `payloads` (one dict per tree).
+    """A chain state holding `trees` with leaf `payloads` (one dict per tree),
+    each tree's values in ascending leaf order: its means or its coefficients.
 
     The taus start at `tau_b`, sigma^2 at 1 and the split probabilities
     uniform; `globals_` sets any of these state fields instead. The target
@@ -107,7 +108,8 @@ def chain_state(trees, payloads, X, hp, probit=False, **globals_) -> SamplerStat
         fit = np.zeros(n)
         for leaf, r in rows.items():
             fit[r] = [leaf_value(leaf_params[leaf], x) for x in X[r]]
-        states.append(TreeState(tree, leaf_params, rows, fit,
+        values = [p["mu"] if "mu" in p else p["beta"] for _, p in sorted(leaf_params.items())]
+        states.append(TreeState(tree, values, rows, fit,
                                 log_tree_prior(tree, hp.alpha, hp.beta_depth),
                                 rows_by_split=splits, index=leaf_index_of(rows, n)))
         total_fit += fit
@@ -291,7 +293,7 @@ def successive_conditional(sweeps: int, X, sd, hp, rng, regression: bool) -> lis
             y = (rng.random(n) < ndtr(state.total_fit)).astype(float)
         sampler.sweep(state, X, y, sd, hp, hp.lam, rng)
         out.append(statistics([ts.tree for ts in state.trees],
-                              [ts.leaf_params for ts in state.trees],
+                              [ts.stats.payloads(ts.leaf_params) for ts in state.trees],
                               {name: getattr(state, name) for name in globals_}))
     return out
 

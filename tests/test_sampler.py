@@ -210,7 +210,7 @@ def handmade_state(fits, target):
     trees = []
     for fit in fits:
         t = Tree()
-        trees.append(TreeState(t, {t.root: 0.0}, {t.root: np.arange(len(fit))},
+        trees.append(TreeState(t, [0.0], {t.root: np.arange(len(fit))},
                                np.asarray(fit, dtype=float), log_tree_prior(t, 0.95, 2.0),
                                rows_by_split={}, index=np.zeros(len(fit), dtype=int)))
     total_fit = np.sum(fits, axis=0).astype(float)
@@ -371,7 +371,7 @@ class TestRunRegression:
         sd = split_dictionary(d)
         hp = Hyperparams(m=1, n_min=5, burn_in=1, post_burn_in=1)
         t = Tree()
-        ts = TreeState(t, {t.root: 0.0}, {t.root: np.arange(6)}, np.zeros(6),
+        ts = TreeState(t, [0.0], {t.root: np.arange(6)}, np.zeros(6),
                        log_tree_prior(t, hp.alpha, hp.beta_depth), rows_by_split={},
                        index=np.zeros(6, dtype=int))
         state = SamplerState(trees=[ts], sigma2=1.0, tau_beta0=1.0,
@@ -385,7 +385,7 @@ class TestRunRegression:
                                          leaf_model(hp, (1.0, 1.0)), rng)
             assert outcome == "invalid"
             assert state.trees[0].tree.n_leaves() == 1
-            mus.append(state.trees[0].leaf_params[t.root]["mu"])
+            mus.append(state.trees[0].leaf_params[0])   # the stump's one mean
         assert len(set(mus)) == len(mus)   # leaf mean redrawn every step
         counts = state.acceptance
         assert sum(rec["invalid"] for rec in counts.values()) == 30
@@ -407,7 +407,7 @@ class TestRunRegression:
         hp = Hyperparams(m=2, n_min=1, burn_in=1, post_burn_in=1)
         stumps = [Tree(), Tree()]
         state = SamplerState(
-            trees=[TreeState(t, {t.root: {"mu": 0.0}}, {t.root: np.arange(20)}, np.zeros(20),
+            trees=[TreeState(t, [0.0], {t.root: np.arange(20)}, np.zeros(20),
                              log_tree_prior(t, hp.alpha, hp.beta_depth), rows_by_split={},
                              index=np.zeros(20, dtype=int)) for t in stumps],
             sigma2=1.0, tau_beta0=1.0, tau_beta=1.0, split_probs=np.full(2, 0.5),
@@ -945,7 +945,7 @@ class TestReadDraws:
         write_run(draws, path)
         header, records = read_run(path)
         assert header["config"] == draws.hyperparams.to_dict()
-        assert header["scaling"] == draws.scaling.to_dict()
+        assert header["scaling"].to_dict() == draws.scaling.to_dict()   # built by read_run
         assert header["acceptance"] == draws.acceptance
         assert header["retained"] == draws.retained == len(records)
         assert np.array_equal(header["sigma2_chain"], draws.sigma2_chain)

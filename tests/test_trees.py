@@ -588,7 +588,7 @@ class TestSerializerReference:
 
         def check(state):
             for ts in state.trees:
-                assert_serializes_like_reference(ts.tree, ts.leaf_params)
+                assert_serializes_like_reference(ts.tree, ts.stats.payloads(ts.leaf_params))
             sweeps.append(state.iteration)
 
         draws = run_chain(name, on_sweep=check, store_trees=True)
