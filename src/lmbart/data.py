@@ -203,8 +203,8 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 
     The header is row 1. A row whose cells are all blank is skipped; any
     other row must have one cell per header column. A file that cannot be
-    opened, is empty, has a blank header, has a ragged row or has no data
-    rows raises DataError.
+    opened, is empty, has a blank header or one that names a column twice,
+    has a ragged row or has no data rows raises DataError.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -218,6 +218,9 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
             raise DataError(f"{path}: file is empty") from None
         if not any(header):
             raise DataError(f"{path}: row 1 (header) is blank")
+        if len(set(header)) < len(header):
+            repeated = next(h for i, h in enumerate(header) if h in header[:i])
+            raise DataError(f"{path}: row 1 (header) names column {repeated!r} twice")
         records = []
         for row, cells in enumerate(reader, start=2):
             if not any(cell.strip() for cell in cells):

@@ -481,11 +481,12 @@ class ConstantLeaves:
         return means.take(index)
 
     def replay(self, rows_by_leaf, stored, features, index, previous=None) -> tuple:
-        """(`fit` of a stored tree routed to `rows_by_leaf`, the stats it took):
-        the means read from `stored`, leaf id -> stored leaf, on the tree's leaf
-        ids as stats without rows or residuals, or on the same routing's `previous`."""
+        """(means, `fit`, stats) of a stored tree routed to `rows_by_leaf`: the
+        means read from `stored`, leaf id -> stored leaf, in the order of stats
+        holding the tree's leaf ids alone, or of the same routing's `previous`."""
         stats = previous if previous is not None else ConstantStats(sorted(rows_by_leaf))
-        return self.fit([stored[leaf]["mu"] for leaf in stats.leaves], stats, index), stats
+        means = [stored[leaf]["mu"] for leaf in stats.leaves]
+        return means, self.fit(means, stats, index), stats
 
 
 @dataclass(frozen=True)
@@ -539,7 +540,7 @@ class LinearLeaves:
         return fit
 
     def replay(self, rows_by_leaf, stored, features, index, previous=None) -> tuple:
-        """(`fit` of a stored tree routed to `rows_by_leaf`, the stats it took):
+        """(coefficient lists, `fit`, stats) of a stored tree routed to `rows_by_leaf`:
         the coefficients read from `stored`, leaf id -> stored leaf, on per leaf a
         stat without residuals holding its design on its stored covariates, or
         that of the same routing's `previous` if its covariates are unchanged.
@@ -555,4 +556,4 @@ class LinearLeaves:
                                design=build_leaf_design(rows, features, covs))
             stats.append(st)
             betas.append(stored[leaf]["beta"])
-        return self.fit(betas, stats, index), stats
+        return betas, self.fit(betas, stats, index), stats

@@ -40,6 +40,7 @@ VERSION = "lmbart 0.1.0"
 _HEADER_KEYS = ("version", "task", "feature_names", "scaling", "acceptance", "retained",
                 "sigma2_chain")
 _DRAW_KEYS = ("iteration", "sigma2", "terminal_counts", "param_counts")
+_OUTCOMES = ("accepted", "rejected", "invalid")    # of a tree step, counted per move kind
 
 UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
@@ -268,26 +269,39 @@ def sample_latent_z(y_binary: np.ndarray, fit: np.ndarray,
 
 @dataclass
 class TreeState:
-    """One tree of the chain and what its steps carry.
+    """One tree of the chain, or of a replay of stored draws, and what it carries.
 
-    `rows_by_leaf` and `rows_by_split` are the tree's routing of the
-    training rows, every node's ascending rows, as `Tree.route` fills them;
-    `propose_move` re-routes from them only the rows its move changes.
+    `rows_by_leaf` and `rows_by_split` are the tree's routing of the rows,
+    every node's ascending rows, as `Tree.route` fills them; `propose_move`
+    and the replay re-route from them only the rows whose nodes changed.
 
-    `index` is the same leaf routing as one row -> leaf id array
-    (`trees.leaf_index`). On acceptance a tree step rewrites only the rows of
-    the candidate leaves whose row arrays are new. The index belongs to this
-    state alone and is updated in place.
+    `index` is the same leaf routing as one row -> leaf id array. Every state
+    starts as a `stump`, and only `keep` writes the index after that. The
+    index belongs to this state alone and is updated in place.
     """
 
     tree: tr.Tree
     leaf_params: list              # the leaf model's drawn values, in its stats' leaf order
-    rows_by_leaf: dict             # leaf id -> training row indices
+    rows_by_leaf: dict             # leaf id -> row indices
     fit: np.ndarray                # (n,) current contribution
     log_prior: float               # log_tree_prior(tree), updated on acceptance
-    rows_by_split: dict            # split node id -> training row indices
-    index: np.ndarray              # (n,) training row -> leaf id
+    rows_by_split: dict            # split node id -> row indices
+    index: np.ndarray              # (n,) row -> leaf id
     stats: object = None           # the leaf model's stats of the kept tree
+
+    @classmethod
+    def stump(cls, n: int, log_prior: float = math.nan) -> "TreeState":
+        """A stump on n rows, fit 0, no leaf value drawn; the replay tracks no `log_prior`."""
+        return cls(tr.Tree.stump(), [], {0: np.arange(n)}, np.zeros(n), log_prior, {},
+                   np.zeros(n, np.intp))
+
+    def keep(self, tree: tr.Tree, rows_by_leaf: dict, rows_by_split: dict) -> None:
+        """Make `tree` with its routing the kept tree, rewriting the index only
+        at leaves whose rows array is not this state's array of that leaf id."""
+        for leaf, rows in rows_by_leaf.items():
+            if self.rows_by_leaf.get(leaf) is not rows:
+                self.index[rows] = leaf
+        self.tree, self.rows_by_leaf, self.rows_by_split = tree, rows_by_leaf, rows_by_split
 
 
 @dataclass
@@ -313,7 +327,7 @@ class SamplerState:
     probit: bool = False           # target is latent z given labels; sigma2 pinned at 1
     iteration: int = 0             # sweeps completed
     acceptance: dict = field(default_factory=lambda: {
-        kind: {"accepted": 0, "rejected": 0, "invalid": 0} for kind in tr.MOVE_KINDS
+        kind: dict.fromkeys(_OUTCOMES, 0) for kind in tr.MOVE_KINDS
     })
 
 
@@ -346,10 +360,10 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
     feature cdf of the state's split probabilities (`trees.split_cdf`).
 
     The candidate reuses the current tree's leaf and split routing, and on
-    acceptance its own routing replaces both, and the tree's row -> leaf id
-    index is rewritten for the leaves whose rows changed. The current
-    tree's stats reuse `ts.stats`, the kept tree's stats from this tree's
-    previous step, and are otherwise built with the index; the candidate's
+    acceptance `TreeState.keep` makes it the kept tree, rewriting the row ->
+    leaf id index for the leaves whose rows changed. The current tree's stats
+    reuse `ts.stats`, the kept tree's stats from this tree's previous step,
+    and are otherwise built with the index; the candidate's
     reuse the current tree's, by the rule in `leaves.py`. The log ratio
     still sums every leaf of both trees.
 
@@ -380,12 +394,7 @@ def mh_tree_step(state: SamplerState, tree_index: int, features: np.ndarray,
             raise FloatingPointError(f"tree {tree_index}: {proposal.kind} move has a "
                                      "NaN log acceptance ratio")
         if mh_accept(log_alpha, rng):
-            for leaf, rows in proposal.rows_by_leaf.items():
-                if ts.rows_by_leaf.get(leaf) is not rows:
-                    ts.index[rows] = leaf
-            ts.tree = proposal.tree
-            ts.rows_by_leaf = proposal.rows_by_leaf
-            ts.rows_by_split = proposal.rows_by_split
+            ts.keep(proposal.tree, proposal.rows_by_leaf, proposal.rows_by_split)
             ts.log_prior = cand_prior
             stats = cand_stats
             outcome = "accepted"
@@ -474,36 +483,27 @@ def _serialize_tree(ts: TreeState) -> dict:
     return ts.tree.to_dict(ts.stats.payloads(ts.leaf_params))
 
 
-def _stump_replay(n: int) -> tuple:
-    """The replay of a stump on n rows, no record yet, that draw 0 carries every tree from."""
-    return [(None, None)], tr.Tree.stump(), {0: np.arange(n)}, {}, np.zeros(n, np.intp), None
+def _replay_tree(tree_dict: dict, features: np.ndarray, model, ts: TreeState,
+                 key: list | None) -> list:
+    """Replay one serialized tree on standardized features into `ts` by the
+    leaf `model`'s `replay`; returns its split key, (feature, threshold) per node id.
 
-
-def _replay_tree(tree_dict: dict, features: np.ndarray, model,
-                 previous: tuple) -> tuple[np.ndarray, tuple]:
-    """Fit of one serialized tree on standardized features, by the leaf
-    `model`'s `replay`, and the tree's replay: (splits, tree, rows by leaf,
-    rows by split node, row -> leaf id index, record: the stats its `fit` took).
-
-    `previous` is the replay of the same tree index in the previous draw,
-    or `_stump_replay` in the first. `Tree.from_dict` numbers nodes by the
-    tree's shape, and the shape follows from which ids are split nodes, so a
-    tree whose (feature, threshold) per node id equals the previous one's
-    has the same splits: it reuses that routing, index and record. Any other
-    tree is routed by `trees.carry_routing`, which routes again only the
-    rows of the topmost nodes whose rules differ from the previous tree's.
-    Its leaves are renumbered, so its index and record are built afresh.
-    The tree is not checked: it is the chain's own or passed `_stored_draws_problem`.
-    """
+    `ts` is the tree index's state after the previous draw, a `TreeState.stump`
+    before the first, and `key` its tree's key (None before the first draw).
+    `Tree.from_dict` numbers nodes by shape, which follows from the split ids,
+    so a tree with an equal key keeps the state's tree, routing, index and
+    stats. Any other tree is routed by `trees.carry_routing` and kept by
+    `TreeState.keep`; its leaves are renumbered, so its stats are built afresh.
+    Then `_serialize_tree(ts)` equals `tree_dict`. The tree is not checked:
+    it is the chain's own or passed `_stored_draws_problem`."""
     tree, stored = tr.Tree.from_dict(tree_dict)
     splits = [(nd.feature, nd.threshold) for nd in tree.nodes.values()]
-    if previous[0] == splits:
-        _, tree, rows_by_leaf, rows_by_split, index, record = previous
-    else:
-        rows_by_leaf, rows_by_split = tr.carry_routing(tree, features, *previous[1:4])
-        index, record = tr.leaf_index(rows_by_leaf, features.shape[0]), None
-    fit, record = model.replay(rows_by_leaf, stored, features, index, record)
-    return fit, (splits, tree, rows_by_leaf, rows_by_split, index, record)
+    if splits != key:
+        ts.keep(tree, *tr.carry_routing(tree, features, ts.tree, ts.rows_by_leaf, ts.rows_by_split))
+        ts.stats = None
+    ts.leaf_params, ts.fit, ts.stats = model.replay(ts.rows_by_leaf, stored, features, ts.index,
+                                                    ts.stats)
+    return splits
 
 
 def _stored_tree_problem(tree_dict, p: int, leaf_model: str) -> str | None:
@@ -567,9 +567,10 @@ def _stored_draws_problem(draws, p: int) -> str | None:
 
 
 def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
-    """Evaluate one serialized tree on standardized features."""
-    return _replay_tree(tree_dict, features, lv.stored_leaf_model(tree_dict),
-                        _stump_replay(features.shape[0]))[0]
+    """Evaluate one serialized tree on standardized features, replayed into a stump."""
+    ts = TreeState.stump(features.shape[0])
+    _replay_tree(tree_dict, features, lv.stored_leaf_model(tree_dict), ts, None)
+    return ts.fit
 
 
 def _split_usage_counts(state: SamplerState, p: int) -> np.ndarray:
@@ -581,13 +582,11 @@ def _split_usage_counts(state: SamplerState, p: int) -> np.ndarray:
 def _init_state(train: Dataset, hp: Hyperparams, target: np.ndarray,
                 sigma2: float) -> SamplerState:
     n, p = train.n, train.p
-    stumps = [tr.Tree.stump() for _ in range(hp.m)]
-    stump_prior = tr.log_tree_prior(stumps[0], hp.alpha, hp.beta_depth)
+    stump_prior = tr.log_tree_prior(tr.Tree.stump(), hp.alpha, hp.beta_depth)
     tau = 1.0 if hp.vars_inter_slope else hp.tau_b   # fixed precisions stay at tau_b
     return SamplerState(
         # leaf parameters are first drawn by the first tree step
-        trees=[TreeState(t, [], {t.root: np.arange(n)}, np.zeros(n), stump_prior,
-                         rows_by_split={}, index=np.zeros(n, np.intp)) for t in stumps],
+        trees=[TreeState.stump(n, stump_prior) for _ in range(hp.m)],
         sigma2=sigma2,
         tau_beta0=tau,
         tau_beta=tau,
@@ -742,14 +741,14 @@ def replay_trees(trees: list, task: str, scaling: ScalingInfo,
     passed `_stored_draws_problem`, on new rows; arguments as `predict_stored`.
 
     One leaf model, picked from the first stored tree
-    (`leaves.stored_leaf_model`), replays every tree. Each tree index
-    carries its replay from one draw to the next, and into draw 0 from a
-    stump's (`_stump_replay`), so a tree is routed again only when its
-    splits changed since the previous draw, and then only below the topmost
-    nodes whose rules differ; its renumbered leaves get a new index and
-    record (see `_replay_tree`). Tree fits are summed in place into the
-    draw's row, in tree order, and the link maps all draws at once. The band
-    equals `np.quantile`'s linear method bit for bit (`quantile_band`).
+    (`leaves.stored_leaf_model`), replays every tree. Each tree index keeps
+    one `TreeState`, a `TreeState.stump` before draw 0, and its split key
+    beside it; `_replay_tree` carries both from one draw to the next, so a
+    tree is routed again only when its splits changed since the previous
+    draw, and then only below the topmost nodes whose rules differ. Tree
+    fits are summed in place into the draw's row, in tree order, and the
+    link maps all draws at once. The band equals `np.quantile`'s linear
+    method bit for bit (`quantile_band`).
     """
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2 or X_new.shape[1] != scaling.feature_centers.size:
@@ -762,13 +761,14 @@ def replay_trees(trees: list, task: str, scaling: ScalingInfo,
     Xs = np.asfortranarray(scaling.transform_features(X_new))   # column-major for routing
     out = np.zeros((len(trees), Xs.shape[0]))
     model = lv.stored_leaf_model(trees[0][0])
-    replays = [_stump_replay(Xs.shape[0])] * len(trees[0])   # tree index -> previous replay
+    states = [TreeState.stump(Xs.shape[0]) for _ in trees[0]]
+    keys = [None] * len(states)                 # tree index -> its state's split key
     with np.errstate(over="ignore", invalid="ignore"):    # the finite check names these
         for k, tree_dicts in enumerate(trees):
             fit = out[k]
-            for t, d in enumerate(tree_dicts):
-                tree_fit, replays[t] = _replay_tree(d, Xs, model, replays[t])
-                fit += tree_fit
+            for t, (d, ts) in enumerate(zip(tree_dicts, states)):
+                keys[t] = _replay_tree(d, Xs, model, ts, keys[t])
+                fit += ts.fit
     if not np.isfinite(out).all():
         k = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise ValueError(f"draw {k}: its tree fits sum to a non-finite value")
@@ -862,9 +862,10 @@ def read_run(path) -> tuple[dict, list[dict]]:
     Raises ValueError naming the file when a line is not valid JSON (by line
     number), the header is not an object, is a draw record (a run written
     before the header, with a separate metadata file), lacks a required key,
-    has another `VERSION`, or has a `scaling` that `ScalingInfo.from_dict`
-    refuses or that does not hold one center and scale per feature name, or
-    when the draw count is not the header's `retained`. Draw records are
+    has another `VERSION`, has a value that `_header_value_problem` refuses,
+    or has a `scaling` that `ScalingInfo.from_dict` refuses or that does not
+    hold one center and scale per feature name, or when the draw count is
+    not the header's `retained`. Draw records are
     checked here, once per file, naming the draw: first their stored trees,
     by `_stored_draws_problem` on the header's feature count (a record that
     is not an object fails it), then each record's `_DRAW_KEYS`, present and
@@ -895,6 +896,9 @@ def read_run(path) -> tuple[dict, list[dict]]:
     if header["version"] != VERSION:
         raise ValueError(f"{path}: written by {header['version']!r}, "
                          f"expected {VERSION!r}")
+    problem = _header_value_problem(header)
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
     p = len(header["feature_names"])
     try:
         scaling = ScalingInfo.from_dict(header["scaling"])
@@ -925,6 +929,30 @@ def read_run(path) -> tuple[dict, list[dict]]:
             raise ValueError(f"{path}: draw {k}: {problem}")
         m = len(record["terminal_counts"])
     return header, records
+
+
+def _header_value_problem(header: dict) -> str | None:
+    """What makes the values of a run header's `_HEADER_KEYS` other than
+    `version` and `scaling` unusable; None if nothing. `acceptance` maps the
+    move kinds (`trees.MOVE_KINDS`) to an int count per outcome (`_OUTCOMES`)."""
+    task, names, acceptance = header["task"], header["feature_names"], header["acceptance"]
+    if task not in (REGRESSION, CLASSIFICATION):
+        return f"task {task!r} is not {REGRESSION!r} or {CLASSIFICATION!r}"
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
+            and len(set(names)) == len(names)):
+        return f"feature_names {names!r} is not a list of distinct strings"
+    if type(header["retained"]) is not int:
+        return f"retained {header['retained']!r} is not an int"
+    if not (isinstance(acceptance, dict) and sorted(acceptance) == sorted(tr.MOVE_KINDS)
+            and all(isinstance(counts, dict) and sorted(counts) == sorted(_OUTCOMES)
+                    and all(type(c) is int for c in counts.values())
+                    for counts in acceptance.values())):
+        return (f"acceptance {acceptance!r} does not map each move kind to int "
+                f"{', '.join(_OUTCOMES)} counts")
+    chain = header["sigma2_chain"]
+    if not (isinstance(chain, list) and all(map(lv.is_finite_number, chain))):
+        return "sigma2_chain is not a list of finite numbers"
+    return None
 
 
 def _draw_value_problem(record: dict, m: int | None) -> str | None:

@@ -22,9 +22,9 @@ rules agree, and routes again only the rows of the topmost nodes whose rules
 differ. A proposal carries the current tree's routing onto its candidate,
 which copies only the nodes its move changes and shares the rest, and stops
 as soon as a re-routed terminal falls below the minimum node size. The
-replay of stored draws carries the previous draw's routing, a stump's into
-draw 0, onto a tree whose splits changed; `Tree.from_dict` numbers nodes by
-shape, so such a tree's leaves are renumbered.
+replay of stored draws carries, in the chain's own `sampler.TreeState`, a
+stump's routing into draw 0 and each draw's onto a tree whose splits changed;
+`Tree.from_dict` numbers nodes by shape, so such a tree's leaves are renumbered.
 """
 
 from __future__ import annotations
@@ -239,18 +239,14 @@ class Partition:
         return min(rows.size for rows in self.rows_by_leaf.values())
 
 
-def leaf_index(rows_by_leaf: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Row -> leaf id of a routing of n rows."""
-    index = np.empty(n, dtype=np.intp)
-    for leaf, rows in rows_by_leaf.items():
-        index[rows] = leaf
-    return index
-
-
 def partition(tree: Tree, features: np.ndarray) -> Partition:
-    """Route all rows through the tree's split rules, with a per-row leaf id view."""
+    """Route all rows from the root, with a per-row leaf id view; the chain and
+    the replay carry theirs instead (`carry_routing`, `sampler.TreeState.keep`)."""
     rows_by_leaf = tree.leaf_rows(features)
-    return Partition(leaf_index(rows_by_leaf, np.asarray(features).shape[0]), rows_by_leaf)
+    assignment = np.empty(np.asarray(features).shape[0], dtype=np.intp)
+    for leaf, rows in rows_by_leaf.items():
+        assignment[rows] = leaf
+    return Partition(assignment, rows_by_leaf)
 
 
 def log_tree_prior(tree: Tree, alpha: float, beta_depth: float) -> float:

@@ -474,6 +474,18 @@ class TestCsvRules:
         assert read_csv_with(command, path, trained_run, tmp_path) == 1
         assert capsys.readouterr().err == f"error: {path}: row 1 (header) is blank\n"
 
+    def test_a_column_named_twice(self, command, tmp_path, friedman_csv, trained_run,
+                                  capsys):
+        # x1,x1,x3,...: the second x1 would read the first one's values
+        lines = friedman_csv.read_text().splitlines()
+        assert lines[0] == "x1,x2,x3,x4,x5,y"
+        path = tmp_path / "twice.csv"
+        path.write_text("\n".join(["x1,x1,x3,x4,x5,y"] + lines[1:]), encoding="utf-8")
+        assert read_csv_with(command, path, trained_run, tmp_path) == 1
+        assert (capsys.readouterr().err
+                == f"error: {path}: row 1 (header) names column 'x1' twice\n")
+        assert not (tmp_path / "p.csv").exists() and not list(tmp_path.glob("r.*"))
+
     def test_header_only(self, command, tmp_path, friedman_csv, trained_run, capsys):
         path = tmp_path / "header.csv"
         path.write_text(friedman_csv.read_text().splitlines()[0] + "\n",
@@ -756,6 +768,49 @@ class TestRunMetadata:
         assert not (tmp_path / "p.csv").exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {problem}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value, problem", [
+        pytest.param("task", "clustering",
+                     "task 'clustering' is not 'regression' or 'classification'",
+                     id="task-unknown"),
+        pytest.param("task", None, "task None is not 'regression' or 'classification'",
+                     id="task-null"),
+        pytest.param("feature_names", 5, "feature_names 5 is not a list of distinct strings",
+                     id="feature-names-int"),
+        pytest.param("feature_names", ["x1", "x1", "x3", "x4", "x5"],
+                     "feature_names ['x1', 'x1', 'x3', 'x4', 'x5'] is not a list of "
+                     "distinct strings", id="feature-names-repeated"),
+        pytest.param("feature_names", ["x1", 2, "x3", "x4", "x5"],
+                     "feature_names ['x1', 2, 'x3', 'x4', 'x5'] is not a list of "
+                     "distinct strings", id="feature-names-not-strings"),
+        pytest.param("retained", "25", "retained '25' is not an int", id="retained-string"),
+        pytest.param("retained", 25.0, "retained 25.0 is not an int", id="retained-float"),
+        pytest.param("acceptance", [], "acceptance [] does not map each move kind to int "
+                     "accepted, rejected, invalid counts", id="acceptance-list"),
+        pytest.param("acceptance", {"grow": {"accepted": 1}},
+                     "acceptance {'grow': {'accepted': 1}} does not map each move kind to "
+                     "int accepted, rejected, invalid counts", id="acceptance-one-count"),
+        pytest.param("acceptance", lambda acc: {**acc, "grow": {**acc["grow"], "invalid": 2.0}},
+                     "does not map each move kind to int accepted, rejected, invalid counts",
+                     id="acceptance-float-count"),
+        pytest.param("sigma2_chain", None, "sigma2_chain is not a list of finite numbers",
+                     id="sigma2-chain-null"),
+        pytest.param("sigma2_chain", lambda chain: chain[:3] + [float("nan")] + chain[4:],
+                     "sigma2_chain is not a list of finite numbers", id="sigma2-chain-nan"),
+    ])
+    def test_a_value_of_the_wrong_type(self, command, key, value, problem, tmp_path,
+                                       friedman_csv, trained_run, capsys):
+        def edit(line):
+            header = json.loads(line)
+            header[key] = value(header[key]) if callable(value) else value
+            return json.dumps(header) + "\n"
+
+        path = rewrite_header(trained_run, edit)
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert not (tmp_path / "p.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.endswith(f"{problem}\n")
+        assert err.count("\n") == 1
 
     def test_foreign_version(self, command, tmp_path, friedman_csv, trained_run,
                              capsys):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lmbart.data import (CLASSIFICATION, REGRESSION, DataError, Dataset,
-                         ScalingInfo, load_csv, split_dictionary, standardize,
-                         train_test_split)
+                         ScalingInfo, load_csv, load_features, split_dictionary,
+                         standardize, train_test_split)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -49,6 +49,22 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "a,y\n1,2\nfoo,4\n")
         with pytest.raises(DataError, match=r"row 3, column 'a'"):
             load_csv(path, "y", REGRESSION)
+
+    @pytest.mark.parametrize("header, repeated", [("a,a,y", "a"), ("a,y,y", "y"),
+                                                  (" a ,y,a", "a")])
+    def test_a_column_named_twice_is_refused(self, tmp_path, header, repeated):
+        # the second name would read the first column's values
+        path = write_csv(tmp_path, f"{header}\n1,2,3\n4,5,6\n7,8,9\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, "y", REGRESSION)
+        assert str(info.value) == f"{path}: row 1 (header) names column {repeated!r} twice"
+
+    def test_features_of_a_header_that_names_a_column_twice_are_refused(self, tmp_path):
+        # a model trained on such a header would read x1's values as its second feature
+        path = write_csv(tmp_path, "x1,x1,x3,y\n1,2,3,4\n5,6,7,8\n")
+        with pytest.raises(DataError) as info:
+            load_features(path, ["x1", "x1", "x3"], "y")
+        assert str(info.value) == f"{path}: row 1 (header) names column 'x1' twice"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_names_location(self, tmp_path, cell):

@@ -169,12 +169,15 @@ def test_recorded_counts_equal_the_reference_counters(name):
 
 
 @pytest.mark.parametrize("name", list(CHAINS))
-def test_stored_trees_replay_to_the_chain_fits(name):
+def test_stored_trees_replay_to_the_chain_fits(name, replayed_states):
     # the chain keeps its drawn leaf values and stores them as payloads: the
-    # stored trees, replayed on the training rows, give its retained fits exactly
+    # stored trees, replayed on the training rows, give its retained fits
+    # exactly, and each replays into a state that serializes back to it (the
+    # `replayed_states` fixture checks every one)
     draws = run_chain(name, store_trees=True)
     replayed = sampler.predict(draws, friedman_generate(DATA).features)
     assert np.array_equal(replayed.draws, draws.yhat_train)
+    assert len(replayed_states) == draws.retained * draws.hyperparams.m
 
 
 def test_recorder_rewrites_only_the_named_entries(pinned):

@@ -28,7 +28,8 @@ Slices, each on 10 rows with p=2 and one tree unless named otherwise:
 probit with constant leaves; regression with constant leaves; regression
 with linear leaves under the tree-splits rule and under the ancestors rule,
 both at a fixed coefficient precision; probit with linear leaves and
-estimated taus (the paper's classification model); probit with constant
+estimated taus (the paper's classification model); regression with linear
+leaves and estimated taus (the paper's regression model); probit with constant
 leaves under Dirichlet branching; and regression with constant leaves and
 three trees.
 """
@@ -352,6 +353,14 @@ def test_ancestors_linear_regression_chain_preserves_the_joint_distribution(draw
 def test_probit_linear_chain_with_estimated_taus_preserves_the_joint_distribution(draws,
                                                                                   sweeps):
     assert_gate_passes(joint_gate(draws, sweeps, regression=False, **ESTIMATED_TAUS))
+
+
+@pytest.mark.parametrize("draws, sweeps", SIZES)
+def test_linear_regression_chain_with_estimated_taus_preserves_the_joint_distribution(draws,
+                                                                                      sweeps):
+    # the paper's regression model: sigma^2 counts the coefficients (draw_sigma2)
+    # while tau0 and tau1 are drawn too
+    assert_gate_passes(joint_gate(draws, sweeps, regression=True, **ESTIMATED_TAUS))
 
 
 @pytest.mark.parametrize("draws, sweeps", SIZES)

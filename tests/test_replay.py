@@ -256,7 +256,7 @@ def right_subtree_renumbered(d, prev):
             and new.nodes[new.nodes[0].right].left != old.nodes[old.nodes[0].right].left)
 
 
-def test_carried_routing_follows_random_move_sequences(monkeypatch):
+def test_carried_routing_follows_random_move_sequences(replayed_states):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(40, 3))
     chains = [moved_chain(X, SCHEDULE + list(rng.choice(MOVE_KINDS, 40)), rng)
@@ -272,19 +272,12 @@ def test_carried_routing_follows_random_move_sequences(monkeypatch):
     assert any(d["kind"] == "internal" and prev["kind"] == "leaf" for d, prev in pairs)
     assert all(SWAP in applied and PRUNE in applied for _, applied in chains)
 
-    replays = []
-    replay = sampler._replay_tree
-
-    def recording(*args):
-        fit, record = replay(*args)
-        replays.append(record)
-        return fit, record
-
-    monkeypatch.setattr(sampler, "_replay_tree", recording)
+    # the fixture checks each replayed state's index and its round trip to
+    # the stored dict as the tree is replayed
     identity = ScalingInfo.identity(X.shape[1])
     result = predict_stored(trees, REGRESSION, identity, X)
-    assert len(replays) == len(trees) * len(chains)
-    for _, tree, rows_by_leaf, rows_by_split, _, _ in replays:
+    assert len(replayed_states) == len(trees) * len(chains)
+    for tree, rows_by_leaf, rows_by_split in replayed_states:
         assert_carried_routing(tree, X, rows_by_leaf, rows_by_split)
     assert_same_summary(result, replay_every_tree(trees, REGRESSION, identity, X))
 

@@ -24,7 +24,7 @@ from lmbart.sampler import (Hyperparams, PosteriorDraws, calibrate_lambda,
                             sample_tau_intercept, sample_tau_slopes, write_run)
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from oracles import (SENTINEL_SUM, changed_leaves, explicit_partial_residual,
-                     with_sentinel_sums)
+                     leaf_index_of, with_sentinel_sums)
 
 
 def hp_small(**kwargs):
@@ -251,7 +251,6 @@ class TestPartialResiduals:
 @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
 def test_the_first_state_carries_each_stumps_routing_index_and_residual(task):
     from lmbart.sampler import _init_state
-    from lmbart.trees import leaf_index
 
     rng = np.random.default_rng(12)
     y = rng.normal(size=30) if task == REGRESSION else (rng.random(30) < 0.5).astype(float)
@@ -262,7 +261,7 @@ def test_the_first_state_carries_each_stumps_routing_index_and_residual(task):
         assert ts.tree.n_leaves() == 1
         assert ts.rows_by_leaf.keys() == {ts.tree.root} and ts.rows_by_split == {}
         assert ts.index.dtype == np.intp
-        assert np.array_equal(ts.index, leaf_index(ts.rows_by_leaf, train.n))
+        assert np.array_equal(ts.index, leaf_index_of(ts.rows_by_leaf, train.n))
     # each tree step rewrites its own tree's index in place
     assert len({id(ts.index) for ts in state.trees}) == hp.m
     assert np.array_equal(state.resid, state.target - state.total_fit)
