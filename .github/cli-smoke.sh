@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the installed `lmbart` console script ([project.scripts]):
 # simulate, then train, predict and diagnostics for constant, linear,
-# ancestors-rule and probit runs, one command after another. The tests call
+# ancestors-rule and probit runs, one command after another, then a tiny
+# benchmark grid through the process pool. The tests call
 # cli.main in-process; this runs the entry point itself. Run it from an empty
 # directory outside the checkout, with lmbart installed:
 #   cd "$(mktemp -d)" && bash /path/to/checkout/.github/cli-smoke.sh
@@ -39,3 +40,13 @@ lmbart predict --run probit --data binary.csv --out probit-pred.csv
 lmbart diagnostics --run probit --out probit-sigma2.csv
 test "$(wc -l < probit-pred.csv)" -eq 121
 test "$(wc -l < probit-sigma2.csv)" -eq 51
+# one scenario, two algorithms, two replicates, fitted by two worker processes
+cat > grid.json <<'JSON'
+{"replicates": 2, "scenarios": [{"n": 60}],
+ "algorithms": [{"name": "c2", "m": 2, "burn_in": 5, "post_burn_in": 10},
+                {"name": "l2", "leaf_model": "linear", "m": 2, "burn_in": 5, "post_burn_in": 10}]}
+JSON
+lmbart benchmark --grid grid.json --out bench --jobs 2
+# a header line, then one line per (scenario, algorithm) cell
+test "$(wc -l < bench/rmse_table.csv)" -eq 3
+test "$(wc -l < bench/param_counts.csv)" -eq 3

@@ -10,7 +10,6 @@ the original scale, and tallies how many leaf parameters each run spent.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import traceback
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import REGRESSION, Dataset, standardize, train_test_split
+from .data import REGRESSION, Dataset, standardize, train_test_split, write_csv
 from .sampler import _FIELD_TYPES, Hyperparams, PosteriorDraws, predict, run_regression
 
 
@@ -170,12 +169,18 @@ def run_benchmark(scenarios: list[FriedmanSpec], algorithms: list[EngineConfig],
     """Fit every algorithm on `replicates` fresh splits of every scenario.
 
     Deterministic given the master seed. Per-cell failures are recorded and
-    the rest of the grid keeps running. `replicates` and `jobs` below 1
-    raise ValueError before any fit.
+    the rest of the grid keeps running. `replicates` and `jobs` below 1, and
+    two scenarios with one label or two algorithms with one name (which would
+    pool their fits in one cell), raise ValueError before any fit.
     """
     for name, value in (("replicates", replicates), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    for kind, key, names in (("scenarios", "label", [s.label for s in scenarios]),
+                             ("algorithms", "name", [a.name for a in algorithms])):
+        repeated = [x for i, x in enumerate(names) if x in names[:i]]
+        if repeated:
+            raise ValueError(f"two {kind} share the {key} {repeated[0]!r}")
     tasks = []
     for s_idx, spec in enumerate(scenarios):
         for rep in range(replicates):
@@ -203,38 +208,31 @@ def run_benchmark(scenarios: list[FriedmanSpec], algorithms: list[EngineConfig],
 
 
 def write_rmse_table(result: BenchmarkResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "algorithm", "median_rmse", "q1", "q3",
-                         "replicates", "failures"])
-        for (scenario, algorithm), cell in sorted(result.cells.items()):
-            if cell.rmses:
-                q1, q3 = cell.quartiles
-                writer.writerow([scenario, algorithm, f"{cell.median:.6f}",
-                                 f"{q1:.6f}", f"{q3:.6f}", len(cell.rmses),
-                                 len(cell.failures)])
-            else:
-                writer.writerow([scenario, algorithm, "", "", "", 0,
-                                 len(cell.failures)])
+    rows = []
+    for (scenario, algorithm), cell in sorted(result.cells.items()):
+        if cell.rmses:
+            q1, q3 = cell.quartiles
+            rows.append([scenario, algorithm, f"{cell.median:.6f}", f"{q1:.6f}",
+                         f"{q3:.6f}", len(cell.rmses), len(cell.failures)])
+        else:
+            rows.append([scenario, algorithm, "", "", "", 0, len(cell.failures)])
+    write_csv(path, ["scenario", "algorithm", "median_rmse", "q1", "q3", "replicates",
+                     "failures"], rows)
 
 
 def write_param_table(result: BenchmarkResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "algorithm", "mean_total_params",
-                         "std_total_params", "mean_params_per_tree",
-                         "mean_terminal_per_tree"])
-        for (scenario, algorithm), cell in sorted(result.cells.items()):
-            if not cell.totals:
-                writer.writerow([scenario, algorithm, "", "", "", ""])
-                continue
-            totals = np.asarray(cell.totals, dtype=float)
-            std = totals.std(ddof=1) if totals.size > 1 else 0.0
-            writer.writerow([
-                scenario, algorithm, f"{totals.mean():.1f}", f"{std:.1f}",
-                f"{np.mean(cell.params_per_tree):.3f}",
-                f"{np.mean(cell.terminal_per_tree):.3f}",
-            ])
+    rows = []
+    for (scenario, algorithm), cell in sorted(result.cells.items()):
+        if not cell.totals:
+            rows.append([scenario, algorithm, "", "", "", ""])
+            continue
+        totals = np.asarray(cell.totals, dtype=float)
+        std = totals.std(ddof=1) if totals.size > 1 else 0.0
+        rows.append([scenario, algorithm, f"{totals.mean():.1f}", f"{std:.1f}",
+                     f"{np.mean(cell.params_per_tree):.3f}",
+                     f"{np.mean(cell.terminal_per_tree):.3f}"])
+    write_csv(path, ["scenario", "algorithm", "mean_total_params", "std_total_params",
+                     "mean_params_per_tree", "mean_terminal_per_tree"], rows)
 
 
 def format_text_table(result: BenchmarkResult) -> str:
@@ -267,27 +265,58 @@ def _typed(entry: dict, key: str, kind: str, path, default=None):
     return int(value) if kind == "int" else float(value)
 
 
+def _entries(cfg: dict, key: str, path) -> list[dict]:
+    """`cfg[key]`, which must be a non-empty list of objects; else ValueError
+    naming the grid file and the entry."""
+    entries = _require(cfg, key, path)
+    if not (isinstance(entries, list) and entries):
+        raise ValueError(f"{path}: {key!r} must be a non-empty list, got {entries!r}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: {key[:-1]} {i} must be an object, got {entry!r}")
+    return entries
+
+
+def _refuse_unknown(entry: dict, known, where: str) -> None:
+    """ValueError, after the prefix `where`, naming each key of `entry` not in `known`."""
+    unknown = [k for k in entry if k not in known]
+    if unknown:
+        raise ValueError(f"{where}unknown key(s) {', '.join(unknown)}")
+
+
 def load_grid_config(path) -> dict:
     """Parse a declarative benchmark grid file (JSON).
 
-    Invalid JSON, a missing required key or a value of the wrong type (a
-    non-integer count or seed, a non-finite real) raises ValueError naming
-    the file; an algorithm's engine settings that `Hyperparams.from_dict`
-    refuses raise it naming the file and the algorithm.
+    Invalid JSON, a grid that is not an object, a missing required key, an
+    unknown key, `scenarios` or `algorithms` that is not a non-empty list of
+    objects, an algorithm `name` that is not a non-empty string, or a value
+    of the wrong type (a non-integer count or seed, a non-finite real) raises
+    ValueError naming the file and the entry; an algorithm's engine settings
+    that `Hyperparams.from_dict` refuses raise it naming the file and the
+    algorithm.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    scenarios = [FriedmanSpec(n=_typed(s, "n", "int", path),
-                              p=_typed(s, "p", "int", path, 5),
-                              noise_sd=_typed(s, "noise_sd", "float", path, 1.0),
-                              seed=_typed(s, "seed", "int", path, i))
-                 for i, s in enumerate(_require(cfg, "scenarios", path))]
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: the grid must be an object, got {cfg!r}")
+    _refuse_unknown(cfg, ("scenarios", "algorithms", "replicates", "test_fraction",
+                          "master_seed"), f"{path}: ")
+    scenarios = []
+    for i, s in enumerate(_entries(cfg, "scenarios", path)):
+        _refuse_unknown(s, ("n", "p", "noise_sd", "seed"), f"{path}: scenario {i}: ")
+        scenarios.append(FriedmanSpec(n=_typed(s, "n", "int", path),
+                                      p=_typed(s, "p", "int", path, 5),
+                                      noise_sd=_typed(s, "noise_sd", "float", path, 1.0),
+                                      seed=_typed(s, "seed", "int", path, i)))
     algorithms = []
-    for a in _require(cfg, "algorithms", path):
+    for i, a in enumerate(_entries(cfg, "algorithms", path)):
         name = _require(a, "name", path)
+        if not (isinstance(name, str) and name):
+            raise ValueError(f"{path}: algorithm {i}: 'name' must be a non-empty string, "
+                             f"got {name!r}")
         try:
             algorithms.append(EngineConfig(name, Hyperparams.from_dict(
                 {k: v for k, v in a.items() if k != "name"})))

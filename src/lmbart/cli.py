@@ -10,7 +10,6 @@ records everything needed to reproduce it.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -19,7 +18,8 @@ import numpy as np
 from . import benchmark as bm
 from . import leaves as lv
 from . import sampler as sp
-from .data import CLASSIFICATION, REGRESSION, DataError, load_csv, load_features, standardize
+from .data import (CLASSIFICATION, REGRESSION, DataError, load_csv, load_features, standardize,
+                   write_csv)
 
 
 def _bool_flag(value: str) -> bool:
@@ -92,12 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     spec = bm.FriedmanSpec(n=args.n, p=args.p, noise_sd=args.noise_sd, seed=args.seed)
     data = bm.friedman_generate(spec)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.feature_names + ["y"])
-        for i in range(data.n):
-            writer.writerow([repr(float(v)) for v in data.features[i]]
-                            + [repr(float(data.response[i]))])
+    write_csv(args.out, data.feature_names + ["y"],
+              np.column_stack([data.features, data.response]))
     print(f"wrote {data.n} rows x {data.p + 1} columns to {args.out}")
     return 0
 
@@ -129,11 +125,8 @@ def cmd_predict(args) -> int:
     X = load_features(args.data, header["feature_names"], header.get("target_column"))
     result = sp.replay_trees([r["trees"] for r in records], header["task"], header["scaling"], X)
     label = "probability" if header["task"] == CLASSIFICATION else "mean"
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([label, "q05", "q95"])
-        for m, lo, hi in zip(result.mean, result.lower, result.upper):
-            writer.writerow([repr(float(m)), repr(float(lo)), repr(float(hi))])
+    write_csv(args.out, [label, "q05", "q95"],
+              np.column_stack([result.mean, result.lower, result.upper]))
     print(f"wrote {len(result.mean)} predictions to {args.out}")
     return 0
 
@@ -185,7 +178,9 @@ def cmd_diagnostics(args) -> int:
     print(f"mean terminal nodes per tree: {terminal.mean():.3f}")
     print(f"mean parameters per tree: {params.mean():.3f}")
     if args.out is not None:
-        sp.write_sigma2_trace(header["sigma2_chain"], args.out)
+        # float, so a whole-number entry prints as 2.0
+        write_csv(args.out, ["iteration", "sigma2"],
+                  enumerate(np.asarray(header["sigma2_chain"], dtype=float), start=1))
         print(f"wrote sigma2 trace to {args.out}")
     return 0
 

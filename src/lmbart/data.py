@@ -1,5 +1,6 @@
-"""Tabular data loading, validation, and scaling.
+"""Tabular data: reading and writing CSV tables, validation, and scaling.
 
+`read_csv` reads and `write_csv` writes every CSV table the package uses.
 All scaling conventions live here: the sampler always sees standardized
 features (and, for regression, a response mapped into [-0.5, 0.5]), while
 callers get predictions back on the original scale through `ScalingInfo`.
@@ -232,6 +233,16 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     if not records:
         raise DataError(f"{path}: no data rows")
     return header, records
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write `header`, then `rows`, as a comma-separated utf-8 file, the mirror
+    of `read_csv`. Each cell is written by `str`, which for a float or numpy
+    float64 is its shortest round-trip form, so `parse_cell` reads it back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_csv(path, target_column: str, task: str) -> Dataset:

@@ -21,7 +21,6 @@ response as the regression target and the error variance is pinned at 1.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -611,12 +610,11 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
     y = train.response
     if classification:
         lam = float(hp.lam) if hp.lam is not None else 1.0
-        z0 = np.where(y == 1.0, 0.5, -0.5)
-        state = _init_state(train, hp, z0, 1.0)
+        sigma2 = 1.0
     else:
         lam = float(hp.lam) if hp.lam is not None else calibrate_lambda(y, hp.nu)
-        sigma2_init = float(np.var(y, ddof=1)) if n > 1 else 1.0
-        state = _init_state(train, hp, y, max(sigma2_init, 1e-12))
+        sigma2 = max(float(np.var(y, ddof=1)), 1e-12)
+    state = _init_state(train, hp, y, sigma2)   # the first sweep draws the target
 
     total_iters = hp.burn_in + hp.post_burn_in
     n_retained = hp.post_burn_in // hp.thin
@@ -637,7 +635,7 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
         sweep(state, X, y, split_dict, hp, lam, rng)
         sigma2_chain[k - 1] = state.sigma2 * scale2
 
-        if k > hp.burn_in and (k - hp.burn_in) % hp.thin == 0 and keep < n_retained:
+        if k > hp.burn_in and (k - hp.burn_in) % hp.thin == 0:
             iterations[keep] = k
             sigma2_draws[keep] = state.sigma2 * scale2
             if tau0_draws is not None:
@@ -971,12 +969,3 @@ def _draw_value_problem(record: dict, m: int | None) -> str | None:
         if len(counts) != m:
             return f"{key} holds {len(counts)} counts, but draw 0's terminal_counts holds {m}"
     return None
-
-
-def write_sigma2_trace(sigma2_chain, path) -> None:
-    """Two-column CSV (iteration, sigma2) of a whole chain, burn-in included."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "sigma2"])
-        for i, s2 in enumerate(sigma2_chain, start=1):
-            writer.writerow([i, repr(float(s2))])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lmbart import benchmark
 from lmbart.benchmark import (EngineConfig, FriedmanSpec, friedman_generate,
                               friedman_signal, load_grid_config, parameter_accounting,
                               rmse, run_benchmark, write_param_table, write_rmse_table)
@@ -125,8 +126,7 @@ class TestParameterAccounting:
             assert_array_equal(recount_parameters(draws), draws.param_counts)
 
 
-@pytest.fixture(scope="module")
-def tiny_grid():
+def run_tiny_grid(jobs=1):
     scenarios = [FriedmanSpec(n=80, p=5, seed=0)]
     algorithms = [
         EngineConfig("constant-3", Hyperparams(m=3, burn_in=10,
@@ -135,7 +135,12 @@ def tiny_grid():
                                              leaf_model="linear")),
     ]
     return run_benchmark(scenarios, algorithms, replicates=2,
-                         test_fraction=0.2, master_seed=7)
+                         test_fraction=0.2, master_seed=7, jobs=jobs)
+
+
+@pytest.fixture(scope="module")
+def tiny_grid():
+    return run_tiny_grid()
 
 
 class TestRunBenchmark:
@@ -167,6 +172,28 @@ class TestRunBenchmark:
             run_benchmark([FriedmanSpec(n=80, p=5, seed=0)],
                           [EngineConfig("constant-3", Hyperparams(m=3))], **counts)
         assert str(err.value) == f"{name} must be >= 1, got {value}"
+
+    def test_a_process_pool_gives_the_cells_of_one_process(self, tiny_grid):
+        assert run_tiny_grid(jobs=2).cells == tiny_grid.cells
+
+    @pytest.mark.parametrize("scenarios, names, problem", [
+        pytest.param([FriedmanSpec(n=60, noise_sd=0.1), FriedmanSpec(n=60, noise_sd=5.0)], ["a"],
+                     "two scenarios share the label 'n=60,p=5'", id="noise_sd"),
+        pytest.param([FriedmanSpec(n=60, seed=1), FriedmanSpec(n=60, seed=2)], ["a"],
+                     "two scenarios share the label 'n=60,p=5'", id="seed"),
+        pytest.param([FriedmanSpec(n=60)], ["a", "b", "a"],
+                     "two algorithms share the name 'a'", id="name"),
+    ])
+    def test_cells_that_would_pool_are_refused_before_any_fit(self, monkeypatch, scenarios,
+                                                              names, problem):
+        # the cell key is (label, name), and a label names only n and p
+        fits = []
+        monkeypatch.setattr(benchmark, "_run_cell", lambda *args: fits.append(args))
+        algorithms = [EngineConfig(name, Hyperparams(m=2)) for name in names]
+        with pytest.raises(ValueError) as err:
+            run_benchmark(scenarios, algorithms, replicates=1)
+        assert str(err.value) == problem
+        assert fits == []
 
     def test_tables_written(self, tiny_grid, tmp_path):
         write_rmse_table(tiny_grid, tmp_path / "rmse.csv")

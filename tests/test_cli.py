@@ -7,10 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lmbart import leaves
+from lmbart.benchmark import FriedmanSpec, friedman_generate
 from lmbart.cli import build_parser, main
-from lmbart.data import REGRESSION, ScalingInfo, load_csv, standardize
-from lmbart.sampler import (Hyperparams, predict, predict_stored, read_run,
-                            run_regression, write_sigma2_trace)
+from lmbart.data import REGRESSION, ScalingInfo, load_csv, standardize, write_csv
+from lmbart.sampler import Hyperparams, predict, predict_stored, read_run, run_regression
 from oracles import replay_every_tree
 
 
@@ -115,6 +115,16 @@ class TestSimulate:
         assert (capsys.readouterr().err
                 == f"error: noise_sd must be a finite value >= 0, got {value}\n")
         assert not path.exists()
+
+    def test_reads_back_as_the_generated_data_bit_for_bit(self, tmp_path):
+        path = tmp_path / "f.csv"
+        assert run_cli("simulate", "--n", 200, "--p", 6, "--seed", 3, "--noise-sd", 0.5,
+                       "--out", path) == 0
+        expected = friedman_generate(FriedmanSpec(n=200, p=6, noise_sd=0.5, seed=3))
+        data = load_csv(path, "y", REGRESSION)
+        assert data.feature_names == expected.feature_names
+        assert data.features.tobytes() == expected.features.tobytes()
+        assert data.response.tobytes() == expected.response.tobytes()
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -689,6 +699,52 @@ class TestBenchmarkCommand:
             assert rows[("n=60,p=5", algorithm)]["failures"] == "0"
         assert len((out / "param_counts.csv").read_text().strip().splitlines()) == 5
 
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param(lambda g: 5, "the grid must be an object, got 5", id="grid-not-object"),
+        pytest.param(lambda g: {**g, "replicate": 5}, "unknown key(s) replicate",
+                     id="unknown-grid-key"),
+        pytest.param(lambda g: {**g, "scenarios": {"n": 100}},
+                     "'scenarios' must be a non-empty list, got {'n': 100}", id="scenarios-object"),
+        pytest.param(lambda g: {**g, "scenarios": []},
+                     "'scenarios' must be a non-empty list, got []", id="no-scenarios"),
+        pytest.param(lambda g: {**g, "scenarios": [5]}, "scenario 0 must be an object, got 5",
+                     id="scenario-not-object"),
+        pytest.param(lambda g: {**g, "scenarios": [{"n": 60, "noise-sd": 5.0}]},
+                     "scenario 0: unknown key(s) noise-sd", id="unknown-scenario-key"),
+        pytest.param(lambda g: {**g, "algorithms": []},
+                     "'algorithms' must be a non-empty list, got []", id="no-algorithms"),
+        pytest.param(lambda g: {**g, "algorithms": g["algorithms"] + ["c3"]},
+                     "algorithm 2 must be an object, got 'c3'", id="algorithm-not-object"),
+        pytest.param(lambda g: {**g, "algorithms": [g["algorithms"][0], {"name": 7}]},
+                     "algorithm 1: 'name' must be a non-empty string, got 7", id="name-int"),
+        pytest.param(lambda g: {**g, "algorithms": [{"name": "", "m": 2}]},
+                     "algorithm 0: 'name' must be a non-empty string, got ''", id="name-empty"),
+    ])
+    def test_a_malformed_grid_is_named_before_any_fit(self, tmp_path, capsys, edit, problem):
+        grid = self.make_grid(tmp_path)
+        grid.write_text(json.dumps(edit(json.loads(grid.read_text()))), encoding="utf-8")
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--grid", grid, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {grid}: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param(lambda g: g["scenarios"].append({"n": 60, "noise_sd": 5.0}),
+                     "two scenarios share the label 'n=60,p=5'", id="scenario-label"),
+        pytest.param(lambda g: g["algorithms"][1].update(name="c2"),
+                     "two algorithms share the name 'c2'", id="algorithm-name"),
+    ])
+    def test_cells_that_would_pool_are_refused_before_any_fit(self, tmp_path, capsys, edit,
+                                                              problem):
+        grid = self.make_grid(tmp_path)
+        cfg = json.loads(grid.read_text())
+        edit(cfg)
+        grid.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--grid", grid, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not out.exists()
+
     def test_invalid_json_is_named(self, tmp_path, capsys):
         grid = self.make_grid(tmp_path)
         grid.write_text(grid.read_text()[:40], encoding="utf-8")
@@ -1006,7 +1062,8 @@ class TestDiagnostics:
         hp = Hyperparams(m=4, burn_in=15, post_burn_in=25, leaf_model="linear",
                          seed=7, store_trees=True)
         expected = tmp_path / "expected.csv"
-        write_sigma2_trace(run_regression(scaled, hp, scaling).sigma2_chain, expected)
+        chain = run_regression(scaled, hp, scaling).sigma2_chain
+        write_csv(expected, ["iteration", "sigma2"], enumerate(chain, start=1))
         assert (trace_via_diagnostics(trained_run, tmp_path / "trace.csv")
                 == expected.read_bytes())
 

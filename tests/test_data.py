@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lmbart.data import (CLASSIFICATION, REGRESSION, DataError, Dataset,
-                         ScalingInfo, load_csv, load_features, split_dictionary,
-                         standardize, train_test_split)
+                         ScalingInfo, load_csv, load_features, parse_cell, read_csv,
+                         split_dictionary, standardize, train_test_split)
+from lmbart.data import write_csv as write_table
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -71,6 +72,32 @@ class TestLoadCsv:
         path = write_csv(tmp_path, f"a,y\n1,2\n3,{cell}\n")
         with pytest.raises(DataError, match=rf"row 3, column 'y': non-finite value '{cell}'"):
             load_csv(path, "y", REGRESSION)
+
+
+class TestWriteCsv:
+    EDGES = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, -1.7976931348623157e308]
+
+    def test_floats_read_back_bit_for_bit(self, tmp_path):
+        # the edge values, then finite float64s drawn as random bit patterns
+        bits = np.random.default_rng(0).integers(0, 2**64, size=2000, dtype=np.uint64)
+        drawn = bits.view(np.float64)
+        values = np.concatenate([self.EDGES, drawn[np.isfinite(drawn)]])[:, None]
+        path = tmp_path / "floats.csv"
+        write_table(path, ["v"], values)
+        header, records = read_csv(path)
+        back = np.array([[parse_cell(path, row, col, cell) for col, cell in zip(header, cells)]
+                         for row, cells in records])
+        assert header == ["v"]
+        assert back.tobytes() == values.tobytes()
+        # each float is written in its shortest round-trip form, repr(float(v))
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+            repr(float(v)) for v in values[:, 0]]
+
+    def test_ints_and_strs_are_written_by_str(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        write_table(path, ["scenario", "count", "value"],
+                    [["n=60,p=5", 2, 2.0], ["a", np.int64(3), np.float64(0.5)]])
+        assert path.read_bytes() == b'scenario,count,value\r\n"n=60,p=5",2,2.0\r\na,3,0.5\r\n'
 
 
 class TestStandardize:
