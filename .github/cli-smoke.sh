@@ -2,7 +2,8 @@
 # End-to-end smoke of the installed `lmbart` console script ([project.scripts]):
 # simulate, then train, predict and diagnostics for constant, linear,
 # ancestors-rule and probit runs, one command after another, then a tiny
-# benchmark grid through the process pool. The tests call
+# benchmark grid through the process pool, and last two commands that must be
+# refused. The tests call
 # cli.main in-process; this runs the entry point itself. Run it from an empty
 # directory outside the checkout, with lmbart installed:
 #   cd "$(mktemp -d)" && bash /path/to/checkout/.github/cli-smoke.sh
@@ -50,3 +51,18 @@ lmbart benchmark --grid grid.json --out bench --jobs 2
 # a header line, then one line per (scenario, algorithm) cell
 test "$(wc -l < bench/rmse_table.csv)" -eq 3
 test "$(wc -l < bench/param_counts.csv)" -eq 3
+# a refused command exits 1, prints one error line naming the value, and writes nothing
+refused() {   # expected error line, output path, command...
+  local expected=$1 out=$2 status=0
+  shift 2
+  "$@" 2> err.txt || status=$?
+  test "$status" -eq 1 && test "$(cat err.txt)" = "$expected" && test ! -e "$out"
+}
+refused "error: seed must be >= 0, got -1" bad.csv \
+  lmbart simulate --n 120 --seed -1 --out bad.csv
+cat > bad-grid.json <<'JSON'
+{"scenarios": [{"n": 60, "seed": -1}],
+ "algorithms": [{"name": "c2", "m": 2, "burn_in": 5, "post_burn_in": 10}]}
+JSON
+refused "error: bad-grid.json: scenario 0: seed must be >= 0, got -1" bad-bench \
+  lmbart benchmark --grid bad-grid.json --out bad-bench

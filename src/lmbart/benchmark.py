@@ -11,20 +11,28 @@ the original scale, and tallies how many leaf parameters each run spent.
 from __future__ import annotations
 
 import json
-import math
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import REGRESSION, Dataset, standardize, train_test_split, write_csv
-from .sampler import _FIELD_TYPES, Hyperparams, PosteriorDraws, predict, run_regression
+from .data import (REGRESSION, Dataset, at_least, check_fields, standardize, train_test_split,
+                   write_csv)
+from .sampler import Hyperparams, PosteriorDraws, predict, run_regression
+
+# `FriedmanSpec` field, or `run_benchmark` setting -> (accepts a value of its type, its range)
+_SPEC_RANGES = {"n": at_least(2), "noise_sd": at_least(0), "seed": at_least(0),
+                "p": (lambda v: v >= 5, ">= 5 (first five covariates drive the signal)")}
+_SETTING_RANGES = {"replicates": at_least(1), "test_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+                   "master_seed": at_least(0), "jobs": at_least(1)}
+_GRID_SETTINGS = ("replicates", "test_fraction", "master_seed")   # those a grid file may hold
 
 
 @dataclass(frozen=True)
 class FriedmanSpec:
-    """Size, noise level, and seed of one synthetic scenario."""
+    """Size, noise level, and seed of one synthetic scenario; `check_fields`
+    refuses a field of the wrong type or out of its range (`_SPEC_RANGES`)."""
 
     n: int
     p: int = 5
@@ -32,13 +40,7 @@ class FriedmanSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 5:
-            raise ValueError(f"p must be >= 5 (first five covariates drive the "
-                             f"signal), got {self.p}")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
-            raise ValueError(f"noise_sd must be a finite value >= 0, got {self.noise_sd}")
+        check_fields(vars(self), FriedmanSpec.__annotations__, _SPEC_RANGES)
 
     @property
     def label(self) -> str:
@@ -155,7 +157,7 @@ def _run_cell(spec: FriedmanSpec, config: EngineConfig, test_fraction: float,
 
 
 def _cell_job(args):
-    spec, config, test_fraction, seed, scenario_idx, replicate = args
+    spec, config, test_fraction, seed = args
     try:
         cell_rmse, accounting = _run_cell(spec, config, test_fraction, seed)
         return (spec.label, config.name, cell_rmse, accounting, None)
@@ -169,13 +171,14 @@ def run_benchmark(scenarios: list[FriedmanSpec], algorithms: list[EngineConfig],
     """Fit every algorithm on `replicates` fresh splits of every scenario.
 
     Deterministic given the master seed. Per-cell failures are recorded and
-    the rest of the grid keeps running. `replicates` and `jobs` below 1, and
-    two scenarios with one label or two algorithms with one name (which would
-    pool their fits in one cell), raise ValueError before any fit.
+    the rest of the grid keeps running. A setting of the wrong type or out of
+    its range (`_SETTING_RANGES`), and two scenarios with one label or two
+    algorithms with one name (which would pool their fits in one cell), raise
+    ValueError before any fit.
     """
-    for name, value in (("replicates", replicates), ("jobs", jobs)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_fields({"replicates": replicates, "test_fraction": test_fraction,
+                  "master_seed": master_seed, "jobs": jobs},
+                 run_benchmark.__annotations__, _SETTING_RANGES)
     for kind, key, names in (("scenarios", "label", [s.label for s in scenarios]),
                              ("algorithms", "name", [a.name for a in algorithms])):
         repeated = [x for i, x in enumerate(names) if x in names[:i]]
@@ -186,7 +189,7 @@ def run_benchmark(scenarios: list[FriedmanSpec], algorithms: list[EngineConfig],
         for rep in range(replicates):
             seed = _replicate_seed(master_seed, s_idx, rep)
             for config in algorithms:
-                tasks.append((spec, config, test_fraction, seed, s_idx, rep))
+                tasks.append((spec, config, test_fraction, seed))
 
     result = BenchmarkResult()
     if jobs > 1:
@@ -254,17 +257,6 @@ def _require(entry: dict, key: str, path):
     return entry[key]
 
 
-def _typed(entry: dict, key: str, kind: str, path, default=None):
-    """`entry[key]` checked by the `Hyperparams` type rule `kind` ("int" or
-    "float"); a wrong type raises ValueError naming the grid file and the
-    key. The key is required unless a `default` is given."""
-    value = _require(entry, key, path) if default is None else entry.get(key, default)
-    accepts, expected = _FIELD_TYPES[kind]
-    if not accepts(value):
-        raise ValueError(f"{path}: {key!r} must be {expected}, got {value!r}")
-    return int(value) if kind == "int" else float(value)
-
-
 def _entries(cfg: dict, key: str, path) -> list[dict]:
     """`cfg[key]`, which must be a non-empty list of objects; else ValueError
     naming the grid file and the entry."""
@@ -285,15 +277,16 @@ def _refuse_unknown(entry: dict, known, where: str) -> None:
 
 
 def load_grid_config(path) -> dict:
-    """Parse a declarative benchmark grid file (JSON).
+    """Parse a declarative benchmark grid file (JSON) into `run_benchmark`'s
+    keyword arguments: `scenarios`, `algorithms` and the `_GRID_SETTINGS` the
+    grid holds (the others keep `run_benchmark`'s defaults).
 
     Invalid JSON, a grid that is not an object, a missing required key, an
     unknown key, `scenarios` or `algorithms` that is not a non-empty list of
-    objects, an algorithm `name` that is not a non-empty string, or a value
-    of the wrong type (a non-integer count or seed, a non-finite real) raises
-    ValueError naming the file and the entry; an algorithm's engine settings
-    that `Hyperparams.from_dict` refuses raise it naming the file and the
-    algorithm.
+    objects, or an algorithm `name` that is not a non-empty string raises
+    ValueError naming the file and the entry. So does a value that
+    `FriedmanSpec`, `Hyperparams.from_dict` or `run_benchmark` refuses, after
+    the file and the scenario's index or the algorithm's name.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -302,15 +295,15 @@ def load_grid_config(path) -> dict:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: the grid must be an object, got {cfg!r}")
-    _refuse_unknown(cfg, ("scenarios", "algorithms", "replicates", "test_fraction",
-                          "master_seed"), f"{path}: ")
+    _refuse_unknown(cfg, ("scenarios", "algorithms", *_GRID_SETTINGS), f"{path}: ")
     scenarios = []
     for i, s in enumerate(_entries(cfg, "scenarios", path)):
-        _refuse_unknown(s, ("n", "p", "noise_sd", "seed"), f"{path}: scenario {i}: ")
-        scenarios.append(FriedmanSpec(n=_typed(s, "n", "int", path),
-                                      p=_typed(s, "p", "int", path, 5),
-                                      noise_sd=_typed(s, "noise_sd", "float", path, 1.0),
-                                      seed=_typed(s, "seed", "int", path, i)))
+        _refuse_unknown(s, FriedmanSpec.__annotations__, f"{path}: scenario {i}: ")
+        _require(s, "n", path)
+        try:
+            scenarios.append(FriedmanSpec(**{"seed": i, **s}))
+        except ValueError as exc:
+            raise ValueError(f"{path}: scenario {i}: {exc}") from None
     algorithms = []
     for i, a in enumerate(_entries(cfg, "algorithms", path)):
         name = _require(a, "name", path)
@@ -322,13 +315,9 @@ def load_grid_config(path) -> dict:
                 {k: v for k, v in a.items() if k != "name"})))
         except ValueError as exc:
             raise ValueError(f"{path}: algorithm {name!r}: {exc}") from None
-    replicates = _typed(cfg, "replicates", "int", path, 10)
-    if replicates < 1:
-        raise ValueError(f"{path}: replicates must be >= 1, got {replicates}")
-    return {
-        "scenarios": scenarios,
-        "algorithms": algorithms,
-        "replicates": replicates,
-        "test_fraction": _typed(cfg, "test_fraction", "float", path, 0.2),
-        "master_seed": _typed(cfg, "master_seed", "int", path, 0),
-    }
+    settings = {key: cfg[key] for key in _GRID_SETTINGS if key in cfg}
+    try:
+        check_fields(settings, run_benchmark.__annotations__, _SETTING_RANGES)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return {"scenarios": scenarios, "algorithms": algorithms, **settings}

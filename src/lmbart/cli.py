@@ -133,14 +133,9 @@ def cmd_predict(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = bm.load_grid_config(args.grid)
-    if args.replicates is not None:
-        cfg["replicates"] = args.replicates
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    result = bm.run_benchmark(cfg["scenarios"], cfg["algorithms"],
-                              replicates=cfg["replicates"],
-                              test_fraction=cfg["test_fraction"],
-                              master_seed=cfg["master_seed"], jobs=args.jobs)
+    flags = {"replicates": args.replicates, "master_seed": args.seed, "jobs": args.jobs}
+    cfg.update({key: value for key, value in flags.items() if value is not None})
+    result = bm.run_benchmark(**cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rmse_path = out_dir / "rmse_table.csv"

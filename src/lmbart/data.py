@@ -1,6 +1,8 @@
-"""Tabular data: reading and writing CSV tables, validation, and scaling.
+"""Tabular data: reading and writing CSV tables, validation, scaling, and the type rule.
 
-`read_csv` reads and `write_csv` writes every CSV table the package uses.
+`read_csv` reads and `write_csv` writes every CSV table the package uses. The
+type rule (`is_int`, `is_finite_real`, `check_fields`) checks every number
+read from outside: run files, stored trees, grid files, flags and arguments.
 All scaling conventions live here: the sampler always sees standardized
 features (and, for regression, a response mapped into [-0.5, 0.5]), while
 callers get predictions back on the original scale through `ScalingInfo`.
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -22,6 +25,51 @@ _TASKS = (REGRESSION, CLASSIFICATION)
 
 class DataError(ValueError):
     """Raised when an input file or dataset violates the data contract."""
+
+
+def is_int(v) -> bool:
+    """Whether `v` is an integer, numpy's included; a bool is not."""
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
+
+
+def is_finite_real(v) -> bool:
+    """Whether `v` is a finite real, numpy's included; a bool is not, nor is
+    an int past the float range."""
+    try:
+        if type(v) is float or type(v) is int:      # skips the slower ABC check
+            return math.isfinite(v)
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:         # an int beyond the float range
+        return False
+
+
+# annotation of a checked value -> (accepts a value, what it expects)
+_TYPES = {
+    "int": (is_int, "an integer"),
+    "float": (is_finite_real, "a finite real"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def at_least(bound):
+    """The range `>= bound`, as `check_fields` takes it."""
+    return (lambda v: v >= bound), f">= {bound}"
+
+
+def check_fields(values: dict, annotations: dict, ranges: dict) -> None:
+    """Each of the named `values` must hold its type in a dataclass's or a
+    function's `annotations`, then lie in its range in `ranges`, else
+    ValueError naming it. A None is skipped where its annotation allows it."""
+    for name, value in values.items():
+        annotation = annotations[name]
+        if value is None and annotation.endswith("| None"):
+            continue
+        accepts, expected = _TYPES[annotation.split(" |")[0]]
+        if accepts(value) and name in ranges:
+            accepts, expected = ranges[name]
+        if not accepts(value):
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,19 +182,22 @@ class ScalingInfo:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingInfo":
-        """Inverse of `to_dict`. A `d` that is not a dict, or lacks a key, raises DataError."""
+        """Inverse of `to_dict`. A `d` that is not a dict or lacks a key, a center
+        or scale that is not a finite real (`is_finite_real`) and a
+        `response_scaled` that is not a bool raise DataError naming the key."""
         if not isinstance(d, dict):
             raise DataError(f"scaling {d!r} is not an object")
         missing = [f.name for f in fields(cls) if f.name not in d]
         if missing:
             raise DataError(f"scaling missing key(s) {', '.join(missing)}")
-        return cls(
-            feature_centers=np.asarray(d["feature_centers"], dtype=float),
-            feature_scales=np.asarray(d["feature_scales"], dtype=float),
-            response_center=float(d["response_center"]),
-            response_scale=float(d["response_scale"]),
-            response_scaled=bool(d["response_scaled"]),
-        )
+        for key in ("feature_centers", "feature_scales", "response_center", "response_scale"):
+            values = d[key] if key.startswith("feature") else [d[key]]
+            if not (isinstance(values, list) and all(map(is_finite_real, values))):
+                raise DataError(f"{key} must be finite, got {d[key]!r}")
+        if not isinstance(d["response_scaled"], bool):
+            raise DataError(f"response_scaled must be a bool, got {d['response_scaled']!r}")
+        return cls(d["feature_centers"], d["feature_scales"], float(d["response_center"]),
+                   float(d["response_scale"]), d["response_scaled"])
 
     @classmethod
     def identity(cls, p: int) -> "ScalingInfo":

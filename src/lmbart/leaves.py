@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .data import is_finite_real, is_int
 from .trees import Tree, ancestor_covariates, split_covariates
 
 CONSTANT = "constant"
@@ -417,33 +418,24 @@ def stored_leaf_model(tree_dict: dict):
             else LinearLeaves(None, (math.nan,) * 2))
 
 
-def is_finite_number(value) -> bool:
-    """Whether a stored value is a finite int or float; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:         # an int beyond the float range
-        return False
-
-
 def stored_leaf_problem(params: dict, p: int, leaf_model: str) -> str | None:
     """What makes a stored leaf's payload unusable on p features, or a leaf of
     another model than `leaf_model`; None if nothing. A mean and every
-    coefficient must be finite numbers (`is_finite_number`)."""
+    coefficient must be finite reals (`data.is_finite_real`), and every
+    covariate an int (`data.is_int`)."""
     if "mu" in params:
-        if not is_finite_number(params["mu"]):
+        if not is_finite_real(params["mu"]):
             return f"leaf mean {params['mu']!r} is not a finite number"
     elif "beta" not in params or "covariates" not in params:
         return "leaf has neither 'mu' nor 'beta' and 'covariates'"
     else:
         covs, beta = params["covariates"], params["beta"]
-        if not isinstance(covs, list) or not all(type(c) is int and 0 <= c < p for c in covs):
+        if not isinstance(covs, list) or not all(is_int(c) and 0 <= c < p for c in covs):
             return f"leaf covariates {covs!r} are not feature indices in [0, {p})"
         if not isinstance(beta, list) or len(beta) != len(covs) + 1:
             return f"leaf beta {beta!r} is not a list of {len(covs) + 1} coefficients"
         for coef in beta:
-            if not is_finite_number(coef):
+            if not is_finite_real(coef):
                 return f"leaf coefficient {coef!r} is not a finite number"
     own = CONSTANT if "mu" in params else LINEAR
     if own != leaf_model:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -31,8 +30,8 @@ from scipy.special import gammaincinv, log_ndtr, ndtr, ndtri_exp
 
 from . import leaves as lv
 from . import trees as tr
-from .data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
-                   SplitDictionary, split_dictionary)
+from .data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo, SplitDictionary, at_least,
+                   check_fields, is_finite_real, is_int, split_dictionary)
 
 VERSION = "lmbart 0.1.0"
 # keys that `read_run` requires of a run's header line and of each draw record
@@ -45,25 +44,7 @@ UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
 
 
-def _is_finite_real(v) -> bool:
-    try:
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:         # an int beyond the float range
-        return False
-
-
-# annotation of a `Hyperparams` field -> (accepts a value, what it expects);
-# numpy integers are integers, and a bool is neither an integer nor a real
-_FIELD_TYPES = {
-    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-            "an integer"),
-    "float": (_is_finite_real, "a finite real"),
-    "bool": (lambda v: isinstance(v, bool), "a bool"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-}
 _POSITIVE = (lambda v: v > 0, "> 0")
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 
 
 def _one_of(*choices):
@@ -72,14 +53,14 @@ def _one_of(*choices):
 
 # `Hyperparams` field -> (accepts a value of its type, the range it states)
 _FIELD_RANGES = {
-    "m": _AT_LEAST_1, "alpha": (lambda v: 0 < v < 1, "in (0, 1)"), "beta_depth": _NON_NEGATIVE,
+    "m": at_least(1), "alpha": (lambda v: 0 < v < 1, "in (0, 1)"), "beta_depth": at_least(0),
     "nu": _POSITIVE, "lam": _POSITIVE, "c": (lambda v: 1 <= v <= 3, "in [1, 3]"),
-    "burn_in": _NON_NEGATIVE, "post_burn_in": _AT_LEAST_1, "thin": _AT_LEAST_1,
+    "burn_in": at_least(0), "post_burn_in": at_least(1), "thin": at_least(1),
     "leaf_model": _one_of(lv.CONSTANT, lv.LINEAR),
     "covariate_rule": _one_of(lv.TREE_SPLITS, lv.ANCESTORS),
     "branching": _one_of(UNIFORM, DIRICHLET),
     "tau_b": _POSITIVE, "a0": _POSITIVE, "b0": _POSITIVE, "a1": _POSITIVE, "b1": _POSITIVE,
-    "n_min": _AT_LEAST_1, "seed": _NON_NEGATIVE, "dirichlet_mass": _POSITIVE,
+    "n_min": at_least(1), "seed": at_least(0), "dirichlet_mass": _POSITIVE,
 }
 
 
@@ -136,20 +117,11 @@ class Hyperparams:
             self.tau_b = float(self.m)
 
     def validate(self):
-        """Each field must hold its annotated type (`_FIELD_TYPES`), then lie in
-        its range (`_FIELD_RANGES`); a failure raises ValueError naming the
-        field and the value. A field left None where its annotation allows it
-        is skipped: `__post_init__` then resolves it, or the chain calibrates
-        `lam`."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.type.endswith("| None"):
-                continue
-            accepts, expected = _FIELD_TYPES[f.type.split(" |")[0]]
-            if accepts(value) and f.name in _FIELD_RANGES:
-                accepts, expected = _FIELD_RANGES[f.name]
-            if not accepts(value):
-                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+        """Each field must hold its annotated type, then lie in its range
+        (`_FIELD_RANGES`), else `check_fields` raises ValueError naming it. A
+        field left None where its annotation allows it is skipped:
+        `__post_init__` then resolves it, or the chain calibrates `lam`."""
+        check_fields(vars(self), Hyperparams.__annotations__, _FIELD_RANGES)
         if self.post_burn_in < self.thin:
             raise ValueError(f"post_burn_in={self.post_burn_in} keeps no draw at "
                              f"thin={self.thin}; need post_burn_in >= thin")
@@ -526,9 +498,9 @@ def _stored_tree_problem(tree_dict, p: int, leaf_model: str) -> str | None:
                 return problem
         elif kind != "internal":
             return f"unknown node kind {kind!r}"
-        elif type(node.get("feature")) is not int or not 0 <= node["feature"] < p:
+        elif not is_int(node.get("feature")) or not 0 <= node["feature"] < p:
             return f"split feature {node.get('feature')!r} is not a feature index in [0, {p})"
-        elif not lv.is_finite_number(node.get("threshold")):
+        elif not is_finite_real(node.get("threshold")):
             return f"split threshold {node.get('threshold')!r} is not a finite number"
         elif "left" not in node or "right" not in node:
             return "split node without a 'left' and a 'right' child"
@@ -939,16 +911,16 @@ def _header_value_problem(header: dict) -> str | None:
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
             and len(set(names)) == len(names)):
         return f"feature_names {names!r} is not a list of distinct strings"
-    if type(header["retained"]) is not int:
+    if not is_int(header["retained"]):
         return f"retained {header['retained']!r} is not an int"
     if not (isinstance(acceptance, dict) and sorted(acceptance) == sorted(tr.MOVE_KINDS)
             and all(isinstance(counts, dict) and sorted(counts) == sorted(_OUTCOMES)
-                    and all(type(c) is int for c in counts.values())
+                    and all(map(is_int, counts.values()))
                     for counts in acceptance.values())):
         return (f"acceptance {acceptance!r} does not map each move kind to int "
                 f"{', '.join(_OUTCOMES)} counts")
     chain = header["sigma2_chain"]
-    if not (isinstance(chain, list) and all(map(lv.is_finite_number, chain))):
+    if not (isinstance(chain, list) and all(map(is_finite_real, chain))):
         return "sigma2_chain is not a list of finite numbers"
     return None
 
@@ -957,13 +929,13 @@ def _draw_value_problem(record: dict, m: int | None) -> str | None:
     """What makes the values of a draw record's `_DRAW_KEYS` unusable; None
     if nothing. Each count list holds one int per tree: `m` of them, the
     length of draw 0's terminal counts (None when `record` is draw 0)."""
-    if type(record["iteration"]) is not int:
+    if not is_int(record["iteration"]):
         return f"iteration {record['iteration']!r} is not an int"
-    if not lv.is_finite_number(record["sigma2"]):
+    if not is_finite_real(record["sigma2"]):
         return f"sigma2 {record['sigma2']!r} is not a finite number"
     for key in ("terminal_counts", "param_counts"):
         counts = record[key]
-        if not (isinstance(counts, list) and counts and all(type(c) is int for c in counts)):
+        if not (isinstance(counts, list) and counts and all(map(is_int, counts))):
             return f"{key} is not a non-empty list of ints"
         m = m or len(counts)
         if len(counts) != m:

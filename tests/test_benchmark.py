@@ -41,7 +41,18 @@ class TestFriedmanGenerate:
     def test_rejects_non_finite_or_negative_noise(self, noise_sd, shown):
         with pytest.raises(ValueError) as err:
             FriedmanSpec(n=10, noise_sd=noise_sd)
-        assert str(err.value) == f"noise_sd must be a finite value >= 0, got {shown}"
+        expected = ">= 0" if noise_sd < 0 else "a finite real"
+        assert str(err.value) == f"noise_sd must be {expected}, got {shown}"
+
+    @pytest.mark.parametrize("name, value, expected", [
+        ("n", 60.9, "an integer"), ("p", 5.0, "an integer"), ("seed", True, "an integer"),
+        ("noise_sd", "1", "a finite real"),
+    ])
+    def test_a_field_of_the_wrong_type_is_a_value_error(self, name, value, expected):
+        # not truncated, and not left for numpy to refuse with a TypeError
+        with pytest.raises(ValueError) as err:
+            FriedmanSpec(**{"n": 60, name: value})
+        assert str(err.value) == f"{name} must be {expected}, got {value!r}"
 
     def test_noise_matches_irreducible_error(self):
         d = friedman_generate(FriedmanSpec(n=50_000, p=5, noise_sd=1.0, seed=5))
@@ -172,6 +183,19 @@ class TestRunBenchmark:
             run_benchmark([FriedmanSpec(n=80, p=5, seed=0)],
                           [EngineConfig("constant-3", Hyperparams(m=3))], **counts)
         assert str(err.value) == f"{name} must be >= 1, got {value}"
+
+    @pytest.mark.parametrize("name, value, expected", [
+        ("test_fraction", 0, "in (0, 1)"), ("test_fraction", 1.5, "in (0, 1)"),
+        ("master_seed", -1, ">= 0"), ("replicates", 2.0, "an integer"),
+    ])
+    def test_a_setting_is_refused_before_any_fit(self, monkeypatch, name, value, expected):
+        fits = []
+        monkeypatch.setattr(benchmark, "_run_cell", lambda *args: fits.append(args))
+        with pytest.raises(ValueError) as err:
+            run_benchmark([FriedmanSpec(n=60)], [EngineConfig("a", Hyperparams(m=2))],
+                          **{"replicates": 1, name: value})
+        assert str(err.value) == f"{name} must be {expected}, got {value!r}"
+        assert fits == []
 
     def test_a_process_pool_gives_the_cells_of_one_process(self, tiny_grid):
         assert run_tiny_grid(jobs=2).cells == tiny_grid.cells

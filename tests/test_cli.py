@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lmbart import leaves
+from lmbart import benchmark, leaves
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from lmbart.cli import build_parser, main
 from lmbart.data import REGRESSION, ScalingInfo, load_csv, standardize, write_csv
@@ -113,7 +113,13 @@ class TestSimulate:
         code = run_cli("simulate", "--n", 10, "--noise-sd", value, "--out", path)
         assert code == 1
         assert (capsys.readouterr().err
-                == f"error: noise_sd must be a finite value >= 0, got {value}\n")
+                == f"error: noise_sd must be a finite real, got {value}\n")
+        assert not path.exists()
+
+    def test_a_negative_seed_is_named(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        assert run_cli("simulate", "--n", 10, "--seed", -1, "--out", path) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not path.exists()
 
     def test_reads_back_as_the_generated_data_bit_for_bit(self, tmp_path):
@@ -652,8 +658,10 @@ class TestBenchmarkCommand:
         grid.write_text(json.dumps(cfg), encoding="utf-8")   # nan and inf as NaN, Infinity
         code = run_cli("benchmark", "--grid", grid, "--out", tmp_path / "bench")
         assert code == 1
-        # an engine value is refused by Hyperparams, in its words, after the algorithm's name
-        named = f"algorithm 'l2': {key}" if where == "algorithm" else repr(key)
+        # a value is refused by FriedmanSpec, Hyperparams or run_benchmark, in their
+        # words, after the scenario's index or the algorithm's name
+        named = {"scenario": f"scenario 0: {key}", "algorithm": f"algorithm 'l2': {key}"}.get(
+            where, key)
         assert (capsys.readouterr().err
                 == f"error: {grid}: {named} must be {expected}, got {value!r}\n")
         assert not (tmp_path / "bench").exists()
@@ -668,6 +676,37 @@ class TestBenchmarkCommand:
         assert (capsys.readouterr().err
                 == f"error: {flag[2:]} must be >= 1, got {value}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("where, key, value, problem", [
+        ("scenario", "p", 3,
+         "scenario 0: p must be >= 5 (first five covariates drive the signal), got 3"),
+        ("scenario", "seed", -1, "scenario 0: seed must be >= 0, got -1"),
+        ("grid", "master_seed", -1, "master_seed must be >= 0, got -1"),
+        ("grid", "test_fraction", 1.5, "test_fraction must be in (0, 1), got 1.5"),
+    ])
+    def test_a_grid_value_out_of_range_is_named_before_any_fit(self, monkeypatch, tmp_path,
+                                                               capsys, where, key, value,
+                                                               problem):
+        fits = []
+        monkeypatch.setattr(benchmark, "_run_cell", lambda *args: fits.append(args))
+        grid = self.make_grid(tmp_path)
+        cfg = json.loads(grid.read_text())
+        (cfg["scenarios"][0] if where == "scenario" else cfg)[key] = value
+        grid.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--grid", grid, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {grid}: {problem}\n"
+        assert not out.exists() and fits == []
+
+    def test_a_negative_seed_flag_is_named_before_any_fit(self, monkeypatch, tmp_path,
+                                                          capsys):
+        fits = []
+        monkeypatch.setattr(benchmark, "_run_cell", lambda *args: fits.append(args))
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--grid", self.make_grid(tmp_path), "--out", out,
+                       "--seed", -1) == 1
+        assert capsys.readouterr().err == "error: master_seed must be >= 0, got -1\n"
+        assert not out.exists() and fits == []
 
     def test_grid_replicates_below_one_is_named(self, tmp_path, capsys):
         grid = self.make_grid(tmp_path)
@@ -824,6 +863,27 @@ class TestRunMetadata:
         assert not (tmp_path / "p.csv").exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {problem}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("response_scaled", "false", id="scaled-string"),
+        pytest.param("response_center", "14.3", id="center-string"),
+        pytest.param("response_scale", True, id="scale-bool"),
+        pytest.param("feature_centers", ["1", "2", "3", "4", "5"], id="centers-strings"),
+    ])
+    def test_a_scaling_value_is_checked_not_converted(self, command, key, value, tmp_path,
+                                                      friedman_csv, trained_run, capsys):
+        # float() and bool() would read these: "false" as True, "14.3" as 14.3
+        def edit(line):
+            header = json.loads(line)
+            header["scaling"][key] = value
+            return json.dumps(header) + "\n"
+
+        path = rewrite_header(trained_run, edit)
+        assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
+        assert not (tmp_path / "p.csv").exists()
+        expected = "a bool" if key == "response_scaled" else "finite"
+        assert (capsys.readouterr().err
+                == f"error: {path}: {key} must be {expected}, got {value!r}\n")
 
     @pytest.mark.parametrize("key, value, problem", [
         pytest.param("task", "clustering",

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lmbart.benchmark import FriedmanSpec
 from lmbart.data import (CLASSIFICATION, REGRESSION, DataError, Dataset,
-                         ScalingInfo, load_csv, load_features, parse_cell, read_csv,
-                         split_dictionary, standardize, train_test_split)
+                         ScalingInfo, is_finite_real, is_int, load_csv, load_features,
+                         parse_cell, read_csv, split_dictionary, standardize, train_test_split)
+from lmbart.sampler import Hyperparams, predict_stored
 from lmbart.data import write_csv as write_table
 
 
@@ -275,3 +277,35 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match=r"not in \{0,1\}"):
             Dataset(np.array([[1.0], [2.0]]), np.array([0.0, 2.0]), ["a"],
                     CLASSIFICATION)
+
+
+class TestTypeRule:
+    @pytest.mark.parametrize("value, integer, real", [
+        (3, True, True), (np.int64(3), True, True), (np.uint8(3), True, True),
+        (0.5, False, True), (np.float64(0.5), False, True), (np.float32(0.5), False, True),
+        (True, False, False), (np.True_, False, False), ("3", False, False), (None, False, False),
+        (float("nan"), False, False), (np.float32("inf"), False, False),
+        # an int past the float range would overflow math.isfinite
+        (10**400, True, False),
+    ])
+    def test_integers_and_finite_reals(self, value, integer, real):
+        assert is_int(value) is integer
+        assert is_finite_real(value) is real
+
+    def test_a_numpy_scalar_is_accepted_wherever_a_python_number_is(self):
+        assert Hyperparams(m=np.int64(3), nu=np.float64(2.5)) == Hyperparams(m=3, nu=2.5)
+        assert FriedmanSpec(n=np.int64(60), noise_sd=np.float32(0.5)).label == "n=60,p=5"
+        scaling = {"feature_centers": [np.float64(0.0)] * 2, "feature_scales": [1.0, 1.0],
+                   "response_center": np.float64(0.0), "response_scale": np.int64(1),
+                   "response_scaled": False}
+        assert ScalingInfo.from_dict(scaling).to_dict() == ScalingInfo.identity(2).to_dict()
+
+        def stump(feature, threshold, mu):
+            return {"kind": "internal", "feature": feature, "threshold": threshold,
+                    "left": {"kind": "leaf", "mu": mu}, "right": {"kind": "leaf", "mu": 1.0}}
+
+        X = np.array([[-1.0, 2.0], [0.5, 1.0], [0.0, -3.0]])
+        python = predict_stored([[stump(0, 0.0, 0.5)]], REGRESSION, ScalingInfo.identity(2), X)
+        numpy = predict_stored([[stump(np.int64(0), np.float64(0.0), np.float64(0.5))]],
+                               REGRESSION, ScalingInfo.identity(2), X)
+        assert np.array_equal(numpy.draws, python.draws)
