@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (REGRESSION, Dataset, at_least, check_fields, standardize, train_test_split,
-                   write_csv)
+from .data import (REGRESSION, Dataset, at_least, check_fields, split_sizes, standardize,
+                   train_test_split, write_csv)
 from .sampler import Hyperparams, PosteriorDraws, predict, run_regression
 
 # `FriedmanSpec` field, or `run_benchmark` setting -> (accepts a value of its type, its range)
@@ -172,9 +172,9 @@ def run_benchmark(scenarios: list[FriedmanSpec], algorithms: list[EngineConfig],
 
     Deterministic given the master seed. Per-cell failures are recorded and
     the rest of the grid keeps running. A setting of the wrong type or out of
-    its range (`_SETTING_RANGES`), and two scenarios with one label or two
-    algorithms with one name (which would pool their fits in one cell), raise
-    ValueError before any fit.
+    its range (`_SETTING_RANGES`), two scenarios with one label or two
+    algorithms with one name (which would pool their fits in one cell), and a
+    scenario split into a part of under 2 rows raise ValueError before any fit.
     """
     check_fields({"replicates": replicates, "test_fraction": test_fraction,
                   "master_seed": master_seed, "jobs": jobs},
@@ -184,6 +184,12 @@ def run_benchmark(scenarios: list[FriedmanSpec], algorithms: list[EngineConfig],
         repeated = [x for i, x in enumerate(names) if x in names[:i]]
         if repeated:
             raise ValueError(f"two {kind} share the {key} {repeated[0]!r}")
+    for spec in scenarios:
+        n_train, n_test = split_sizes(spec.n, test_fraction)
+        if min(n_train, n_test) < 2:
+            raise ValueError(f"scenario {spec.label!r}: test_fraction {test_fraction} splits its "
+                             f"{spec.n} rows into {n_train} train and {n_test} test rows; "
+                             "each part needs at least 2")
     tasks = []
     for s_idx, spec in enumerate(scenarios):
         for rep in range(replicates):

@@ -377,15 +377,19 @@ def split_dictionary(dataset: Dataset) -> SplitDictionary:
     return SplitDictionary([np.unique(dataset.features[:, j]) for j in range(dataset.p)])
 
 
+def split_sizes(n: int, test_fraction: float) -> tuple[int, int]:
+    """(train, test) row counts of `train_test_split`: round(n * test_fraction)
+    test rows, at least 1 and at most n - 1."""
+    n_test = min(max(int(math.floor(n * test_fraction + 0.5)), 1), n - 1)
+    return n - n_test, n_test
+
+
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic disjoint row partition; test size = round(n * test_fraction)."""
+    """Deterministic disjoint row partition of `split_sizes`."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    n = dataset.n
-    n_test = int(math.floor(n * test_fraction + 0.5))
-    n_test = min(max(n_test, 1), n - 1)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
+    n_test = split_sizes(dataset.n, test_fraction)[1]
+    order = np.random.default_rng(seed).permutation(dataset.n)
     test_rows = np.sort(order[:n_test])
     train_rows = np.sort(order[n_test:])
     return dataset.take(train_rows), dataset.take(test_rows)

@@ -454,27 +454,23 @@ def _serialize_tree(ts: TreeState) -> dict:
     return ts.tree.to_dict(ts.stats.payloads(ts.leaf_params))
 
 
-def _replay_tree(tree_dict: dict, features: np.ndarray, model, ts: TreeState,
-                 key: list | None) -> list:
+def _replay_tree(tree_dict: dict, features: np.ndarray, model, ts: TreeState) -> None:
     """Replay one serialized tree on standardized features into `ts` by the
-    leaf `model`'s `replay`; returns its split key, (feature, threshold) per node id.
+    leaf `model`'s `replay`.
 
     `ts` is the tree index's state after the previous draw, a `TreeState.stump`
-    before the first, and `key` its tree's key (None before the first draw).
-    `Tree.from_dict` numbers nodes by shape, which follows from the split ids,
-    so a tree with an equal key keeps the state's tree, routing, index and
-    stats. Any other tree is routed by `trees.carry_routing` and kept by
-    `TreeState.keep`; its leaves are renumbered, so its stats are built afresh.
-    Then `_serialize_tree(ts)` equals `tree_dict`. The tree is not checked:
-    it is the chain's own or passed `_stored_draws_problem`."""
-    tree, stored = tr.Tree.from_dict(tree_dict)
-    splits = [(nd.feature, nd.threshold) for nd in tree.nodes.values()]
-    if splits != key:
+    before the first. `Tree.from_dict` hands back the state's tree when the
+    splits are unchanged, and the state keeps its routing, index and stats.
+    It builds any other tree anew, which `trees.carry_routing` routes and
+    `TreeState.keep` keeps; its leaves are renumbered, so its stats are built
+    afresh. Then `_serialize_tree(ts)` equals `tree_dict`. The tree is not
+    checked: it is the chain's own or passed `_stored_draws_problem`."""
+    tree, stored = tr.Tree.from_dict(tree_dict, ts.tree)
+    if tree is not ts.tree:
         ts.keep(tree, *tr.carry_routing(tree, features, ts.tree, ts.rows_by_leaf, ts.rows_by_split))
         ts.stats = None
     ts.leaf_params, ts.fit, ts.stats = model.replay(ts.rows_by_leaf, stored, features, ts.index,
                                                     ts.stats)
-    return splits
 
 
 def _stored_tree_problem(tree_dict, p: int, leaf_model: str) -> str | None:
@@ -540,7 +536,7 @@ def _stored_draws_problem(draws, p: int) -> str | None:
 def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
     """Evaluate one serialized tree on standardized features, replayed into a stump."""
     ts = TreeState.stump(features.shape[0])
-    _replay_tree(tree_dict, features, lv.stored_leaf_model(tree_dict), ts, None)
+    _replay_tree(tree_dict, features, lv.stored_leaf_model(tree_dict), ts)
     return ts.fit
 
 
@@ -712,12 +708,12 @@ def replay_trees(trees: list, task: str, scaling: ScalingInfo,
 
     One leaf model, picked from the first stored tree
     (`leaves.stored_leaf_model`), replays every tree. Each tree index keeps
-    one `TreeState`, a `TreeState.stump` before draw 0, and its split key
-    beside it; `_replay_tree` carries both from one draw to the next, so a
-    tree is routed again only when its splits changed since the previous
-    draw, and then only below the topmost nodes whose rules differ. Tree
-    fits are summed in place into the draw's row, in tree order, and the
-    link maps all draws at once. The band equals `np.quantile`'s linear
+    one `TreeState`, a `TreeState.stump` before draw 0, that `_replay_tree`
+    carries from one draw to the next, so a tree is rebuilt and routed again
+    only when its splits changed since the previous draw, and then routed
+    only below the topmost nodes whose rules differ. Tree fits are summed in
+    place into the draw's row, in tree order, and the link maps all draws at
+    once. The band equals `np.quantile`'s linear
     method bit for bit (`quantile_band`).
     """
     X_new = np.asarray(X_new, dtype=float)
@@ -732,12 +728,11 @@ def replay_trees(trees: list, task: str, scaling: ScalingInfo,
     out = np.zeros((len(trees), Xs.shape[0]))
     model = lv.stored_leaf_model(trees[0][0])
     states = [TreeState.stump(Xs.shape[0]) for _ in trees[0]]
-    keys = [None] * len(states)                 # tree index -> its state's split key
     with np.errstate(over="ignore", invalid="ignore"):    # the finite check names these
         for k, tree_dicts in enumerate(trees):
             fit = out[k]
-            for t, (d, ts) in enumerate(zip(tree_dicts, states)):
-                keys[t] = _replay_tree(d, Xs, model, ts, keys[t])
+            for d, ts in zip(tree_dicts, states):
+                _replay_tree(d, Xs, model, ts)
                 fit += ts.fit
     if not np.isfinite(out).all():
         k = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])

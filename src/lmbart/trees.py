@@ -22,9 +22,9 @@ rules agree, and routes again only the rows of the topmost nodes whose rules
 differ. A proposal carries the current tree's routing onto its candidate,
 which copies only the nodes its move changes and shares the rest, and stops
 as soon as a re-routed terminal falls below the minimum node size. The
-replay of stored draws carries, in the chain's own `sampler.TreeState`, a
-stump's routing into draw 0 and each draw's onto a tree whose splits changed;
-`Tree.from_dict` numbers nodes by shape, so such a tree's leaves are renumbered.
+replay of stored draws keeps, in the chain's own `sampler.TreeState`, the
+previous draw's tree while its splits stay, and carries its routing onto a
+tree whose splits changed, which `Tree.from_dict` builds anew, numbered by shape.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class Tree:
         return build(self.root)
 
     @classmethod
-    def from_dict(cls, d: dict) -> tuple["Tree", dict[int, dict]]:
+    def from_dict(cls, d: dict, prev: "Tree | None" = None) -> tuple["Tree", dict[int, dict]]:
         """Inverse of `to_dict`; returns the tree and leaf id -> leaf node of
         `d`, the stored dict itself (its payload and its "kind"), not a copy.
 
@@ -198,7 +198,27 @@ class Tree:
         numbered before the right. The arena is therefore a function of the
         tree's shape, and the payload lists the leaves in preorder. A node
         kind other than "leaf" or "internal" raises ValueError.
+
+        When `prev`'s splits equal `d`'s (by position, leaf with leaf and split
+        with split of `==` feature and threshold), `prev` itself is returned and
+        its leaf ids key the payload: the ids above if `prev` is a stump or was
+        built here.
         """
+        if prev is not None:
+            payload, nodes, stack = {}, prev.nodes, [(d, prev.root)]
+            while stack:
+                spec, node_id = stack.pop()
+                nd = nodes[node_id]
+                while (nd.feature is not None and spec["kind"] == "internal"
+                       and spec["feature"] == nd.feature and spec["threshold"] == nd.threshold):
+                    stack.append((spec["right"], nd.right))      # down the left spine
+                    spec, node_id = spec["left"], nd.left
+                    nd = nodes[node_id]
+                if nd.feature is not None or spec["kind"] != "leaf":
+                    break                                        # splits differ: build anew
+                payload[node_id] = spec
+            else:
+                return prev, payload
         arena: list[Node | None] = [None]      # node id -> node, ids 0..n-1
         payload: dict[int, dict] = {}
         stack = [(d, 0, None, 0)]              # (spec, node id, parent, depth)
@@ -359,9 +379,9 @@ def carry_routing(tree: Tree, features: np.ndarray, prev: Tree, prev_leaves: dic
     prune's node (whose rows array the new leaf keeps), a change's node, and
     the higher of a swap's two nodes, or both when neither is an ancestor of
     the other. An `_edit` copies only those nodes, so every leaf under them
-    but a grow's two new ones is `prev`'s own node. A stored tree rebuilt
-    by `Tree.from_dict` shares no node with the previous draw's, so the
-    replay compares no arrays.
+    but a grow's two new ones is `prev`'s own node. The replay carries only
+    onto a stored tree whose splits changed, built anew by `Tree.from_dict`:
+    it shares no node with the previous draw's, so the replay compares no arrays.
     """
     leaves, splits = {}, {}
     nodes, prev_nodes = tree.nodes, prev.nodes

@@ -6,7 +6,7 @@ from lmbart import benchmark
 from lmbart.benchmark import (EngineConfig, FriedmanSpec, friedman_generate,
                               friedman_signal, load_grid_config, parameter_accounting,
                               rmse, run_benchmark, write_param_table, write_rmse_table)
-from lmbart.data import standardize
+from lmbart.data import split_sizes, standardize
 from lmbart.sampler import Hyperparams, PosteriorDraws, run_regression
 from lmbart.data import ScalingInfo
 from oracles import recount_parameters
@@ -196,6 +196,27 @@ class TestRunBenchmark:
                           **{"replicates": 1, name: value})
         assert str(err.value) == f"{name} must be {expected}, got {value!r}"
         assert fits == []
+
+    @pytest.mark.parametrize("n, n_train, n_test", [(2, 1, 1), (5, 4, 1)])
+    def test_a_scenario_too_small_to_split_is_refused_before_any_fit(self, monkeypatch, n,
+                                                                     n_train, n_test):
+        fits = []
+        monkeypatch.setattr(benchmark, "_run_cell", lambda *args: fits.append(args))
+        with pytest.raises(ValueError) as err:
+            run_benchmark([FriedmanSpec(n=60), FriedmanSpec(n=n)],
+                          [EngineConfig("a", Hyperparams(m=2))], replicates=1)
+        assert str(err.value) == (f"scenario 'n={n},p=5': test_fraction 0.2 splits its {n} rows "
+                                  f"into {n_train} train and {n_test} test rows; "
+                                  f"each part needs at least 2")
+        assert fits == []
+
+    def test_the_smallest_scenario_that_splits_runs(self):
+        assert split_sizes(8, 0.2) == (6, 2)
+        result = run_benchmark([FriedmanSpec(n=8)],
+                               [EngineConfig("a", Hyperparams(m=2, burn_in=2, post_burn_in=2))],
+                               replicates=1)
+        cell = result.cells[("n=8,p=5", "a")]
+        assert cell.failures == [] and len(cell.rmses) == 1
 
     def test_a_process_pool_gives_the_cells_of_one_process(self, tiny_grid):
         assert run_tiny_grid(jobs=2).cells == tiny_grid.cells

@@ -718,11 +718,34 @@ class TestBenchmarkCommand:
         assert capsys.readouterr().err == f"error: {grid}: replicates must be >= 1, got 0\n"
         assert not out.exists()
 
-    def test_failed_cells_exit_1_after_writing_both_tables(self, tmp_path, capsys):
+    def test_a_scenario_too_small_to_split_is_named_before_any_fit(self, monkeypatch, tmp_path,
+                                                                   capsys):
+        fits = []
+        monkeypatch.setattr(benchmark, "_run_cell", lambda *args: fits.append(args))
         grid = self.make_grid(tmp_path)
         cfg = json.loads(grid.read_text())
-        cfg["scenarios"].append({"n": 3, "p": 5})     # too few rows to fit
+        cfg["scenarios"].append({"n": 3, "p": 5})
         grid.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--grid", grid, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: scenario 'n=3,p=5': test_fraction 0.2 splits its 3 rows into 2 train and "
+            "1 test rows; each part needs at least 2\n")
+        assert not out.exists() and fits == []
+
+    def test_failed_cells_exit_1_after_writing_both_tables(self, monkeypatch, tmp_path, capsys):
+        grid = self.make_grid(tmp_path)
+        cfg = json.loads(grid.read_text())
+        cfg["scenarios"].append({"n": 30, "p": 5})
+        grid.write_text(json.dumps(cfg), encoding="utf-8")
+        run_cell = benchmark._run_cell
+
+        def failing(spec, *rest):      # every fit of the second scenario fails
+            if spec.n == 30:
+                raise RuntimeError("injected")
+            return run_cell(spec, *rest)
+
+        monkeypatch.setattr(benchmark, "_run_cell", failing)
         out = tmp_path / "bench"
         assert run_cli("benchmark", "--grid", grid, "--out", out) == 1
         captured = capsys.readouterr()
@@ -733,8 +756,8 @@ class TestBenchmarkCommand:
             rows = {(r["scenario"], r["algorithm"]): r for r in csv.DictReader(fh)}
         assert len(rows) == 4
         for algorithm in ("c2", "l2"):
-            assert rows[("n=3,p=5", algorithm)]["failures"] == "2"
-            assert rows[("n=3,p=5", algorithm)]["median_rmse"] == ""
+            assert rows[("n=30,p=5", algorithm)]["failures"] == "2"
+            assert rows[("n=30,p=5", algorithm)]["median_rmse"] == ""
             assert rows[("n=60,p=5", algorithm)]["failures"] == "0"
         assert len((out / "param_counts.csv").read_text().strip().splitlines()) == 5
 

@@ -129,6 +129,30 @@ def test_long_chain_routes_a_tree_only_when_its_splits_change(leaf_model, counts
     assert (counts["build_leaf_design"] > 0) == (leaf_model == "linear")
 
 
+@pytest.mark.parametrize("leaf_model", ["constant", "linear"])
+def test_long_chain_rebuilds_a_tree_only_when_its_splits_change(leaf_model, monkeypatch):
+    # the chain of test_long_chain_routes_a_tree_only_when_its_splits_change
+    data = friedman_generate(FriedmanSpec(n=80, p=5, seed=8))
+    scaled, info = standardize(data)
+    hp = Hyperparams(m=4, burn_in=20, post_burn_in=40, leaf_model=leaf_model,
+                     seed=5, store_trees=True)
+    draws = run_regression(scaled, hp, info)
+    expected = replay_every_tree(draws.trees, draws.task, draws.scaling, data.features)
+    from_dict, rebuilt = Tree.from_dict, []
+
+    def watching(d, prev=None):
+        tree, payload = from_dict(d, prev)
+        rebuilt.append(tree is not prev)
+        return tree, payload
+
+    monkeypatch.setattr(Tree, "from_dict", staticmethod(watching))
+    assert_same_summary(predict(draws, data.features), expected)
+    assert len(rebuilt) == draws.retained * hp.m
+    # draw 0's trees with a split, then every tree whose splits changed
+    first = sum(d["kind"] != "leaf" for d in draws.trees[0])
+    assert sum(rebuilt) == first + split_changes(draws.trees) < len(rebuilt)
+
+
 def stump_split(threshold, left, right):
     return {"kind": "internal", "feature": 0, "threshold": threshold,
             "left": left, "right": right}

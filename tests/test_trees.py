@@ -684,6 +684,103 @@ class TestRebuild:
         assert_rebuilds_like_grow(d)
 
 
+def const_leaf(mu):
+    return {"kind": "leaf", "mu": mu}
+
+
+def deep_tree(mu=0.0, threshold=2.5):
+    """Depth 3; `threshold` is the rule of the split deepest in the right subtree."""
+    return internal(0, 0.0,
+                    internal(1, 1.0, const_leaf(mu), internal(2, -1.0, const_leaf(mu + 1),
+                                                              const_leaf(mu + 2))),
+                    internal(2, 2.0, const_leaf(mu + 3),
+                             internal(1, threshold, const_leaf(mu + 4), const_leaf(mu + 5))))
+
+
+def stored_rules(d):
+    """A stored tree's splits: its shape and every (feature, threshold)."""
+    if d["kind"] == "leaf":
+        return None
+    return (d["feature"], d["threshold"], stored_rules(d["left"]), stored_rules(d["right"]))
+
+
+def with_new_leaves(d, mu=7.0):
+    """`d` with the same splits and every leaf a new constant leaf."""
+    if d["kind"] == "leaf":
+        return const_leaf(mu)
+    return internal(d["feature"], d["threshold"], with_new_leaves(d["left"], mu + 1),
+                    with_new_leaves(d["right"], mu + 2))
+
+
+def assert_hands_back_prev(d, prev):
+    """`from_dict(d, prev)` returns `prev` unchanged, with `from_dict(d)`'s payload."""
+    before = node_fields(prev)
+    tree, payload = Tree.from_dict(d, prev)
+    assert tree is prev and node_fields(prev) == before
+    ref_payload = Tree.from_dict(d)[1]
+    assert list(payload) == list(ref_payload)
+    assert all(payload[leaf] is ref_payload[leaf] for leaf in payload)
+
+
+def assert_rebuilt_past_prev(d, prev):
+    """`from_dict(d, prev)` builds a new tree, equal to `grow_from_dict(d)`."""
+    before = node_fields(prev)
+    tree, payload = Tree.from_dict(d, prev)
+    ref, ref_payload = grow_from_dict(d)
+    assert tree is not prev and node_fields(prev) == before
+    assert tree.nodes == ref.nodes and list(tree.nodes) == list(ref.nodes)
+    assert (tree.root, tree._next_id) == (ref.root, ref._next_id)
+    assert list(payload.items()) == list(ref_payload.items())
+
+
+class TestRebuildAfterPrev:
+    @pytest.mark.parametrize("d, prev", [
+        pytest.param(const_leaf(1.0), Tree.stump(), id="stump"),
+        pytest.param(deep_tree(1.0), Tree.from_dict(deep_tree(-4.0))[0], id="deep"),
+        pytest.param(internal(1, 0, const_leaf(1.0), const_leaf(2.0)),
+                     Tree.from_dict(internal(1, 0.0, const_leaf(0.0), const_leaf(0.0)))[0],
+                     id="int-threshold"),
+    ])
+    def test_equal_splits_hand_back_prev(self, d, prev):
+        assert_hands_back_prev(d, prev)
+
+    @pytest.mark.parametrize("d, prev", [
+        pytest.param(deep_tree(threshold=3.5), deep_tree(threshold=2.5), id="deep-threshold"),
+        pytest.param(internal(1, 0.0, const_leaf(1.0), const_leaf(2.0)),
+                     internal(0, 0.0, const_leaf(1.0), const_leaf(2.0)), id="feature"),
+        pytest.param(internal(0, 0.0, const_leaf(1.0), const_leaf(2.0)),
+                     internal(0, 0.0, const_leaf(1.0), internal(1, 0.5, const_leaf(2.0),
+                                                                const_leaf(3.0))),
+                     id="leaf-at-a-split"),
+        pytest.param(internal(0, 0.0, const_leaf(1.0), internal(1, 0.5, const_leaf(2.0),
+                                                                const_leaf(3.0))),
+                     internal(0, 0.0, const_leaf(1.0), const_leaf(2.0)), id="split-at-a-leaf"),
+    ])
+    def test_changed_splits_build_anew(self, d, prev):
+        assert_rebuilt_past_prev(d, Tree.from_dict(prev)[0])
+
+    @pytest.mark.parametrize("d, prev", [
+        pytest.param({"kind": "lef", "mu": 1.0}, Tree.stump(), id="leaf"),
+        pytest.param({"kind": "internl", "feature": 0, "threshold": 0.0,
+                      "left": const_leaf(1.0), "right": const_leaf(2.0)},
+                     Tree.from_dict(internal(0, 0.0, const_leaf(1.0), const_leaf(2.0)))[0],
+                     id="split"),
+    ])
+    def test_an_unknown_node_kind_raises_though_prev_matches(self, d, prev):
+        with pytest.raises(ValueError, match="unknown node kind"):
+            Tree.from_dict(d, prev)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stored_trees, stored_trees)
+    def test_drawn_pairs(self, d, other):
+        prev = Tree.from_dict(other)[0]
+        if stored_rules(d) == stored_rules(other):
+            assert_hands_back_prev(d, prev)
+        else:
+            assert_rebuilt_past_prev(d, prev)
+        assert_hands_back_prev(with_new_leaves(d), Tree.from_dict(d)[0])
+
+
 @pytest.mark.parametrize("name", list(CHAINS))
 def test_pinned_chains_carry_every_nodes_true_rows(name):
     X = chain_data(name)[0].features
