@@ -2,7 +2,7 @@
 # End-to-end smoke of the installed `lmbart` console script ([project.scripts]):
 # simulate, then train, predict and diagnostics for constant, linear,
 # ancestors-rule and probit runs, one command after another, then a tiny
-# benchmark grid through the process pool, and last two commands that must be
+# benchmark grid through the process pool, and last three commands that must be
 # refused. The tests call
 # cli.main in-process; this runs the entry point itself. Run it from an empty
 # directory outside the checkout, with lmbart installed:
@@ -15,6 +15,8 @@ lmbart diagnostics --run run --out sigma2.csv
 # a header line, then one line per row or per sweep
 test "$(wc -l < pred.csv)" -eq 121
 test "$(wc -l < sigma2.csv)" -eq 51
+# a tree that kept the previous draw's splits is stored as its leaf values alone
+grep -q '"kind": "same"' run.draws.jsonl
 lmbart train --data sim.csv --target y --leaf linear --trees 4 --burnin 20 --iters 30 --seed 7 --store-trees --out linear
 lmbart predict --run linear --data sim.csv --out linear-pred.csv
 lmbart diagnostics --run linear --out linear-sigma2.csv
@@ -66,3 +68,7 @@ cat > bad-grid.json <<'JSON'
 JSON
 refused "error: bad-grid.json: scenario 0: seed must be >= 0, got -1" bad-bench \
   lmbart benchmark --grid bad-grid.json --out bad-bench
+# a run file of the previous format version
+sed '1s/"version": "lmbart [^"]*"/"version": "lmbart 0.1.0"/' run.draws.jsonl > old.draws.jsonl
+refused "error: old.draws.jsonl: written by 'lmbart 0.1.0', expected 'lmbart 0.2.0'" old-pred.csv \
+  lmbart predict --run old --data sim.csv --out old-pred.csv

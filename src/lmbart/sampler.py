@@ -33,7 +33,7 @@ from . import trees as tr
 from .data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo, SplitDictionary, at_least,
                    check_fields, is_finite_real, is_int, split_dictionary)
 
-VERSION = "lmbart 0.1.0"
+VERSION = "lmbart 0.2.0"
 # keys that `read_run` requires of a run's header line and of each draw record
 _HEADER_KEYS = ("version", "task", "feature_names", "scaling", "acceptance", "retained",
                 "sigma2_chain")
@@ -442,16 +442,21 @@ class PosteriorDraws:
     param_counts: np.ndarray       # (K, m)
     acceptance: dict
     sigma2_chain: np.ndarray       # (burn_in + post_burn_in,)
-    trees: list | None             # per retained iteration: list of m tree dicts
+    trees: list | None             # per retained iteration: m stored tree records (trees.py)
 
     @property
     def retained(self) -> int:
         return self.sigma2.shape[0]
 
 
-def _serialize_tree(ts: TreeState) -> dict:
-    """A tree in its stored form, its drawn values written by its stats' `payloads`."""
-    return ts.tree.to_dict(ts.stats.payloads(ts.leaf_params))
+def _serialize_tree(ts: TreeState, last: tr.Tree | None) -> dict:
+    """A tree's stored record (trees.py), its drawn values written by its stats'
+    `payloads`: a "same" record when `last`, the tree of the index's previous
+    record, is the kept tree itself, which is never mutated; else in full."""
+    payloads = ts.stats.payloads(ts.leaf_params)
+    if ts.tree is last:
+        return {"kind": "same", "leaves": [payloads[leaf] for leaf in last.leaf_preorder]}
+    return ts.tree.to_dict(payloads)
 
 
 def _replay_tree(tree_dict: dict, features: np.ndarray, model, ts: TreeState) -> None:
@@ -459,12 +464,12 @@ def _replay_tree(tree_dict: dict, features: np.ndarray, model, ts: TreeState) ->
     leaf `model`'s `replay`.
 
     `ts` is the tree index's state after the previous draw, a `TreeState.stump`
-    before the first. `Tree.from_dict` hands back the state's tree when the
-    splits are unchanged, and the state keeps its routing, index and stats.
+    before the first. `Tree.from_dict` hands back the state's tree for a "same"
+    record or unchanged splits, and the state keeps its routing, index and stats.
     It builds any other tree anew, which `trees.carry_routing` routes and
     `TreeState.keep` keeps; its leaves are renumbered, so its stats are built
-    afresh. Then `_serialize_tree(ts)` equals `tree_dict`. The tree is not
-    checked: it is the chain's own or passed `_stored_draws_problem`."""
+    afresh. Then `_serialize_tree(ts, None)` is `tree_dict` written out in full. The
+    tree is not checked: it is the chain's own or passed `_stored_draws_problem`."""
     tree, stored = tr.Tree.from_dict(tree_dict, ts.tree)
     if tree is not ts.tree:
         ts.keep(tree, *tr.carry_routing(tree, features, ts.tree, ts.rows_by_leaf, ts.rows_by_split))
@@ -473,16 +478,29 @@ def _replay_tree(tree_dict: dict, features: np.ndarray, model, ts: TreeState) ->
                                                     ts.stats)
 
 
-def _stored_tree_problem(tree_dict, p: int, leaf_model: str) -> str | None:
-    """What makes a stored tree unusable on p features under `leaf_model`;
-    None if nothing.
+def _stored_tree_problem(tree_dict, p: int, leaf_model: str, last: int | None) -> str | int:
+    """What makes a stored tree record unusable on p features under `leaf_model`,
+    else its leaf count; `last` is the previous record's leaf count, None at draw 0.
 
-    Each node is a dict whose "kind" is "leaf", with a payload that
-    `leaves.stored_leaf_problem` accepts, or "internal", with a "left", a
-    "right", a "feature" in [0, p) (a negative one would index from the last
-    column) and a finite "threshold" (a NaN one would send every row left).
+    A full record's nodes are each a dict whose "kind" is "leaf", with a
+    payload that `leaves.stored_leaf_problem` accepts, or "internal", with a
+    "left", a "right", a "feature" in [0, p) (a negative one would index from
+    the last column) and a finite "threshold" (a NaN one would send every row
+    left). A "same" record after draw 0 holds a list of `last` such payloads.
     """
-    stack = [tree_dict]
+    if isinstance(tree_dict, dict) and tree_dict.get("kind") == "same":
+        payloads = tree_dict.get("leaves")
+        if last is None:
+            return "a 'same' record, but there is no previous draw"
+        if not isinstance(payloads, list):
+            return "a 'same' record without a list of leaves"
+        if len(payloads) != last:
+            return (f"a 'same' record of {len(payloads)} leaves, but the tree's record "
+                    f"at the previous draw has {last}")
+        problems = (lv.stored_leaf_problem(leaf, p, leaf_model) if isinstance(leaf, dict)
+                    else f"leaf {leaf!r} is not an object" for leaf in payloads)
+        return next((problem for problem in problems if problem is not None), last)
+    stack, leaves = [tree_dict], 0
     while stack:
         node = stack.pop()
         if not isinstance(node, dict):
@@ -492,6 +510,7 @@ def _stored_tree_problem(tree_dict, p: int, leaf_model: str) -> str | None:
             problem = lv.stored_leaf_problem(node, p, leaf_model)
             if problem is not None:
                 return problem
+            leaves += 1
         elif kind != "internal":
             return f"unknown node kind {kind!r}"
         elif not is_int(node.get("feature")) or not 0 <= node["feature"] < p:
@@ -502,19 +521,19 @@ def _stored_tree_problem(tree_dict, p: int, leaf_model: str) -> str | None:
             return "split node without a 'left' and a 'right' child"
         else:
             stack += (node["right"], node["left"])
-    return None
+    return leaves
 
 
 def _stored_draws_problem(draws, p: int) -> str | None:
     """What makes a run's stored draws unusable on p features; None if nothing.
 
-    `draws` holds per draw its list of tree dicts, or None. Each draw holds a
+    `draws` holds per draw its list of tree records, or None. Each draw holds a
     list, or every draw None; draw 0's list is not empty and every draw holds
     as many trees as draw 0; every tree, the first included, passes
     `_stored_tree_problem` under the leaf model of the first tree
     (`leaves.stored_leaf_model`). The problem names the draw, and the tree.
     """
-    first = kind = None
+    first = kind = leaves = None     # leaves: per tree index, its last record's leaf count
     for k, trees in enumerate(draws):
         if not isinstance(trees, (list, type(None))):
             return f"draw {k} is not an object with a list of trees"
@@ -522,19 +541,19 @@ def _stored_draws_problem(draws, p: int) -> str | None:
         if k == 0:
             if trees == []:
                 return "draw 0: an empty list of stored trees"
-            first = stored
+            first, leaves = stored, [None] * len(trees or ())
         elif stored != first:
             return f"draw {k}: {stored}, but draw 0 has {first}"
         for t, tree_dict in enumerate(trees or ()):
             kind = kind or lv.stored_leaf_model(tree_dict).kind
-            problem = _stored_tree_problem(tree_dict, p, kind)
-            if problem is not None:
-                return f"draw {k}, tree {t}: {problem}"
+            leaves[t] = _stored_tree_problem(tree_dict, p, kind, leaves[t])
+            if isinstance(leaves[t], str):
+                return f"draw {k}, tree {t}: {leaves[t]}"
     return None
 
 
 def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
-    """Evaluate one serialized tree on standardized features, replayed into a stump."""
+    """Evaluate one stored tree, in full, on standardized features, replayed into a stump."""
     ts = TreeState.stump(features.shape[0])
     _replay_tree(tree_dict, features, lv.stored_leaf_model(tree_dict), ts)
     return ts.fit
@@ -597,6 +616,7 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
     param_counts = np.zeros((n_retained, hp.m), dtype=int)
     sigma2_chain = np.zeros(total_iters)
     trees_out = [] if hp.store_trees else None
+    written = [None] * hp.m      # per tree index, the tree of its last stored record
 
     keep = 0
     for k in range(1, total_iters + 1):
@@ -614,7 +634,8 @@ def _run_chain(train: Dataset, hp: Hyperparams, scaling: ScalingInfo | None,
             terminal_counts[keep] = [len(ts.rows_by_leaf) for ts in state.trees]
             param_counts[keep] = [ts.stats.parameter_count for ts in state.trees]
             if trees_out is not None:
-                trees_out.append([_serialize_tree(ts) for ts in state.trees])
+                trees_out.append(list(map(_serialize_tree, state.trees, written)))
+                written = [ts.tree for ts in state.trees]
             keep += 1
         if on_sweep is not None:
             on_sweep(state)
@@ -686,12 +707,12 @@ class PredictionSummary:
 
 def predict_stored(trees: list, task: str, scaling: ScalingInfo,
                    X_new: np.ndarray) -> PredictionSummary:
-    """Replay stored trees (one list of tree dicts per draw) on new rows.
+    """Replay stored trees (one list of tree records per draw) on new rows.
 
     `X_new` is on the original feature scale and `scaling` is the training
     run's. Classification runs return probabilities. The trees are first
     checked by `read_run`'s rule, `_stored_draws_problem` on the scaling's
-    feature count, which walks every tree: a problem raises ValueError in
+    feature count, which walks every tree record: a problem raises ValueError in
     `read_run`'s words. `replay_trees` then replays them unchecked.
     """
     problem = (_stored_draws_problem(trees, scaling.feature_centers.size)
@@ -711,10 +732,10 @@ def replay_trees(trees: list, task: str, scaling: ScalingInfo,
     one `TreeState`, a `TreeState.stump` before draw 0, that `_replay_tree`
     carries from one draw to the next, so a tree is rebuilt and routed again
     only when its splits changed since the previous draw, and then routed
-    only below the topmost nodes whose rules differ. Tree fits are summed in
-    place into the draw's row, in tree order, and the link maps all draws at
-    once. The band equals `np.quantile`'s linear
-    method bit for bit (`quantile_band`).
+    only below the topmost nodes whose rules differ; a "same" record is read
+    without a walk. Tree fits are summed in place into the draw's row, in tree
+    order, and the link maps all draws at once. The band equals `np.quantile`'s
+    linear method bit for bit (`quantile_band`).
     """
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2 or X_new.shape[1] != scaling.feature_centers.size:

@@ -25,6 +25,10 @@ as soon as a re-routed terminal falls below the minimum node size. The
 replay of stored draws keeps, in the chain's own `sampler.TreeState`, the
 previous draw's tree while its splits stay, and carries its routing onto a
 tree whose splits changed, which `Tree.from_dict` builds anew, numbered by shape.
+A draw's record of a tree is the full `to_dict` form or, for a tree that kept
+the splits of its previous record, {"kind": "same", "leaves": [payload, ...]}
+in the preorder of its leaves, which `to_dict` and `from_dict` keep on the tree
+(`leaf_preorder`), so neither writing nor reading such a record walks the tree.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ class Tree:
     never reused within a tree's lifetime, so leaf ids are stable keys for
     leaf parameters between structural moves.
     """
+
+    leaf_preorder: list[int] | None = None    # by to_dict/from_dict; None after grow/prune
 
     def __init__(self):
         self.nodes: dict[int, Node] = {0: Node(depth=0)}
@@ -117,6 +123,7 @@ class Tree:
         self._next_id += 2
         self.nodes[left] = Node(depth=nd.depth + 1, parent=leaf_id)
         self.nodes[right] = Node(depth=nd.depth + 1, parent=leaf_id)
+        self.leaf_preorder = None
         nd.feature = int(feature)
         nd.threshold = float(threshold)
         nd.left = left
@@ -132,6 +139,7 @@ class Tree:
             raise ValueError(f"children of node {node_id} are not both terminal")
         del self.nodes[nd.left]
         del self.nodes[nd.right]
+        self.leaf_preorder = None
         nd.feature = nd.threshold = nd.left = nd.right = None
 
     def set_rule(self, node_id: int, feature: int, threshold: float) -> None:
@@ -176,12 +184,15 @@ class Tree:
         """Nested JSON-ready form; `leaf_payload` maps leaf id -> extra fields.
 
         Split rules are written as stored: `grow` and `set_rule` store int, float.
+        The leaf ids, in the preorder they are written in, become `leaf_preorder`.
         """
         nodes, payload = self.nodes, leaf_payload or {}
+        order = self.leaf_preorder = []
 
         def build(node_id):
             nd = nodes[node_id]
             if nd.feature is None:
+                order.append(node_id)
                 return {"kind": "leaf", **payload.get(node_id, {})}
             return {"kind": "internal", "feature": nd.feature, "threshold": nd.threshold,
                     "left": build(nd.left), "right": build(nd.right)}
@@ -202,8 +213,14 @@ class Tree:
         When `prev`'s splits equal `d`'s (by position, leaf with leaf and split
         with split of `==` feature and threshold), `prev` itself is returned and
         its leaf ids key the payload: the ids above if `prev` is a stump or was
-        built here.
+        built here. The payload's keys become the tree's `leaf_preorder`. A "same"
+        record returns `prev` with its `leaf_preorder` keying the record's payloads,
+        and raises ValueError if `prev` (the previous record's tree) has none.
         """
+        if d["kind"] == "same":
+            if getattr(prev, "leaf_preorder", None) is None:
+                raise ValueError("a 'same' record needs the tree of the previous draw")
+            return prev, dict(zip(prev.leaf_preorder, d["leaves"]))
         if prev is not None:
             payload, nodes, stack = {}, prev.nodes, [(d, prev.root)]
             while stack:
@@ -218,6 +235,7 @@ class Tree:
                     break                                        # splits differ: build anew
                 payload[node_id] = spec
             else:
+                prev.leaf_preorder = list(payload)
                 return prev, payload
         arena: list[Node | None] = [None]      # node id -> node, ids 0..n-1
         payload: dict[int, dict] = {}
@@ -241,6 +259,7 @@ class Tree:
         tree.nodes = dict(enumerate(arena))
         tree.root = 0
         tree._next_id = len(arena)
+        tree.leaf_preorder = list(payload)
         return tree, payload
 
 

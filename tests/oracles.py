@@ -342,16 +342,49 @@ def recursive_to_dict(tree, leaf_payload=None):
     return build(tree.root)
 
 
+def expand_stored(trees):
+    """Stored draws with every "same" record written out in full.
+
+    A "same" record stands for its tree's record at the previous draw with
+    that record's leaves, in preorder, replaced by {"kind": "leaf"} and the
+    record's payloads one by one; a full record is kept as it is.
+    """
+    out, previous = [], None
+    for tree_dicts in trees:
+        previous = [expand_record(d, prev) for d, prev in
+                    zip(tree_dicts, previous or [None] * len(tree_dicts))]
+        out.append(previous)
+    return out
+
+
+def expand_record(d, previous):
+    """The full form of stored record `d`, given the full form of its tree's
+    record at the previous draw (`expand_stored`)."""
+    if d["kind"] != "same":
+        return d
+    payloads = iter(d["leaves"])
+
+    def build(node):
+        if node["kind"] == "leaf":
+            return {"kind": "leaf", **next(payloads)}
+        return {**node, "left": build(node["left"]), "right": build(node["right"])}
+
+    full = build(previous)
+    assert next(payloads, None) is None, "a 'same' record with more leaves than its tree"
+    return full
+
+
 def replay_every_tree(trees, task, scaling, X_new):
     """(draws, mean, lower, upper) of stored trees replayed with no reuse.
 
-    Every tree of every draw is rebuilt with `grow_from_dict` and routed with
-    `Tree.leaf_rows`; a linear leaf's design is assembled here, a column of
-    ones beside its covariates. Tree fits are summed in tree order.
+    Every tree of every draw, written out in full by `expand_stored`, is
+    rebuilt with `grow_from_dict` and routed with `Tree.leaf_rows`; a linear
+    leaf's design is assembled here, a column of ones beside its covariates.
+    Tree fits are summed in tree order.
     """
     Xs = (np.asarray(X_new, dtype=float) - scaling.feature_centers) / scaling.feature_scales
     out = np.zeros((len(trees), Xs.shape[0]))
-    for k, tree_dicts in enumerate(trees):
+    for k, tree_dicts in enumerate(expand_stored(trees)):
         fit = 0
         for d in tree_dicts:
             tree, payload = grow_from_dict(d)
@@ -378,7 +411,8 @@ def recount_parameters(draws):
 
     Each serialized linear leaf carries its own coefficient vector, so the
     count is the summed beta lengths; constant leaves count one parameter
-    each. Used to check the accounting identity on tree-storing runs.
+    each. The stored trees are read written out in full (`expand_stored`).
+    Used to check the accounting identity on tree-storing runs.
     """
     if draws.trees is None:
         raise ValueError("run was not tree-storing")
@@ -388,5 +422,5 @@ def recount_parameters(draws):
             return len(tree_dict["beta"]) if "beta" in tree_dict else 1
         return count(tree_dict["left"]) + count(tree_dict["right"])
 
-    return np.array([[count(d) for d in tree_dicts] for tree_dicts in draws.trees],
-                    dtype=int)
+    return np.array([[count(d) for d in tree_dicts]
+                     for tree_dicts in expand_stored(draws.trees)], dtype=int)

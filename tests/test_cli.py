@@ -83,14 +83,6 @@ def stored_run(request, tmp_path_factory):
     return request.param, data, (base / "run.draws.jsonl").read_text(encoding="utf-8")
 
 
-def splits_of(tree_dict):
-    """The split rules of a stored tree in preorder, with None for a leaf."""
-    if tree_dict["kind"] == "leaf":
-        return [None]
-    return ([(tree_dict["feature"], tree_dict["threshold"])]
-            + splits_of(tree_dict["left"]) + splits_of(tree_dict["right"]))
-
-
 class TestSimulate:
     def test_writes_expected_shape(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -385,15 +377,16 @@ class TestPredict:
         if where == "first-tree":
             k, t = 0, 0
         else:
-            # a split tree whose splits equal the previous draw's, so the
-            # in-memory replay would reuse its routing
+            # a "same" record of a split tree, whose splits equal the previous
+            # draw's, so the in-memory replay would reuse its routing
             k, t = next((k, t) for k in range(1, len(records))
                         for t, d in enumerate(records[k]["trees"])
-                        if d["kind"] == "internal"
-                        and splits_of(d) == splits_of(records[k - 1]["trees"][t]))
+                        if d["kind"] == "same" and len(d["leaves"]) > 1)
         node = records[k]["trees"][t]
         while node["kind"] == "internal":
             node = node["left"]
+        if node["kind"] == "same":
+            node = node["leaves"][0]          # the leftmost leaf's payload
         if leaf_model == "constant":
             node["mu"], problem = value, f"leaf mean {value!r}"
         else:
@@ -956,7 +949,7 @@ class TestRunMetadata:
         path = rewrite_header(trained_run, lambda line: json.dumps(
             {**json.loads(line), "version": "lmbart 9.9"}) + "\n")
         assert self.run_on(command, trained_run, friedman_csv, tmp_path) == 1
-        assert (f"error: {path}: written by 'lmbart 9.9', expected 'lmbart 0.1.0'"
+        assert (f"error: {path}: written by 'lmbart 9.9', expected 'lmbart 0.2.0'"
                 in capsys.readouterr().err)
 
     def test_draws_cut_at_a_line_boundary(self, command, tmp_path, friedman_csv,

@@ -25,7 +25,7 @@ from lmbart.data import CLASSIFICATION, Dataset, standardize
 from lmbart.leaves import leaf_parameter_count
 from lmbart.sampler import Hyperparams, run_classification, run_regression
 from lmbart.trees import Tree
-from oracles import explicit_partial_residual, leaf_index_of
+from oracles import expand_stored, explicit_partial_residual, leaf_index_of
 
 PINNED = Path(__file__).parent / "data" / "pinned_chains.json"
 DATA = FriedmanSpec(n=50, p=5, seed=31)
@@ -159,7 +159,7 @@ def test_recorded_counts_equal_the_reference_counters(name):
     # leaf stats; the stored tree gives both by the tree-walking counters
     draws = run_chain(name, store_trees=True)
     hp = draws.hyperparams
-    for k, tree_dicts in enumerate(draws.trees):
+    for k, tree_dicts in enumerate(expand_stored(draws.trees)):
         for t, d in enumerate(tree_dicts):
             tree, _ = Tree.from_dict(d)
             assert draws.terminal_counts[k, t] == tree.n_leaves()

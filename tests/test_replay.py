@@ -4,8 +4,11 @@
 same tree's in the previous draw, and then only the rows under the topmost
 nodes whose rules differ. These tests pin its output to a replay that
 rebuilds and routes every tree (`oracles.replay_every_tree`) and count the
-routing it does.
+routing it does. They also pin the stored form: where the chain writes a
+"same" record, and how a malformed one is refused.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -14,10 +17,12 @@ from lmbart import leaves as lv
 from lmbart import sampler
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from lmbart.data import REGRESSION, ScalingInfo, SplitDictionary, standardize
-from lmbart.sampler import Hyperparams, predict, predict_stored, run_regression
+from lmbart.sampler import (Hyperparams, eval_tree_dict, predict, predict_stored, read_run,
+                            run_classification, run_regression, write_run)
 from lmbart.trees import CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, propose_move, split_cdf
-from oracles import replay_every_tree, routing, rows_under_changes
-from test_pinned_chains import CHAINS, run_chain
+from oracles import (expand_stored, recursive_to_dict, replay_every_tree, routing,
+                     rows_under_changes)
+from test_pinned_chains import CHAINS, chain_data, run_chain
 from test_trees import assert_carried_routing
 
 
@@ -59,6 +64,7 @@ def splits(d):
 
 def split_changes(trees) -> int:
     """Tree indices whose splits differ from the previous draw's, over all draws."""
+    trees = expand_stored(trees)
     return sum(splits(d) != splits(prev)
                for k in range(1, len(trees)) for d, prev in zip(trees[k], trees[k - 1]))
 
@@ -73,6 +79,7 @@ def routed_rows(trees, scaling, X_new) -> int:
     none of a first-draw stump."""
     Xs = scaling.transform_features(np.asarray(X_new, dtype=float))
     rows = np.arange(Xs.shape[0])
+    trees = expand_stored(trees)
     previous = [[STUMP] * len(trees[0])] + trees[:-1]
     return sum(rows_under_changes(d, prev, rows, Xs)
                for draw, prev_draw in zip(trees, previous) for d, prev in zip(draw, prev_draw))
@@ -89,6 +96,7 @@ def design_builds(trees) -> int:
     """Linear leaf designs built by a replay that keeps a leaf's design while
     its tree's splits and its covariates stay: every leaf of a tree routed
     afresh, and every leaf whose covariates changed under unchanged splits."""
+    trees = expand_stored(trees)
     builds = sum(len(leaf_covariates(d)) for d in trees[0])
     for k in range(1, len(trees)):
         for d, prev in zip(trees[k], trees[k - 1]):
@@ -396,6 +404,131 @@ def test_a_non_finite_leaf_value_is_named_by_draw_and_tree(trees, where, problem
     with pytest.raises(ValueError) as info:
         predict_stored(trees, REGRESSION, IDENTITY, X_HAND)
     assert str(info.value) == f"{where}: {problem}"
+
+
+@pytest.mark.parametrize("thin", [1, 3])
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_a_record_is_full_exactly_where_an_accepted_move_replaced_its_tree(name, thin):
+    # a pinned chain, kept longer: the record of tree t at draw k > 0 is a
+    # "same" record exactly when the kept tree is the object kept at draw
+    # k - 1, i.e. no move on tree t was accepted in between
+    hp = Hyperparams(m=4, burn_in=15, post_burn_in=30, thin=thin, seed=12, store_trees=True,
+                     **CHAINS[name])
+    kept = {}
+
+    def keep(state):
+        kept[state.iteration] = [(ts.tree, recursive_to_dict(
+            ts.tree, ts.stats.payloads(ts.leaf_params))) for ts in state.trees]
+
+    scaled, info = chain_data(name)
+    fit = run_classification if name == "probit" else run_regression
+    draws = fit(scaled, hp, info, on_sweep=keep)
+    assert draws.retained == 30 // thin
+    retained = [kept[k] for k in draws.iterations]
+    for k, (records, trees) in enumerate(zip(draws.trees, retained)):
+        for t, d in enumerate(records):
+            replaced = k == 0 or trees[t][0] is not retained[k - 1][t][0]
+            assert (d["kind"] != "same") == replaced
+    kinds = [d["kind"] for records in draws.trees[1:] for d in records]
+    assert "same" in kinds and {"leaf", "internal"} & set(kinds)
+    # written out in full, the records are the kept trees with their drawn leaves
+    assert expand_stored(draws.trees) == [[d for _, d in trees] for trees in retained]
+
+
+def same(*payloads):
+    return {"kind": "same", "leaves": list(payloads)}
+
+
+def mu(m):
+    return {"mu": m}
+
+
+SPLIT = stump_split(0.0, const(1.0), const(-1.0))
+THREE_LEAVES = stump_split(0.0, const(1.0), stump_split(0.5, const(2.0), const(3.0)))
+LINEAR_SPLIT = linear_stump(0.0, linear([0.5], []))
+NO_PREVIOUS_DRAW = "a 'same' record, but there is no previous draw"
+
+MALFORMED_SAME_RECORDS = [
+    pytest.param([[same(mu(1.0)), SPLIT], [SPLIT, SPLIT], [SPLIT, SPLIT]],
+                 "draw 0, tree 0", NO_PREVIOUS_DRAW, id="draw-0-tree-0"),
+    pytest.param([[SPLIT, same(mu(1.0), mu(2.0))], [SPLIT, SPLIT], [SPLIT, SPLIT]],
+                 "draw 0, tree 1", NO_PREVIOUS_DRAW, id="draw-0-tree-1"),
+    pytest.param([[SPLIT, THREE_LEAVES], [SPLIT, same(mu(1.0), mu(2.0))], [SPLIT, SPLIT]],
+                 "draw 1, tree 1", "a 'same' record of 2 leaves, but the tree's record at "
+                 "the previous draw has 3", id="count-after-a-full-record"),
+    pytest.param([[SPLIT, SPLIT], [SPLIT, same(mu(1.0), mu(2.0))],
+                  [SPLIT, same(mu(1.0), mu(2.0), mu(3.0))]],
+                 "draw 2, tree 1", "a 'same' record of 3 leaves, but the tree's record at "
+                 "the previous draw has 2", id="count-after-a-same-record"),
+    pytest.param([[SPLIT, SPLIT], [same(mu(1.0), {"beta": [1.0, 2.0], "covariates": [0]}),
+                                   SPLIT], [SPLIT, SPLIT]],
+                 "draw 1, tree 0", LINEAR_AMONG_CONSTANT, id="linear-among-constant"),
+    pytest.param([[LINEAR_SPLIT, LINEAR_SPLIT], [LINEAR_SPLIT, LINEAR_SPLIT],
+                  [LINEAR_SPLIT, same({"beta": [0.5], "covariates": []}, mu(1.0))]],
+                 "draw 2, tree 1", CONSTANT_AMONG_LINEAR, id="constant-among-linear"),
+    pytest.param([[SPLIT, SPLIT], [SPLIT, same(mu(1.0), mu(float("nan")))], [SPLIT, SPLIT]],
+                 "draw 1, tree 1", "leaf mean nan is not a finite number", id="nan-mean"),
+    pytest.param([[SPLIT, SPLIT], [SPLIT, SPLIT], [same(mu(True), mu(1.0)), SPLIT]],
+                 "draw 2, tree 0", "leaf mean True is not a finite number", id="bool-mean"),
+    pytest.param([[SPLIT, SPLIT], [SPLIT, same(mu(1.0), 2.0)], [SPLIT, SPLIT]],
+                 "draw 1, tree 1", "leaf 2.0 is not an object", id="payload-not-an-object"),
+    pytest.param([[SPLIT, SPLIT], [SPLIT, {"kind": "same"}], [SPLIT, SPLIT]],
+                 "draw 1, tree 1", "a 'same' record without a list of leaves", id="no-leaves"),
+]
+
+
+@pytest.mark.parametrize("trees, where, problem", MALFORMED_SAME_RECORDS)
+def test_a_malformed_same_record_is_named_by_draw_and_tree(trees, where, problem, counts):
+    with pytest.raises(ValueError) as info:
+        predict_stored(trees, REGRESSION, IDENTITY, X_HAND)
+    assert str(info.value) == f"{where}: {problem}"
+    assert counts["from_dict"] == 0
+
+
+@pytest.fixture(scope="module")
+def three_draw_run():
+    """A fitted regression of two trees and three retained draws, with stored trees."""
+    data = friedman_generate(FriedmanSpec(n=40, p=5, seed=6))
+    scaled, info = standardize(data)
+    return run_regression(scaled, Hyperparams(m=2, burn_in=3, post_burn_in=3, seed=2,
+                                              store_trees=True), info)
+
+
+def write_with_trees(draws, path, trees):
+    """`path` after `write_run` of `draws` with the stored trees of draw k
+    replaced by `trees[k]`."""
+    write_run(draws, path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    records = [{**json.loads(line), "trees": draw} for line, draw in zip(lines, trees)]
+    path.write_text(header + "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("trees, where, problem", MALFORMED_SAME_RECORDS)
+def test_a_malformed_same_record_in_a_run_file_is_named_with_the_file(
+        trees, where, problem, three_draw_run, tmp_path):
+    path = write_with_trees(three_draw_run, tmp_path / "run.draws.jsonl", trees)
+    with pytest.raises(ValueError) as info:
+        read_run(path)
+    assert str(info.value) == f"{path}: {where}: {problem}"
+
+
+def test_a_run_file_of_full_records_alone_is_still_read(three_draw_run, tmp_path):
+    # a full record is valid at any draw, so stored trees written out in full
+    # are valid records, and replay as the "same" records they stand for do
+    full = expand_stored(three_draw_run.trees)
+    assert full != three_draw_run.trees       # the run holds "same" records
+    _, records = read_run(write_with_trees(three_draw_run, tmp_path / "run.draws.jsonl", full))
+    assert [r["trees"] for r in records] == full
+    X = friedman_generate(FriedmanSpec(n=30, p=5, seed=9)).features
+    expected = predict(three_draw_run, X)
+    assert_same_summary(predict_stored(full, REGRESSION, three_draw_run.scaling, X),
+                        (expected.draws, expected.mean, expected.lower, expected.upper))
+
+
+def test_eval_tree_dict_refuses_a_same_record():
+    with pytest.raises(ValueError, match="needs the tree of the previous draw"):
+        eval_tree_dict(same(mu(1.0)), X_HAND)
 
 
 def test_finite_leaf_values_whose_fits_overflow_name_the_draw():

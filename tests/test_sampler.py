@@ -23,7 +23,7 @@ from lmbart.sampler import (Hyperparams, PosteriorDraws, calibrate_lambda,
                             sample_latent_z, sample_sigma2,
                             sample_tau_intercept, sample_tau_slopes, write_run)
 from lmbart.benchmark import FriedmanSpec, friedman_generate
-from oracles import (SENTINEL_SUM, changed_leaves, explicit_partial_residual,
+from oracles import (SENTINEL_SUM, changed_leaves, expand_stored, explicit_partial_residual,
                      leaf_index_of, with_sentinel_sums)
 
 
@@ -455,7 +455,7 @@ def test_stored_trees_replay_the_chain_fit_exactly(config):
     draws = run_regression(scaled, hp, info, on_sweep=capture)
     assert len(last_fits) == hp.m
     assert draws.terminal_counts[-1].max() > 1
-    for tree_dict, fit in zip(draws.trees[-1], last_fits):
+    for tree_dict, fit in zip(expand_stored(draws.trees)[-1], last_fits):
         assert np.array_equal(eval_tree_dict(tree_dict, scaled.features), fit)
 
 

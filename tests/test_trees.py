@@ -12,9 +12,9 @@ from lmbart.data import REGRESSION, Dataset, split_dictionary
 from lmbart.trees import (CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, _draw_rule,
                           ancestor_covariates, log_tree_prior, partition,
                           propose_move, split_cdf, split_covariates)
-from oracles import (BELOW_N_MIN, changed_leaves, full_size_check, grow_from_dict, node_rows,
-                     recursive_log_tree_prior, recursive_to_dict, route_row, routing,
-                     rows_under_changes, validate_tree)
+from oracles import (BELOW_N_MIN, changed_leaves, expand_stored, full_size_check,
+                     grow_from_dict, node_rows, recursive_log_tree_prior, recursive_to_dict,
+                     route_row, routing, rows_under_changes, subtree_leaves, validate_tree)
 from test_pinned_chains import CHAINS, chain_data, run_chain
 
 
@@ -593,7 +593,7 @@ class TestSerializerReference:
 
         draws = run_chain(name, on_sweep=check, store_trees=True)
         assert len(sweeps) == 25
-        for tree_dicts in draws.trees:
+        for tree_dicts in expand_stored(draws.trees):
             for d in tree_dicts:
                 tree, payload = Tree.from_dict(d)
                 assert json.dumps(assert_serializes_like_reference(tree, payload)) == json.dumps(d)
@@ -674,7 +674,7 @@ class TestRebuild:
     @pytest.mark.parametrize("name", list(CHAINS))
     def test_every_stored_tree_of_the_pinned_chains(self, name):
         draws = run_chain(name, store_trees=True)
-        for tree_dicts in draws.trees:
+        for tree_dicts in expand_stored(draws.trees):
             for d in tree_dicts:
                 assert_rebuilds_like_grow(d)
 
@@ -779,6 +779,84 @@ class TestRebuildAfterPrev:
         else:
             assert_rebuilt_past_prev(d, prev)
         assert_hands_back_prev(with_new_leaves(d), Tree.from_dict(d)[0])
+
+
+def same_record(d):
+    """The "same" record of stored tree `d`: its leaves' payloads, without their
+    "kind", in preorder."""
+    def payloads(node):
+        if node["kind"] == "leaf":
+            return [{key: value for key, value in node.items() if key != "kind"}]
+        return payloads(node["left"]) + payloads(node["right"])
+    return {"kind": "same", "leaves": payloads(d)}
+
+
+def matched(d, prev):
+    """`prev` after `from_dict(d, prev)` handed it back."""
+    assert Tree.from_dict(d, prev)[0] is prev
+    return prev
+
+
+def written(tree):
+    """`tree` after `to_dict`."""
+    tree.to_dict()
+    return tree
+
+
+def assert_same_record_hands_back_prev(d, prev):
+    """`from_dict` of `d`'s "same" record after `prev` returns `prev` unchanged,
+    its leaf ids in preorder keying the record's own payloads."""
+    record, before = same_record(d), node_fields(prev)
+    tree, payload = Tree.from_dict(record, prev)
+    assert tree is prev and node_fields(prev) == before
+    assert list(payload) == list(Tree.from_dict(d)[1]) == subtree_leaves(prev, prev.root)
+    assert all(got is want for got, want in zip(payload.values(), record["leaves"]))
+
+
+NO_PREVIOUS_TREE = "needs the tree of the previous draw"
+
+
+class TestSameRecord:
+    @pytest.mark.parametrize("prev", [
+        pytest.param(lambda: Tree.from_dict(deep_tree(-4.0))[0], id="built"),
+        pytest.param(lambda: matched(deep_tree(-4.0), grow_from_dict(deep_tree())[0]),
+                     id="matched"),
+        pytest.param(lambda: written(grow_from_dict(deep_tree())[0]), id="written"),
+    ])
+    def test_hands_back_prev_keyed_by_its_leaves_in_preorder(self, prev):
+        assert_same_record_hands_back_prev(deep_tree(1.0), prev())
+
+    def test_after_a_matched_stump(self):
+        assert_same_record_hands_back_prev(const_leaf(2.0),
+                                           matched(const_leaf(1.0), Tree.stump()))
+
+    @pytest.mark.parametrize("prev", [
+        pytest.param(lambda: None, id="none"),
+        pytest.param(Tree.stump, id="unseen-stump"),
+        pytest.param(lambda: grow_from_dict(deep_tree())[0], id="grown"),
+    ])
+    def test_without_the_previous_records_tree_raises(self, prev):
+        with pytest.raises(ValueError, match=NO_PREVIOUS_TREE):
+            Tree.from_dict(same_record(const_leaf(1.0)), prev())
+
+    @pytest.mark.parametrize("edit", ["grow", "prune"])
+    def test_a_grow_or_prune_after_to_dict_drops_the_order(self, edit):
+        tree = written(Tree.from_dict(deep_tree())[0])
+        assert tree.leaf_preorder == subtree_leaves(tree, tree.root)
+        if edit == "grow":
+            tree.grow(tree.leaf_preorder[0], 0, 0.5)
+        else:
+            tree.prune(tree.prunable_nodes()[0])
+        with pytest.raises(ValueError, match=NO_PREVIOUS_TREE):
+            Tree.from_dict(same_record(deep_tree()), tree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stored_trees)
+    def test_drawn_trees(self, d):
+        built = Tree.from_dict(d)[0]
+        assert built.leaf_preorder == subtree_leaves(built, built.root)
+        assert_same_record_hands_back_prev(with_new_leaves(d), built)
+        assert_same_record_hands_back_prev(with_new_leaves(d), written(grow_from_dict(d)[0]))
 
 
 @pytest.mark.parametrize("name", list(CHAINS))
