@@ -2,8 +2,8 @@
 # End-to-end smoke of the installed `lmbart` console script ([project.scripts]):
 # simulate, then train, predict and diagnostics for constant, linear,
 # ancestors-rule and probit runs, one command after another, then a tiny
-# benchmark grid through the process pool, and last three commands that must be
-# refused. The tests call
+# benchmark grid through the process pool, and last four commands that must be
+# refused, the last one on a run trained without --store-trees. The tests call
 # cli.main in-process; this runs the entry point itself. Run it from an empty
 # directory outside the checkout, with lmbart installed:
 #   cd "$(mktemp -d)" && bash /path/to/checkout/.github/cli-smoke.sh
@@ -72,3 +72,7 @@ refused "error: bad-grid.json: scenario 0: seed must be >= 0, got -1" bad-bench 
 sed '1s/"version": "lmbart [^"]*"/"version": "lmbart 0.1.0"/' run.draws.jsonl > old.draws.jsonl
 refused "error: old.draws.jsonl: written by 'lmbart 0.1.0', expected 'lmbart 0.2.0'" old-pred.csv \
   lmbart predict --run old --data sim.csv --out old-pred.csv
+# a run trained without --store-trees holds no trees to replay
+lmbart train --data sim.csv --target y --trees 4 --burnin 20 --iters 30 --seed 7 --out notrees
+refused "notrees.draws.jsonl: no stored trees; rerun train with --store-trees" notrees-pred.csv \
+  lmbart predict --run notrees --data sim.csv --out notrees-pred.csv

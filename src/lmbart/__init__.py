@@ -7,13 +7,14 @@ from .data import (Dataset, DataError, ScalingInfo, SplitDictionary, load_csv,
                    split_dictionary, standardize, train_test_split)
 from .leaves import (bart_log_marginal, bart_sample_mu, build_leaf_design,
                      leaf_parameter_count, linear_log_marginal, linear_sample_beta)
+from .runs import predict_stored
 from .sampler import (Hyperparams, PosteriorDraws, PredictionSummary, predict,
-                      predict_stored, run_classification, run_regression)
+                      run_classification, run_regression)
 from .trees import (MoveProposal, Partition, Tree, ancestor_covariates,
                     log_tree_prior, partition, propose_move, split_cdf,
                     split_covariates)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BenchmarkResult", "EngineConfig", "FriedmanSpec", "friedman_generate",

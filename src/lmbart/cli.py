@@ -17,6 +17,7 @@ import numpy as np
 
 from . import benchmark as bm
 from . import leaves as lv
+from . import runs
 from . import sampler as sp
 from .data import (CLASSIFICATION, REGRESSION, DataError, load_csv, load_features, standardize,
                    write_csv)
@@ -108,22 +109,23 @@ def cmd_train(args) -> int:
     else:
         draws = sp.run_classification(scaled, hp, scaling)
     path = f"{args.out}.draws.jsonl"
-    sp.write_run(draws, path, extra={"target_column": args.target,
-                                     "inputs": {"data": str(args.data),
-                                                "target": args.target,
-                                                "task": args.task}})
+    runs.write_run(draws, path, extra={"target_column": args.target,
+                                       "inputs": {"data": str(args.data),
+                                                  "target": args.target,
+                                                  "task": args.task}})
     print(f"wrote {path}")
     return 0
 
 
 def cmd_predict(args) -> int:
     path = f"{args.run}.draws.jsonl"
-    header, records = sp.read_run(path)
-    if "trees" not in records[0]:
+    header, records = runs.read_run(path)
+    trees = [record.get("trees") for record in records]   # each a list, or each None
+    if trees[0] is None:
         print(f"{path}: no stored trees; rerun train with --store-trees", file=sys.stderr)
         return 1
     X = load_features(args.data, header["feature_names"], header.get("target_column"))
-    result = sp.replay_trees([r["trees"] for r in records], header["task"], header["scaling"], X)
+    result = sp.replay_trees(trees, header["task"], header["scaling"], X)
     label = "probability" if header["task"] == CLASSIFICATION else "mean"
     write_csv(args.out, [label, "q05", "q95"],
               np.column_stack([result.mean, result.lower, result.upper]))
@@ -152,7 +154,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    header, records = sp.read_run(f"{args.run}.draws.jsonl")
+    header, records = runs.read_run(f"{args.run}.draws.jsonl")
     sigma2 = np.array([r["sigma2"] for r in records])
     terminal = np.array([r["terminal_counts"] for r in records], dtype=float)
     params = np.array([r["param_counts"] for r in records], dtype=float)

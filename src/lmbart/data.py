@@ -57,6 +57,11 @@ def at_least(bound):
     return (lambda v: v >= bound), f">= {bound}"
 
 
+def one_of(*choices):
+    """The range of the values `choices`, as `check_fields` takes it."""
+    return (lambda v: v in choices), " or ".join(map(repr, choices))
+
+
 def check_fields(values: dict, annotations: dict, ranges: dict) -> None:
     """Each of the named `values` must hold its type in a dataclass's or a
     function's `annotations`, then lie in its range in `ranges`, else

@@ -21,7 +21,6 @@ response as the regression target and the error variance is pinned at 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -31,14 +30,9 @@ from scipy.special import gammaincinv, log_ndtr, ndtr, ndtri_exp
 from . import leaves as lv
 from . import trees as tr
 from .data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo, SplitDictionary, at_least,
-                   check_fields, is_finite_real, is_int, split_dictionary)
+                   check_fields, one_of, split_dictionary)
 
-VERSION = "lmbart 0.2.0"
-# keys that `read_run` requires of a run's header line and of each draw record
-_HEADER_KEYS = ("version", "task", "feature_names", "scaling", "acceptance", "retained",
-                "sigma2_chain")
-_DRAW_KEYS = ("iteration", "sigma2", "terminal_counts", "param_counts")
-_OUTCOMES = ("accepted", "rejected", "invalid")    # of a tree step, counted per move kind
+OUTCOMES = ("accepted", "rejected", "invalid")    # of a tree step, counted per move kind
 
 UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
@@ -46,19 +40,14 @@ DIRICHLET = "dirichlet"
 
 _POSITIVE = (lambda v: v > 0, "> 0")
 
-
-def _one_of(*choices):
-    return (lambda v: v in choices), " or ".join(map(repr, choices))
-
-
 # `Hyperparams` field -> (accepts a value of its type, the range it states)
 _FIELD_RANGES = {
     "m": at_least(1), "alpha": (lambda v: 0 < v < 1, "in (0, 1)"), "beta_depth": at_least(0),
     "nu": _POSITIVE, "lam": _POSITIVE, "c": (lambda v: 1 <= v <= 3, "in [1, 3]"),
     "burn_in": at_least(0), "post_burn_in": at_least(1), "thin": at_least(1),
-    "leaf_model": _one_of(lv.CONSTANT, lv.LINEAR),
-    "covariate_rule": _one_of(lv.TREE_SPLITS, lv.ANCESTORS),
-    "branching": _one_of(UNIFORM, DIRICHLET),
+    "leaf_model": one_of(lv.CONSTANT, lv.LINEAR),
+    "covariate_rule": one_of(lv.TREE_SPLITS, lv.ANCESTORS),
+    "branching": one_of(UNIFORM, DIRICHLET),
     "tau_b": _POSITIVE, "a0": _POSITIVE, "b0": _POSITIVE, "a1": _POSITIVE, "b1": _POSITIVE,
     "n_min": at_least(1), "seed": at_least(0), "dirichlet_mass": _POSITIVE,
 }
@@ -298,7 +287,7 @@ class SamplerState:
     probit: bool = False           # target is latent z given labels; sigma2 pinned at 1
     iteration: int = 0             # sweeps completed
     acceptance: dict = field(default_factory=lambda: {
-        kind: dict.fromkeys(_OUTCOMES, 0) for kind in tr.MOVE_KINDS
+        kind: dict.fromkeys(OUTCOMES, 0) for kind in tr.MOVE_KINDS
     })
 
 
@@ -469,87 +458,13 @@ def _replay_tree(tree_dict: dict, features: np.ndarray, model, ts: TreeState) ->
     It builds any other tree anew, which `trees.carry_routing` routes and
     `TreeState.keep` keeps; its leaves are renumbered, so its stats are built
     afresh. Then `_serialize_tree(ts, None)` is `tree_dict` written out in full. The
-    tree is not checked: it is the chain's own or passed `_stored_draws_problem`."""
+    tree is not checked: it is the chain's own or passed `runs._stored_draws_problem`."""
     tree, stored = tr.Tree.from_dict(tree_dict, ts.tree)
     if tree is not ts.tree:
         ts.keep(tree, *tr.carry_routing(tree, features, ts.tree, ts.rows_by_leaf, ts.rows_by_split))
         ts.stats = None
     ts.leaf_params, ts.fit, ts.stats = model.replay(ts.rows_by_leaf, stored, features, ts.index,
                                                     ts.stats)
-
-
-def _stored_tree_problem(tree_dict, p: int, leaf_model: str, last: int | None) -> str | int:
-    """What makes a stored tree record unusable on p features under `leaf_model`,
-    else its leaf count; `last` is the previous record's leaf count, None at draw 0.
-
-    A full record's nodes are each a dict whose "kind" is "leaf", with a
-    payload that `leaves.stored_leaf_problem` accepts, or "internal", with a
-    "left", a "right", a "feature" in [0, p) (a negative one would index from
-    the last column) and a finite "threshold" (a NaN one would send every row
-    left). A "same" record after draw 0 holds a list of `last` such payloads.
-    """
-    if isinstance(tree_dict, dict) and tree_dict.get("kind") == "same":
-        payloads = tree_dict.get("leaves")
-        if last is None:
-            return "a 'same' record, but there is no previous draw"
-        if not isinstance(payloads, list):
-            return "a 'same' record without a list of leaves"
-        if len(payloads) != last:
-            return (f"a 'same' record of {len(payloads)} leaves, but the tree's record "
-                    f"at the previous draw has {last}")
-        problems = (lv.stored_leaf_problem(leaf, p, leaf_model) if isinstance(leaf, dict)
-                    else f"leaf {leaf!r} is not an object" for leaf in payloads)
-        return next((problem for problem in problems if problem is not None), last)
-    stack, leaves = [tree_dict], 0
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, dict):
-            return f"node {node!r} is not an object"
-        kind = node.get("kind")
-        if kind == "leaf":
-            problem = lv.stored_leaf_problem(node, p, leaf_model)
-            if problem is not None:
-                return problem
-            leaves += 1
-        elif kind != "internal":
-            return f"unknown node kind {kind!r}"
-        elif not is_int(node.get("feature")) or not 0 <= node["feature"] < p:
-            return f"split feature {node.get('feature')!r} is not a feature index in [0, {p})"
-        elif not is_finite_real(node.get("threshold")):
-            return f"split threshold {node.get('threshold')!r} is not a finite number"
-        elif "left" not in node or "right" not in node:
-            return "split node without a 'left' and a 'right' child"
-        else:
-            stack += (node["right"], node["left"])
-    return leaves
-
-
-def _stored_draws_problem(draws, p: int) -> str | None:
-    """What makes a run's stored draws unusable on p features; None if nothing.
-
-    `draws` holds per draw its list of tree records, or None. Each draw holds a
-    list, or every draw None; draw 0's list is not empty and every draw holds
-    as many trees as draw 0; every tree, the first included, passes
-    `_stored_tree_problem` under the leaf model of the first tree
-    (`leaves.stored_leaf_model`). The problem names the draw, and the tree.
-    """
-    first = kind = leaves = None     # leaves: per tree index, its last record's leaf count
-    for k, trees in enumerate(draws):
-        if not isinstance(trees, (list, type(None))):
-            return f"draw {k} is not an object with a list of trees"
-        stored = "no stored trees" if trees is None else f"{len(trees)} stored trees"
-        if k == 0:
-            if trees == []:
-                return "draw 0: an empty list of stored trees"
-            first, leaves = stored, [None] * len(trees or ())
-        elif stored != first:
-            return f"draw {k}: {stored}, but draw 0 has {first}"
-        for t, tree_dict in enumerate(trees or ()):
-            kind = kind or lv.stored_leaf_model(tree_dict).kind
-            leaves[t] = _stored_tree_problem(tree_dict, p, kind, leaves[t])
-            if isinstance(leaves[t], str):
-                return f"draw {k}, tree {t}: {leaves[t]}"
-    return None
 
 
 def eval_tree_dict(tree_dict: dict, features: np.ndarray) -> np.ndarray:
@@ -705,27 +620,12 @@ class PredictionSummary:
     draws: np.ndarray      # (K, n_new) per-draw predictions
 
 
-def predict_stored(trees: list, task: str, scaling: ScalingInfo,
-                   X_new: np.ndarray) -> PredictionSummary:
-    """Replay stored trees (one list of tree records per draw) on new rows.
-
-    `X_new` is on the original feature scale and `scaling` is the training
-    run's. Classification runs return probabilities. The trees are first
-    checked by `read_run`'s rule, `_stored_draws_problem` on the scaling's
-    feature count, which walks every tree record: a problem raises ValueError in
-    `read_run`'s words. `replay_trees` then replays them unchecked.
-    """
-    problem = (_stored_draws_problem(trees, scaling.feature_centers.size)
-               if trees and trees[0] is not None else "no stored draws")
-    if problem is not None:
-        raise ValueError(problem)
-    return replay_trees(trees, task, scaling, X_new)
-
-
 def replay_trees(trees: list, task: str, scaling: ScalingInfo,
                  X_new: np.ndarray) -> PredictionSummary:
-    """Replay stored trees that need no check, a chain's own or those that
-    passed `_stored_draws_problem`, on new rows; arguments as `predict_stored`.
+    """Replay stored trees (one list of tree records per draw) that need no
+    check, a chain's own or those that passed `runs._stored_draws_problem`, on
+    new rows. `X_new` is on the original feature scale and `scaling` is the
+    training run's; classification runs return probabilities.
 
     One leaf model, picked from the first stored tree
     (`leaves.stored_leaf_model`), replays every tree. Each tree index keeps
@@ -792,168 +692,8 @@ def predict(draws: PosteriorDraws, X_new: np.ndarray) -> PredictionSummary:
     """Replay a run's stored trees on new rows (original feature scale).
 
     Requires a run with `store_trees`. The trees are the chain's own, so they
-    are replayed unchecked (`replay_trees`); see `predict_stored`.
+    are replayed unchecked (`replay_trees`); see `runs.predict_stored`.
     """
     if draws.trees is None:
         raise ValueError("draws contain no stored trees; rerun with store_trees")
     return replay_trees(draws.trees, draws.task, draws.scaling, X_new)
-
-
-# ---------------------------------------------------------------------------
-# run persistence: one JSON-lines file per run, a header line then the draws
-
-
-def write_run(draws: PosteriorDraws, path, extra: dict | None = None) -> None:
-    """A run as one JSON-lines file.
-
-    The first line is the header: version, task, feature names, resolved
-    config and lambda, scaling, acceptance counters, `retained`, the mean
-    training fit, the whole sigma^2 chain (burn-in included) and `extra`.
-    One line per retained draw follows: sigma2, taus, counts, optional trees.
-    """
-    header = {
-        "version": VERSION,
-        "task": draws.task,
-        "feature_names": draws.feature_names,
-        "config": draws.hyperparams.to_dict(),
-        "resolved_lambda": draws.lam,
-        "scaling": draws.scaling.to_dict(),
-        "acceptance": draws.acceptance,
-        "retained": draws.retained,
-        "train_yhat_mean": draws.yhat_train.mean(axis=0).tolist(),
-        "sigma2_chain": draws.sigma2_chain.tolist(),
-        **(extra or {}),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for k in range(draws.retained):
-            record = {
-                "iteration": int(draws.iterations[k]),
-                "sigma2": float(draws.sigma2[k]),
-                "terminal_counts": draws.terminal_counts[k].tolist(),
-                "param_counts": draws.param_counts[k].tolist(),
-            }
-            if draws.tau_beta0 is not None:
-                record["tau_beta0"] = float(draws.tau_beta0[k])
-                record["tau_beta"] = float(draws.tau_beta[k])
-            if draws.trees is not None:
-                record["trees"] = draws.trees[k]
-            fh.write(json.dumps(record) + "\n")
-
-
-def read_run(path) -> tuple[dict, list[dict]]:
-    """(header, draw records) of a `write_run` file, the header's `scaling`
-    built as a `ScalingInfo`.
-
-    Raises ValueError naming the file when a line is not valid JSON (by line
-    number), the header is not an object, is a draw record (a run written
-    before the header, with a separate metadata file), lacks a required key,
-    has another `VERSION`, has a value that `_header_value_problem` refuses,
-    or has a `scaling` that `ScalingInfo.from_dict` refuses or that does not
-    hold one center and scale per feature name, or when the draw count is
-    not the header's `retained`. Draw records are
-    checked here, once per file, naming the draw: first their stored trees,
-    by `_stored_draws_problem` on the header's feature count (a record that
-    is not an object fails it), then each record's `_DRAW_KEYS`, present and
-    accepted by `_draw_value_problem`. The stored trees of a file that passes
-    need no further check, so `lmbart predict` replays them unchecked.
-    """
-    values = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                values.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {number} is not valid JSON at column "
-                                 f"{exc.colno}; the file may be truncated") from None
-    if not values:
-        raise ValueError(f"{path}: empty file, no run header")
-    header, records = values[0], values[1:]
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: the header line is not a JSON object")
-    if "iteration" in header:
-        raise ValueError(f"{path}: no run header (the first line is a draw); runs "
-                         "written with a separate metadata file must be trained again")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise ValueError(f"{path}: header missing key(s) {', '.join(missing)}")
-    if header["version"] != VERSION:
-        raise ValueError(f"{path}: written by {header['version']!r}, "
-                         f"expected {VERSION!r}")
-    problem = _header_value_problem(header)
-    if problem is not None:
-        raise ValueError(f"{path}: {problem}")
-    p = len(header["feature_names"])
-    try:
-        scaling = ScalingInfo.from_dict(header["scaling"])
-    except (TypeError, ValueError) as exc:       # DataError is a ValueError
-        raise ValueError(f"{path}: {exc}") from None
-    if scaling.feature_centers.shape != (p,) or scaling.feature_scales.shape != (p,):
-        raise ValueError(f"{path}: scaling holds {scaling.feature_centers.size} feature centers "
-                         f"and {scaling.feature_scales.size} scales, but the header names "
-                         f"{p} features")
-    header["scaling"] = scaling
-    if len(records) != header["retained"]:
-        raise ValueError(f"{path}: {len(records)} draws, but the header records "
-                         f"{header['retained']}; the file may be truncated")
-    if not records:
-        raise ValueError(f"{path}: no retained draws")
-    # a record that is not an object holds no list of trees
-    problem = _stored_draws_problem([record.get("trees") if isinstance(record, dict) else ()
-                                     for record in records], p)
-    if problem is not None:
-        raise ValueError(f"{path}: {problem}")
-    m = None
-    for k, record in enumerate(records):
-        missing = [key for key in _DRAW_KEYS if key not in record]
-        if missing:
-            raise ValueError(f"{path}: draw {k}: missing key(s) {', '.join(missing)}")
-        problem = _draw_value_problem(record, m)
-        if problem is not None:
-            raise ValueError(f"{path}: draw {k}: {problem}")
-        m = len(record["terminal_counts"])
-    return header, records
-
-
-def _header_value_problem(header: dict) -> str | None:
-    """What makes the values of a run header's `_HEADER_KEYS` other than
-    `version` and `scaling` unusable; None if nothing. `acceptance` maps the
-    move kinds (`trees.MOVE_KINDS`) to an int count per outcome (`_OUTCOMES`)."""
-    task, names, acceptance = header["task"], header["feature_names"], header["acceptance"]
-    if task not in (REGRESSION, CLASSIFICATION):
-        return f"task {task!r} is not {REGRESSION!r} or {CLASSIFICATION!r}"
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
-            and len(set(names)) == len(names)):
-        return f"feature_names {names!r} is not a list of distinct strings"
-    if not is_int(header["retained"]):
-        return f"retained {header['retained']!r} is not an int"
-    if not (isinstance(acceptance, dict) and sorted(acceptance) == sorted(tr.MOVE_KINDS)
-            and all(isinstance(counts, dict) and sorted(counts) == sorted(_OUTCOMES)
-                    and all(map(is_int, counts.values()))
-                    for counts in acceptance.values())):
-        return (f"acceptance {acceptance!r} does not map each move kind to int "
-                f"{', '.join(_OUTCOMES)} counts")
-    chain = header["sigma2_chain"]
-    if not (isinstance(chain, list) and all(map(is_finite_real, chain))):
-        return "sigma2_chain is not a list of finite numbers"
-    return None
-
-
-def _draw_value_problem(record: dict, m: int | None) -> str | None:
-    """What makes the values of a draw record's `_DRAW_KEYS` unusable; None
-    if nothing. Each count list holds one int per tree: `m` of them, the
-    length of draw 0's terminal counts (None when `record` is draw 0)."""
-    if not is_int(record["iteration"]):
-        return f"iteration {record['iteration']!r} is not an int"
-    if not is_finite_real(record["sigma2"]):
-        return f"sigma2 {record['sigma2']!r} is not a finite number"
-    for key in ("terminal_counts", "param_counts"):
-        counts = record[key]
-        if not (isinstance(counts, list) and counts and all(map(is_int, counts))):
-            return f"{key} is not a non-empty list of ints"
-        m = m or len(counts)
-        if len(counts) != m:
-            return f"{key} holds {len(counts)} counts, but draw 0's terminal_counts holds {m}"
-    return None

@@ -10,7 +10,7 @@ down from a node. At each split it gathers the rows' values of the split
 feature with ``X[:, feature].take(rows)`` and divides the rows with
 ``rows.compress(go_right)`` / ``rows.compress(~go_right)``, so both children
 stay ascending. Any memory layout of X routes alike; the chain and
-`predict_stored` pass a column-major (``np.asfortranarray``) copy of the
+`sampler.replay_trees` pass a column-major (``np.asfortranarray``) copy of the
 standardized features, on which each split's column is contiguous.
 
 Carried routing: the chain keeps, for each tree, the rows of every node: a

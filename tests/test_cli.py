@@ -1,16 +1,20 @@
 import csv
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lmbart import benchmark, leaves
+import lmbart
+from lmbart import benchmark, leaves, runs
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from lmbart.cli import build_parser, main
 from lmbart.data import REGRESSION, ScalingInfo, load_csv, standardize, write_csv
-from lmbart.sampler import Hyperparams, predict, predict_stored, read_run, run_regression
+from lmbart.runs import predict_stored, read_run
+from lmbart.sampler import Hyperparams, predict, run_regression
 from oracles import replay_every_tree
 
 
@@ -421,6 +425,22 @@ class TestPredict:
                        "--out", tmp_path / "p.csv")
         assert code == 1
         assert "--store-trees" in capsys.readouterr().err
+
+    def test_null_trees_advise_store_trees(self, tmp_path, friedman_csv, capsys):
+        # read_run takes a run whose every draw holds "trees": null as one without trees
+        prefix = tmp_path / "notrees"
+        run_cli("train", "--data", friedman_csv, "--target", "y", "--trees", 3,
+                "--burnin", 5, "--iters", 10, "--out", prefix)
+        path = tmp_path / "notrees.draws.jsonl"
+        header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(header + "".join(json.dumps({**json.loads(record), "trees": None}) + "\n"
+                                         for record in records), encoding="utf-8")
+        code = run_cli("predict", "--run", prefix, "--data", friedman_csv,
+                       "--out", tmp_path / "p.csv")
+        assert code == 1
+        assert not (tmp_path / "p.csv").exists()
+        assert (capsys.readouterr().err
+                == f"{path}: no stored trees; rerun train with --store-trees\n")
 
     def test_reordered_column_named(self, tmp_path, friedman_csv, trained_run,
                                     capsys):
@@ -903,10 +923,9 @@ class TestRunMetadata:
 
     @pytest.mark.parametrize("key, value, problem", [
         pytest.param("task", "clustering",
-                     "task 'clustering' is not 'regression' or 'classification'",
+                     "task must be 'regression' or 'classification', got 'clustering'",
                      id="task-unknown"),
-        pytest.param("task", None, "task None is not 'regression' or 'classification'",
-                     id="task-null"),
+        pytest.param("task", None, "task must be a string, got None", id="task-null"),
         pytest.param("feature_names", 5, "feature_names 5 is not a list of distinct strings",
                      id="feature-names-int"),
         pytest.param("feature_names", ["x1", "x1", "x3", "x4", "x5"],
@@ -915,8 +934,14 @@ class TestRunMetadata:
         pytest.param("feature_names", ["x1", 2, "x3", "x4", "x5"],
                      "feature_names ['x1', 2, 'x3', 'x4', 'x5'] is not a list of "
                      "distinct strings", id="feature-names-not-strings"),
-        pytest.param("retained", "25", "retained '25' is not an int", id="retained-string"),
-        pytest.param("retained", 25.0, "retained 25.0 is not an int", id="retained-float"),
+        pytest.param("retained", "25", "retained must be an integer, got '25'",
+                     id="retained-string"),
+        pytest.param("retained", 25.0, "retained must be an integer, got 25.0",
+                     id="retained-float"),
+        pytest.param("target_column", 5, "target_column must be a string, got 5",
+                     id="target-column-int"),
+        pytest.param("target_column", ["y"], "target_column must be a string, got ['y']",
+                     id="target-column-list"),
         pytest.param("acceptance", [], "acceptance [] does not map each move kind to int "
                      "accepted, rejected, invalid counts", id="acceptance-list"),
         pytest.param("acceptance", {"grow": {"accepted": 1}},
@@ -1053,13 +1078,17 @@ class TestDrawRecords:
                 == f"error: {path}: draw 1: 4 stored trees, but draw 0 has no stored trees\n")
 
     @pytest.mark.parametrize("key, value, problem", [
-        pytest.param("sigma2", "0.5", "sigma2 '0.5' is not a finite number", id="sigma2-string"),
-        pytest.param("sigma2", True, "sigma2 True is not a finite number", id="sigma2-bool"),
-        pytest.param("sigma2", float("nan"), "sigma2 nan is not a finite number",
+        pytest.param("sigma2", "0.5", "sigma2 must be a finite real, got '0.5'",
+                     id="sigma2-string"),
+        pytest.param("sigma2", True, "sigma2 must be a finite real, got True", id="sigma2-bool"),
+        pytest.param("sigma2", float("nan"), "sigma2 must be a finite real, got nan",
                      id="sigma2-nan"),
-        pytest.param("sigma2", None, "sigma2 None is not a finite number", id="sigma2-null"),
-        pytest.param("iteration", 17.0, "iteration 17.0 is not an int", id="iteration-float"),
-        pytest.param("iteration", "17", "iteration '17' is not an int", id="iteration-string"),
+        pytest.param("sigma2", None, "sigma2 must be a finite real, got None",
+                     id="sigma2-null"),
+        pytest.param("iteration", 17.0, "iteration must be an integer, got 17.0",
+                     id="iteration-float"),
+        pytest.param("iteration", "17", "iteration must be an integer, got '17'",
+                     id="iteration-string"),
         pytest.param("terminal_counts", "4", "terminal_counts is not a non-empty list of ints",
                      id="terminal-counts-string"),
         pytest.param("terminal_counts", [], "terminal_counts is not a non-empty list of ints",
@@ -1152,3 +1181,11 @@ def test_train_flags_cover_every_hyperparameter_but_six():
     dests = {action.dest for action in train._actions}
     assert {f.name for f in fields(Hyperparams)} - dests == {
         "tau_b", "a0", "b0", "a1", "b1", "dirichlet_mass"}
+
+
+def test_the_run_format_version_is_the_package_version():
+    # a format change bumps both; pyproject.toml is read by a regex, as Python 3.10
+    # has no tomllib
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M)[1] == lmbart.__version__
+    assert runs.VERSION == f"lmbart {lmbart.__version__}"

@@ -10,7 +10,8 @@ from lmbart.benchmark import FriedmanSpec
 from lmbart.data import (CLASSIFICATION, REGRESSION, DataError, Dataset,
                          ScalingInfo, is_finite_real, is_int, load_csv, load_features,
                          parse_cell, read_csv, split_dictionary, standardize, train_test_split)
-from lmbart.sampler import Hyperparams, predict_stored
+from lmbart.runs import predict_stored
+from lmbart.sampler import Hyperparams
 from lmbart.data import write_csv as write_table
 
 

@@ -17,8 +17,9 @@ from lmbart import leaves as lv
 from lmbart import sampler
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from lmbart.data import REGRESSION, ScalingInfo, SplitDictionary, standardize
-from lmbart.sampler import (Hyperparams, eval_tree_dict, predict, predict_stored, read_run,
-                            run_classification, run_regression, write_run)
+from lmbart.runs import predict_stored, read_run, write_run
+from lmbart.sampler import (Hyperparams, eval_tree_dict, predict, run_classification,
+                            run_regression)
 from lmbart.trees import CHANGE, GROW, MOVE_KINDS, PRUNE, SWAP, Tree, propose_move, split_cdf
 from oracles import (expand_stored, recursive_to_dict, replay_every_tree, routing,
                      rows_under_changes)

@@ -16,12 +16,13 @@ from scipy.stats import chi2, kstest, norm, truncnorm
 import lmbart
 from lmbart.data import (CLASSIFICATION, REGRESSION, Dataset, ScalingInfo,
                          standardize)
+from lmbart.runs import read_run, write_run
 from lmbart.sampler import (Hyperparams, PosteriorDraws, calibrate_lambda,
                             dirichlet_update_splitprobs,
                             eval_tree_dict, mh_accept, partial_residual, predict,
-                            read_run, run_classification, run_regression,
+                            run_classification, run_regression,
                             sample_latent_z, sample_sigma2,
-                            sample_tau_intercept, sample_tau_slopes, write_run)
+                            sample_tau_intercept, sample_tau_slopes)
 from lmbart.benchmark import FriedmanSpec, friedman_generate
 from oracles import (SENTINEL_SUM, changed_leaves, expand_stored, explicit_partial_residual,
                      leaf_index_of, with_sentinel_sums)
